@@ -15,8 +15,8 @@ from .equations import (Commutator, Constant, Literal, System, concat,
                         equation, serialize_system)
 from .errors import PreconditionError
 from .laurent import (aug_valuation, delta_decompose, delta_generator_product,
-                      delta_membership, geom_series)
-from .wreath import in_delta_power, module_action
+                      geom_series)
+from .wreath import module_action
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,16 @@ def delta_blocks(spec, k, prefix="dp"):
     """Deterministic block layout for `gadget_delta_power` and its witness.
 
     Blocks are indexed by the exponent vectors beta of total degree k over the
-    m active generators, in ascending lexicographic order.
+    m active generators, in ascending lexicographic order.  They are the
+    C(k+m-1, m-1) placements of m-1 bars among k+m-1 slots, read off in
+    order: beta_i counts the slots between bar i-1 and bar i.
     """
     if not isinstance(k, int) or k < 1:
         raise PreconditionError(f"ideal power must be a positive int, got {k!r}")
     blocks = []
-    betas = [b for b in itertools.product(range(k + 1), repeat=spec.m) if sum(b) == k]
+    slots = k + spec.m - 1
+    betas = (tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
+             for bars in itertools.combinations(range(slots), spec.m - 1))
     for idx, beta in enumerate(betas, start=1):
         chain = tuple(f"{prefix}_c_{idx}_{t}" for t in range(1, k))
         blocks.append(DeltaBlock(beta, f"{prefix}_y_{idx}", f"{prefix}_x_{idx}", chain))
@@ -147,17 +151,22 @@ def witness_delta_power(g, k, prefix="dp"):
     some coordinate is outside the k-th ideal power.
     """
     spec = g.spec
-    if not in_delta_power(g, k):
-        if any(g.active):
-            detail = f"active part {g.active} is nontrivial"
-        else:
-            j, p = next((j, p) for j, p in enumerate(g.base) if not delta_membership(p, k))
-            detail = f"coordinate b{j + 1} has valuation {aug_valuation(p)} < {k}"
-        raise PreconditionError(
-            f"element is not in the ideal-power-{k} base subgroup: {detail}")
-    decomposed = [delta_decompose(p, k) for p in g.base]
+    failure = f"element is not in the ideal-power-{k} base subgroup"
+    if any(g.active):
+        raise PreconditionError(f"{failure}: active part {g.active} is nontrivial")
+    # delta_blocks rejects a bad k, so delta_decompose below fails only on a
+    # coordinate outside the k-th ideal power.
+    blocks = delta_blocks(spec, k, prefix)
+    decomposed = []
+    for j, p in enumerate(g.base):
+        try:
+            decomposed.append(delta_decompose(p, k))
+        except PreconditionError:
+            raise PreconditionError(
+                f"{failure}: coordinate b{j + 1} has valuation {aug_valuation(p)} < {k}"
+            ) from None
     fragment = {}
-    for bl in delta_blocks(spec, k, prefix):
+    for bl in blocks:
         y = spec.element(base={
             j + 1: parts[bl.beta] for j, parts in enumerate(decomposed) if bl.beta in parts})
         fragment[bl.y_name] = y

@@ -281,59 +281,87 @@ def delta_generator_product(beta, rank):
     return result
 
 
-def _least_beta(gamma, k):
-    """Lexicographically least beta <= gamma with |beta| = k (needs |gamma| >= k)."""
-    beta = []
-    remaining = k
-    tail = sum(gamma)
-    for g in gamma:
-        tail -= g
-        b = max(0, remaining - tail)
-        beta.append(b)
-        remaining -= b
-    return tuple(beta)
-
-
 def delta_decompose(p, k):
     """Write p as a combination of degree-k generator products.
 
-    Returns a dict mapping each beta (|beta| = k) to q_beta with
-    p = sum_beta delta_generator_product(beta) * q_beta, exactly.  Requires
-    p to lie in the k-th ideal power; raises PreconditionError otherwise,
-    naming the valuation found.
+    Returns a dict mapping each beta (|beta| = k), in ascending lexicographic
+    order, to a nonzero q_beta with p = sum_beta delta_generator_product(beta)
+    * q_beta, exactly.  Requires p to lie in the k-th ideal power; raises
+    PreconditionError otherwise, naming the valuation found.
 
-    The splitting works on the y-expansion after clearing the denominator
-    monomial: every y-monomial of degree >= k is assigned to the
-    lexicographically least beta below its exponent vector, y^beta is divided
-    out, and the remainder is converted back through y_i = a_i - 1 with the
-    clearing monomial divided back out (a unit, so the division is exact).
+    Algorithm: clear the denominator monomial (a unit, multiplied back onto
+    every q_beta at the end) and split by exact synthetic division along the
+    last variable a_v.  With D_v P = (P - P|_{a_v=1}) / (a_v - 1), which on
+    each a_v fibre (the terms that agree off a_v) is the suffix sum of the
+    fibre's coefficients,
+
+        P = sum_{j<r} (a_v - 1)^j (D_v^j P)|_{a_v=1} + (a_v - 1)^r D_v^r P
+
+    for the degree r still to place.  D_v^r P is q_beta for beta_v = r with
+    nothing on the earlier variables; each restriction (D_v^j P)|_{a_v=1},
+    free of a_v, is split the same way along the earlier variables with
+    r - j and beta_v = j.  On the first variable nothing is left to take the
+    missing degree, so a nonzero restriction there proves p is not in the
+    k-th power: the split is its own membership test.
+
+    The split is the lexicographically least one.  In y_i = a_i - 1 the part
+    of P of y_v-degree j < r is exactly y_v^j (D_v^j P)|_{y_v=0}, and the
+    part of y_v-degree >= r is y_v^r D_v^r P, so every y-monomial y^gamma
+    lands on the lexicographically least beta <= gamma with |beta| = k
+    (filled from the last variable) -- the split a full y-expansion bucketed
+    by that beta gives -- without expanding anything.
+
+    Cost, in integer additions and no multiplications: a D_v step costs at
+    most E additions per fibre of a_v-span E, and a split takes at most k
+    steps.  A split's restrictions have at most one term per fibre, so no
+    split sees more terms, or a wider span, than the cleared p; and each
+    split ends in its own block (0, ..., 0, r, beta_{v+1}, ..., beta_m), so
+    at most C(k+m-1, m-1) splits run.  That bounds the work by
+    C(k+m-1, m-1) * k * T * (E + 1) additions for T terms of largest span E,
+    and by k * E at rank 1, where the y-expansion took about
+    prod_i (gamma_i + 1) binomial products per term.
     """
     if not isinstance(k, int) or k < 1:
         raise PreconditionError(f"ideal power must be a positive int, got {k!r}")
     if p.is_zero():
         return {}
-    val = aug_valuation(p)
-    if val < k:
-        raise PreconditionError(
-            f"polynomial has augmentation valuation {val}, not in ideal power {k}")
     terms, mins = _cleared_terms(p)
-    expanded = _shift_variables(terms, 1)
-    buckets = {}
-    for gamma, c in expanded.items():
-        beta = _least_beta(gamma, k)
-        residue = tuple(g - b for g, b in zip(gamma, beta))
-        bucket = buckets.setdefault(beta, {})
-        s = bucket.get(residue, 0) + c
-        if s:
-            bucket[residue] = s
-        else:
-            del bucket[residue]
+    rank = p.rank
     out = {}
-    for beta in sorted(buckets):
-        back = _shift_variables(buckets[beta], -1)
-        if back:
-            out[beta] = LaurentPoly(p.rank, back).times_monomial(mins)
-    return out
+    # Each pending split: (terms free of a_{v+1}..a_m, v, degree r to place,
+    # beta_{v+1}..beta_m already fixed).
+    pending = [(terms, rank - 1, k, ())]
+    while pending:
+        terms, v, r, beta_tail = pending.pop()
+        fibres = {}
+        for mono, c in terms.items():
+            row = fibres.setdefault(mono[:v] + (0,) + mono[v + 1:], [])
+            e = mono[v]
+            if len(row) <= e:
+                row.extend([0] * (e + 1 - len(row)))
+            row[e] = c
+        for j in range(r):
+            restriction = {}
+            shifted = {}
+            for rest, row in fibres.items():
+                sums = list(itertools.accumulate(reversed(row)))
+                if sums[-1]:
+                    restriction[rest] = sums[-1]
+                if len(sums) > 1:
+                    shifted[rest] = sums[-2::-1]
+            fibres = shifted
+            if not restriction:
+                continue
+            if v == 0:
+                raise PreconditionError(
+                    f"polynomial has augmentation valuation {aug_valuation(p)}, "
+                    f"not in ideal power {k}")
+            pending.append((restriction, v - 1, r - j, (j,) + beta_tail))
+        quotient = {rest[:v] + (e,) + rest[v + 1:]: c
+                    for rest, row in fibres.items() for e, c in enumerate(row) if c}
+        if quotient:
+            out[(0,) * v + (r,) + beta_tail] = quotient
+    return {beta: LaurentPoly(rank, out[beta]).times_monomial(mins) for beta in sorted(out)}
 
 
 def geom_series(gamma, rank=1):

@@ -9,7 +9,8 @@ import time
 from zwreath.equations import check_system
 from zwreath.interp import IteratedSpec, compile_iterated
 from zwreath.laurent import aug_valuation
-from zwreath.reduction import oracle_ef, parse_intpoly
+from zwreath.reduction import (compile, extract_solution, oracle_ef, parse_intpoly,
+                               witness)
 from zwreath.selftest import (check_centralizer_active, check_centralizer_base,
                               check_flatten, check_group_axioms, check_lcs,
                               check_nested_axioms, check_oracle,
@@ -109,3 +110,15 @@ def test_criterion_8_axiom_property_suites():
     assert run_suite("acceptance-nested", check_nested_axioms, 1000, seed=0) == []
     assert run_suite("acceptance-flatten", check_flatten, 200, seed=0) == []
     _report(8, "axiom suites 1000 each + 200 flatten words", started, 30)
+
+
+def test_criterion_9_large_root_pipeline():
+    started = time.perf_counter()
+    f = parse_intpoly("z1 - 1000")
+    spec = GroupSpec(1, 1)
+    out = compile(f, spec)
+    asg = witness(f, (1000,), spec)
+    report = check_system(out.system, asg, spec)
+    assert report.ok, report.failures
+    assert extract_solution(out, asg) == (1000,)
+    _report(9, "witness, check and extract for z - 1000", started, 2)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -126,6 +128,16 @@ def test_delta_gadget_block_count():
     assert len(delta_blocks(S21, 3)) == 4  # (0,3), (1,2), (2,1), (3,0)
 
 
+def test_delta_blocks_match_filtered_product():
+    for m in range(1, 6):
+        for k in range(1, 7):
+            blocks = delta_blocks(GroupSpec(m, 1), k)
+            filtered = [b for b in itertools.product(range(k + 1), repeat=m) if sum(b) == k]
+            assert [bl.beta for bl in blocks] == filtered
+            assert len(blocks) == math.comb(k + m - 1, m - 1)
+            assert [bl.y_name for bl in blocks] == [f"dp_y_{i}" for i in range(1, len(blocks) + 1)]
+
+
 def test_delta_gadget_identity_witness():
     gadget = gadget_delta_power("x", 2, S21)
     asg = {"x": S21.identity()}
@@ -159,6 +171,11 @@ def test_delta_witness_requires_membership():
     g = S11.base_gen(1)
     with pytest.raises(PreconditionError, match="valuation 0"):
         witness_delta_power(g, 1)
+
+
+def test_delta_witness_rejects_active_part():
+    with pytest.raises(PreconditionError, match="active part"):
+        witness_delta_power(S11.active_gen(1), 1)
 
 
 def test_delta_gadget_unreachable_outside_the_ideal_power():

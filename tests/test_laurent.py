@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -166,6 +168,106 @@ def test_decompose_recomposes():
 def test_decompose_rejects_nonmembers():
     with pytest.raises(PreconditionError, match="valuation 1"):
         delta_decompose(P("a1 - 1", 1), 2)
+
+
+def test_decompose_large_univariate_root():
+    # (a1^n - 1 - n*(a1 - 1)) / (a1 - 1)^2 = sum_{j <= n-2} (n - 1 - j) a1^j
+    n = 5000
+    p = LaurentPoly(1, {(n,): 1, (1,): -n, (0,): n - 1})
+    expected = LaurentPoly(1, {(j,): n - 1 - j for j in range(n - 1)})
+    assert delta_decompose(p, 2) == {(2,): expected}
+
+
+# -- reference decomposition: full y-expansion, lex-least bucketing -------------
+
+
+def _reference_shift(terms, delta):
+    """Substitute v_i := v_i + delta in non-negative-exponent terms, by binomials."""
+    out = {}
+    for mono, coeff in terms.items():
+        per_var = [[(j, math.comb(e, j) * delta ** (e - j)) for j in range(e + 1)]
+                   for e in mono]
+        for combo in itertools.product(*per_var):
+            c = coeff
+            for _, factor in combo:
+                c *= factor
+            key = tuple(j for j, _ in combo)
+            out[key] = out.get(key, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _reference_least_beta(gamma, k):
+    beta, remaining, tail = [], k, sum(gamma)
+    for g in gamma:
+        tail -= g
+        b = max(0, remaining - tail)
+        beta.append(b)
+        remaining -= b
+    return tuple(beta)
+
+
+def reference_decompose(p, k):
+    """Returns (valuation, split); the split is None when the valuation is below k."""
+    if p.is_zero():
+        return INFINITY, {}
+    mins = tuple(min(m[i] for m in p.terms) for i in range(p.rank))
+    cleared = {tuple(e - lo for e, lo in zip(m, mins)): c for m, c in p.terms.items()}
+    expanded = _reference_shift(cleared, 1)
+    valuation = min(sum(g) for g in expanded)
+    if valuation < k:
+        return valuation, None
+    buckets = {}
+    for gamma, c in expanded.items():
+        beta = _reference_least_beta(gamma, k)
+        bucket = buckets.setdefault(beta, {})
+        residue = tuple(g - b for g, b in zip(gamma, beta))
+        bucket[residue] = bucket.get(residue, 0) + c
+    split = {}
+    for beta in sorted(buckets):
+        back = _reference_shift({m: c for m, c in buckets[beta].items() if c}, -1)
+        if back:
+            split[beta] = LaurentPoly(p.rank, back).times_monomial(mins)
+    return valuation, split
+
+
+def _random_member(rng, rank, k):
+    p = LaurentPoly.zero(rank)
+    for _ in range(rng.randint(1, 2)):
+        beta = [0] * rank
+        for _ in range(k):
+            beta[rng.randrange(rank)] += 1
+        terms = {tuple(rng.randint(-4, 4) for _ in range(rank)): rng.randint(-5, 5)
+                 for _ in range(rng.randint(1, 2))}
+        p = p + delta_generator_product(tuple(beta), rank) * LaurentPoly(rank, terms)
+    return p
+
+
+def test_decompose_matches_reference_on_members():
+    rng = random.Random(23)
+    for _ in range(500):
+        rank, k = rng.randint(1, 4), rng.randint(1, 5)
+        p = _random_member(rng, rank, k)
+        _, expected = reference_decompose(p, k)
+        assert list(delta_decompose(p, k).items()) == list(expected.items()), (p, k)
+
+
+def test_decompose_nonmembers_name_reference_valuation():
+    rng = random.Random(29)
+    rejected = 0
+    for _ in range(200):
+        rank, k = rng.randint(1, 4), rng.randint(1, 5)
+        # One degree short of a member, plus noise: mostly below k.
+        p = _random_member(rng, rank, k - 1) if k > 1 else LaurentPoly(rank, {})
+        p = p + LaurentPoly(rank, {tuple(rng.randint(-4, 4) for _ in range(rank)):
+                                   rng.randint(-5, 5)})
+        valuation, expected = reference_decompose(p, k)
+        if expected is not None:
+            assert list(delta_decompose(p, k).items()) == list(expected.items())
+            continue
+        rejected += 1
+        with pytest.raises(PreconditionError, match=f"valuation {valuation}, "):
+            delta_decompose(p, k)
+    assert rejected >= 100
 
 
 # -- geometric series ----------------------------------------------------------
