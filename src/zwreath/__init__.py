@@ -16,9 +16,9 @@ from .errors import Error, ParseError, PreconditionError, SpecMismatchError
 from .gadgets import (Gadget, delta_blocks, gadget_cyclic, gadget_delta_power,
                       gadget_in_A, gadget_in_N, witness_cyclic,
                       witness_delta_power)
-from .interp import (AbelianElement, GroupElement, IteratedReduction,
-                     IteratedSpec, NestedElement, compile_iterated,
-                     from_wreath, lift_system, project_assignment, to_wreath)
+from .interp import (IteratedReduction, IteratedSpec, NestedElement,
+                     compile_iterated, lift_system, project_assignment,
+                     spec_for_ranks)
 from .laurent import (INFINITY, LaurentPoly, aug_valuation, delta_decompose,
                       delta_generator_product, delta_membership,
                       divisible_by_a1_minus_1, geom_series, parse_poly,

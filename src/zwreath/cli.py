@@ -13,11 +13,11 @@ import sys
 
 from .equations import check_system, parse_assignment, parse_system, serialize_assignment, serialize_system
 from .errors import Error, ParseError, PreconditionError
-from .interp import IteratedSpec, compile_iterated
+from .interp import compile_iterated, spec_for_ranks
 from .laurent import INFINITY, aug_valuation, poly_str
 from .reduction import oracle_ef, parse_intpoly
 from .selftest import run_all
-from .wreath import GroupSpec, lcs_rank
+from .wreath import lcs_rank
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -33,15 +33,6 @@ def _parse_ranks(text):
     if not ranks or any(r < 1 for r in ranks):
         raise ParseError(f"ranks must be positive, got {text!r}")
     return ranks
-
-
-def _ambient_spec(ranks):
-    """Evaluation spec for the rank list: flat for two ranks, nested beyond."""
-    if len(ranks) == 1:
-        raise ParseError("need at least two ranks (base and acting group)")
-    if len(ranks) == 2:
-        return GroupSpec(m=ranks[1], n=ranks[0])
-    return IteratedSpec(ranks)
 
 
 def _parse_solution(text):
@@ -66,10 +57,8 @@ def _read(path):
 
 def _compiled(args):
     f = parse_intpoly(args.poly)
-    ranks = _parse_ranks(args.ranks)
-    if len(ranks) < 2:
-        raise ParseError("need at least two ranks (base and acting group)")
-    return compile_iterated(f, IteratedSpec(ranks)), _ambient_spec(ranks)
+    spec = spec_for_ranks(_parse_ranks(args.ranks))
+    return compile_iterated(f, spec), spec
 
 
 def _cmd_compile(args):
@@ -86,8 +75,7 @@ def _cmd_witness(args):
 
 
 def _cmd_verify(args):
-    ranks = _parse_ranks(args.ranks)
-    spec = _ambient_spec(ranks)
+    spec = spec_for_ranks(_parse_ranks(args.ranks))
     system = parse_system(_read(args.system), spec)
     assignment = parse_assignment(_read(args.assignment), spec)
     report = check_system(system, assignment, spec)
@@ -104,8 +92,7 @@ def _cmd_verify(args):
 def _cmd_oracle(args):
     f = parse_intpoly(args.poly)
     ranks = _parse_ranks(args.ranks)
-    if len(ranks) < 2:
-        raise ParseError("need at least two ranks (base and acting group)")
+    spec_for_ranks(ranks)  # the same rank-list check as the other subcommands
     z = _parse_solution(args.solution)
     e_f, member = oracle_ef(f, z, rank=ranks[-1])
     d = f.degree()
@@ -131,7 +118,7 @@ def _cmd_lcs_rank(args):
     ranks = _parse_ranks(args.ranks)
     if len(ranks) != 2:
         raise ParseError("lcs-rank is defined for exactly two ranks")
-    print(lcs_rank(args.i, GroupSpec(m=ranks[1], n=ranks[0])))
+    print(lcs_rank(args.i, spec_for_ranks(ranks)))
     return EXIT_OK
 
 

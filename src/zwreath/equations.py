@@ -541,10 +541,3 @@ def _parse_equation_line(line, lineno, spec):
     parser.take("END")
     return equation(lhs, rhs)
 
-
-def parse_word_text(text, spec, lineno=1):
-    """Parse a standalone word (no '=')."""
-    parser = _WordParser(_tokenize_line(text, lineno), lineno, spec)
-    word = parser.parse_word({"END"})
-    parser.take("END")
-    return word

@@ -1,15 +1,16 @@
 """Right-iterated wreath products and equation-system lifting.
 
-The group for ranks (m_k, ..., m_1) is built recursively: rank list of length
-one is the free abelian group Z^(m_1); otherwise the group is
-Z^(m_k) wr (inner group on the remaining ranks).  Elements at depth >= 2 hold
-an inner-group active part and a finitely supported map from inner elements
-to integer vectors; multiplication shifts the support of the left factor by
-right-multiplication with the incoming active part, matching the coordinate
-convention of the flat two-level representation.
+The group for ranks (m_k, ..., m_1) is built recursively: the innermost two
+ranks form the flat group Z^(m_2) wr Z^(m_1) (`GroupSpec`, `WreathElement`),
+and every further rank m wraps the group built so far as Z^m wr (inner
+group).  Elements at depth >= 3 hold an inner-group active part and a
+finitely supported map from inner elements to integer vectors; multiplication
+shifts the support of the left factor by right-multiplication with the
+incoming active part, matching the coordinate convention of the flat
+two-level representation.
 
-Every element type implements the same small contract -- `*`, `inverse()`,
-`commutator()`, `__pow__`, `is_identity()`, `sort_key()` -- so equation
+Every level has one element type, and all of them offer `*`, `inverse()`,
+`commutator()`, `__pow__`, `is_identity()` and `sort_key()`, so equation
 evaluation and checking work unchanged at any depth.  `lift_system` rewrites
 a system over an inner group into one over the wreath extension by pinning
 each equation's value into the centralizer of a distinguished base generator,
@@ -20,79 +21,56 @@ lifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from . import reduction as _reduction
-from .equations import (Commutator, Constant, Concat, Equation, Literal,
-                        NameGen, Power, System, equation)
+from .equations import (Commutator, Constant, Concat, Literal, NameGen, Power,
+                        System, equation)
 from .errors import ParseError, PreconditionError, SpecMismatchError
-from .laurent import LaurentPoly
-from .wreath import GroupSpec, WreathElement
+from .wreath import GroupSpec, commutator, group_power
 
 
-@runtime_checkable
-class GroupElement(Protocol):
-    """Contract shared by every element type in this package.
+def spec_for_ranks(ranks):
+    """The group for a rank list, outermost base first.
 
-    Equation evaluation, system checking, and the lifting pipeline are
-    generic over this interface; the ambient spec object supplies the
-    identity element and the distinguished generators.
+    Two ranks (n, m) give the flat Z^n wr Z^m; longer lists give the
+    right-iterated product.  A single rank names no wreath product, which is
+    malformed input (ParseError).
     """
-
-    spec: object
-
-    def __mul__(self, other): ...
-
-    def inverse(self): ...
-
-    def commutator(self, other): ...
-
-    def __pow__(self, exponent): ...
-
-    def is_identity(self): ...
-
-    def sort_key(self): ...
+    ranks = tuple(ranks)
+    if len(ranks) < 2:
+        raise ParseError("need at least two ranks (base and acting group)")
+    if len(ranks) == 2:
+        return GroupSpec(m=ranks[1], n=ranks[0])
+    return IteratedSpec(ranks)
 
 
 @dataclass(frozen=True)
 class IteratedSpec:
-    """Rank list (m_k, ..., m_1), outermost base copy first."""
+    """Rank list (m_k, ..., m_1) with k >= 3, outermost base copy first."""
 
     ranks: tuple
 
     def __post_init__(self):
         ranks = tuple(self.ranks)
         object.__setattr__(self, "ranks", ranks)
-        if not ranks or not all(isinstance(r, int) and r >= 1 for r in ranks):
+        if not all(isinstance(r, int) and r >= 1 for r in ranks):
             raise PreconditionError(f"ranks must be positive ints, got {ranks!r}")
-
-    @property
-    def depth(self):
-        return len(self.ranks)
+        if len(ranks) < 3:
+            raise PreconditionError(
+                f"an iterated spec needs at least three ranks, got {ranks!r}; "
+                "two ranks are the flat GroupSpec")
+        # Built once: every element construction compares against it.
+        object.__setattr__(self, "_inner", spec_for_ranks(ranks[1:]))
 
     def inner(self):
-        if self.depth < 2:
-            raise PreconditionError("rank-list of length 1 has no inner group")
-        return IteratedSpec(self.ranks[1:])
+        """The group acted on: flat at depth 3, iterated beyond."""
+        return self._inner
 
     def identity(self):
-        if self.depth == 1:
-            return AbelianElement(self, (0,) * self.ranks[0])
         return NestedElement(self, self.inner().identity(), ())
-
-    def active_gen(self, i):
-        """Generator i of this level's abelian factor (depth-1 specs only)."""
-        if self.depth != 1:
-            raise PreconditionError("active generators live on depth-1 specs")
-        if not 1 <= i <= self.ranks[0]:
-            raise PreconditionError(f"generator index {i} out of range 1..{self.ranks[0]}")
-        return AbelianElement(
-            self, tuple(1 if v == i - 1 else 0 for v in range(self.ranks[0])))
 
     def base_gen(self, j, power=1):
         """Generator j of the outermost base copy at the inner identity."""
-        if self.depth < 2:
-            raise PreconditionError("base generators require depth >= 2")
         if not 1 <= j <= self.ranks[0]:
             raise PreconditionError(f"base generator index {j} out of range 1..{self.ranks[0]}")
         vec = tuple(power if v == j - 1 else 0 for v in range(self.ranks[0]))
@@ -101,18 +79,10 @@ class IteratedSpec:
 
     def embed(self, inner_element):
         """Canonical embedding of the inner group as the active part."""
-        if self.depth < 2:
-            raise PreconditionError("embedding requires depth >= 2")
         if inner_element.spec != self.inner():
             raise SpecMismatchError(
                 f"element of {inner_element.spec} cannot embed into {self}")
         return NestedElement(self, inner_element, ())
-
-    def flat_spec(self):
-        """The two-level spec as a flat wreath product (depth-2 only)."""
-        if self.depth != 2:
-            raise PreconditionError("flat view exists only at depth 2")
-        return GroupSpec(m=self.ranks[1], n=self.ranks[0])
 
     # Literal bridge used by the equation/assignment parsers.
     def parse_element(self, text, *, line=None, col=None):
@@ -122,93 +92,36 @@ class IteratedSpec:
         return nested_str(g)
 
 
-class AbelianElement:
-    """Element of a depth-1 group: an integer vector under addition."""
-
-    __slots__ = ("spec", "vector")
-
-    def __init__(self, spec, vector):
-        vector = tuple(vector)
-        if spec.depth != 1:
-            raise PreconditionError("AbelianElement requires a depth-1 spec")
-        if len(vector) != spec.ranks[0] or not all(isinstance(e, int) for e in vector):
-            raise PreconditionError(f"vector {vector!r} invalid for rank {spec.ranks[0]}")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "vector", vector)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AbelianElement is immutable")
-
-    def _check(self, other):
-        if not isinstance(other, AbelianElement) or other.spec != self.spec:
-            raise SpecMismatchError(f"cannot combine {self!r} with {other!r}")
-
-    def __mul__(self, other):
-        self._check(other)
-        return AbelianElement(self.spec, tuple(a + b for a, b in zip(self.vector, other.vector)))
-
-    def inverse(self):
-        return AbelianElement(self.spec, tuple(-a for a in self.vector))
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise PreconditionError(f"group power must be an int, got {exponent!r}")
-        return AbelianElement(self.spec, tuple(a * exponent for a in self.vector))
-
-    def commutator(self, other):
-        self._check(other)
-        return self.spec.identity()
-
-    def is_identity(self):
-        return not any(self.vector)
-
-    def sort_key(self):
-        return self.vector
-
-    def __eq__(self, other):
-        if not isinstance(other, AbelianElement):
-            return NotImplemented
-        return self.spec == other.spec and self.vector == other.vector
-
-    def __hash__(self):
-        return hash((self.spec, self.vector))
-
-    def __str__(self):
-        return nested_str(self)
-
-    def __repr__(self):
-        return f"AbelianElement({nested_str(self)!r})"
-
-
 class NestedElement:
-    """Element of a depth >= 2 iterated wreath product.
+    """Element of an iterated wreath product of depth >= 3.
 
     `active` is an inner-group element; `base` is a canonically sorted tuple
     of (inner element, nonzero integer vector) pairs giving the finitely
-    supported base coordinates.
+    supported base coordinates.  A support point may occur only once.
     """
 
     __slots__ = ("spec", "active", "base")
 
     def __init__(self, spec, active, base):
-        if spec.depth < 2:
-            raise PreconditionError("NestedElement requires depth >= 2")
-        if active.spec != spec.inner():
-            raise SpecMismatchError(f"active part belongs to {active.spec}, not {spec.inner()}")
+        inner = spec.inner()
+        if active.spec != inner:
+            raise SpecMismatchError(f"active part belongs to {active.spec}, not {inner}")
         width = spec.ranks[0]
-        cleaned = []
+        keyed = []
         for key, vec in (base.items() if hasattr(base, "items") else base):
             vec = tuple(vec)
-            if key.spec != spec.inner():
-                raise SpecMismatchError(f"support point belongs to {key.spec}, not {spec.inner()}")
+            if key.spec != inner:
+                raise SpecMismatchError(f"support point belongs to {key.spec}, not {inner}")
             if len(vec) != width or not all(isinstance(e, int) for e in vec):
                 raise PreconditionError(f"vector {vec!r} invalid for rank {width}")
-            if any(vec):
-                cleaned.append((key, vec))
-        cleaned.sort(key=lambda item: item[0].sort_key())
+            keyed.append((key.sort_key(), key, vec))
+        keyed.sort(key=lambda item: item[0])
+        for before, after in zip(keyed, keyed[1:]):
+            if before[0] == after[0]:
+                raise PreconditionError(f"support point {after[1]} is repeated")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "active", active)
-        object.__setattr__(self, "base", tuple(cleaned))
+        object.__setattr__(self, "base", tuple((key, vec) for _, key, vec in keyed if any(vec)))
 
     def __setattr__(self, name, value):
         raise AttributeError("NestedElement is immutable")
@@ -239,23 +152,8 @@ class NestedElement:
             self.spec, ai,
             {key * ai: tuple(-v for v in vec) for key, vec in self.base})
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise PreconditionError(f"group power must be an int, got {exponent!r}")
-        if exponent < 0:
-            return self.inverse() ** -exponent
-        result = self.spec.identity()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def commutator(self, other):
-        return self.inverse() * other.inverse() * self * other
+    __pow__ = group_power
+    commutator = commutator
 
     def is_identity(self):
         return self.active.is_identity() and not self.base
@@ -288,14 +186,16 @@ class NestedElement:
 
 
 def nested_str(g):
-    """Canonical literal; depth-1 elements print as bare vectors."""
-    if isinstance(g, AbelianElement):
-        return "(" + ",".join(str(v) for v in g.vector) + ")"
+    """Canonical literal; the active part and support points print as inner literals.
+
+    `str` of an element at any level is its canonical literal, so the
+    innermost parts print as flat literals `{ active: (...); b1: ... }`.
+    """
     entries = [
-        "[ " + nested_str(key) + " -> (" + ",".join(str(v) for v in vec) + ") ]"
+        "[ " + str(key) + " -> (" + ",".join(str(v) for v in vec) + ") ]"
         for key, vec in g.base]
     body = " " + ", ".join(entries) + " " if entries else " "
-    return "{ active: " + nested_str(g.active) + ";" + body + "}"
+    return "{ active: " + str(g.active) + ";" + body + "}"
 
 
 class _Cursor:
@@ -322,6 +222,18 @@ class _Cursor:
     def at(self, literal):
         self.skip_ws()
         return self.text.startswith(literal, self.pos)
+
+    def braced(self):
+        """The balanced `{...}` span starting here."""
+        self.expect("{")
+        start = self.pos - 1
+        depth = 1
+        while self.pos < len(self.text) and depth:
+            depth += {"{": 1, "}": -1}.get(self.text[self.pos], 0)
+            self.pos += 1
+        if depth:
+            self.error("unbalanced '{' in element literal")
+        return self.text[start:self.pos]
 
     def int_vector(self, length):
         self.expect("(")
@@ -357,64 +269,36 @@ def parse_nested(text, spec, *, line=None, col=None):
     return value
 
 
+def _parse_inner(cur, spec):
+    """An inner-group literal: iterated levels recurse, the flat pair parses its span."""
+    if isinstance(spec, IteratedSpec):
+        return _parse_nested_at(cur, spec)
+    return spec.parse_element(cur.braced(), line=cur.line, col=cur.col)
+
+
 def _parse_nested_at(cur, spec):
-    if spec.depth == 1:
-        return AbelianElement(spec, cur.int_vector(spec.ranks[0]))
     cur.expect("{")
     cur.expect("active")
     cur.expect(":")
-    active = _parse_nested_at(cur, spec.inner())
+    active = _parse_inner(cur, spec.inner())
     if cur.at(";"):
         cur.expect(";")
-    entries = []
+    entries = {}
     while not cur.at("}"):
         cur.expect("[")
-        key = _parse_nested_at(cur, spec.inner())
+        key = _parse_inner(cur, spec.inner())
+        if key in entries:
+            cur.error(f"repeated support point {key}")
         cur.expect("->")
-        vec = cur.int_vector(spec.ranks[0])
+        entries[key] = cur.int_vector(spec.ranks[0])
         cur.expect("]")
-        entries.append((key, vec))
         if cur.at(","):
             cur.expect(",")
     cur.expect("}")
     return NestedElement(spec, active, entries)
 
 
-# -- bridge to the flat representation -----------------------------------------
-
-
-def from_wreath(g, ispec=None):
-    """Convert a flat element of Z^n wr Z^m to the depth-2 representation."""
-    if ispec is None:
-        ispec = IteratedSpec((g.spec.n, g.spec.m))
-    if ispec.flat_spec() != g.spec:
-        raise SpecMismatchError(f"{ispec} does not match flat spec {g.spec}")
-    inner = ispec.inner()
-    support = {}
-    for j, poly in enumerate(g.base):
-        for mono, coeff in poly.terms.items():
-            key = AbelianElement(inner, mono)
-            vec = support.setdefault(key, [0] * ispec.ranks[0])
-            vec[j] = coeff
-    active = AbelianElement(inner, g.active)
-    return NestedElement(ispec, active, {k: tuple(v) for k, v in support.items()})
-
-
-def to_wreath(g, flat_spec=None):
-    """Convert a depth-2 element back to the flat representation."""
-    if g.spec.depth != 2:
-        raise PreconditionError("only depth-2 elements convert to the flat representation")
-    if flat_spec is None:
-        flat_spec = g.spec.flat_spec()
-    if g.spec.flat_spec() != flat_spec:
-        raise SpecMismatchError(f"{g.spec} does not match flat spec {flat_spec}")
-    coords = [dict() for _ in range(flat_spec.n)]
-    for key, vec in g.base:
-        for j, value in enumerate(vec):
-            if value:
-                coords[j][key.vector] = value
-    base = tuple(LaurentPoly(flat_spec.m, c) for c in coords)
-    return WreathElement(flat_spec, g.active.vector, base)
+# -- lifting --------------------------------------------------------------------
 
 
 def _convert_word(word, convert):
@@ -427,16 +311,6 @@ def _convert_word(word, convert):
     if isinstance(word, Power):
         return Power(_convert_word(word.body, convert), word.exponent)
     return word
-
-
-def convert_system_constants(system, convert):
-    """Rewrite every element constant of a system through `convert`."""
-    return System(
-        tuple(Equation(_convert_word(eq.lhs, convert)) for eq in system.equations),
-        system.declared_vars)
-
-
-# -- lifting --------------------------------------------------------------------
 
 
 def lift_system(system, b):
@@ -476,62 +350,53 @@ def project_assignment(assignment):
 # -- the iterated pipeline -------------------------------------------------------
 
 
+def _tower(spec):
+    """The groups from the flat innermost pair outward to `spec`."""
+    tower = [spec]
+    while isinstance(tower[0], IteratedSpec):
+        tower.insert(0, tower[0].inner())
+    return tower
+
+
 @dataclass(frozen=True)
 class IteratedReduction:
-    """Polynomial reduction compiled over an iterated wreath product."""
+    """Polynomial reduction compiled over a flat or iterated wreath product."""
 
     poly: object
-    ispec: IteratedSpec
+    spec: object
     flat: object
     system: System
 
     def witness(self, z):
-        """Lift the flat witness; variables added by lifting become the identity."""
-        flat_asg = _reduction.witness(self.poly, z, self.flat.spec)
-        if self.ispec.depth == 2:
-            return flat_asg
-        specs = _spec_tower(self.ispec)
-        asg = {name: from_wreath(value, specs[0]) for name, value in flat_asg.items()}
-        for outer_spec in specs[1:]:
-            asg = {name: outer_spec.embed(value) for name, value in asg.items()}
-        identity = self.ispec.identity()
+        """Embed the flat witness level by level; variables added by lifting become the identity."""
+        tower = _tower(self.spec)
+        asg = _reduction.witness(self.poly, z, tower[0])
+        for outer in tower[1:]:
+            asg = {name: outer.embed(value) for name, value in asg.items()}
+        identity = self.spec.identity()
         for name in self.system.declared_vars:
             asg.setdefault(name, identity)
         return asg
 
     def extract_solution(self, assignment):
         """Project down to the flat group and read the root back out."""
-        if self.ispec.depth == 2:
-            return _reduction.extract_solution(self.flat, assignment)
         asg = {name: assignment[name]
                for name in self.flat.solution_vars if name in assignment}
-        for _ in range(self.ispec.depth - 2):
+        for _ in _tower(self.spec)[1:]:
             asg = project_assignment(asg)
-        flat_asg = {name: to_wreath(value, self.flat.spec) for name, value in asg.items()}
-        return _reduction.extract_solution(self.flat, flat_asg)
+        return _reduction.extract_solution(self.flat, asg)
 
 
-def _spec_tower(ispec):
-    """Specs from the innermost pair outward: ranks[-2:], ranks[-3:], ..."""
-    return [IteratedSpec(ispec.ranks[i:]) for i in range(ispec.depth - 2, -1, -1)]
+def compile_iterated(f, spec):
+    """Compile f over the group of `spec_for_ranks` by lifting the flat reduction.
 
-
-def compile_iterated(f, ispec):
-    """Compile f over the iterated wreath product by lifting the flat reduction.
-
-    At depth 2 the result is identical to the flat compiler; deeper ranks wrap
-    the system in one lift per additional level, using the first generator of
-    each level's outermost base copy.
+    Over a flat `GroupSpec` the result is the flat compiler's system; an
+    `IteratedSpec` wraps it in one lift per level above the innermost two,
+    using the first generator of each level's outermost base copy.
     """
-    if ispec.depth < 2:
-        raise PreconditionError("the iterated pipeline needs at least two ranks")
-    flat_spec = GroupSpec(m=ispec.ranks[-1], n=ispec.ranks[-2])
-    flat = _reduction.compile(f, flat_spec)
-    if ispec.depth == 2:
-        return IteratedReduction(f, ispec, flat, flat.system)
-    specs = _spec_tower(ispec)
-    system = convert_system_constants(
-        flat.system, lambda value: from_wreath(value, specs[0]))
-    for outer_spec in specs[1:]:
-        system = lift_system(system, outer_spec.base_gen(1))
-    return IteratedReduction(f, ispec, flat, system)
+    tower = _tower(spec)
+    flat = _reduction.compile(f, tower[0])
+    system = flat.system
+    for outer in tower[1:]:
+        system = lift_system(system, outer.base_gen(1))
+    return IteratedReduction(f, spec, flat, system)

@@ -25,6 +25,20 @@ Monomial = tuple
 INFINITY = math.inf
 
 
+def binary_power(x, exponent, one):
+    """x ** exponent for an int exponent >= 0 by square-and-multiply.
+
+    `one` is the neutral element of `*`; the cost is O(log exponent) products.
+    """
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * x
+        x = x * x if exponent > 1 else x
+        exponent >>= 1
+    return result
+
+
 class LaurentPoly:
     """A finitely supported integer combination of monomials a^gamma.
 
@@ -150,15 +164,7 @@ class LaurentPoly:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise PreconditionError(f"polynomial power must be a non-negative int, got {exponent!r}")
-        result = LaurentPoly.one(self.rank)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return binary_power(self, exponent, LaurentPoly.one(self.rank))
 
     def times_monomial(self, exponents):
         """Multiply by the unit monomial a^exponents."""
@@ -394,13 +400,22 @@ def _ordered_monomials(terms):
 
 def poly_str(p):
     """Canonical text form: terms in degree-lexicographic descending order."""
-    if p.is_zero():
+    return terms_str(p._terms, "a")
+
+
+def terms_str(terms, letter):
+    """Text of an {exponent vector: coefficient} map over variables letter1, letter2, ...
+
+    Terms run in degree-lexicographic descending order; a unit coefficient
+    is omitted before a variable part, and the zero map prints as `0`.
+    """
+    if not terms:
         return "0"
     pieces = []
-    for mono in _ordered_monomials(p._terms):
-        coeff = p._terms[mono]
+    for mono in _ordered_monomials(terms):
+        coeff = terms[mono]
         var_part = "*".join(
-            f"a{i + 1}" + (f"^{e}" if e != 1 else "")
+            f"{letter}{i + 1}" + (f"^{e}" if e != 1 else "")
             for i, e in enumerate(mono) if e)
         mag = abs(coeff)
         if var_part:

@@ -23,7 +23,7 @@ from .equations import (Commutator, Constant, Literal, System, concat,
 from .errors import ParseError, PreconditionError
 from .gadgets import (gadget_cyclic, gadget_delta_power, witness_cyclic,
                       witness_delta_power)
-from .laurent import LaurentPoly, delta_membership
+from .laurent import LaurentPoly, delta_membership, terms_str
 from .wreath import in_A, module_action
 
 
@@ -97,22 +97,7 @@ class IntPolynomial:
 
 
 def intpoly_str(f):
-    if f.is_zero():
-        return "0"
-    pieces = []
-    for alpha in f.support():
-        coeff = f._terms[alpha]
-        var_part = "*".join(
-            f"z{i + 1}" + (f"^{e}" if e != 1 else "")
-            for i, e in enumerate(alpha) if e)
-        mag = abs(coeff)
-        body = var_part if (var_part and mag == 1) else (
-            f"{mag}*{var_part}" if var_part else str(mag))
-        if not pieces:
-            pieces.append(("-" if coeff < 0 else "") + body)
-        else:
-            pieces.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(pieces)
+    return terms_str(f._terms, "z")
 
 
 def parse_intpoly(text, num_vars=None):

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError, SpecMismatchError
-from .laurent import LaurentPoly, delta_membership, parse_poly, poly_str
+from .laurent import (LaurentPoly, binary_power, delta_membership, parse_poly,
+                      poly_str)
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,20 @@ class GroupSpec:
         return element_str(g)
 
 
+def group_power(g, exponent):
+    """g ** exponent for any int exponent, by square-and-multiply."""
+    if not isinstance(exponent, int):
+        raise PreconditionError(f"group power must be an int, got {exponent!r}")
+    if exponent < 0:
+        g, exponent = g.inverse(), -exponent
+    return binary_power(g, exponent, g.spec.identity())
+
+
+def commutator(g, h):
+    """[g, h] = g^-1 h^-1 g h."""
+    return g.inverse() * h.inverse() * g * h
+
+
 class WreathElement:
     """Normal form a * f: active exponent vector plus base coordinates."""
 
@@ -107,24 +122,8 @@ class WreathElement:
         base = tuple((-p).times_monomial(neg) for p in self.base)
         return WreathElement(self.spec, neg, base)
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise PreconditionError(f"group power must be an int, got {exponent!r}")
-        if exponent < 0:
-            return self.inverse() ** -exponent
-        result = self.spec.identity()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def commutator(self, other):
-        """[g, h] = g^-1 h^-1 g h."""
-        return self.inverse() * other.inverse() * self * other
+    __pow__ = group_power
+    commutator = commutator
 
     def is_identity(self):
         return not any(self.active) and all(p.is_zero() for p in self.base)
@@ -146,11 +145,6 @@ class WreathElement:
 
     def __repr__(self):
         return f"WreathElement({element_str(self)!r})"
-
-
-def commutator(g, h):
-    """[g, h] = g^-1 h^-1 g h."""
-    return g.commutator(h)
 
 
 def left_normed_commutator(elements):

@@ -136,3 +136,30 @@ def test_selftest_subcommand_quick(capsys):
     assert code == 0
     assert "reduction-oracle: PASS" in out
     assert "FAIL" not in out
+
+
+def test_repeated_support_point_is_a_parse_error(tmp_path, capsys):
+    system = tmp_path / "sys.eqs"
+    assignment = tmp_path / "wit.asg"
+    run(capsys, "compile", "--poly", "z1 - 2", "--ranks", "1,1,1", "-o", str(system))
+    run(capsys, "witness", "--poly", "z1 - 2", "--ranks", "1,1,1",
+        "--solution", "2", "-o", str(assignment))
+    text = assignment.read_text()
+    # Each rewrite names the same element as before, out of normal form.
+    rewrites = [
+        ("t1 := { active: { active: (0); }; }",
+         "t1 := { active: { active: (0); }; "
+         "[ { active: (1); } -> (8) ], [ { active: (1); } -> (-8) ] }",
+         "repeated support point { active: (1); }"),
+        ("cyc_z_1 := { active: { active: (0); b1: a1 + 1 }; }",
+         "cyc_z_1 := { active: { active: (0); b1: 8*a1 + 1, b1: -7*a1 }; }",
+         "duplicate base coordinate b1"),
+    ]
+    for old, new, message in rewrites:
+        assert old in text
+        assignment.write_text(text.replace(old, new))
+        code, out, err = run(capsys, "verify", "--ranks", "1,1,1",
+                             "--system", str(system), "--assignment", str(assignment))
+        assert code == 2
+        assert out == ""
+        assert message in err

@@ -3,20 +3,21 @@ import random
 import pytest
 
 from zwreath.equations import (Constant, Literal, check_system, equation,
-                               parse_system, serialize_system, system_of)
+                               parse_assignment, parse_system,
+                               serialize_assignment, serialize_system,
+                               system_of)
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
-from zwreath.interp import (AbelianElement, GroupElement, IteratedSpec,
-                            compile_iterated, from_wreath, lift_system,
-                            nested_str, parse_nested, project_assignment,
-                            to_wreath)
-from zwreath.laurent import parse_poly
+from zwreath.interp import (IteratedSpec, NestedElement, compile_iterated,
+                            lift_system, nested_str, parse_nested,
+                            project_assignment, spec_for_ranks)
 from zwreath.reduction import compile as compile_flat
 from zwreath.reduction import parse_intpoly, witness as witness_flat
-from zwreath.selftest import rand_element, rand_nested
+from zwreath.selftest import rand_nested
 from zwreath.wreath import GroupSpec
 
-I11 = IteratedSpec((1, 1))
+S11 = GroupSpec(1, 1)
 I111 = IteratedSpec((1, 1, 1))
+I1111 = IteratedSpec((1, 1, 1, 1))
 I212 = IteratedSpec((2, 1, 2))
 
 
@@ -37,26 +38,36 @@ def test_inverse_cancels():
 
 
 def test_every_element_type_satisfies_the_group_contract():
-    flat = GroupSpec(1, 1).identity()
-    nested = I111.identity()
-    vector = IteratedSpec((2,)).identity()
-    for element in (flat, nested, vector):
-        assert isinstance(element, GroupElement)
-        element.sort_key()
-
-
-def test_depth_one_elements_are_vectors():
-    spec = IteratedSpec((3,))
-    g = AbelianElement(spec, (1, -2, 0))
-    h = AbelianElement(spec, (0, 5, 1))
-    assert (g * h).vector == (1, 3, 1)
-    assert g.commutator(h).is_identity()
-    assert g ** -2 == AbelianElement(spec, (-2, 4, 0))
+    for spec in (S11, I111, I1111):
+        g = spec.base_gen(1)
+        assert (g * g.inverse()).is_identity()
+        assert g.commutator(g).is_identity()
+        assert (g ** 2) * (g ** -2) == spec.identity()
+        g.sort_key()
 
 
 def test_spec_mismatch_rejected():
     with pytest.raises(SpecMismatchError):
-        I11.identity() * I111.identity()
+        S11.identity() * I111.identity()
+    with pytest.raises(SpecMismatchError):
+        I111.identity() * I1111.identity()
+
+
+def test_iterated_spec_needs_three_ranks():
+    for ranks in [(), (1,), (1, 1), (2, 3)]:
+        with pytest.raises(PreconditionError):
+            IteratedSpec(ranks)
+    with pytest.raises(PreconditionError):
+        IteratedSpec((1, 0, 1))
+
+
+def test_spec_for_ranks_is_flat_for_two_ranks():
+    assert spec_for_ranks((2, 1)) == GroupSpec(m=1, n=2)
+    assert spec_for_ranks([1, 2, 3]) == IteratedSpec((1, 2, 3))
+    assert IteratedSpec((1, 2, 3)).inner() == GroupSpec(m=3, n=2)
+    assert IteratedSpec((1, 2, 3, 4)).inner() == IteratedSpec((2, 3, 4))
+    with pytest.raises(ParseError, match="at least two ranks"):
+        spec_for_ranks((1,))
 
 
 def test_nested_powers():
@@ -72,31 +83,12 @@ def test_nested_powers():
 
 
 def test_base_gen_commutator_with_active():
-    # depth 2 over ranks (1,1): [b, a] has support at a^0 and a^1
-    b = I11.base_gen(1)
-    a = I11.embed(I11.inner().active_gen(1))
-    c = b.commutator(a)
-    flat = to_wreath(c)
-    assert flat.base[0] == parse_poly("a1 - 1", 1)
-
-
-# -- conversions -------------------------------------------------------------------
-
-
-def test_conversion_round_trip_random():
-    rng = random.Random(5)
-    for _ in range(200):
-        spec = GroupSpec(rng.randint(1, 2), rng.randint(1, 2))
-        g = rand_element(rng, spec)
-        assert to_wreath(from_wreath(g)) == g
-
-
-def test_conversion_is_a_homomorphism():
-    rng = random.Random(7)
-    for _ in range(200):
-        spec = GroupSpec(rng.randint(1, 2), rng.randint(1, 2))
-        g, h = rand_element(rng, spec), rand_element(rng, spec)
-        assert from_wreath(g * h) == from_wreath(g) * from_wreath(h)
+    # depth 3 over ranks (1,1,1): [b, a] has support at a^0 and a^1
+    b = I111.base_gen(1)
+    a_flat = I111.inner().active_gen(1)
+    c = b.commutator(I111.embed(a_flat))
+    assert c.active.is_identity()
+    assert c.base == ((I111.inner().identity(), (-1,)), (a_flat, (1,)))
 
 
 def test_projection_examples():
@@ -114,7 +106,7 @@ def test_projection_examples():
 
 def test_nested_literal_round_trip():
     rng = random.Random(13)
-    for shape in [(1, 1), (2, 1), (1, 2, 1), (2, 1, 2)]:
+    for shape in [(1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1), (2, 1, 2, 1)]:
         spec = IteratedSpec(shape)
         for _ in range(50):
             g = rand_nested(rng, spec)
@@ -122,16 +114,48 @@ def test_nested_literal_round_trip():
 
 
 def test_nested_literal_shape():
-    g = I11.base_gen(1)
-    assert nested_str(g) == "{ active: (0); [ (0) -> (1) ] }"
-    assert parse_nested("{ active: (0) ; [ (0) -> (1) ] }", I11) == g
+    g = I111.base_gen(1)
+    assert nested_str(g) == "{ active: { active: (0); }; [ { active: (0); } -> (1) ] }"
+    assert parse_nested("{ active: {active:(0)} ; [ { active: (0) } -> (1) ] }", I111) == g
+    assert nested_str(I1111.base_gen(1)) == (
+        "{ active: { active: { active: (0); }; }; "
+        "[ { active: { active: (0); }; } -> (1) ] }")
+    assert nested_str(I212.base_gen(2, power=-3)) == (
+        "{ active: { active: (0,0); }; [ { active: (0,0); } -> (0,-3) ] }")
 
 
 def test_nested_literal_errors():
-    with pytest.raises(ParseError):
-        parse_nested("{ active: (0); [ (0) -> (1,2) ] }", I11)
-    with pytest.raises(ParseError):
-        parse_nested("{ active: (0) }", IteratedSpec((1,)))
+    for bad in ["{ active: { active: (0); }; [ { active: (0); } -> (1,2) ] }",
+                "{ active: (0); }",
+                "{ active: { active: (0); b1: a1 }",
+                "{ active: { active: (0); b2: 1 }; }",
+                "{ active: { active: (0); b1: 1, b1: 2 }; }",
+                "{ active: { active: (0); }; } extra"]:
+        with pytest.raises(ParseError):
+            parse_nested(bad, I111)
+
+
+def test_repeated_support_point_is_a_parse_error():
+    # the two entries cancel, so the literal names the identity, but it is
+    # not in normal form and must not be read as anything
+    text = ("{ active: { active: (0); }; "
+            "[ { active: (0); b1: a1 } -> (1) ], [ { active: (0); b1: a1 } -> (-1) ] }")
+    with pytest.raises(ParseError, match=r"repeated support point \{ active: \(0\); b1: a1 \}"):
+        parse_nested(text, I111)
+    deeper = ("{ active: { active: { active: (0); }; }; "
+              "[ { active: { active: (1); }; } -> (1) ], [ {active: {active: (1)}} -> (2) ] }")
+    with pytest.raises(ParseError, match="repeated support point"):
+        parse_nested(deeper, I1111)
+
+
+def test_repeated_support_point_rejected_by_constructor():
+    key = S11.active_gen(1)
+    with pytest.raises(PreconditionError, match="repeated"):
+        NestedElement(I111, S11.identity(), [(key, (1,)), (key, (-1,))])
+    with pytest.raises(PreconditionError, match="repeated"):
+        NestedElement(I111, S11.identity(), [(key, (0,)), (key, (2,))])
+    g = NestedElement(I111, S11.identity(), {key: (1,), S11.identity(): (0,)})
+    assert g.base == ((key, (1,)),)
 
 
 # -- lifting --------------------------------------------------------------------------
@@ -143,7 +167,7 @@ def test_lift_empty_system():
 
 
 def test_lift_shape_and_solution_transport():
-    inner = I11
+    inner = S11
     outer = I111
     c = inner.base_gen(1)
     system = system_of([equation(Literal("x"), Constant(c))])
@@ -169,12 +193,23 @@ def test_lift_rejects_foreign_constants():
 
 def test_compile_iterated_depth_two_matches_flat():
     f = parse_intpoly("z1 - 2")
-    red = compile_iterated(f, I11)
-    flat = compile_flat(f, GroupSpec(1, 1))
+    red = compile_iterated(f, S11)
+    flat = compile_flat(f, S11)
     assert red.system == flat.system
     asg = red.witness((2,))
-    assert asg == witness_flat(f, (2,), GroupSpec(1, 1))
+    assert asg == witness_flat(f, (2,), S11)
+    assert list(asg) == list(witness_flat(f, (2,), S11))
     assert red.extract_solution(asg) == (2,)
+
+
+def test_two_rank_witness_checks_against_the_same_spec():
+    f = parse_intpoly("z1*z2 - 6")
+    for ranks in [(1, 1), (2, 1), (1, 2)]:
+        spec = spec_for_ranks(ranks)
+        red = compile_iterated(f, spec)
+        asg = red.witness((2, 3))
+        assert check_system(red.system, asg, spec).ok
+        assert red.extract_solution(asg) == (2, 3)
 
 
 def test_compile_iterated_depth_three_end_to_end():
@@ -195,6 +230,17 @@ def test_compile_iterated_system_serializes_and_parses():
     red = compile_iterated(f, I111)
     text = serialize_system(red.system)
     assert parse_system(text, I111) == red.system
+
+
+def test_depth_three_witness_line_is_pinned_and_round_trips():
+    f = parse_intpoly("z1 - 2")
+    red = compile_iterated(f, I111)
+    asg = red.witness((2,))
+    text = serialize_assignment(asg)
+    line = "cyc_z_1 := { active: { active: (0); b1: a1 + 1 }; }"
+    assert line in text.splitlines()
+    assert parse_assignment(line, I111)["cyc_z_1"] == asg["cyc_z_1"]
+    assert parse_assignment(text, I111) == asg
 
 
 def test_compile_iterated_witness_fails_for_non_roots():
