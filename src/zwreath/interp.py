@@ -13,9 +13,11 @@ Every level has one element type, and all of them offer `*`, `inverse()`,
 `commutator()`, `__pow__`, `is_identity()` and `sort_key()`, so equation
 evaluation and checking work unchanged at any depth.  `lift_system` rewrites
 a system over an inner group into one over the wreath extension by pinning
-each equation's value into the centralizer of a distinguished base generator,
-and `compile_iterated` chains the flat polynomial reduction through those
-lifts.
+each equation's value into the centralizer of a distinguished base generator:
+every equation `w = 1` becomes the single equation `[w, b] = 1`, so a lifted
+system has as many equations and variables as the flat one, and each level
+adds one commutator around every equation.  `compile_iterated` chains the
+flat polynomial reduction through those lifts.
 """
 
 from __future__ import annotations
@@ -23,18 +25,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import reduction as _reduction
-from .equations import (Commutator, Constant, Concat, Literal, NameGen, Power,
-                        System, equation)
+from .equations import Commutator, Constant, Concat, Power, System, equation
 from .errors import ParseError, PreconditionError, SpecMismatchError
 from .wreath import GroupSpec, commutator, group_power
+
+
+# Longest rank list accepted.  Specs, element literals and lifted words nest
+# once per rank and are built, printed and parsed recursively, so the depth
+# must stay well inside Python's recursion limit; a deeper list is refused
+# up front (PreconditionError) instead of overflowing the stack.
+MAX_RANKS = 64
 
 
 def spec_for_ranks(ranks):
     """The group for a rank list, outermost base first.
 
-    Two ranks (n, m) give the flat Z^n wr Z^m; longer lists give the
-    right-iterated product.  A single rank names no wreath product, which is
-    malformed input (ParseError).
+    Two ranks (n, m) give the flat Z^n wr Z^m; longer lists, up to
+    `MAX_RANKS`, give the right-iterated product.  A single rank names no
+    wreath product, which is malformed input (ParseError).
     """
     ranks = tuple(ranks)
     if len(ranks) < 2:
@@ -46,7 +54,7 @@ def spec_for_ranks(ranks):
 
 @dataclass(frozen=True)
 class IteratedSpec:
-    """Rank list (m_k, ..., m_1) with k >= 3, outermost base copy first."""
+    """Rank list (m_k, ..., m_1) with 3 <= k <= MAX_RANKS, outermost base copy first."""
 
     ranks: tuple
 
@@ -59,6 +67,9 @@ class IteratedSpec:
             raise PreconditionError(
                 f"an iterated spec needs at least three ranks, got {ranks!r}; "
                 "two ranks are the flat GroupSpec")
+        if len(ranks) > MAX_RANKS:
+            raise PreconditionError(
+                f"at most {MAX_RANKS} ranks are supported, got {len(ranks)}")
         # Built once: every element construction compares against it.
         object.__setattr__(self, "_inner", spec_for_ranks(ranks[1:]))
 
@@ -123,6 +134,22 @@ class NestedElement:
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "base", tuple((key, vec) for _, key, vec in keyed if any(vec)))
 
+    @classmethod
+    def _unchecked(cls, spec, active, support):
+        """Products and inverses of valid elements: no checks, only normal form.
+
+        `support` maps distinct inner elements of `spec` to integer vectors of
+        its base rank; they are put in canonical order and zero vectors dropped.
+        """
+        entries = [(key, vec) for key, vec in support.items() if any(vec)]
+        if len(entries) > 1:
+            entries.sort(key=lambda entry: entry[0].sort_key())
+        g = object.__new__(cls)
+        object.__setattr__(g, "spec", spec)
+        object.__setattr__(g, "active", active)
+        object.__setattr__(g, "base", tuple(entries))
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("NestedElement is immutable")
 
@@ -132,23 +159,16 @@ class NestedElement:
 
     def __mul__(self, other):
         self._check(other)
-        merged = {}
-        for key, vec in self.base:
-            merged[key * other.active] = vec
+        merged = {key * other.active: vec for key, vec in self.base}
         for key, vec in other.base:
             if key in merged:
-                summed = tuple(a + b for a, b in zip(merged[key], vec))
-                if any(summed):
-                    merged[key] = summed
-                else:
-                    del merged[key]
-            else:
-                merged[key] = vec
-        return NestedElement(self.spec, self.active * other.active, merged)
+                vec = tuple(a + b for a, b in zip(merged[key], vec))
+            merged[key] = vec
+        return NestedElement._unchecked(self.spec, self.active * other.active, merged)
 
     def inverse(self):
         ai = self.active.inverse()
-        return NestedElement(
+        return NestedElement._unchecked(
             self.spec, ai,
             {key * ai: tuple(-v for v in vec) for key, vec in self.base})
 
@@ -316,10 +336,21 @@ def _convert_word(word, convert):
 def lift_system(system, b):
     """Lift a system over H to one over K wr H using base generator b of K wr H.
 
-    Every equation w = 1 over H becomes the pair {w = t, [t, b] = 1} with a
-    fresh t: the centralizer of b is exactly the base subgroup, so the pair
-    forces the projection of w to the inner group to be trivial.  Constants
-    of the inner group embed as pure active parts.
+    Every equation w = 1 over H becomes the single equation [w', b] = 1, where
+    w' is w with each constant embedded as a pure active part.  No variable
+    is added, so `declared_vars` passes through unchanged; O(size of the
+    system) time and output.
+
+    Equivalence.  b is a base generator at the inner identity, and its
+    centralizer in K wr H is exactly the base subgroup: conjugating b by an
+    element with active part a moves its support point from the identity to
+    a, and H acts freely on the support, so g commutes with b iff a = 1.  So
+    [w', b] = 1 holds under an assignment s iff w'(s) projects to 1 in H.
+    Projection is a homomorphism and sends each embedded constant back to the
+    original, so the projection of w'(s) is w evaluated at the projected
+    assignment: s solves the lifted equation iff its projection solves w = 1.
+    The former lift, the pair {w' = t, [t, b] = 1} with a fresh t, has the
+    same solutions up to t, because t is determined by w'.
     """
     outer = b.spec
     inner = outer.inner()
@@ -330,16 +361,10 @@ def lift_system(system, b):
                 f"system constant belongs to {value.spec}, expected {inner}")
         return outer.embed(value)
 
-    fresh = NameGen("t", reserved=system.declared_vars)
-    equations = []
-    declared = list(system.declared_vars)
-    for eq in system.equations:
-        t = fresh.fresh()
-        declared.append(t)
-        lifted = _convert_word(eq.lhs, convert)
-        equations.append(equation(lifted, Literal(t)))
-        equations.append(equation(Commutator(Literal(t), Constant(b))))
-    return System(tuple(equations), tuple(declared))
+    return System(
+        tuple(equation(Commutator(_convert_word(eq.lhs, convert), Constant(b)))
+              for eq in system.equations),
+        system.declared_vars)
 
 
 def project_assignment(assignment):
@@ -368,14 +393,11 @@ class IteratedReduction:
     system: System
 
     def witness(self, z):
-        """Embed the flat witness level by level; variables added by lifting become the identity."""
+        """Embed the flat witness level by level (lifting adds no variables)."""
         tower = _tower(self.spec)
         asg = _reduction.witness(self.poly, z, tower[0])
         for outer in tower[1:]:
             asg = {name: outer.embed(value) for name, value in asg.items()}
-        identity = self.spec.identity()
-        for name in self.system.declared_vars:
-            asg.setdefault(name, identity)
         return asg
 
     def extract_solution(self, assignment):

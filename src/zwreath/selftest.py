@@ -476,10 +476,17 @@ def check_nested_axioms(rng, samples):
 
 
 def check_lift(rng, samples):
+    """An outer assignment solves the lifted system iff its projection solves the inner one.
+
+    Each sample lifts a random system with a known solution and checks three
+    outer assignments: the embedded solution, the same with random base parts
+    multiplied in (a solution that is not canonical), and a random one.
+    """
     failures = []
+    shapes = [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 1)]
     for i in range(samples):
-        inner = GroupSpec(rng.randint(1, 2), rng.randint(1, 2))
-        outer = IteratedSpec((rng.randint(1, 2), inner.n, inner.m))
+        outer = IteratedSpec((rng.randint(1, 2),) + rng.choice(shapes))
+        inner = outer.inner()
         var_names = ["x", "y"]
         assignment = {name: rand_nested(rng, inner) for name in var_names}
         eqs = []
@@ -489,16 +496,31 @@ def check_lift(rng, samples):
             eqs.append(equation(word, Constant(value)))
         system = system_of(eqs)
         lifted = lift_system(system, outer.base_gen(1))
-        lifted_asg = {name: outer.embed(value) for name, value in assignment.items()}
-        for name in lifted.declared_vars:
-            lifted_asg.setdefault(name, outer.identity())
-        if not check_system(lifted, lifted_asg, outer).ok:
-            failures.append(f"sample {i}: lifted solution rejected")
-        projected = project_assignment(
-            {name: lifted_asg[name] for name in system.declared_vars})
-        if not check_system(system, projected, inner).ok:
-            failures.append(f"sample {i}: projection failed the inner system")
+        if (len(lifted.equations), lifted.declared_vars) != (
+                len(system.equations), system.declared_vars):
+            failures.append(f"sample {i}: lifting changed the system's size")
+        embedded = {name: outer.embed(value) for name, value in assignment.items()}
+        trials = [
+            ("embedded solution", embedded, True),
+            ("non-canonical solution",
+             {name: value * _rand_base_part(rng, outer) for name, value in embedded.items()},
+             True),
+            ("random assignment", {name: rand_nested(rng, outer) for name in var_names}, False),
+        ]
+        for label, asg, is_solution in trials:
+            lifted_ok = check_system(lifted, asg, outer).ok
+            inner_ok = check_system(system, project_assignment(asg), inner).ok
+            if lifted_ok != inner_ok:
+                failures.append(f"sample {i}: {label}: lifted verdict {lifted_ok}, "
+                                f"projected verdict {inner_ok}")
+            elif is_solution and not lifted_ok:
+                failures.append(f"sample {i}: {label} rejected")
     return failures
+
+
+def _rand_base_part(rng, spec):
+    """Random element of the base subgroup of an iterated spec (identity active part)."""
+    return NestedElement(spec, spec.inner().identity(), rand_nested(rng, spec).base)
 
 
 def rand_word_nested(rng, spec, var_names, depth):

@@ -1,4 +1,5 @@
 from zwreath.cli import main
+from zwreath.interp import MAX_RANKS
 
 
 def run(capsys, *argv):
@@ -147,8 +148,8 @@ def test_repeated_support_point_is_a_parse_error(tmp_path, capsys):
     text = assignment.read_text()
     # Each rewrite names the same element as before, out of normal form.
     rewrites = [
-        ("t1 := { active: { active: (0); }; }",
-         "t1 := { active: { active: (0); }; "
+        ("x1 := { active: { active: (2); }; }",
+         "x1 := { active: { active: (2); }; "
          "[ { active: (1); } -> (8) ], [ { active: (1); } -> (-8) ] }",
          "repeated support point { active: (1); }"),
         ("cyc_z_1 := { active: { active: (0); b1: a1 + 1 }; }",
@@ -163,3 +164,21 @@ def test_repeated_support_point_is_a_parse_error(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert message in err
+
+
+def test_too_many_ranks_is_a_precondition_error(capsys):
+    for depth in (MAX_RANKS + 1, 400):
+        ranks = ",".join(["1"] * depth)
+        code, out, err = run(capsys, "compile", "--poly", "z1 - 2", "--ranks", ranks)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: at most {MAX_RANKS} ranks are supported, got {depth}\n"
+
+
+def test_longest_rank_list_compiles(capsys):
+    code, out, _ = run(capsys, "compile", "--poly", "z1 - 2",
+                       "--ranks", ",".join(["1"] * MAX_RANKS))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 11  # the declaration line and the flat system's 10 equations
+    assert lines[1].startswith("[" * (MAX_RANKS - 1) + "x1, ")

@@ -12,7 +12,7 @@ from zwreath.interp import (IteratedSpec, NestedElement, compile_iterated,
                             project_assignment, spec_for_ranks)
 from zwreath.reduction import compile as compile_flat
 from zwreath.reduction import parse_intpoly, witness as witness_flat
-from zwreath.selftest import rand_nested
+from zwreath.selftest import check_lift, rand_nested, run_suite
 from zwreath.wreath import GroupSpec
 
 S11 = GroupSpec(1, 1)
@@ -89,6 +89,18 @@ def test_base_gen_commutator_with_active():
     c = b.commutator(I111.embed(a_flat))
     assert c.active.is_identity()
     assert c.base == ((I111.inner().identity(), (-1,)), (a_flat, (1,)))
+
+
+def test_products_and_inverses_are_in_normal_form():
+    # products skip the constructor's checks; rebuilding through it must
+    # change nothing
+    rng = random.Random(17)
+    for spec in (I111, I212, I1111):
+        for _ in range(100):
+            g, h = rand_nested(rng, spec), rand_nested(rng, spec)
+            for value in (g * h, g.inverse(), g * g.inverse()):
+                assert NestedElement(spec, value.active, value.base) == value
+                assert parse_nested(nested_str(value), spec) == value
 
 
 def test_projection_examples():
@@ -172,14 +184,66 @@ def test_lift_shape_and_solution_transport():
     c = inner.base_gen(1)
     system = system_of([equation(Literal("x"), Constant(c))])
     lifted = lift_system(system, outer.base_gen(1))
-    assert len(lifted.equations) == 2
-    assert lifted.declared_vars == ("x", "t1")
-    # inner solution x = c lifts with t1 = identity
-    asg = {"x": outer.embed(c), "t1": outer.identity()}
+    assert len(lifted.equations) == 1
+    assert lifted.declared_vars == ("x",)
+    # inner solution x = c lifts by embedding
+    asg = {"x": outer.embed(c)}
     assert check_system(lifted, asg, outer).ok
     # and projecting a lifted solution solves the inner system
     projected = project_assignment({"x": asg["x"]})
     assert check_system(system, projected, inner).ok
+
+
+def test_lift_is_sound_and_complete_on_random_assignments():
+    # embedded, non-canonical and random outer assignments: the lifted
+    # verdict must equal the verdict on the projected assignment
+    assert run_suite("interp-lift", check_lift, 100, seed=7) == []
+
+
+def test_lift_keeps_the_flat_equation_count_at_every_depth():
+    f = parse_intpoly("z1 - 2")
+    flat_count = len(compile_flat(f, S11).system.equations)
+    for depth in range(3, 9):
+        red = compile_iterated(f, IteratedSpec((1,) * depth))
+        assert len(red.system.equations) == flat_count
+        assert red.system.declared_vars == red.flat.system.declared_vars
+
+
+def test_depth_three_system_text_is_pinned():
+    b = "{ active: { active: (0); }; [ { active: (0); } -> (1) ] }"
+    one = "{ active: { active: (0); b1: 1 }; }"
+    a = "{ active: { active: (1); }; }"
+    expected = "\n".join([
+        "# vars: x1 cyc_z_1 y_1 y_0 y dp_x_1 dp_y_1 dp_c_1_1",
+        f"[[x1, {a}], {b}] = 1",
+        f"[[cyc_z_1, {one}], {b}] = 1",
+        f"[[{one}, x1] [{a}, cyc_z_1], {b}] = 1",
+        f"[y_1 [x1, {one}], {b}] = 1",
+        f"[y_0 [{a}, {{ active: {{ active: (0); b1: -2 }}; }}], {b}] = 1",
+        f"[y y_0^-1 y_1^-1, {b}] = 1",
+        f"[y dp_x_1^-1, {b}] = 1",
+        f"[[dp_y_1, {one}], {b}] = 1",
+        f"[dp_c_1_1 [{a}, dp_y_1], {b}] = 1",
+        f"[dp_x_1 [{a}, dp_c_1_1], {b}] = 1",
+    ]) + "\n"
+    assert serialize_system(compile_iterated(parse_intpoly("z1 - 2"), I111).system) == expected
+
+
+def test_non_canonical_depth_four_solution_is_sound():
+    # A base part lies in the kernel of the projection, so multiplying one
+    # into every value of a solution gives another solution, not the
+    # embedded one; the root must still come back out.
+    f = parse_intpoly("z1 - 2")
+    red = compile_iterated(f, I1111)
+    rng = random.Random(41)
+    noisy = {}
+    for name, value in red.witness((2,)).items():
+        point = rand_nested(rng, I111)
+        base_part = NestedElement(I1111, I111.identity(), {point: (rng.choice((-3, -1, 2, 5)),)})
+        noisy[name] = base_part * value
+        assert noisy[name].base and noisy[name].project() == value.project()
+    assert check_system(red.system, noisy, I1111).ok
+    assert red.extract_solution(noisy) == (2,)
 
 
 def test_lift_rejects_foreign_constants():
