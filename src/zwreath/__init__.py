@@ -20,9 +20,8 @@ from .interp import (IteratedReduction, IteratedSpec, NestedElement,
                      compile_iterated, lift_system, project_assignment,
                      spec_for_ranks)
 from .laurent import (INFINITY, LaurentPoly, aug_valuation, delta_decompose,
-                      delta_generator_product, delta_membership,
-                      divisible_by_a1_minus_1, geom_series, parse_poly,
-                      poly_str)
+                      delta_generator_product, delta_membership, geom_series,
+                      parse_poly, poly_str)
 from .reduction import (IntPolynomial, ReductionOutput, compile,
                         extract_solution, intpoly_str, oracle_ef,
                         parse_intpoly, witness)

@@ -9,6 +9,7 @@ with LF line endings and is byte-identical across repeated invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .equations import check_system, parse_assignment, parse_system, serialize_assignment, serialize_system
@@ -180,9 +181,14 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

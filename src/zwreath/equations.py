@@ -16,6 +16,13 @@ from .errors import ParseError, PreconditionError, SpecMismatchError
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+# Deepest bracket and parenthesis nesting a system file may use.  Words are
+# parsed, checked and evaluated recursively, at most three word nodes (and
+# so three stack frames) per nesting level, so the limit keeps all of them
+# well inside Python's default recursion limit of 1000; a lifted system over
+# the longest rank list (`interp.MAX_RANKS`, 64) nests 64 deep.
+MAX_NESTING = 256
+
 
 # -- word AST ----------------------------------------------------------------
 
@@ -126,7 +133,11 @@ def free_vars(word):
 
 
 def evaluate(word, assignment, spec):
-    """Evaluate a word under an assignment; commutator nodes stay structural."""
+    """Evaluate a word under an assignment; commutator nodes stay structural.
+
+    Costs one group operation per word node (a power by square-and-multiply
+    costs O(log |exponent|)), each of them O(n * terms) in the flat group.
+    """
     if isinstance(word, Literal):
         try:
             value = assignment[word.name]
@@ -140,8 +151,10 @@ def evaluate(word, assignment, spec):
             raise SpecMismatchError(f"constant belongs to {word.value.spec}, not {spec}")
         return word.value
     if isinstance(word, Concat):
-        acc = spec.identity()
-        for p in word.parts:
+        if not word.parts:
+            return spec.identity()
+        acc = evaluate(word.parts[0], assignment, spec)
+        for p in word.parts[1:]:
             acc = acc * evaluate(p, assignment, spec)
         return acc
     if isinstance(word, Commutator):
@@ -228,7 +241,10 @@ class CheckReport:
 
 
 def check_system(system, assignment, spec):
-    """Evaluate every equation; true iff all evaluate to the identity."""
+    """Evaluate every equation; true iff all evaluate to the identity.
+
+    Costs one `evaluate` per equation.
+    """
     missing = [name for name in system.declared_vars if name not in assignment]
     if missing:
         raise PreconditionError(f"assignment missing declared variables: {', '.join(missing)}")
@@ -481,6 +497,7 @@ class _WordParser:
         self.pos = 0
         self.lineno = lineno
         self.spec = spec
+        self.depth = 0  # open brackets and parentheses
 
     def peek(self):
         return self.tokens[self.pos]
@@ -491,6 +508,12 @@ class _WordParser:
             raise ParseError(f"expected {kind}, found {tok[1]!r}", self.lineno, tok[2])
         self.pos += 1
         return tok
+
+    def nest(self, col):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"brackets and parentheses nested deeper than {MAX_NESTING}", self.lineno, col)
 
     def parse_word(self, stop):
         factors = []
@@ -512,14 +535,18 @@ class _WordParser:
                 raise ParseError(f"unexpected integer {value}", self.lineno, col)
             base = IDENTITY_WORD
         elif kind == "LBRACK":
+            self.nest(col)
             left = self.parse_word({"COMMA"})
             self.take("COMMA")
             right = self.parse_word({"RBRACK"})
             self.take("RBRACK")
+            self.depth -= 1
             base = Commutator(left, right)
         elif kind == "LPAREN":
+            self.nest(col)
             base = self.parse_word({"RPAREN"})
             self.take("RPAREN")
+            self.depth -= 1
         elif kind == "ELEM":
             base = Constant(self.spec.parse_element(value, line=self.lineno, col=col))
         else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add
 from types import MappingProxyType
 
 from .errors import ParseError, PreconditionError, SpecMismatchError
@@ -39,6 +40,39 @@ def binary_power(x, exponent, one):
     return result
 
 
+def _check_rank(rank):
+    if not isinstance(rank, int) or rank < 1:
+        raise PreconditionError(f"polynomial rank must be a positive int, got {rank!r}")
+
+
+def _shifted(terms, shift, sign=1):
+    """The term dict of sign * a^shift * terms, in one pass; `sign` is 1 or -1.
+
+    Shifting is a bijection on monomials, so no terms merge or cancel.
+    """
+    if any(shift):
+        return {tuple(map(add, mono, shift)): sign * c for mono, c in terms.items()}
+    if sign > 0:
+        return dict(terms)
+    return {mono: -c for mono, c in terms.items()}
+
+
+def _add_shifted(out, terms, sign, shift=None):
+    """out += sign * a^shift * terms in place, dropping zeros; O(terms).
+
+    `sign` is 1 or -1; `shift` None adds the terms unshifted.
+    """
+    get = out.get
+    items = terms.items() if shift is None else (
+        (tuple(map(add, mono, shift)), c) for mono, c in terms.items())
+    for mono, c in items:
+        s = get(mono, 0) + sign * c
+        if s:
+            out[mono] = s
+        else:
+            del out[mono]
+
+
 class LaurentPoly:
     """A finitely supported integer combination of monomials a^gamma.
 
@@ -50,8 +84,7 @@ class LaurentPoly:
     __slots__ = ("rank", "_terms")
 
     def __init__(self, rank, terms=None):
-        if not isinstance(rank, int) or rank < 1:
-            raise PreconditionError(f"polynomial rank must be a positive int, got {rank!r}")
+        _check_rank(rank)
         items = terms.items() if hasattr(terms, "items") else (terms or ())
         clean = {}
         for mono, coeff in items:
@@ -67,6 +100,18 @@ class LaurentPoly:
                     del clean[mono]
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _unchecked(cls, rank, terms):
+        """Results built from valid operands: no checks, no copy.
+
+        `terms` must already be in normal form -- exponent tuples of length
+        `rank` mapped to nonzero ints -- and belongs to the new polynomial.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "rank", rank)
+        object.__setattr__(p, "_terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -115,22 +160,18 @@ class LaurentPoly:
         return None
 
     def __add__(self, other):
+        """Sum in O(|p| + |q|) dict operations."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return LaurentPoly(self.rank, out)
+        _add_shifted(out, other._terms, 1)
+        return LaurentPoly._unchecked(self.rank, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.rank, {m: -c for m, c in self._terms.items()})
+        return LaurentPoly._unchecked(self.rank, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -145,19 +186,20 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other):
+        """Product in O(|p| * |q|) coefficient products."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                mono = tuple(map(add, m1, m2))
                 s = out.get(mono, 0) + c1 * c2
                 if s:
                     out[mono] = s
                 else:
                     del out[mono]
-        return LaurentPoly(self.rank, out)
+        return LaurentPoly._unchecked(self.rank, out)
 
     __rmul__ = __mul__
 
@@ -167,13 +209,13 @@ class LaurentPoly:
         return binary_power(self, exponent, LaurentPoly.one(self.rank))
 
     def times_monomial(self, exponents):
-        """Multiply by the unit monomial a^exponents."""
+        """Multiply by the unit monomial a^exponents, in O(terms)."""
         shift = tuple(exponents)
         if len(shift) != self.rank:
             raise SpecMismatchError(f"monomial shift {shift!r} invalid for rank {self.rank}")
-        return LaurentPoly(
-            self.rank,
-            {tuple(e + s for e, s in zip(m, shift)): c for m, c in self._terms.items()})
+        if not all(isinstance(e, int) for e in shift):
+            raise PreconditionError(f"exponent vector {shift!r} invalid for rank {self.rank}")
+        return LaurentPoly._unchecked(self.rank, _shifted(self._terms, shift))
 
     def substitute_one(self, index):
         """Set the (0-based) variable `index` to 1, collapsing exponents."""
@@ -185,7 +227,7 @@ class LaurentPoly:
                 out[key] = s
             else:
                 del out[key]
-        return LaurentPoly(self.rank, out)
+        return LaurentPoly._unchecked(self.rank, out)
 
     # -- comparisons / hashing --------------------------------------------
 
@@ -367,7 +409,8 @@ def delta_decompose(p, k):
                     for rest, row in fibres.items() for e, c in enumerate(row) if c}
         if quotient:
             out[(0,) * v + (r,) + beta_tail] = quotient
-    return {beta: LaurentPoly(rank, out[beta]).times_monomial(mins) for beta in sorted(out)}
+    return {beta: LaurentPoly._unchecked(rank, _shifted(out[beta], mins))
+            for beta in sorted(out)}
 
 
 def geom_series(gamma, rank=1):
@@ -378,17 +421,13 @@ def geom_series(gamma, rank=1):
     """
     if not isinstance(gamma, int):
         raise PreconditionError(f"exponent must be an int, got {gamma!r}")
+    _check_rank(rank)
     tail = (0,) * (rank - 1)
     if gamma > 0:
         terms = {(j,) + tail: 1 for j in range(gamma)}
     else:
         terms = {(-j,) + tail: -1 for j in range(1, -gamma + 1)}
-    return LaurentPoly(rank, terms)
-
-
-def divisible_by_a1_minus_1(p):
-    """True iff a1 - 1 divides p, i.e. substituting a1 := 1 yields zero."""
-    return p.substitute_one(0).is_zero()
+    return LaurentPoly._unchecked(rank, terms)
 
 
 # -- text form -------------------------------------------------------------

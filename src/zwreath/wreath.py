@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .errors import ParseError, PreconditionError, SpecMismatchError
-from .laurent import (LaurentPoly, binary_power, delta_membership, parse_poly,
-                      poly_str)
+from .laurent import (LaurentPoly, _add_shifted, _shifted, binary_power,
+                      delta_membership, parse_poly, poly_str)
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def group_power(g, exponent):
 
 
 def commutator(g, h):
-    """[g, h] = g^-1 h^-1 g h."""
+    """[g, h] = g^-1 h^-1 g h for any element type; `WreathElement` has a closed form."""
     return g.inverse() * h.inverse() * g * h
 
 
@@ -101,6 +102,19 @@ class WreathElement:
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "base", base)
 
+    @classmethod
+    def _unchecked(cls, spec, active, base):
+        """Results built from valid operands: no checks.
+
+        `active` is an int tuple of length `spec.m` and `base` a tuple of
+        `spec.n` rank-`spec.m` polynomials.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "spec", spec)
+        object.__setattr__(g, "active", active)
+        object.__setattr__(g, "base", base)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("WreathElement is immutable")
 
@@ -111,19 +125,56 @@ class WreathElement:
             raise SpecMismatchError(f"group mismatch: {self.spec} vs {other.spec}")
 
     def __mul__(self, other):
+        """(alpha, p)(beta, q) = (alpha + beta, p*a^beta + q), in O(n * terms)."""
         self._check_spec(other)
-        active = tuple(x + y for x, y in zip(self.active, other.active))
-        base = tuple(
-            p.times_monomial(other.active) + q for p, q in zip(self.base, other.base))
-        return WreathElement(self.spec, active, base)
+        m = self.spec.m
+        shift = other.active
+        active = tuple(map(add, self.active, shift))
+        base = []
+        for p, q in zip(self.base, other.base):
+            out = _shifted(p._terms, shift)
+            _add_shifted(out, q._terms, 1)
+            base.append(LaurentPoly._unchecked(m, out))
+        return WreathElement._unchecked(self.spec, active, tuple(base))
 
     def inverse(self):
+        """(alpha, p)^-1 = (-alpha, -p*a^-alpha), in O(n * terms)."""
+        m = self.spec.m
         neg = tuple(-x for x in self.active)
-        base = tuple((-p).times_monomial(neg) for p in self.base)
-        return WreathElement(self.spec, neg, base)
+        base = tuple(LaurentPoly._unchecked(m, _shifted(p._terms, neg, -1)) for p in self.base)
+        return WreathElement._unchecked(self.spec, neg, base)
+
+    def commutator(self, other):
+        """[g, h] in closed form, in O(n * terms) with no intermediate elements.
+
+        For g = (alpha, p) and h = (beta, q), with (alpha, p)(beta, q) =
+        (alpha + beta, p*a^beta + q) and (alpha, p)^-1 = (-alpha, -p*a^-alpha):
+
+            g^-1 h^-1     = (-alpha - beta, -p*a^(-alpha-beta) - q*a^-beta)
+            g^-1 h^-1 g   = (-beta, -p*a^-beta - q*a^(alpha-beta) + p)
+            g^-1 h^-1 g h = (0, -p - q*a^alpha + p*a^beta + q)
+
+        so [g, h] = (0, p*(a^beta - 1) - q*(a^alpha - 1)).  Each coordinate is
+        built in one dict by four signed shift-adds; a zero alpha (beta)
+        drops both q (p) terms.
+        """
+        self._check_spec(other)
+        spec = self.spec
+        alpha, beta = self.active, other.active
+        move_p, move_q = any(beta), any(alpha)
+        base = []
+        for p, q in zip(self.base, other.base):
+            out = {}
+            if move_p:
+                _add_shifted(out, p._terms, 1, beta)
+                _add_shifted(out, p._terms, -1)
+            if move_q:
+                _add_shifted(out, q._terms, -1, alpha)
+                _add_shifted(out, q._terms, 1)
+            base.append(LaurentPoly._unchecked(spec.m, out))
+        return WreathElement._unchecked(spec, (0,) * spec.m, tuple(base))
 
     __pow__ = group_power
-    commutator = commutator
 
     def is_identity(self):
         return not any(self.active) and all(p.is_zero() for p in self.base)
@@ -174,7 +225,7 @@ def module_action(u, p):
         raise PreconditionError("module action is defined on base-subgroup elements only")
     if p.rank != u.spec.m:
         raise SpecMismatchError(f"polynomial rank {p.rank} does not match active rank {u.spec.m}")
-    return WreathElement(u.spec, u.active, tuple(q * p for q in u.base))
+    return WreathElement._unchecked(u.spec, u.active, tuple(q * p for q in u.base))
 
 
 def in_delta_power(g, k):

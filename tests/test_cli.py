@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import zwreath
 from zwreath.cli import main
+from zwreath.equations import MAX_NESTING
 from zwreath.interp import MAX_RANKS
 
 
@@ -182,3 +189,45 @@ def test_longest_rank_list_compiles(capsys):
     lines = out.splitlines()
     assert len(lines) == 11  # the declaration line and the flat system's 10 equations
     assert lines[1].startswith("[" * (MAX_RANKS - 1) + "x1, ")
+
+
+def _deep_commutator(depth, step):
+    word = "x"
+    for _ in range(depth):
+        word = step.format(word)
+    return word
+
+
+def test_over_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    system = tmp_path / "deep.eqs"
+    system.write_text("# vars: x\n" + _deep_commutator(1500, "[{}, x]") + " = 1\n")
+    assignment = tmp_path / "x.asg"
+    assignment.write_text("x := { active: (1); b1: 1 }\n")
+    code, out, err = run(capsys, "verify", "--ranks", "1,1",
+                         "--system", str(system), "--assignment", str(assignment))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: line 2, col {MAX_NESTING + 1}: brackets and parentheses "
+                   f"nested deeper than {MAX_NESTING}\n")
+
+
+def test_deepest_allowed_nesting_evaluates(tmp_path, capsys):
+    # Three word nodes per level (commutator, concatenation, power), the
+    # deepest shape the parser builds, at exactly the nesting limit.
+    system = tmp_path / "deep.eqs"
+    system.write_text("# vars: x\n" + _deep_commutator(MAX_NESTING, "[{}^2 x, x]") + " = 1\n")
+    assignment = tmp_path / "x.asg"
+    assignment.write_text("x := { active: (1); }\n")
+    code, out, _ = run(capsys, "verify", "--ranks", "1,1",
+                       "--system", str(system), "--assignment", str(assignment))
+    assert (code, out) == (0, "equation 1: ok\nsatisfied: all 1 equations hold\n")
+
+
+def test_python_dash_m_matches_in_process_main(capsys):
+    argv = ["oracle", "--poly", "z1 - 2", "--ranks", "1,1", "--solution", "3"]
+    expected_code, expected_out, _ = run(capsys, *argv)
+    src = str(Path(zwreath.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "zwreath", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (expected_code, expected_out)

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.laurent import (INFINITY, LaurentPoly, aug_valuation,
                              delta_decompose, delta_generator_product,
-                             delta_membership, divisible_by_a1_minus_1,
-                             geom_series, parse_poly, poly_str)
+                             delta_membership, geom_series, parse_poly,
+                             poly_str)
 
 
 def P(text, rank):
@@ -294,13 +294,21 @@ def test_geom_series_contract_over_range():
         assert lhs == LaurentPoly(1, {(gamma,): 1}) - 1
 
 
-# -- divisibility ----------------------------------------------------------------
-
-
-def test_divisible_by_first_generator():
-    assert divisible_by_a1_minus_1(P("a1^2 - 1", 1))
-    assert not divisible_by_a1_minus_1(P("a2 - 1", 2))
-    assert divisible_by_a1_minus_1(P("a1*a2 - a2", 2))
+def test_public_constructor_rejects_malformed_input():
+    with pytest.raises(PreconditionError, match=r"exponent vector \(1,\) invalid for rank 2"):
+        LaurentPoly(2, {(1,): 1})
+    with pytest.raises(PreconditionError, match=r"exponent vector \(1, 1.5\) invalid"):
+        LaurentPoly(2, {(1, 1.5): 1})
+    with pytest.raises(PreconditionError, match="coefficient 2.0 is not an int"):
+        LaurentPoly(1, {(1,): 2.0})
+    with pytest.raises(PreconditionError, match="rank must be a positive int"):
+        LaurentPoly(0)
+    with pytest.raises(PreconditionError, match="rank must be a positive int"):
+        geom_series(3, rank=0)
+    with pytest.raises(SpecMismatchError, match="monomial shift"):
+        P("a1", 2).times_monomial((1,))
+    with pytest.raises(PreconditionError, match="invalid for rank 1"):
+        P("a1", 1).times_monomial((0.5,))
 
 
 # -- text round trip --------------------------------------------------------------

@@ -231,3 +231,97 @@ def test_integer_powers(g, e):
     for _ in range(abs(e)):
         expected = expected * step
     assert g ** e == expected
+
+
+# -- closed-form commutator and normal form of results -------------------------------
+
+
+@st.composite
+def flat_pair(draw):
+    """Two elements of Z^n wr Z^m with m, n in 1..3; sometimes h is g."""
+    spec = GroupSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    g = draw(element_strategy(spec))
+    h = draw(st.one_of(st.just(g), element_strategy(spec)))
+    return g, h
+
+
+@given(flat_pair())
+def test_commutator_matches_the_product_of_four(pair):
+    g, h = pair
+    assert g.commutator(h) == g.inverse() * h.inverse() * g * h
+
+
+def test_commutator_matches_the_product_of_four_on_edge_cases():
+    rng = random.Random(11)
+    for _ in range(200):
+        spec = GroupSpec(rng.randint(1, 3), rng.randint(1, 3))
+        g, h = (_random_element(rng, spec) for _ in range(2))
+        variants = [
+            (g, h), (g, g), (h, h),
+            (WreathElement(spec, (0,) * spec.m, g.base), h),  # zero active parts
+            (g, WreathElement(spec, (0,) * spec.m, h.base)),
+            (spec.element(active=g.active), h),               # zero coordinates
+            (g, spec.element(active=h.active)),
+            (spec.identity(), h), (g, spec.identity()),
+        ]
+        for x, y in variants:
+            assert x.commutator(y) == x.inverse() * y.inverse() * x * y
+
+
+def _random_element(rng, spec):
+    base = {}
+    for j in range(1, spec.n + 1):
+        if rng.random() < 0.7:
+            base[j] = LaurentPoly(spec.m, {
+                tuple(rng.randint(-2, 2) for _ in range(spec.m)): rng.randint(-3, 3)
+                for _ in range(rng.randint(1, 4))})
+    active = tuple(rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(spec.m))
+    return spec.element(active=active, base=base)
+
+
+def _assert_normal_poly(p):
+    rebuilt = LaurentPoly(p.rank, dict(p.terms))
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+    for mono, coeff in p.terms.items():
+        assert type(mono) is tuple and len(mono) == p.rank
+        assert all(type(e) is int for e in mono)
+        assert type(coeff) is int and coeff != 0
+
+
+def _assert_normal_element(g):
+    assert type(g.active) is tuple and all(type(e) is int for e in g.active)
+    assert type(g.base) is tuple
+    for p in g.base:
+        _assert_normal_poly(p)
+    rebuilt = WreathElement(g.spec, g.active, g.base)
+    assert g == rebuilt and hash(g) == hash(rebuilt)
+
+
+def test_arithmetic_results_are_in_normal_form():
+    rng = random.Random(12)
+    for _ in range(200):
+        spec = GroupSpec(rng.randint(1, 3), rng.randint(1, 3))
+        g, h = (_random_element(rng, spec) for _ in range(2))
+        p, q = g.base[0], h.base[-1]
+        shift = tuple(rng.randint(-2, 2) for _ in range(spec.m))
+        for poly in (p + q, p + 3, p - q, p - p, 2 - p, -p, p * q, p * 0,
+                     p.times_monomial(shift), p.substitute_one(0), p ** 2):
+            _assert_normal_poly(poly)
+        u = WreathElement(spec, (0,) * spec.m, g.base)
+        for element in (g * h, g * g.inverse(), g.inverse(), g.commutator(h),
+                        g.commutator(g), g ** -3, module_action(u, q),
+                        module_action(u, LaurentPoly.zero(spec.m))):
+            _assert_normal_element(element)
+
+
+def test_public_constructor_rejects_malformed_input():
+    with pytest.raises(PreconditionError, match=r"active vector \(1,\) invalid for rank 2"):
+        WreathElement(S21, (1,), (LaurentPoly.zero(2),))
+    with pytest.raises(PreconditionError, match="expected 1 base coordinates, got 2"):
+        WreathElement(S21, (0, 0), (LaurentPoly.zero(2),) * 2)
+    with pytest.raises(PreconditionError, match="must have rank 2"):
+        WreathElement(S21, (0, 0), (LaurentPoly.one(1),))
+    with pytest.raises(PreconditionError, match="must have rank 2"):
+        S21.element(base={1: LaurentPoly.one(1)})
+    with pytest.raises(PreconditionError, match="invalid for rank 1"):
+        WreathElement(S11, (1.0,), (LaurentPoly.zero(1),))
