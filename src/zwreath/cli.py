@@ -16,6 +16,7 @@ from .equations import check_system, parse_assignment, parse_system, serialize_a
 from .errors import Error, ParseError, PreconditionError
 from .interp import compile_iterated, spec_for_ranks
 from .laurent import INFINITY, aug_valuation, poly_str
+from .lexer import TokenStream
 from .reduction import oracle_ef, parse_intpoly
 from .selftest import run_all
 from .wreath import lcs_rank
@@ -26,21 +27,29 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
 
-def _parse_ranks(text):
+def _parse_ints(text, what):
+    """Comma-separated integers with optional signs, ASCII digits only."""
+    tokens = TokenStream(text)
     try:
-        ranks = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ParseError(f"ranks must be comma-separated integers, got {text!r}") from None
-    if not ranks or any(r < 1 for r in ranks):
+        values = [tokens.signed_int()]
+        while tokens.accept(","):
+            values.append(tokens.signed_int())
+        tokens.expect("")
+    except ParseError as exc:
+        raise ParseError(f"{what} must be comma-separated integers, got {text!r}",
+                         exc.line, exc.col) from None
+    return tuple(values)
+
+
+def _parse_ranks(text):
+    ranks = _parse_ints(text, "ranks")
+    if any(r < 1 for r in ranks):
         raise ParseError(f"ranks must be positive, got {text!r}")
     return ranks
 
 
 def _parse_solution(text):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ParseError(f"solution must be comma-separated integers, got {text!r}") from None
+    return _parse_ints(text, "solution")
 
 
 def _write_output(text, path):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, PreconditionError, SpecMismatchError
+from .errors import PreconditionError, SpecMismatchError
+from .lexer import TokenStream, is_int, is_name
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -385,43 +386,47 @@ def serialize_system(system):
 
 
 def parse_system(text, spec):
-    """Parse the system file format: one `word = word` equation per line."""
+    """Parse the system file format: one `word = word` equation per line.
+
+    Each line is one tokenizer pass and one descent, O(len(text)) in all;
+    element constants are read in place by `spec.read_element`.
+    """
     equations = []
     declared = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("# vars:"):
-            names = stripped[len("# vars:"):].split()
-            for name in names:
-                if not NAME_RE.match(name):
-                    raise ParseError(f"invalid variable name {name!r}", lineno)
+            tokens = TokenStream(raw, lineno, raw.index("# vars:") + len("# vars:"))
+            names = []
+            while tokens.peek():
+                names.append(tokens.name())
             declared = tuple(names)
             continue
-        line = _strip_comment(raw)
-        if not line.strip():
+        tokens = TokenStream(raw, lineno)
+        if not tokens.peek():
             continue
-        equations.append(_parse_equation_line(line, lineno, spec))
+        lhs = _read_word(tokens, spec, ("=", ""), 0)
+        tokens.expect("=")
+        rhs = _read_word(tokens, spec, ("",), 0)
+        equations.append(equation(lhs, rhs))
     if declared is None:
         return system_of(equations)
     return System(tuple(equations), declared)
 
 
 def parse_assignment(text, spec):
-    """Parse assignment files: lines `name := <element literal>`."""
+    """Parse assignment files, lines `name := <element literal>`: O(len(text))."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line.strip():
+        tokens = TokenStream(raw, lineno)
+        if not tokens.peek():
             continue
-        name, sep, literal = line.partition(":=")
-        name = name.strip()
-        if not sep:
-            raise ParseError("expected 'name := element'", lineno)
-        if not NAME_RE.match(name):
-            raise ParseError(f"invalid variable name {name!r}", lineno)
+        name = tokens.name()
         if name in out:
-            raise ParseError(f"variable {name!r} assigned twice", lineno)
-        out[name] = spec.parse_element(literal.strip(), line=lineno)
+            raise tokens.error(f"variable {name!r} assigned twice", 0)
+        tokens.expect(":=")
+        out[name] = spec.read_element(tokens)
+        tokens.expect("")
     return out
 
 
@@ -432,139 +437,50 @@ def serialize_assignment(assignment):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _strip_comment(line):
-    # '#' inside an element literal never occurs; a plain scan suffices.
-    idx = line.find("#")
-    return line if idx < 0 else line[:idx]
+# -- word grammar ---------------------------------------------------------------
 
 
-# -- line tokenizer / word parser ---------------------------------------------
+def _read_word(tokens, spec, stop, depth):
+    """Juxtaposed factors up to a token in `stop`.
+
+    `depth` counts the brackets and parentheses open around the word.
+    """
+    factors = []
+    while tokens.peek() not in stop:
+        factors.append(_read_factor(tokens, spec, depth))
+    if not factors:
+        raise tokens.error("empty word (write '1' for the identity)")
+    if len(factors) == 1:
+        return factors[0]
+    return Concat(tuple(factors))
 
 
-def _tokenize_line(line, lineno):
-    tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        col = i + 1
-        if c.isspace():
-            i += 1
-        elif c == "{":
-            depth = 0
-            j = i
-            while j < n:
-                if line[j] == "{":
-                    depth += 1
-                elif line[j] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth != 0:
-                raise ParseError("unbalanced '{' in element literal", lineno, col)
-            tokens.append(("ELEM", line[i:j + 1], col))
-            i = j + 1
-        elif c in "[](),=^":
-            kind = {"[": "LBRACK", "]": "RBRACK", "(": "LPAREN", ")": "RPAREN",
-                    ",": "COMMA", "=": "EQ", "^": "CARET"}[c]
-            tokens.append((kind, c, col))
-            i += 1
-        elif c == "-" or c.isdigit():
-            j = i + 1 if c == "-" else i
-            start = j
-            while j < n and line[j].isdigit():
-                j += 1
-            if start == j:
-                raise ParseError(f"unexpected character {c!r}", lineno, col)
-            tokens.append(("INT", int(line[i:j]), col))
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < n and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            tokens.append(("NAME", line[i:j], col))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", lineno, col)
-    tokens.append(("END", None, n + 1))
-    return tokens
-
-
-class _WordParser:
-    def __init__(self, tokens, lineno, spec):
-        self.tokens = tokens
-        self.pos = 0
-        self.lineno = lineno
-        self.spec = spec
-        self.depth = 0  # open brackets and parentheses
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", self.lineno, tok[2])
-        self.pos += 1
-        return tok
-
-    def nest(self, col):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(
-                f"brackets and parentheses nested deeper than {MAX_NESTING}", self.lineno, col)
-
-    def parse_word(self, stop):
-        factors = []
-        while self.peek()[0] not in stop:
-            factors.append(self.parse_factor())
-        if not factors:
-            kind, value, col = self.peek()
-            raise ParseError("empty word (write '1' for the identity)", self.lineno, col)
-        if len(factors) == 1:
-            return factors[0]
-        return Concat(tuple(factors))
-
-    def parse_factor(self):
-        kind, value, col = self.take()
-        if kind == "NAME":
-            base = Literal(value)
-        elif kind == "INT":
-            if value != 1:
-                raise ParseError(f"unexpected integer {value}", self.lineno, col)
-            base = IDENTITY_WORD
-        elif kind == "LBRACK":
-            self.nest(col)
-            left = self.parse_word({"COMMA"})
-            self.take("COMMA")
-            right = self.parse_word({"RBRACK"})
-            self.take("RBRACK")
-            self.depth -= 1
+def _read_factor(tokens, spec, depth):
+    token = tokens.peek()
+    if token == "{":
+        base = Constant(spec.read_element(tokens))
+    elif token == "[" or token == "(":
+        if depth == MAX_NESTING:
+            raise tokens.error(f"brackets and parentheses nested deeper than {MAX_NESTING}")
+        tokens.take()
+        if token == "[":
+            left = _read_word(tokens, spec, (",",), depth + 1)
+            tokens.expect(",")
+            right = _read_word(tokens, spec, ("]",), depth + 1)
+            tokens.expect("]")
             base = Commutator(left, right)
-        elif kind == "LPAREN":
-            self.nest(col)
-            base = self.parse_word({"RPAREN"})
-            self.take("RPAREN")
-            self.depth -= 1
-        elif kind == "ELEM":
-            base = Constant(self.spec.parse_element(value, line=self.lineno, col=col))
         else:
-            raise ParseError(f"unexpected token {value!r}", self.lineno, col)
-        if self.peek()[0] == "CARET":
-            self.take()
-            exp = self.take("INT")[1]
-            base = power(base, exp)
-        return base
-
-
-def _parse_equation_line(line, lineno, spec):
-    parser = _WordParser(_tokenize_line(line, lineno), lineno, spec)
-    lhs = parser.parse_word({"EQ", "END"})
-    kind, value, col = parser.take()
-    if kind != "EQ":
-        raise ParseError("expected '=' in equation", lineno, col)
-    rhs = parser.parse_word({"END"})
-    parser.take("END")
-    return equation(lhs, rhs)
-
+            base = _read_word(tokens, spec, (")",), depth + 1)
+            tokens.expect(")")
+    elif is_name(token):
+        base = Literal(tokens.take())
+    elif is_int(token):
+        if int(token) != 1:
+            raise tokens.error(f"unexpected integer {int(token)}")
+        tokens.take()
+        base = IDENTITY_WORD
+    else:
+        raise tokens.error(f"unexpected token {token or 'end of input'!r}")
+    if tokens.accept("^"):
+        base = power(base, tokens.signed_int())
+    return base

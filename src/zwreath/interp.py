@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from . import reduction as _reduction
 from .equations import Commutator, Constant, Concat, Power, System, equation
 from .errors import ParseError, PreconditionError, SpecMismatchError
-from .wreath import GroupSpec, commutator, group_power
+from .lexer import parse_whole
+from .wreath import GroupSpec, commutator, group_power, read_vector
 
 
 # Longest rank list accepted.  Specs, element literals and lifted words nest
@@ -96,8 +97,8 @@ class IteratedSpec:
         return NestedElement(self, inner_element, ())
 
     # Literal bridge used by the equation/assignment parsers.
-    def parse_element(self, text, *, line=None, col=None):
-        return parse_nested(text, self, line=line, col=col)
+    def read_element(self, tokens):
+        return read_nested(tokens, self)
 
     def serialize_element(self, g):
         return nested_str(g)
@@ -218,104 +219,31 @@ def nested_str(g):
     return "{ active: " + str(g.active) + ";" + body + "}"
 
 
-class _Cursor:
-    def __init__(self, text, line, col):
-        self.text = text
-        self.pos = 0
-        self.line = line
-        self.col = col
-
-    def error(self, message):
-        raise ParseError(message, self.line, self.col)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, literal):
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            found = self.text[self.pos:self.pos + 8] or "end of input"
-            self.error(f"expected {literal!r}, found {found!r}")
-        self.pos += len(literal)
-
-    def at(self, literal):
-        self.skip_ws()
-        return self.text.startswith(literal, self.pos)
-
-    def braced(self):
-        """The balanced `{...}` span starting here."""
-        self.expect("{")
-        start = self.pos - 1
-        depth = 1
-        while self.pos < len(self.text) and depth:
-            depth += {"{": 1, "}": -1}.get(self.text[self.pos], 0)
-            self.pos += 1
-        if depth:
-            self.error("unbalanced '{' in element literal")
-        return self.text[start:self.pos]
-
-    def int_vector(self, length):
-        self.expect("(")
-        vals = []
-        while True:
-            self.skip_ws()
-            j = self.pos
-            if j < len(self.text) and self.text[j] == "-":
-                j += 1
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            if j == self.pos or self.text[self.pos:j] == "-":
-                self.error("expected an integer in vector")
-            vals.append(int(self.text[self.pos:j]))
-            self.pos = j
-            if self.at(","):
-                self.expect(",")
-                continue
-            break
-        self.expect(")")
-        if len(vals) != length:
-            self.error(f"vector has {len(vals)} entries, expected {length}")
-        return tuple(vals)
+def parse_nested(text, spec):
+    """Parse the recursive element literal; one tokenizer pass and one descent, O(len(text))."""
+    return parse_whole(text, read_nested, spec)
 
 
-def parse_nested(text, spec, *, line=None, col=None):
-    """Parse the recursive element literal for an iterated spec."""
-    cur = _Cursor(text.strip(), line, col)
-    value = _parse_nested_at(cur, spec)
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        cur.error(f"trailing input {cur.text[cur.pos:]!r} after element literal")
-    return value
-
-
-def _parse_inner(cur, spec):
-    """An inner-group literal: iterated levels recurse, the flat pair parses its span."""
-    if isinstance(spec, IteratedSpec):
-        return _parse_nested_at(cur, spec)
-    return spec.parse_element(cur.braced(), line=cur.line, col=cur.col)
-
-
-def _parse_nested_at(cur, spec):
-    cur.expect("{")
-    cur.expect("active")
-    cur.expect(":")
-    active = _parse_inner(cur, spec.inner())
-    if cur.at(";"):
-        cur.expect(";")
-    entries = {}
-    while not cur.at("}"):
-        cur.expect("[")
-        key = _parse_inner(cur, spec.inner())
-        if key in entries:
-            cur.error(f"repeated support point {key}")
-        cur.expect("->")
-        entries[key] = cur.int_vector(spec.ranks[0])
-        cur.expect("]")
-        if cur.at(","):
-            cur.expect(",")
-    cur.expect("}")
-    return NestedElement(spec, active, entries)
+def read_nested(tokens, spec):
+    """`{ active: inner [;] { [ inner -> vector ] [,] } }`, inner literals read in place."""
+    inner = spec.inner()
+    tokens.expect("{")
+    tokens.expect("active")
+    tokens.expect(":")
+    active = inner.read_element(tokens)
+    tokens.accept(";")
+    support = {}
+    while tokens.accept("["):
+        at = tokens.pos
+        key = inner.read_element(tokens)
+        if key in support:
+            raise tokens.error(f"repeated support point {key}", at)
+        tokens.expect("->")
+        support[key] = read_vector(tokens, spec.ranks[0])
+        tokens.expect("]")
+        tokens.accept(",")
+    tokens.expect("}")
+    return NestedElement(spec, active, support)
 
 
 # -- lifting --------------------------------------------------------------------

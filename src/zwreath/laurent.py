@@ -16,7 +16,8 @@ import math
 from operator import add
 from types import MappingProxyType
 
-from .errors import ParseError, PreconditionError, SpecMismatchError
+from .errors import PreconditionError, SpecMismatchError
+from .lexer import is_int, parse_whole
 
 # Exponent vectors are plain int tuples; the all-zero tuple is the identity
 # monomial.
@@ -468,121 +469,71 @@ def terms_str(terms, letter):
     return " ".join(pieces)
 
 
-def parse_poly(text, rank, *, line=None, col_offset=0):
+def parse_poly(text, rank):
     """Parse the polynomial grammar: `2*a1^3 - a2^-1 + 7`.
 
     Signed integer coefficients, `*` for products, `a<i>^<e>` powers with any
-    integer exponent, terms joined by `+`/`-`; whitespace insignificant.
+    integer exponent, terms joined by `+`/`-`; whitespace insignificant.  One
+    tokenizer pass and one descent, O(len(text)).
     """
-    tokens = _lex_poly(text, line, col_offset)
-    pos = 0
-    total = {}
+    return parse_whole(text, read_poly, rank)
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("END", None, col_offset + len(text) + 1)
 
-    def take(kind=None):
-        nonlocal pos
-        tok = peek()
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", line, tok[2])
-        pos += 1
-        return tok
+def read_poly(tokens, rank):
+    """A polynomial of the given rank, read from a token stream."""
+    return LaurentPoly(rank, read_terms(tokens, "a", rank)[1])
 
-    def parse_term(sign):
+
+def read_terms(tokens, letter, rank=None, negative_exponents=True):
+    """The sum-of-monomials grammar shared by both polynomial formats.
+
+    Reads `[+|-] term {(+|-) term}`, each term a `*`-product of integers
+    and variables `<letter><i>` with an optional `^` exponent, signed or
+    not as `negative_exponents` says.  With `rank` None the variable count
+    is the largest index used.  Returns (rank, {exponent tuple: summed
+    coefficient}) in O(tokens).
+    """
+    raw = []
+    sign = 1
+    while True:
+        token = tokens.peek()
+        if token == "+" or token == "-":
+            tokens.take()
+            sign = -1 if token == "-" else 1
+        elif raw:
+            break
         coeff = sign
-        expo = [0] * rank
-        saw_factor = False
+        expo = [0] * (rank or 0)
         while True:
-            kind, value, col = peek()
-            if kind == "INT":
-                take()
-                coeff *= value
-            elif kind == "VAR":
-                take()
-                index = value
-                if not 1 <= index <= rank:
-                    raise ParseError(f"variable a{index} out of range for rank {rank}", line, col)
+            at = tokens.pos
+            token = tokens.take()
+            if is_int(token):
+                coeff *= int(token)
+            elif token[:1] == letter and token[1:].isdigit():
+                index = int(token[1:])
+                if index < 1:
+                    raise tokens.error(f"variable indices start at {letter}1", at)
+                if rank is not None and index > rank:
+                    raise tokens.error(f"variable {letter}{index} out of range for rank {rank}", at)
                 e = 1
-                if peek()[0] == "CARET":
-                    take()
-                    e = take("INT")[1]
+                if tokens.accept("^"):
+                    if negative_exponents:
+                        e = tokens.signed_int()
+                    elif is_int(tokens.peek()):
+                        e = int(tokens.take())
+                    else:
+                        raise tokens.expected("a non-negative exponent after '^'")
+                if index > len(expo):
+                    expo.extend([0] * (index - len(expo)))
                 expo[index - 1] += e
             else:
-                raise ParseError(f"expected coefficient or variable, found {value!r}", line, col)
-            saw_factor = True
-            if peek()[0] == "STAR":
-                take()
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("empty term", line, peek()[2])
-        return coeff, tuple(expo)
-
-    sign = 1
-    kind, value, col = peek()
-    if kind == "SIGN":
-        take()
-        sign = value
-    while True:
-        coeff, expo = parse_term(sign)
-        total[expo] = total.get(expo, 0) + coeff
-        kind, value, col = peek()
-        if kind == "END":
-            break
-        if kind != "SIGN":
-            raise ParseError(f"expected '+' or '-', found {value!r}", line, col)
-        take()
-        sign = value
-    return LaurentPoly(rank, total)
-
-
-def _lex_poly(text, line, col_offset):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        col = col_offset + i + 1
-        if c.isspace():
-            i += 1
-        elif c == "+":
-            tokens.append(("SIGN", 1, col))
-            i += 1
-        elif c == "-":
-            # After '^' a minus starts a negative exponent, not a new term.
-            if tokens and tokens[-1][0] == "CARET":
-                j = i + 1
-                while j < n and text[j].isspace():
-                    j += 1
-                start = j
-                while j < n and text[j].isdigit():
-                    j += 1
-                if start == j:
-                    raise ParseError("expected digits after '^-'", line, col)
-                tokens.append(("INT", -int(text[start:j]), col))
-                i = j
-            else:
-                tokens.append(("SIGN", -1, col))
-                i += 1
-        elif c == "*":
-            tokens.append(("STAR", "*", col))
-            i += 1
-        elif c == "^":
-            tokens.append(("CARET", "^", col))
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", int(text[i:j]), col))
-            i = j
-        elif c == "a" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("VAR", int(text[i + 1:j]), col))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r} in polynomial", line, col)
-    return tokens
+                raise tokens.expected("coefficient or variable", at)
+            if not tokens.accept("*"):
+                break
+        raw.append((expo, coeff))
+    width = rank if rank is not None else max(len(expo) for expo, _ in raw)
+    total = {}
+    for expo, coeff in raw:
+        key = tuple(expo) + (0,) * (width - len(expo))
+        total[key] = total.get(key, 0) + coeff
+    return width, total

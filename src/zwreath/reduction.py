@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 from .equations import (Commutator, Constant, Literal, System, concat,
                         equation, merge_systems)
-from .errors import ParseError, PreconditionError
+from .errors import PreconditionError
 from .gadgets import (gadget_cyclic, gadget_delta_power, witness_cyclic,
                       witness_delta_power)
-from .laurent import LaurentPoly, delta_membership, terms_str
+from .laurent import LaurentPoly, delta_membership, read_terms, terms_str
+from .lexer import parse_whole
 from .wreath import in_A, module_action
 
 
@@ -101,82 +102,12 @@ def intpoly_str(f):
 
 
 def parse_intpoly(text, num_vars=None):
-    """Parse `z1^2*z2 - 3*z1 + 7`; variable count is inferred when not given."""
-    raw_terms = []
-    max_index = 0
-    i = 0
-    n = len(text)
+    """Parse `z1^2*z2 - 3*z1 + 7`; variable count is inferred when not given.
 
-    def skip_ws(i):
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    sign = 1
-    i = skip_ws(i)
-    if i < n and text[i] in "+-":
-        sign = -1 if text[i] == "-" else 1
-        i += 1
-    while True:
-        i = skip_ws(i)
-        if i >= n:
-            raise ParseError("expected a term", col=i + 1)
-        coeff = sign
-        expo = {}
-        while True:
-            i = skip_ws(i)
-            col = i + 1
-            if i < n and text[i].isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                coeff *= int(text[i:j])
-                i = j
-            elif i < n and text[i] == "z" and i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                index = int(text[i + 1:j])
-                if index < 1:
-                    raise ParseError("variable indices start at z1", col=col)
-                i = j
-                e = 1
-                i = skip_ws(i)
-                if i < n and text[i] == "^":
-                    i = skip_ws(i + 1)
-                    j = i
-                    while j < n and text[j].isdigit():
-                        j += 1
-                    if i == j:
-                        raise ParseError("expected a non-negative exponent after '^'", col=i + 1)
-                    e = int(text[i:j])
-                    i = j
-                expo[index] = expo.get(index, 0) + e
-                max_index = max(max_index, index)
-            else:
-                found = text[i] if i < n else "end of input"
-                raise ParseError(f"expected coefficient or variable, found {found!r}", col=col)
-            i = skip_ws(i)
-            if i < n and text[i] == "*":
-                i += 1
-                continue
-            break
-        raw_terms.append((coeff, expo))
-        i = skip_ws(i)
-        if i >= n:
-            break
-        if text[i] not in "+-":
-            raise ParseError(f"expected '+' or '-', found {text[i]!r}", col=i + 1)
-        sign = -1 if text[i] == "-" else 1
-        i += 1
-    s = max_index if num_vars is None else num_vars
-    if max_index > s:
-        raise ParseError(f"variable z{max_index} exceeds declared count {s}")
-    terms = {}
-    for coeff, expo in raw_terms:
-        alpha = tuple(expo.get(idx + 1, 0) for idx in range(s))
-        terms[alpha] = terms.get(alpha, 0) + coeff
-    return IntPolynomial(s, terms)
+    The sum-of-monomials grammar of `laurent.read_terms` with letter `z` and
+    non-negative exponents: one tokenizer pass and one descent, O(len(text)).
+    """
+    return IntPolynomial(*parse_whole(text, read_terms, "z", num_vars, negative_exponents=False))
 
 
 # -- compilation ---------------------------------------------------------------

@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-from .errors import ParseError, PreconditionError, SpecMismatchError
+from .errors import PreconditionError, SpecMismatchError
 from .laurent import (LaurentPoly, _add_shifted, _shifted, binary_power,
-                      delta_membership, parse_poly, poly_str)
+                      delta_membership, poly_str, read_poly)
+from .lexer import is_name, parse_whole
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class GroupSpec:
         return WreathElement(self, act, tuple(coords))
 
     # Literal bridge used by the equation/assignment parsers.
-    def parse_element(self, text, *, line=None, col=None):
-        return parse_element(text, self, line=line, col=col)
+    def read_element(self, tokens):
+        return read_element(tokens, self)
 
     def serialize_element(self, g):
         return element_str(g)
@@ -286,55 +287,46 @@ def element_str(g):
     return "{ active: " + vec + ";" + body + "}"
 
 
-def parse_element(text, spec, *, line=None, col=None):
-    """Parse the element literal grammar; omitted base coordinates are zero."""
-    s = text.strip()
-    if not (s.startswith("{") and s.endswith("}")):
-        raise ParseError(f"element literal must be brace-delimited, got {text!r}", line, col)
-    inner = s[1:-1].strip()
-    head, semi, rest = inner.partition(";")
-    head = head.strip()
-    if not head.startswith("active"):
-        raise ParseError("element literal must start with 'active:'", line, col)
-    head = head[len("active"):].lstrip()
-    if not head.startswith(":"):
-        raise ParseError("expected ':' after 'active'", line, col)
-    vec_text = head[1:].strip()
-    active = _parse_vector(vec_text, spec.m, line, col)
+def parse_element(text, spec):
+    """Parse the flat element literal; one tokenizer pass and one descent, O(len(text))."""
+    return parse_whole(text, read_element, spec)
+
+
+def read_element(tokens, spec):
+    """`{ active: vector [;] { b<j>: poly [,] } }`; omitted base coordinates are zero."""
+    tokens.expect("{")
+    tokens.expect("active")
+    tokens.expect(":")
+    active = read_vector(tokens, spec.m)
+    tokens.accept(";")
     base = {}
-    rest = rest.strip()
-    if rest:
-        for entry in rest.split(","):
-            entry = entry.strip()
-            if not entry:
-                raise ParseError("empty base entry in element literal", line, col)
-            name, colon, ptext = entry.partition(":")
-            name = name.strip()
-            if not colon or not (name.startswith("b") and name[1:].isdigit()):
-                raise ParseError(f"malformed base entry {entry!r}", line, col)
-            j = int(name[1:])
-            if not 1 <= j <= spec.n:
-                raise ParseError(f"base coordinate b{j} out of range 1..{spec.n}", line, col)
-            if j in base:
-                raise ParseError(f"duplicate base coordinate b{j}", line, col)
-            base[j] = parse_poly(ptext.strip(), spec.m, line=line)
+    while is_name(tokens.peek()):
+        at = tokens.pos
+        name = tokens.take()
+        if not (name[0] == "b" and name[1:].isdigit()):
+            raise tokens.error(f"malformed base entry {name!r}", at)
+        j = int(name[1:])
+        if not 1 <= j <= spec.n:
+            raise tokens.error(f"base coordinate b{j} out of range 1..{spec.n}", at)
+        if j in base:
+            raise tokens.error(f"duplicate base coordinate b{j}", at)
+        tokens.expect(":")
+        base[j] = read_poly(tokens, spec.m)
+        tokens.accept(",")
+    tokens.expect("}")
     return spec.element(active=active, base=base)
 
 
-def _parse_vector(text, length, line, col):
-    s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ParseError(f"expected parenthesized vector, got {text!r}", line, col)
-    body = s[1:-1].strip()
-    parts = [p.strip() for p in body.split(",")] if body else []
-    if parts and parts[-1] == "":
-        parts.pop()
-    if len(parts) != length:
-        raise ParseError(f"vector {text!r} has {len(parts)} entries, expected {length}", line, col)
-    vals = []
-    for part in parts:
-        try:
-            vals.append(int(part))
-        except ValueError:
-            raise ParseError(f"invalid integer {part!r} in vector", line, col) from None
-    return tuple(vals)
+def read_vector(tokens, length):
+    """`( int {, int} [,] )` with exactly `length` entries."""
+    at = tokens.pos
+    tokens.expect("(")
+    values = []
+    while tokens.peek() != ")":
+        values.append(tokens.signed_int())
+        if not tokens.accept(","):
+            break
+    tokens.expect(")")
+    if len(values) != length:
+        raise tokens.error(f"vector has {len(values)} entries, expected {length}", at)
+    return tuple(values)

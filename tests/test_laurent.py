@@ -335,14 +335,15 @@ def test_zero_serializes_as_zero():
 
 
 def test_parse_errors_report_position():
-    with pytest.raises(ParseError):
-        parse_poly("a1 +", 1)
-    with pytest.raises(ParseError):
-        parse_poly("b1", 1)
-    with pytest.raises(ParseError):
-        parse_poly("a5", 2)
-    with pytest.raises(ParseError):
-        parse_poly("", 1)
+    for text, rank, col, message in [
+            ("a1 +", 1, 5, "expected coefficient or variable, found 'end of input'"),
+            ("b1", 1, 1, "expected coefficient or variable, found 'b1'"),
+            ("a5", 2, 1, "variable a5 out of range for rank 2"),
+            ("", 1, 1, "expected coefficient or variable, found 'end of input'")]:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, rank)
+        assert (exc.value.line, exc.value.col) == (1, col)
+        assert str(exc.value) == f"line 1, col {col}: {message}"
 
 
 # -- hypothesis: ring axioms ------------------------------------------------------
