@@ -25,7 +25,7 @@ from .laurent import (INFINITY, LaurentPoly, aug_valuation, delta_decompose,
 from .reduction import (IntPolynomial, ReductionOutput, compile,
                         extract_solution, intpoly_str, oracle_ef,
                         parse_intpoly, witness)
-from .wreath import (GroupSpec, LcsBasisElement, WreathElement, commutator,
+from .wreath import (GroupSpec, LcsBasisElement, WreathElement,
                      element_str, in_A, in_N, in_delta_power,
                      left_normed_commutator, lcs_basis, lcs_rank,
                      module_action, parse_element)

@@ -4,7 +4,9 @@ Words are trees (nested commutators stay nested, so no textual blow-up);
 equations are stored in `w = 1` form; systems carry an explicit declaration
 list so files round-trip exactly.  Evaluation is generic over any element
 type providing `*`, `inverse()`, `commutator()` and `__pow__`, with the
-ambient spec supplying the identity element and the element-literal parser.
+ambient spec supplying the identity element, the element-literal parser and
+the generator words: system text prints a constant that is a power of one
+generator as a word such as `@b1^-6`, and any other constant as a literal.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import PreconditionError, SpecMismatchError
-from .lexer import TokenStream, is_int, is_name
+from .lexer import TokenStream, is_generator, is_int, is_name
+from .wreath import read_generator
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -348,7 +351,11 @@ def normalize_word(word):
 
 
 def serialize_word(word):
-    word = normalize_word(word)
+    """Text of a word: normalized once, then printed in O(size of the word)."""
+    return _serialize_normal(normalize_word(word))
+
+
+def _serialize_normal(word):
     if isinstance(word, Concat) and word.parts:
         return " ".join(_serialize_factor(p) for p in word.parts)
     return _serialize_factor(word)
@@ -358,20 +365,25 @@ def _serialize_factor(word):
     if isinstance(word, Literal):
         return word.name if word.sign == 1 else f"{word.name}^-1"
     if isinstance(word, Constant):
-        return word.value.spec.serialize_element(word.value)
+        spec = word.value.spec
+        return spec.generator_word(word.value) or spec.serialize_element(word.value)
     if isinstance(word, Commutator):
-        return f"[{serialize_word(word.left)}, {serialize_word(word.right)}]"
+        return f"[{_serialize_normal(word.left)}, {_serialize_normal(word.right)}]"
     if isinstance(word, Power):
         body = word.body
         if isinstance(body, Literal) and body.sign == 1:
             return f"{body.name}^{word.exponent}"
         if isinstance(body, (Commutator, Constant)):
-            return f"{_serialize_factor(body)}^{word.exponent}"
-        return f"({serialize_word(body)})^{word.exponent}"
+            text = _serialize_factor(body)
+            # A generator word reads its own `^` exponent: `(@b1)^3`, not `@b1^3`.
+            if text[0] == "@":
+                text = f"({text})"
+            return f"{text}^{word.exponent}"
+        return f"({_serialize_normal(body)})^{word.exponent}"
     if isinstance(word, Concat):
         if not word.parts:
             return "1"
-        return f"({serialize_word(word)})"
+        return f"({_serialize_normal(word)})"
     raise PreconditionError(f"not a word node: {word!r}")
 
 
@@ -459,6 +471,8 @@ def _read_factor(tokens, spec, depth):
     token = tokens.peek()
     if token == "{":
         base = Constant(spec.read_element(tokens))
+    elif is_generator(token):
+        return Constant(read_generator(tokens, spec))  # its `^` exponent is its own
     elif token == "[" or token == "(":
         if depth == MAX_NESTING:
             raise tokens.error(f"brackets and parentheses nested deeper than {MAX_NESTING}")
@@ -475,8 +489,9 @@ def _read_factor(tokens, spec, depth):
     elif is_name(token):
         base = Literal(tokens.take())
     elif is_int(token):
-        if int(token) != 1:
-            raise tokens.error(f"unexpected integer {int(token)}")
+        value = tokens.int_at(tokens.pos)
+        if value != 1:
+            raise tokens.error(f"unexpected integer {value}")
         tokens.take()
         base = IDENTITY_WORD
     else:

@@ -11,13 +11,21 @@ two-level representation.
 
 Every level has one element type, and all of them offer `*`, `inverse()`,
 `commutator()`, `__pow__`, `is_identity()` and `sort_key()`, so equation
-evaluation and checking work unchanged at any depth.  `lift_system` rewrites
-a system over an inner group into one over the wreath extension by pinning
-each equation's value into the centralizer of a distinguished base generator:
-every equation `w = 1` becomes the single equation `[w, b] = 1`, so a lifted
-system has as many equations and variables as the flat one, and each level
-adds one commutator around every equation.  `compile_iterated` chains the
-flat polynomial reduction through those lifts.
+evaluation and checking work unchanged at any depth.  Each level computes
+its commutator in closed form from one commutator one level down, so a
+nested commutator costs O(1) group operations per level rather than the
+five (two inverses, three products) of `g^-1 h^-1 g h`.
+
+`lift_system` rewrites a system over an inner group into one over the
+wreath extension by pinning each equation's value into the centralizer of a
+distinguished base generator: every equation `w = 1` becomes the single
+equation `[w, b] = 1`, so a lifted system has as many equations and
+variables as the flat one, and each level adds one commutator around every
+equation.  `compile_iterated` chains the flat polynomial reduction through
+those lifts.  In system text every constant that is a power of one
+generator is a generator word (`@a1`, `@b1^-6`, `@b1_3` for level 3's base
+generator; see `wreath.read_generator`) of O(1) characters, so a lifted
+system's text grows linearly in its depth.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from . import reduction as _reduction
 from .equations import Commutator, Constant, Concat, Power, System, equation
 from .errors import ParseError, PreconditionError, SpecMismatchError
 from .lexer import parse_whole
-from .wreath import GroupSpec, commutator, group_power, read_vector
+from .wreath import GroupSpec, group_power, power_word, read_vector
 
 
 # Longest rank list accepted.  Specs, element literals and lifted words nest
@@ -71,15 +79,19 @@ class IteratedSpec:
         if len(ranks) > MAX_RANKS:
             raise PreconditionError(
                 f"at most {MAX_RANKS} ranks are supported, got {len(ranks)}")
-        # Built once: every element construction compares against it.
+        # Built once: every element construction compares against the inner
+        # group, and the identity recurses through every level.
         object.__setattr__(self, "_inner", spec_for_ranks(ranks[1:]))
+        object.__setattr__(self, "_identity",
+                           NestedElement._unchecked(self, self._inner.identity(), {}))
+        object.__setattr__(self, "_generators", {})
 
     def inner(self):
         """The group acted on: flat at depth 3, iterated beyond."""
         return self._inner
 
     def identity(self):
-        return NestedElement(self, self.inner().identity(), ())
+        return self._identity
 
     def base_gen(self, j, power=1):
         """Generator j of the outermost base copy at the inner identity."""
@@ -96,12 +108,44 @@ class IteratedSpec:
                 f"element of {inner_element.spec} cannot embed into {self}")
         return NestedElement(self, inner_element, ())
 
-    # Literal bridge used by the equation/assignment parsers.
+    def generator(self, level, j, power=1):
+        """Generator j of `level` raised to `power`, embedded up to this group.
+
+        Levels count outward from the acting group (see
+        `wreath.read_generator`); this group's own base is level
+        `len(ranks)`.  The first call costs O(depth - level) embeddings;
+        each level keeps what it built, since a lifted system names every
+        level's base generator once per equation.
+        """
+        key = (level, j, power)
+        g = self._generators.get(key)
+        if g is None:
+            if level == len(self.ranks):
+                g = self.base_gen(j, power)
+            else:
+                g = NestedElement._unchecked(self, self.inner().generator(level, j, power), {})
+            self._generators[key] = g
+        return g
+
+    # Literal and generator-word bridge used by the system and assignment formats.
     def read_element(self, tokens):
         return read_nested(tokens, self)
 
     def serialize_element(self, g):
         return nested_str(g)
+
+    def generator_word(self, g):
+        """`@b<j>_<k>^e` for a power of this level's base generator b_j, the
+        inner word for an embedded inner element, else None."""
+        if not g.base:
+            return self.inner().generator_word(g.active)
+        if len(g.base) == 1 and g.active.is_identity():
+            key, vec = g.base[0]
+            nonzero = [j for j, v in enumerate(vec) if v]
+            if len(nonzero) == 1 and key.is_identity():
+                j = nonzero[0]
+                return power_word(f"b{j + 1}_{len(self.ranks)}", vec[j])
+        return None
 
 
 class NestedElement:
@@ -159,25 +203,74 @@ class NestedElement:
             raise SpecMismatchError(f"cannot combine elements of different iterated groups")
 
     def __mul__(self, other):
+        """(alpha, p)(beta, q) = (alpha beta, p.beta + q).
+
+        `p.beta` right-multiplies every support point of p by beta.  Cost:
+        one inner product for the active parts and one per support point
+        of p (none when beta is the identity), |q| vector additions of
+        width m_k, and sorting the result's support.
+        """
         self._check(other)
-        merged = {key * other.active: vec for key, vec in self.base}
-        for key, vec in other.base:
-            if key in merged:
-                vec = tuple(a + b for a, b in zip(merged[key], vec))
-            merged[key] = vec
-        return NestedElement._unchecked(self.spec, self.active * other.active, merged)
+        support = {}
+        _shift_add(support, self.base, other.active, 1)
+        _shift_add(support, other.base, None, 1)
+        return NestedElement._unchecked(self.spec, self.active * other.active, support)
 
     def inverse(self):
+        """(alpha, p)^-1 = (alpha^-1, -p.alpha^-1).
+
+        Cost: one inner inverse, one inner product per support point of p
+        (none when alpha is the identity), and sorting the support.
+        """
         ai = self.active.inverse()
-        return NestedElement._unchecked(
-            self.spec, ai,
-            {key * ai: tuple(-v for v in vec) for key, vec in self.base})
+        support = {}
+        _shift_add(support, self.base, ai, -1)
+        return NestedElement._unchecked(self.spec, ai, support)
+
+    def commutator(self, other):
+        """[g, h] = g^-1 h^-1 g h in closed form, with no intermediate elements.
+
+        For g = (alpha, p) and h = (beta, q), with (alpha, p)(beta, q) =
+        (alpha beta, p.beta + q) and (alpha, p)^-1 = (alpha^-1, -p.alpha^-1),
+        and c = [alpha, beta] in the inner group:
+
+            g^-1 h^-1     = (alpha^-1 beta^-1, -p.alpha^-1 beta^-1 - q.beta^-1)
+            g^-1 h^-1 g   = (alpha^-1 beta^-1 alpha,
+                             -p.alpha^-1 beta^-1 alpha - q.beta^-1 alpha + p)
+            g^-1 h^-1 g h = (c, -p.c - q.beta^-1 alpha beta + p.beta + q)
+
+        and beta^-1 alpha beta = alpha c, so
+
+            [g, h] = (c, p.beta - p.c + q - q.(alpha c)).
+
+        The base is abelian, so the four shifted copies are summed into one
+        support.  The p terms cancel when beta = c, and the q terms when
+        alpha c = 1.  Cost: one inner commutator, one inner product alpha c
+        (both skipped when alpha or beta is the identity, where c = 1, and
+        the product when q is empty), and at most two inner products per
+        support point of p and one per support point of q; at depth 2 the
+        flat closed form `WreathElement.commutator` ends the recursion.
+        """
+        self._check(other)
+        alpha, beta = self.active, other.active
+        if alpha.is_identity() or beta.is_identity():
+            c, alpha_c = self.spec.inner().identity(), alpha
+        else:
+            c = alpha.commutator(beta)
+            alpha_c = alpha * c if other.base else None
+        support = {}
+        if self.base and beta != c:
+            _shift_add(support, self.base, beta, 1)
+            _shift_add(support, self.base, c, -1)
+        if other.base and not alpha_c.is_identity():
+            _shift_add(support, other.base, None, 1)
+            _shift_add(support, other.base, alpha_c, -1)
+        return NestedElement._unchecked(self.spec, c, support)
 
     __pow__ = group_power
-    commutator = commutator
 
     def is_identity(self):
-        return self.active.is_identity() and not self.base
+        return not self.base and self.active.is_identity()
 
     def project(self):
         """Quotient map onto the inner group (kill the base coordinates)."""
@@ -201,6 +294,25 @@ class NestedElement:
 
     def __repr__(self):
         return f"NestedElement({nested_str(self)!r})"
+
+
+def _shift_add(support, base, shift, sign):
+    """Add `sign` times the support `base`, every point right-multiplied by
+    `shift` (None or the identity: left in place), into the dict `support`."""
+    if not base:
+        return
+    if shift is not None and shift.is_identity():
+        shift = None
+    for key, vec in base:
+        if shift is not None:
+            key = key * shift
+        old = support.get(key)
+        if old is not None:
+            support[key] = tuple(a + sign * b for a, b in zip(old, vec))
+        elif sign == 1:
+            support[key] = vec
+        else:
+            support[key] = tuple(-v for v in vec)
 
 
 # -- literals -----------------------------------------------------------------

@@ -484,14 +484,15 @@ def read_poly(tokens, rank):
     return LaurentPoly(rank, read_terms(tokens, "a", rank)[1])
 
 
-def read_terms(tokens, letter, rank=None, negative_exponents=True):
+def read_terms(tokens, letter, rank=None, negative_exponents=True, max_rank=None):
     """The sum-of-monomials grammar shared by both polynomial formats.
 
     Reads `[+|-] term {(+|-) term}`, each term a `*`-product of integers
     and variables `<letter><i>` with an optional `^` exponent, signed or
     not as `negative_exponents` says.  With `rank` None the variable count
-    is the largest index used.  Returns (rank, {exponent tuple: summed
-    coefficient}) in O(tokens).
+    is the largest index used, and an index above `max_rank` is refused as
+    it is read (PreconditionError), before any exponent tuple is built.
+    Returns (rank, {exponent tuple: summed coefficient}) in O(tokens).
     """
     raw = []
     sign = 1
@@ -508,19 +509,25 @@ def read_terms(tokens, letter, rank=None, negative_exponents=True):
             at = tokens.pos
             token = tokens.take()
             if is_int(token):
-                coeff *= int(token)
+                coeff *= tokens.int_at(at)
             elif token[:1] == letter and token[1:].isdigit():
-                index = int(token[1:])
+                # An index of more than 18 digits exceeds every rank; it is
+                # not converted, since int() refuses long enough digit strings.
+                index = int(token[1:]) if len(token) <= 19 else math.inf
                 if index < 1:
                     raise tokens.error(f"variable indices start at {letter}1", at)
-                if rank is not None and index > rank:
-                    raise tokens.error(f"variable {letter}{index} out of range for rank {rank}", at)
+                if rank is not None:
+                    if index > rank:
+                        raise tokens.error(f"variable {token} out of range for rank {rank}", at)
+                elif max_rank is not None and index > max_rank:
+                    raise PreconditionError(
+                        f"variable {token} exceeds the limit of {max_rank} variables")
                 e = 1
                 if tokens.accept("^"):
                     if negative_exponents:
                         e = tokens.signed_int()
                     elif is_int(tokens.peek()):
-                        e = int(tokens.take())
+                        e = tokens.take_int()
                     else:
                         raise tokens.expected("a non-negative exponent after '^'")
                 if index > len(expo):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 
 from .errors import ParseError
 
@@ -24,7 +25,7 @@ _TOKEN = re.compile(r"""
     (?P<token>
         [{}\[\](),;=^*+] | ->? | :=?
       | [0-9]+
-      | [A-Za-z][A-Za-z0-9_]*
+      | @?[A-Za-z][A-Za-z0-9_]*
       | \Z
       | .
     )
@@ -41,6 +42,11 @@ def is_int(token):
 def is_name(token):
     """True for a name token (one that starts with an ASCII letter)."""
     return token[:1].isalpha() and token.isascii()
+
+
+def is_generator(token):
+    """True for a generator name token (`@` and a name)."""
+    return token[:1] == "@" and len(token) > 1
 
 
 def _show(token):
@@ -98,16 +104,34 @@ class TokenStream:
         self.pos += 1
         return token
 
+    def int_at(self, pos):
+        """The value of the integer token at `pos`.
+
+        Every integer of every grammar is converted here.  `int()` refuses
+        digit strings longer than `sys.get_int_max_str_digits()` (4300 by
+        default), so such a token is a ParseError at its own position.
+        """
+        token = self.tokens[pos]
+        try:
+            return int(token)
+        except ValueError:
+            raise self.error(f"integer of {len(token)} digits exceeds the limit of "
+                             f"{sys.get_int_max_str_digits()} digits", pos) from None
+
+    def take_int(self):
+        """Consume an unsigned integer token and return its value."""
+        if not is_int(self.tokens[self.pos]):
+            raise self.expected("an integer")
+        self.pos += 1
+        return self.int_at(self.pos - 1)
+
     def signed_int(self):
         """Consume an integer with an optional `+` or `-` sign and return its value."""
         sign = self.tokens[self.pos]
         if sign == "+" or sign == "-":
             self.pos += 1
-        token = self.tokens[self.pos]
-        if not is_int(token):
-            raise self.expected("an integer")
-        self.pos += 1
-        return -int(token) if sign == "-" else int(token)
+        value = self.take_int()
+        return -value if sign == "-" else value
 
     def expected(self, what, pos=None):
         """A ParseError saying that `what` was expected at token `pos`, and what came."""
@@ -122,7 +146,8 @@ class TokenStream:
         """
         pos = self.pos if pos is None else pos
         token = self.tokens[pos]
-        if token and not (token in _OPERATORS or is_int(token) or is_name(token)):
+        if token and not (token in _OPERATORS or is_int(token) or is_name(token)
+                          or is_generator(token)):
             message = f"unexpected character {token!r}"
         match = next(itertools.islice(_TOKEN.finditer(self.text, self.start), pos, None))
         offset = match.start("token")

@@ -28,6 +28,16 @@ from .lexer import parse_whole
 from .wreath import in_A, module_action
 
 
+# Largest variable count `parse_intpoly` infers from text.  Every term stores
+# one exponent per variable and `compile` builds one gadget per variable, so
+# without a cap `z1000000 + z1 - 2` would cost millions of tuple entries and
+# gadgets before any check ran; an index above the cap is refused as it is
+# read.  The cap keeps every accepted input small (`z256 + z1 - 2` compiles
+# over Z wr Z to a 26 KB system) and refuses nothing in use: the tests, the
+# README and the benchmark have at most three variables.
+MAX_VARIABLES = 256
+
+
 class IntPolynomial:
     """Sparse integer polynomial in variables z1..zs with non-negative exponents."""
 
@@ -106,8 +116,10 @@ def parse_intpoly(text, num_vars=None):
 
     The sum-of-monomials grammar of `laurent.read_terms` with letter `z` and
     non-negative exponents: one tokenizer pass and one descent, O(len(text)).
+    An inferred count above `MAX_VARIABLES` is a PreconditionError.
     """
-    return IntPolynomial(*parse_whole(text, read_terms, "z", num_vars, negative_exponents=False))
+    return IntPolynomial(*parse_whole(text, read_terms, "z", num_vars,
+                                      negative_exponents=False, max_rank=MAX_VARIABLES))
 
 
 # -- compilation ---------------------------------------------------------------

@@ -472,6 +472,8 @@ def check_nested_axioms(rng, samples):
             failures.append(f"sample {i}: identity law failed")
         if (g * h).project() != g.project() * h.project():
             failures.append(f"sample {i}: projection not multiplicative")
+        if g.commutator(h) != g.inverse() * h.inverse() * g * h:
+            failures.append(f"sample {i}: closed-form commutator differs from g^-1 h^-1 g h")
     return failures
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from operator import add
 
@@ -37,13 +38,18 @@ class GroupSpec:
     def identity(self):
         return WreathElement(self, (0,) * self.m, (LaurentPoly.zero(self.m),) * self.n)
 
-    def active_gen(self, i):
-        """The generator a_i of the acting group (1-based)."""
+    @property
+    def ranks(self):
+        """The rank list (n, m), outermost base first, as `interp.IteratedSpec` has it."""
+        return (self.n, self.m)
+
+    def active_gen(self, i, power=1):
+        """The generator a_i of the acting group (1-based), optionally raised."""
         if not 1 <= i <= self.m:
             raise PreconditionError(f"active generator index {i} out of range 1..{self.m}")
         return WreathElement(
             self,
-            tuple(1 if j == i - 1 else 0 for j in range(self.m)),
+            tuple(power if j == i - 1 else 0 for j in range(self.m)),
             (LaurentPoly.zero(self.m),) * self.n)
 
     def base_gen(self, j, power=1):
@@ -62,12 +68,32 @@ class GroupSpec:
             coords[j - 1] = poly
         return WreathElement(self, act, tuple(coords))
 
-    # Literal bridge used by the equation/assignment parsers.
+    def generator(self, level, j, power=1):
+        """Generator j of `level` raised to `power`: level 1 is a_j, level 2 is b_j."""
+        return self.active_gen(j, power) if level == 1 else self.base_gen(j, power)
+
+    # Literal and generator-word bridge used by the system and assignment formats.
     def read_element(self, tokens):
         return read_element(tokens, self)
 
     def serialize_element(self, g):
         return element_str(g)
+
+    def generator_word(self, g):
+        """`@a<i>^e` or `@b<j>^e` when g is a nonzero power of one generator, else None."""
+        if not any(g.active):
+            nonzero = [(j, p._terms) for j, p in enumerate(g.base) if p._terms]
+            if len(nonzero) == 1:
+                j, terms = nonzero[0]
+                c = terms.get((0,) * self.m)
+                if c is not None and len(terms) == 1:
+                    return power_word(f"b{j + 1}", c)
+        elif all(p.is_zero() for p in g.base):
+            nonzero = [(i, e) for i, e in enumerate(g.active) if e]
+            if len(nonzero) == 1:
+                i, e = nonzero[0]
+                return power_word(f"a{i + 1}", e)
+        return None
 
 
 def group_power(g, exponent):
@@ -77,11 +103,6 @@ def group_power(g, exponent):
     if exponent < 0:
         g, exponent = g.inverse(), -exponent
     return binary_power(g, exponent, g.spec.identity())
-
-
-def commutator(g, h):
-    """[g, h] = g^-1 h^-1 g h for any element type; `WreathElement` has a closed form."""
-    return g.inverse() * h.inverse() * g * h
 
 
 class WreathElement:
@@ -330,3 +351,41 @@ def read_vector(tokens, length):
     if len(values) != length:
         raise tokens.error(f"vector has {len(values)} entries, expected {length}", at)
     return tuple(values)
+
+
+# -- generator words -----------------------------------------------------------
+
+# `@a<i>`, `@b<j>` or `@b<j>_<k>`; an index of more than 18 digits names no
+# generator and is not converted.
+_GENERATOR = re.compile(r"@([ab])([1-9][0-9]{0,17})(?:_([1-9][0-9]{0,17}))?\Z")
+
+
+def power_word(name, exponent):
+    """`@name`, with `^exponent` unless the exponent is 1."""
+    return f"@{name}" if exponent == 1 else f"@{name}^{exponent}"
+
+
+def read_generator(tokens, spec):
+    """`@a<i>`, `@b<j>` or `@b<j>_<k>`, then an optional `^ exponent`: a generator power.
+
+    Levels count outward from the acting group: `a<i>` is generator i of
+    level 1 (rank `spec.ranks[-1]`), `b<j>` generator j of level 2, the base
+    of the flat innermost Z^n wr Z^m, and `b<j>_<k>` with 3 <= k <= depth
+    generator j of the base of level k, the group built from the innermost
+    k ranks.  At every level above its own a generator stands for its
+    embedding as a pure active part.  Any other name is malformed input.
+    """
+    at = tokens.pos
+    token = tokens.take()
+    match = _GENERATOR.match(token)
+    ranks = spec.ranks
+    if match is not None:
+        letter, j, k = match.groups()
+        level = 1 if letter == "a" else int(k) if k else 2
+        j = int(j)
+        named = k is None or (letter == "b" and 3 <= level <= len(ranks))
+        if named and j <= ranks[-level]:
+            power = tokens.signed_int() if tokens.accept("^") else 1
+            return spec.generator(level, j, power)
+    raise tokens.error(
+        f"unknown generator {token!r} for ranks {','.join(map(str, ranks))}", at)

@@ -191,6 +191,24 @@ def test_longest_rank_list_compiles(capsys):
     assert lines[1].startswith("[" * (MAX_RANKS - 1) + "x1, ")
 
 
+def test_longest_rank_list_text_is_linear_and_round_trips(tmp_path, capsys):
+    # Every constant is a generator word, so each lifted level adds O(1)
+    # text to each equation: about 6 KB here, where element literals took
+    # 784 KB (the word of level k's base generator is as long as level k).
+    ranks = ",".join(["1"] * MAX_RANKS)
+    system, assignment = tmp_path / "deep.eqs", tmp_path / "deep.asg"
+    assert run(capsys, "compile", "--poly", "z1 - 2", "--ranks", ranks,
+               "-o", str(system))[0] == 0
+    assert len(system.read_bytes()) < 64 * 1024
+    assert run(capsys, "witness", "--poly", "z1 - 2", "--ranks", ranks, "--solution", "2",
+               "-o", str(assignment))[0] == 0
+    code, out, _ = run(capsys, "verify", "--ranks", ranks, "--system", str(system),
+                       "--assignment", str(assignment))
+    assert (code, out.splitlines()[-1]) == (0, "satisfied: all 10 equations hold")
+    assert run(capsys, "extract", "--poly", "z1 - 2", "--ranks", ranks,
+               "--assignment", str(assignment)) == (0, "2\n", "")
+
+
 def _deep_commutator(depth, step):
     word = "x"
     for _ in range(depth):

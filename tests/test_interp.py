@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zwreath.equations import (Constant, Literal, check_system, equation,
                                parse_assignment, parse_system,
@@ -92,15 +93,84 @@ def test_base_gen_commutator_with_active():
 
 
 def test_products_and_inverses_are_in_normal_form():
-    # products skip the constructor's checks; rebuilding through it must
-    # change nothing
+    # products, inverses and commutators skip the constructor's checks;
+    # rebuilding through it must change nothing, the hash included
     rng = random.Random(17)
     for spec in (I111, I212, I1111):
         for _ in range(100):
             g, h = rand_nested(rng, spec), rand_nested(rng, spec)
-            for value in (g * h, g.inverse(), g * g.inverse()):
-                assert NestedElement(spec, value.active, value.base) == value
+            for value in (g * h, g.inverse(), g * g.inverse(), g.commutator(h)):
+                rebuilt = NestedElement(spec, value.active, value.base)
+                assert rebuilt == value and hash(rebuilt) == hash(value)
                 assert parse_nested(nested_str(value), spec) == value
+
+
+# -- the closed-form commutator ---------------------------------------------------------
+
+
+def generic_commutator(g, h):
+    return g.inverse() * h.inverse() * g * h
+
+
+def generator_powers(spec):
+    """Every generator of every level of `spec`, embedded, to the powers -1 and 1."""
+    ranks = spec.ranks
+    return [spec.generator(level, j, e) for level in range(1, len(ranks) + 1)
+            for j in range(1, ranks[-level] + 1) for e in (-1, 1)]
+
+
+@st.composite
+def deep_elements(draw, spec):
+    """Words of up to six generator powers: supports overlap, share keys and cancel."""
+    g = spec.identity()
+    for gen, e in draw(st.lists(st.tuples(st.sampled_from(generator_powers(spec)),
+                                          st.integers(-2, 2)), max_size=6)):
+        g = g * gen ** e
+    return g
+
+
+DEEP_SPECS = st.lists(st.sampled_from((1, 2)), min_size=3, max_size=6).map(
+    lambda ranks: IteratedSpec(tuple(ranks)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(DEEP_SPECS.flatmap(lambda spec: st.tuples(
+    deep_elements(spec), deep_elements(spec), st.sampled_from(["g, h", "g, g", "g, g^-1"]))))
+def test_commutator_closed_form_matches_the_generic_product(case):
+    g, h, pair = case
+    if pair == "g, g":
+        h = g
+    elif pair == "g, g^-1":
+        h = g.inverse()
+    value = g.commutator(h)
+    assert value == generic_commutator(g, h)
+    rebuilt = NestedElement(value.spec, value.active, value.base)
+    assert rebuilt == value and hash(rebuilt) == hash(value)
+
+
+def test_commutator_edge_cases_at_depth_three_to_six():
+    rng = random.Random(5)
+    for depth in range(3, 7):
+        spec = IteratedSpec((1,) * (depth - 2) + (2, 1))
+        inner = spec.inner()
+        e = spec.identity()
+        a = spec.embed(inner.generator(1, 1))
+        b = spec.base_gen(1)
+        # q = {1: 1, a^-1: 1} and q.a = {a: 1, 1: 1}: key 1 cancels in q - q.a
+        q = NestedElement(spec, inner.identity(),
+                          {inner.identity(): (1,), inner.generator(1, 1, -1): (1,)})
+        cases = [(e, e), (e, b), (b, e), (a, b), (b, a), (b, b), (a, q), (q, a),
+                 (b * a, b * a), (a, a.inverse())]
+        for _ in range(40):
+            g, h = rand_nested(rng, spec), rand_nested(rng, spec)
+            cases += [(g, h), (g, g), (g, e), (e, g), (spec.embed(g.active), spec.embed(h.active)),
+                      (NestedElement(spec, inner.identity(), g.base), h)]
+        for g, h in cases:
+            value = g.commutator(h)
+            assert value == generic_commutator(g, h), (depth, str(g), str(h))
+            assert NestedElement(spec, value.active, value.base) == value
+        assert a.commutator(q).base == ((inner.generator(1, 1, -1), (1,)),
+                                        (inner.generator(1, 1), (-1,)))
 
 
 def test_projection_examples():
@@ -210,16 +280,16 @@ def test_lift_keeps_the_flat_equation_count_at_every_depth():
 
 
 def test_depth_three_system_text_is_pinned():
-    b = "{ active: { active: (0); }; [ { active: (0); } -> (1) ] }"
-    one = "{ active: { active: (0); b1: 1 }; }"
-    a = "{ active: { active: (1); }; }"
+    b = "@b1_3"
+    one = "@b1"
+    a = "@a1"
     expected = "\n".join([
         "# vars: x1 cyc_z_1 y_1 y_0 y dp_x_1 dp_y_1 dp_c_1_1",
         f"[[x1, {a}], {b}] = 1",
         f"[[cyc_z_1, {one}], {b}] = 1",
         f"[[{one}, x1] [{a}, cyc_z_1], {b}] = 1",
         f"[y_1 [x1, {one}], {b}] = 1",
-        f"[y_0 [{a}, {{ active: {{ active: (0); b1: -2 }}; }}], {b}] = 1",
+        f"[y_0 [{a}, @b1^-2], {b}] = 1",
         f"[y y_0^-1 y_1^-1, {b}] = 1",
         f"[y dp_x_1^-1, {b}] = 1",
         f"[[dp_y_1, {one}], {b}] = 1",

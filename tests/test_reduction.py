@@ -64,16 +64,16 @@ def test_compile_golden_text():
     out = compile(parse_intpoly("z1 - 2"), S11)
     expected = "\n".join([
         "# vars: x1 cyc_z_1 y_1 y_0 y dp_x_1 dp_y_1 dp_c_1_1",
-        "[x1, { active: (1); }] = 1",
-        "[cyc_z_1, { active: (0); b1: 1 }] = 1",
-        "[{ active: (0); b1: 1 }, x1] [{ active: (1); }, cyc_z_1] = 1",
-        "y_1 [x1, { active: (0); b1: 1 }] = 1",
-        "y_0 [{ active: (1); }, { active: (0); b1: -2 }] = 1",
+        "[x1, @a1] = 1",
+        "[cyc_z_1, @b1] = 1",
+        "[@b1, x1] [@a1, cyc_z_1] = 1",
+        "y_1 [x1, @b1] = 1",
+        "y_0 [@a1, @b1^-2] = 1",
         "y y_0^-1 y_1^-1 = 1",
         "y dp_x_1^-1 = 1",
-        "[dp_y_1, { active: (0); b1: 1 }] = 1",
-        "dp_c_1_1 [{ active: (1); }, dp_y_1] = 1",
-        "dp_x_1 [{ active: (1); }, dp_c_1_1] = 1",
+        "[dp_y_1, @b1] = 1",
+        "dp_c_1_1 [@a1, dp_y_1] = 1",
+        "dp_x_1 [@a1, dp_c_1_1] = 1",
     ]) + "\n"
     assert serialize_system(out.system) == expected
 
