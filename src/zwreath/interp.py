@@ -113,9 +113,10 @@ class IteratedSpec:
 
         Levels count outward from the acting group (see
         `wreath.read_generator`); this group's own base is level
-        `len(ranks)`.  The first call costs O(depth - level) embeddings;
-        each level keeps what it built, since a lifted system names every
-        level's base generator once per equation.
+        `len(ranks)`.  Building costs O(depth - level) embeddings.  A
+        lifted system names every level's base generator once per
+        equation, so each level keeps the generators and their inverses it
+        built: a set bounded by the ranks, unlike the other powers.
         """
         key = (level, j, power)
         g = self._generators.get(key)
@@ -124,7 +125,8 @@ class IteratedSpec:
                 g = self.base_gen(j, power)
             else:
                 g = NestedElement._unchecked(self, self.inner().generator(level, j, power), {})
-            self._generators[key] = g
+            if power == 1 or power == -1:
+                self._generators[key] = g
         return g
 
     # Literal and generator-word bridge used by the system and assignment formats.
