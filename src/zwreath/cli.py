@@ -16,7 +16,7 @@ from .equations import check_system, parse_assignment, parse_system, serialize_a
 from .errors import Error, ParseError, PreconditionError
 from .interp import compile_iterated, spec_for_ranks
 from .laurent import INFINITY, aug_valuation, poly_str
-from .lexer import TokenStream
+from .lexer import TokenStream, is_int
 from .reduction import oracle_ef, parse_intpoly
 from .selftest import run_all
 from .wreath import lcs_rank
@@ -28,8 +28,15 @@ EXIT_PRECONDITION = 3
 
 
 def _parse_ints(text, what):
-    """Comma-separated integers with optional signs, ASCII digits only."""
+    """Comma-separated integers with optional signs, ASCII digits only.
+
+    A malformed list is reported with the whole text; an integer too long
+    to convert keeps the lexer's own error, which names the digit limit.
+    """
     tokens = TokenStream(text)
+    for pos, token in enumerate(tokens.tokens):
+        if is_int(token):
+            tokens.int_at(pos)
     try:
         values = [tokens.signed_int()]
         while tokens.accept(","):

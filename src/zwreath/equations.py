@@ -365,8 +365,7 @@ def _serialize_factor(word):
     if isinstance(word, Literal):
         return word.name if word.sign == 1 else f"{word.name}^-1"
     if isinstance(word, Constant):
-        spec = word.value.spec
-        return spec.generator_word(word.value) or spec.serialize_element(word.value)
+        return word.value.spec.generator_word(word.value) or str(word.value)
     if isinstance(word, Commutator):
         return f"[{_serialize_normal(word.left)}, {_serialize_normal(word.right)}]"
     if isinstance(word, Power):
@@ -443,9 +442,7 @@ def parse_assignment(text, spec):
 
 
 def serialize_assignment(assignment):
-    lines = [
-        f"{name} := {value.spec.serialize_element(value)}"
-        for name, value in assignment.items()]
+    lines = [f"{name} := {value}" for name, value in assignment.items()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -3,7 +3,11 @@
 Each gadget is a small equation system over distinguished constants a1 (first
 active generator) and b1 (first base generator), exposing named interface
 variables and deterministic fresh auxiliaries.  Witness builders return
-assignment fragments that satisfy the corresponding gadget exactly.
+assignment fragments that satisfy the corresponding gadget exactly.  An
+auxiliary that a gadget defines by an equation `name = word` gets its value
+by evaluating that word; only those no equation defines have a dedicated
+builder: the cyclic gadget's geometric series and the ideal-power blocks'
+quotients y_beta.
 """
 
 from __future__ import annotations
@@ -12,10 +16,9 @@ import itertools
 from dataclasses import dataclass
 
 from .equations import (Commutator, Constant, Literal, System, concat,
-                        equation, serialize_system)
+                        equation, evaluate, serialize_system)
 from .errors import PreconditionError
-from .laurent import (aug_valuation, delta_decompose, delta_generator_product,
-                      geom_series)
+from .laurent import aug_valuation, delta_decompose, geom_series
 from .wreath import module_action
 
 
@@ -108,23 +111,33 @@ def delta_blocks(spec, k, prefix="dp"):
     return blocks
 
 
-def _chain_equations(base_word, factor_words, final_name, chain_names):
-    """Left-normed commutator chain, one commutator node per equation."""
-    eqs = []
-    cur = base_word
-    for step, factor in enumerate(factor_words):
-        target = final_name if step == len(factor_words) - 1 else chain_names[step]
-        eqs.append(equation(Literal(target), Commutator(cur, factor)))
-        cur = Literal(target)
-    return eqs
+def _commutator_chain(word, factors, names):
+    """Left-normed commutator chain as ordered `(name, word)` definitions.
+
+    names[0] = [word, factors[0]] and names[t] = [names[t-1], factors[t]]:
+    each definition uses only names defined before it, so evaluating the
+    words in order solves the chain.
+    """
+    definitions = []
+    for name, factor in zip(names, factors):
+        definitions.append((name, Commutator(word, factor)))
+        word = Literal(name)
+    return definitions
+
+
+def _block_chain(block, spec):
+    """The block's chain x_beta = [y_beta, a1 (beta_1 times), ..., am (beta_m times)]."""
+    factors = [Constant(spec.active_gen(i)) for i, reps in enumerate(block.beta, start=1)
+               for _ in range(reps)]
+    return _commutator_chain(Literal(block.y_name), factors, block.chain_names + (block.x_name,))
 
 
 def gadget_delta_power(x, k, spec, prefix="dp"):
     """x lies in the base subgroup acted on by the k-th ideal power.
 
     Emits x = prod_beta x_beta and, per block, [y_beta, b1] = 1 together with
-    a chain equating x_beta to the left-normed commutator of y_beta by a1
-    (beta_1 times), ..., am (beta_m times).
+    the chain definitions equating x_beta to the left-normed commutator of
+    y_beta by a1 (beta_1 times), ..., am (beta_m times).
     """
     blocks = delta_blocks(spec, k, prefix)
     b1 = Constant(spec.base_gen(1))
@@ -135,10 +148,7 @@ def gadget_delta_power(x, k, spec, prefix="dp"):
         declared.append(bl.y_name)
         declared.extend(bl.chain_names)
         eqs.append(equation(Commutator(Literal(bl.y_name), b1)))
-        factors = []
-        for i, reps in enumerate(bl.beta):
-            factors.extend([Constant(spec.active_gen(i + 1))] * reps)
-        eqs.extend(_chain_equations(Literal(bl.y_name), factors, bl.x_name, bl.chain_names))
+        eqs.extend(equation(Literal(name), word) for name, word in _block_chain(bl, spec))
     return Gadget((x,), tuple(declared[1:]), System(tuple(eqs), tuple(declared)))
 
 
@@ -146,9 +156,11 @@ def witness_delta_power(g, k, prefix="dp"):
     """Auxiliary assignment fragment for `gadget_delta_power` at x = g.
 
     Decomposes every base coordinate of g over the degree-k generator
-    products; per block, y carries the quotient coordinates and the chain
-    applies one generator commutator at a time.  Raises PreconditionError if
-    some coordinate is outside the k-th ideal power.
+    products, so y_beta carries the quotient coordinates; the rest of each
+    block comes from evaluating the gadget's own chain definitions in
+    order.  That is one `evaluate` per chain link, each a closed-form
+    commutator in O(n * terms).  Raises PreconditionError if some
+    coordinate is outside the k-th ideal power.
     """
     spec = g.spec
     failure = f"element is not in the ideal-power-{k} base subgroup"
@@ -167,17 +179,8 @@ def witness_delta_power(g, k, prefix="dp"):
             ) from None
     fragment = {}
     for bl in blocks:
-        y = spec.element(base={
+        fragment[bl.y_name] = spec.element(base={
             j + 1: parts[bl.beta] for j, parts in enumerate(decomposed) if bl.beta in parts})
-        fragment[bl.y_name] = y
-        cur = y
-        step = 0
-        for i, reps in enumerate(bl.beta):
-            gen = delta_generator_product(
-                tuple(1 if v == i else 0 for v in range(spec.m)), spec.m)
-            for _ in range(reps):
-                cur = module_action(cur, gen)
-                target = bl.chain_names[step] if step < len(bl.chain_names) else bl.x_name
-                fragment[target] = cur
-                step += 1
+        for name, word in _block_chain(bl, spec):
+            fragment[name] = evaluate(word, fragment, spec)
     return fragment

@@ -133,9 +133,6 @@ class IteratedSpec:
     def read_element(self, tokens):
         return read_nested(tokens, self)
 
-    def serialize_element(self, g):
-        return nested_str(g)
-
     def generator_word(self, g):
         """`@b<j>_<k>^e` for a power of this level's base generator b_j, the
         inner word for an embedded inner element, else None."""

@@ -2,30 +2,32 @@
 
 Given f = sum_alpha t_alpha z^alpha of total degree d, the compiled system
 over Z^n wr Z^m constrains each solution variable x_i to the cyclic subgroup
-of a1, builds per-term commutator chains whose product y carries the base
+of a1, defines per-term commutator chains whose product y carries the base
 coordinate
 
     e_f = sum_alpha t_alpha (a1-1)^(d-|alpha|) prod_i (a1^{z_i} - 1)^{alpha_i},
 
 and requires y to lie in the (d+1)-st augmentation-ideal power -- which holds
-exactly when f(z) = 0.  `witness` constructs a satisfying assignment from an
-integer root, `extract_solution` reads a root back out of any satisfying
-assignment, and `oracle_ef` evaluates the membership polynomial directly as
-an independent check on the group-equation route.
+exactly when f(z) = 0.  The chains and y are written once, as ordered
+`(name, word)` definitions: `compile` emits each as the equation
+`name = word`, and `witness` builds the assignment from an integer root by
+evaluating the same words in order.  `extract_solution` reads a root back
+out of any satisfying assignment, and `oracle_ef` evaluates the membership
+polynomial directly as an independent check on the group-equation route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equations import (Commutator, Constant, Literal, System, concat,
-                        equation, merge_systems)
+from .equations import (Constant, Literal, System, concat, equation, evaluate,
+                        merge_systems)
 from .errors import PreconditionError
-from .gadgets import (gadget_cyclic, gadget_delta_power, witness_cyclic,
-                      witness_delta_power)
+from .gadgets import (_commutator_chain, gadget_cyclic, gadget_delta_power,
+                      witness_cyclic, witness_delta_power)
 from .laurent import LaurentPoly, delta_membership, read_terms, terms_str
 from .lexer import parse_whole
-from .wreath import in_A, module_action
+from .wreath import in_A
 
 
 # Largest variable count `parse_intpoly` infers from text.  Every term stores
@@ -137,16 +139,31 @@ class ReductionOutput:
     spec: object
 
 
-def _alpha_tag(alpha):
-    return "_".join(str(e) for e in alpha) if alpha else "const"
+def _term_definitions(f, spec):
+    """The system's definitions of its term chains and of y, in order.
 
-
-def _chain_factors(f, alpha, d):
-    """Per-term conjugator list: a1 (d-|alpha|) times, then z-variables."""
-    factors = [("a", None)] * (d - sum(alpha))
-    for i, reps in enumerate(alpha):
-        factors.extend([("x", i + 1)] * reps)
-    return factors
+    Per support term alpha (degree-lex descending), the chain starts at
+    b1^{t_alpha} and commutes with a1 (d-|alpha| times), then with x_i
+    (alpha_i times, i ascending): c_<tag>_1, ..., c_<tag>_(r-1), y_<tag>
+    name its links; a term with no factors defines y_<tag> = b1^{t_alpha}.
+    Last comes y = prod_alpha y_<tag>.
+    """
+    d = f.degree()
+    a1 = Constant(spec.active_gen(1))
+    definitions = []
+    y_names = []
+    for alpha in f.support():
+        tag = "_".join(map(str, alpha)) or "const"
+        y_name = f"y_{tag}"
+        y_names.append(y_name)
+        base = Constant(spec.base_gen(1, power=f._terms[alpha]))
+        factors = [a1] * (d - sum(alpha)) + [
+            Literal(f"x{i}") for i, reps in enumerate(alpha, start=1) for _ in range(reps)]
+        names = [f"c_{tag}_{step}" for step in range(1, len(factors))] + [y_name]
+        definitions.extend(_commutator_chain(base, factors, names) if factors
+                           else [(y_name, base)])
+    definitions.append(("y", concat(*[Literal(name) for name in y_names])))
+    return definitions
 
 
 def compile(f, spec):
@@ -154,7 +171,8 @@ def compile(f, spec):
 
     Zero f compiles to the empty system (every tuple is a root).  Otherwise
     the system consists of a cyclic-subgroup gadget per variable, one
-    commutator chain per support term, the product equation for y, and the
+    equation `name = word` per term definition (`_term_definitions`: the
+    commutator chain of each support term, then the product y), and the
     ideal-power gadget for y at degree d+1.
     """
     if f.is_zero():
@@ -165,46 +183,23 @@ def compile(f, spec):
     parts = []
     for i, x in enumerate(solution_vars, start=1):
         parts.append(gadget_cyclic(x, spec, z_name=f"cyc_z_{i}").system)
-    chain_eqs = []
-    chain_declared = []
-    y_names = []
-    for alpha in f.support():
-        tag = _alpha_tag(alpha)
-        y_name = f"y_{tag}"
-        y_names.append(y_name)
-        base = Constant(spec.base_gen(1, power=f._terms[alpha]))
-        factors = _chain_factors(f, alpha, d)
-        if not factors:
-            chain_eqs.append(equation(Literal(y_name), base))
-            chain_declared.append(y_name)
-            continue
-        cur = base
-        for step in range(len(factors) - 1):
-            name = f"c_{tag}_{step + 1}"
-            chain_declared.append(name)
-            chain_eqs.append(equation(Literal(name), Commutator(cur, _factor_word(factors[step], spec))))
-            cur = Literal(name)
-        chain_declared.append(y_name)
-        chain_eqs.append(equation(
-            Literal(y_name), Commutator(cur, _factor_word(factors[-1], spec))))
-    parts.append(System(tuple(chain_eqs), solution_vars + tuple(chain_declared)))
-    product_eq = equation(Literal("y"), concat(*[Literal(name) for name in y_names]))
-    parts.append(System((product_eq,), ("y",) + tuple(y_names)))
+    definitions = _term_definitions(f, spec)
+    parts.append(System(tuple(equation(Literal(name), word) for name, word in definitions),
+                        solution_vars + tuple(name for name, _ in definitions)))
     parts.append(gadget_delta_power("y", d + 1, spec).system)
     ordered = merge_systems(
         System((), solution_vars), *parts)
     return ReductionOutput(ordered, solution_vars, d, "y", s, spec)
 
 
-def _factor_word(factor, spec):
-    kind, index = factor
-    if kind == "a":
-        return Constant(spec.active_gen(1))
-    return Literal(f"x{index}")
-
-
 def witness(f, z, spec):
-    """Satisfying assignment for `compile(f, spec)` from an integer root z."""
+    """Satisfying assignment for `compile(f, spec)` from an integer root z.
+
+    Each x_i and its cyclic auxiliary come from `witness_cyclic`; every
+    other term auxiliary comes from evaluating the system's own term
+    definitions in order, one `evaluate` per definition, each O(n * terms);
+    the ideal-power auxiliaries come from `witness_delta_power` at y.
+    """
     z = tuple(z)
     if len(z) != f.num_vars:
         raise PreconditionError(f"expected {f.num_vars} solution values, got {len(z)}")
@@ -214,32 +209,12 @@ def witness(f, z, spec):
         raise PreconditionError(f"not a root: f({point}) = {value}")
     if f.is_zero():
         return {}
-    d = f.degree()
     asg = {}
     for i, zi in enumerate(z, start=1):
         asg.update(witness_cyclic(zi, spec, x_name=f"x{i}", z_name=f"cyc_z_{i}"))
-    one = LaurentPoly.one(spec.m)
-    a1_monomial = LaurentPoly.variable(spec.m, 1)
-    y_value = spec.identity()
-    for alpha in f.support():
-        tag = _alpha_tag(alpha)
-        cur = spec.base_gen(1, power=f._terms[alpha])
-        factors = _chain_factors(f, alpha, d)
-        for step, (kind, index) in enumerate(factors):
-            if kind == "a":
-                multiplier = a1_monomial - one
-            else:
-                zi = z[index - 1]
-                expo = tuple(zi if v == 0 else 0 for v in range(spec.m))
-                multiplier = LaurentPoly.monomial(spec.m, expo) - one
-            cur = module_action(cur, multiplier)
-            name = f"y_{tag}" if step == len(factors) - 1 else f"c_{tag}_{step + 1}"
-            asg[name] = cur
-        if not factors:
-            asg[f"y_{tag}"] = cur
-        y_value = y_value * cur
-    asg["y"] = y_value
-    asg.update(witness_delta_power(y_value, d + 1))
+    for name, word in _term_definitions(f, spec):
+        asg[name] = evaluate(word, asg, spec)
+    asg.update(witness_delta_power(asg["y"], f.degree() + 1))
     return asg
 
 

@@ -76,9 +76,6 @@ class GroupSpec:
     def read_element(self, tokens):
         return read_element(tokens, self)
 
-    def serialize_element(self, g):
-        return element_str(g)
-
     def generator_word(self, g):
         """`@a<i>^e` or `@b<j>^e` when g is a nonzero power of one generator, else None."""
         if not any(g.active):

@@ -109,6 +109,25 @@ def test_witness_non_root_is_a_precondition_failure(capsys):
     assert "not a root" in err
 
 
+def test_overlong_integer_in_a_list_names_the_digit_limit(capsys):
+    long = "1" * 5000
+    for argv in (["witness", "--poly", "z1 - 2", "--ranks", "1,1", "--solution", long],
+                 ["oracle", "--poly", "z1 - 2", "--ranks", "1,1", "--solution", "2," + long],
+                 ["compile", "--poly", "z1 - 2", "--ranks", "1," + long]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1, col ")
+        assert f"exceeds the limit of {sys.get_int_max_str_digits()} digits" in err
+        assert len(err) < 200
+
+
+def test_malformed_integer_list_names_the_option(capsys):
+    code, out, err = run(capsys, "witness", "--poly", "z1 - 2", "--ranks", "1,1",
+                         "--solution", "2 3")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1, col 3: solution must be comma-separated integers, got '2 3'\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.eqs"
     bad.write_text("[x, = 1\n")

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from zwreath.equations import check_system, parse_system, serialize_system
+from zwreath.equations import (check_system, evaluate, free_vars, parse_system,
+                               serialize_system)
 from zwreath.errors import ParseError, PreconditionError
-from zwreath.laurent import INFINITY, aug_valuation, parse_poly
+from zwreath.gadgets import (_block_chain, delta_blocks, witness_cyclic,
+                             witness_delta_power)
+from zwreath.laurent import (INFINITY, LaurentPoly, aug_valuation, delta_decompose,
+                             delta_generator_product, parse_poly)
 from zwreath.reduction import (IntPolynomial, compile, extract_solution,
                                intpoly_str, oracle_ef, parse_intpoly, witness)
 from zwreath.selftest import (check_oracle, check_reduction_roundtrip,
                               rand_intpoly)
-from zwreath.wreath import GroupSpec
+from zwreath.wreath import GroupSpec, module_action
 
 S11 = GroupSpec(1, 1)
 S21 = GroupSpec(2, 1)
@@ -165,6 +169,115 @@ def test_witness_matches_oracle_coordinate():
         e_f, member = oracle_ef(f, z, rank=1)
         assert member
         assert asg["y"].base[0] == e_f
+
+
+def reference_witness(f, z, spec):
+    """The witness built link by link with module actions, independently of
+    the system's definitions: each chain link multiplies the previous
+    coordinates by a1 - 1, a1^{z_i} - 1 or a generator's a_i - 1."""
+    asg = {}
+    for i, zi in enumerate(z, start=1):
+        asg.update(witness_cyclic(zi, spec, x_name=f"x{i}", z_name=f"cyc_z_{i}"))
+    d = f.degree()
+    one = LaurentPoly.one(spec.m)
+    y = spec.identity()
+    for alpha in f.support():
+        tag = "_".join(map(str, alpha)) or "const"
+        multipliers = [LaurentPoly.variable(spec.m, 1) - one] * (d - sum(alpha))
+        for zi, reps in zip(z, alpha):
+            expo = (zi,) + (0,) * (spec.m - 1)
+            multipliers += [LaurentPoly.monomial(spec.m, expo) - one] * reps
+        cur = spec.base_gen(1, power=f.terms[alpha])
+        for step, p in enumerate(multipliers, start=1):
+            cur = module_action(cur, p)
+            if step < len(multipliers):
+                asg[f"c_{tag}_{step}"] = cur
+        asg[f"y_{tag}"] = cur
+        y = y * cur
+    asg["y"] = y
+    asg.update(reference_delta_power(y, d + 1))
+    return asg
+
+
+def reference_delta_power(g, k):
+    spec = g.spec
+    fragment = {}
+    decomposed = [delta_decompose(p, k) for p in g.base]
+    for bl in delta_blocks(spec, k):
+        cur = spec.element(base={
+            j + 1: parts[bl.beta] for j, parts in enumerate(decomposed) if bl.beta in parts})
+        fragment[bl.y_name] = cur
+        names = iter(bl.chain_names + (bl.x_name,))
+        for i, reps in enumerate(bl.beta):
+            unit = tuple(int(v == i) for v in range(spec.m))
+            for _ in range(reps):
+                cur = module_action(cur, delta_generator_product(unit, spec.m))
+                fragment[next(names)] = cur
+    return fragment
+
+
+def test_witness_matches_module_action_reference():
+    rng = random.Random(61)
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            spec = GroupSpec(m, n)
+            for _ in range(4):
+                f = rand_intpoly(rng)
+                z = tuple(rng.randint(-4, 4) for _ in range(f.num_vars))
+                terms = f.terms
+                zero = (0,) * f.num_vars
+                terms[zero] = terms.get(zero, 0) - f.evaluate(z)
+                f = IntPolynomial(f.num_vars, terms)
+                if f.is_zero():
+                    continue
+                asg = witness(f, z, spec)
+                assert list(asg.items()) == list(reference_witness(f, z, spec).items())
+            # A root's y fills only the (k, 0, ..., 0) block; a random member
+            # of the k-th ideal power fills the others too.
+            k = rng.randint(1, 4)
+            coords = {}
+            for j in range(1, n + 1):
+                poly = LaurentPoly.zero(m)
+                for _ in range(3):
+                    beta = [0] * m
+                    for _ in range(k):
+                        beta[rng.randrange(m)] += 1
+                    poly = poly + delta_generator_product(tuple(beta), m) * LaurentPoly(
+                        m, {tuple(rng.randint(-2, 2) for _ in range(m)): rng.randint(-5, 5)})
+                coords[j] = poly
+            g = spec.element(base=coords)
+            assert (list(witness_delta_power(g, k).items())
+                    == list(reference_delta_power(g, k).items()))
+
+
+def test_non_canonical_flat_solution_is_accepted_and_extracts_the_root():
+    # Over Z^2 wr Z^3, y = prod_beta x_beta with x_beta = y_beta (a-1)^beta.
+    # Moving (a1-1) r into q_(1,1,1) and (a2-1) r out of q_(2,0,1) keeps every
+    # x_beta product, since (a-1)^(1,1,1) (a1-1) = (a-1)^(2,0,1) (a2-1).
+    f = parse_intpoly("z1*z2 - 6")
+    spec = GroupSpec(3, 2)
+    out = compile(f, spec)
+    canonical = witness(f, (2, 3), spec)
+    asg = dict(canonical)
+    blocks = {bl.beta: bl for bl in delta_blocks(spec, out.d + 1)}
+    r = parse_poly("3*a2^-1 - a1*a3^2 + 5", 3)
+    one = LaurentPoly.one(3)
+    for beta, i in (((1, 1, 1), 1), ((2, 0, 1), 2)):
+        sign = 1 if i == 1 else -1
+        shift = module_action(spec.base_gen(2, power=sign), (LaurentPoly.variable(3, i) - one) * r)
+        bl = blocks[beta]
+        asg[bl.y_name] = asg[bl.y_name] * shift
+        for name, word in _block_chain(bl, spec):
+            asg[name] = evaluate(word, asg, spec)
+    assert asg != canonical
+    assert check_system(out.system, asg, spec).ok
+    assert extract_solution(out, asg) == (2, 3)
+    for name in out.system.declared_vars:
+        for g in (spec.base_gen(1), spec.active_gen(1)):
+            report = check_system(out.system, {**asg, name: asg[name] * g}, spec)
+            assert not report.ok, (name, g)
+            for idx in report.failures:
+                assert name in free_vars(out.system.equations[idx].lhs)
 
 
 # -- extraction ----------------------------------------------------------------------
