@@ -14,10 +14,10 @@ import sys
 
 from .equations import check_system, parse_assignment, parse_system, serialize_assignment, serialize_system
 from .errors import Error, ParseError, PreconditionError
-from .interp import compile_iterated, spec_for_ranks
+from .interp import IteratedReduction, compile_iterated, spec_for_ranks
 from .laurent import INFINITY, aug_valuation, poly_str
 from .lexer import TokenStream, is_int
-from .reduction import oracle_ef, parse_intpoly
+from .reduction import _membership_poly, parse_intpoly
 from .selftest import run_all
 from .wreath import lcs_rank
 
@@ -72,21 +72,19 @@ def _read(path):
         return fh.read()
 
 
-def _compiled(args):
-    f = parse_intpoly(args.poly)
-    spec = spec_for_ranks(_parse_ranks(args.ranks))
-    return compile_iterated(f, spec), spec
+def _poly_and_spec(args):
+    return parse_intpoly(args.poly), spec_for_ranks(_parse_ranks(args.ranks))
 
 
 def _cmd_compile(args):
-    compiled, _ = _compiled(args)
-    _write_output(serialize_system(compiled.system), args.output)
+    system = compile_iterated(*_poly_and_spec(args)).system
+    _write_output(serialize_system(system), args.output)
     return EXIT_OK
 
 
 def _cmd_witness(args):
-    compiled, _ = _compiled(args)
-    asg = compiled.witness(_parse_solution(args.solution))
+    # Witnessing needs no compiled system, so none is built.
+    asg = IteratedReduction(*_poly_and_spec(args)).witness(_parse_solution(args.solution))
     _write_output(serialize_assignment(asg), args.output)
     return EXIT_OK
 
@@ -111,12 +109,12 @@ def _cmd_oracle(args):
     ranks = _parse_ranks(args.ranks)
     spec_for_ranks(ranks)  # the same rank-list check as the other subcommands
     z = _parse_solution(args.solution)
-    e_f, member = oracle_ef(f, z, rank=ranks[-1])
+    e_f = _membership_poly(f, z, rank=ranks[-1])
     d = f.degree()
-    val = aug_valuation(e_f)
+    val = aug_valuation(e_f)  # decides the verdict as `oracle_ef` does, computed once
     val_text = "INFINITY" if val == INFINITY else str(val)
     print(f"e_f = {poly_str(e_f)}")
-    if member:
+    if val >= d + 1:
         print(f"valuation {val_text} >= {d + 1}: solution")
     else:
         print(f"valuation {val_text} < {d + 1}: NOT a solution")
@@ -124,9 +122,9 @@ def _cmd_oracle(args):
 
 
 def _cmd_extract(args):
-    compiled, spec = _compiled(args)
+    f, spec = _poly_and_spec(args)
     assignment = parse_assignment(_read(args.assignment), spec)
-    z = compiled.extract_solution(assignment)
+    z = IteratedReduction(f, spec).extract_solution(assignment)  # builds no system
     print(",".join(str(v) for v in z))
     return EXIT_OK
 

@@ -114,13 +114,16 @@ def inverse_word(word):
 
 
 def free_vars(word):
-    """Variable names in first-occurrence order."""
-    out = []
+    """Variable names in first-occurrence order, in O(size of the word).
+
+    The names are gathered as the keys of an insertion-ordered dict, one
+    lookup per occurrence.
+    """
+    out = {}
 
     def walk(w):
         if isinstance(w, Literal):
-            if w.name not in out:
-                out.append(w.name)
+            out[w.name] = None
         elif isinstance(w, Concat):
             for p in w.parts:
                 walk(p)
@@ -133,7 +136,7 @@ def free_vars(word):
             raise PreconditionError(f"not a word node: {w!r}")
 
     walk(word)
-    return out
+    return list(out)
 
 
 def evaluate(word, assignment, spec):
@@ -188,7 +191,14 @@ def equation(lhs, rhs=None):
 
 @dataclass(frozen=True)
 class System:
-    """Ordered equations plus the declared variable list."""
+    """Ordered equations plus the declared variable list.
+
+    The constructor is the one boundary check: every declared name is valid
+    and declared once, and every equation uses only declared variables, in
+    O(size of the system).  Systems built from systems already checked
+    (`merge_systems`, `interp.lift_system`) or declaring exactly their free
+    variables (`system_of`) come from `_unchecked` and are not walked again.
+    """
 
     equations: tuple = ()
     declared_vars: tuple = ()
@@ -207,30 +217,47 @@ class System:
                     raise PreconditionError(
                         f"equation {idx + 1} uses undeclared variable {name!r}")
 
+    @classmethod
+    def _unchecked(cls, equations, declared_vars):
+        """A system known to be valid: no checks, O(1).
+
+        `declared_vars` is a tuple of distinct valid names that covers every
+        free variable of the tuple `equations`.
+        """
+        system = object.__new__(cls)
+        object.__setattr__(system, "equations", equations)
+        object.__setattr__(system, "declared_vars", declared_vars)
+        return system
+
 
 def system_of(equations, declared_vars=None):
-    """Build a system, auto-declaring variables in first-occurrence order."""
+    """Build a system, auto-declaring variables in first-occurrence order.
+
+    Auto-declared, the system declares exactly its free variables, so it
+    is valid as built and is not checked again: O(size of the system).
+    Given `declared_vars`, the checked `System` constructor validates them.
+    """
     equations = tuple(equations)
-    if declared_vars is None:
-        names = []
-        for eq in equations:
-            for name in free_vars(eq.lhs):
-                if name not in names:
-                    names.append(name)
-        declared_vars = tuple(names)
-    return System(equations, tuple(declared_vars))
+    if declared_vars is not None:
+        return System(equations, tuple(declared_vars))
+    names = {}
+    for eq in equations:
+        names.update(dict.fromkeys(free_vars(eq.lhs)))
+    return System._unchecked(equations, tuple(names))
 
 
 def merge_systems(*systems):
-    """Concatenate equations; declarations merge keeping first occurrence."""
+    """Concatenate equations; declarations merge keeping first occurrence.
+
+    Every input is a `System`, so each equation's variables are declared in
+    the merged list: O(size of the systems), with no re-validation.
+    """
     equations = []
-    declared = []
+    declared = {}
     for s in systems:
         equations.extend(s.equations)
-        for name in s.declared_vars:
-            if name not in declared:
-                declared.append(name)
-    return System(tuple(equations), tuple(declared))
+        declared.update(dict.fromkeys(s.declared_vars))
+    return System._unchecked(tuple(equations), tuple(declared))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ system's text grows linearly in its depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import reduction as _reduction
 from .equations import Commutator, Constant, Concat, Power, System, equation
@@ -336,7 +337,12 @@ def parse_nested(text, spec):
 
 
 def read_nested(tokens, spec):
-    """`{ active: inner [;] { [ inner -> vector ] [,] } }`, inner literals read in place."""
+    """`{ active: inner [;] { [ inner -> vector ] [,] } }`, inner literals read in place.
+
+    The grammar checks each vector's length and that no support point
+    repeats, and the inner literals are read in normal form, so the element
+    is built in normal form with no second check.
+    """
     inner = spec.inner()
     tokens.expect("{")
     tokens.expect("active")
@@ -354,7 +360,7 @@ def read_nested(tokens, spec):
         tokens.expect("]")
         tokens.accept(",")
     tokens.expect("}")
-    return NestedElement(spec, active, support)
+    return NestedElement._unchecked(spec, active, support)
 
 
 # -- lifting --------------------------------------------------------------------
@@ -377,8 +383,8 @@ def lift_system(system, b):
 
     Every equation w = 1 over H becomes the single equation [w', b] = 1, where
     w' is w with each constant embedded as a pure active part.  No variable
-    is added, so `declared_vars` passes through unchanged; O(size of the
-    system) time and output.
+    is added, so `declared_vars` passes through unchanged and the lifted
+    system is not validated again; O(size of the system) time and output.
 
     Equivalence.  b is a base generator at the inner identity, and its
     centralizer in K wr H is exactly the base subgroup: conjugating b by an
@@ -400,7 +406,7 @@ def lift_system(system, b):
                 f"system constant belongs to {value.spec}, expected {inner}")
         return outer.embed(value)
 
-    return System(
+    return System._unchecked(
         tuple(equation(Commutator(_convert_word(eq.lhs, convert), Constant(b)))
               for eq in system.equations),
         system.declared_vars)
@@ -424,12 +430,40 @@ def _tower(spec):
 
 @dataclass(frozen=True)
 class IteratedReduction:
-    """Polynomial reduction compiled over a flat or iterated wreath product."""
+    """Polynomial reduction compiled over a flat or iterated wreath product.
+
+    Witnessing and extracting need only `poly` and `spec`.  The flat
+    `reduction.compile` output (`flat`) and the lifted `system` are built on
+    first access and kept, so a caller that never reads the system, such as
+    the CLI's `witness` and `extract`, never compiles it.
+    """
 
     poly: object
     spec: object
-    flat: object
-    system: System
+
+    @cached_property
+    def flat(self):
+        """The flat compiler's output over the innermost group, built on first use."""
+        return _reduction.compile(self.poly, _tower(self.spec)[0])
+
+    @cached_property
+    def system(self):
+        """The flat system with one lift per level above the innermost two,
+        using the first generator of each level's outermost base copy;
+        built on first use."""
+        system = self.flat.system
+        for outer in _tower(self.spec)[1:]:
+            system = lift_system(system, outer.base_gen(1))
+        return system
+
+    @property
+    def solution_vars(self):
+        """The solution variables, named as `reduction.compile` names them."""
+        return _reduction._solution_vars(self.poly)
+
+    @property
+    def num_vars(self):
+        return self.poly.num_vars
 
     def witness(self, z):
         """Embed the flat witness level by level (lifting adds no variables)."""
@@ -442,22 +476,19 @@ class IteratedReduction:
     def extract_solution(self, assignment):
         """Project down to the flat group and read the root back out."""
         asg = {name: assignment[name]
-               for name in self.flat.solution_vars if name in assignment}
+               for name in self.solution_vars if name in assignment}
         for _ in _tower(self.spec)[1:]:
             asg = project_assignment(asg)
-        return _reduction.extract_solution(self.flat, asg)
+        return _reduction.extract_solution(self, asg)
 
 
 def compile_iterated(f, spec):
     """Compile f over the group of `spec_for_ranks` by lifting the flat reduction.
 
     Over a flat `GroupSpec` the result is the flat compiler's system; an
-    `IteratedSpec` wraps it in one lift per level above the innermost two,
-    using the first generator of each level's outermost base copy.
+    `IteratedSpec` wraps it in one lift per level above the innermost two.
+    The returned reduction has its system built.
     """
-    tower = _tower(spec)
-    flat = _reduction.compile(f, tower[0])
-    system = flat.system
-    for outer in tower[1:]:
-        system = lift_system(system, outer.base_gen(1))
-    return IteratedReduction(f, spec, flat, system)
+    reduction = IteratedReduction(f, spec)
+    reduction.system  # built here, so its cost falls to compiling
+    return reduction

@@ -17,7 +17,7 @@ from operator import add
 from types import MappingProxyType
 
 from .errors import PreconditionError, SpecMismatchError
-from .lexer import is_int, parse_whole
+from .lexer import parse_whole
 
 # Exponent vectors are plain int tuples; the all-zero tuple is the identity
 # monomial.
@@ -480,8 +480,13 @@ def parse_poly(text, rank):
 
 
 def read_poly(tokens, rank):
-    """A polynomial of the given rank, read from a token stream."""
-    return LaurentPoly(rank, read_terms(tokens, "a", rank)[1])
+    """A polynomial of the given rank, read from a token stream.
+
+    The grammar checks every exponent vector and coefficient as it reads
+    it, and `read_terms` sums repeated monomials and drops zero sums, so
+    the result is built in normal form with no second check.
+    """
+    return LaurentPoly._unchecked(rank, read_terms(tokens, "a", rank)[1])
 
 
 def read_terms(tokens, letter, rank=None, negative_exponents=True, max_rank=None):
@@ -492,55 +497,75 @@ def read_terms(tokens, letter, rank=None, negative_exponents=True, max_rank=None
     not as `negative_exponents` says.  With `rank` None the variable count
     is the largest index used, and an index above `max_rank` is refused as
     it is read (PreconditionError), before any exponent tuple is built.
-    Returns (rank, {exponent tuple: summed coefficient}) in O(tokens).
+    Returns (rank, {exponent tuple: nonzero summed coefficient}) in
+    O(tokens).  The tokens are read by a local index, written back to
+    `tokens.pos` at the end, so no method call is made per token; each error
+    names the position of its token.
     """
+    toks = tokens.tokens
+    pos = tokens.pos
     raw = []
     sign = 1
     while True:
-        token = tokens.peek()
+        token = toks[pos]
         if token == "+" or token == "-":
-            tokens.take()
+            pos += 1
             sign = -1 if token == "-" else 1
         elif raw:
             break
         coeff = sign
         expo = [0] * (rank or 0)
         while True:
-            at = tokens.pos
-            token = tokens.take()
-            if is_int(token):
-                coeff *= tokens.int_at(at)
+            token = toks[pos]
+            if "0" <= token[:1] <= "9":  # `lexer.is_int`, inlined
+                try:
+                    coeff *= int(token)
+                except ValueError:  # too many digits: `int_at` raises the ParseError
+                    coeff *= tokens.int_at(pos)
             elif token[:1] == letter and token[1:].isdigit():
                 # An index of more than 18 digits exceeds every rank; it is
                 # not converted, since int() refuses long enough digit strings.
                 index = int(token[1:]) if len(token) <= 19 else math.inf
                 if index < 1:
-                    raise tokens.error(f"variable indices start at {letter}1", at)
+                    raise tokens.error(f"variable indices start at {letter}1", pos)
                 if rank is not None:
                     if index > rank:
-                        raise tokens.error(f"variable {token} out of range for rank {rank}", at)
+                        raise tokens.error(f"variable {token} out of range for rank {rank}", pos)
                 elif max_rank is not None and index > max_rank:
                     raise PreconditionError(
                         f"variable {token} exceeds the limit of {max_rank} variables")
                 e = 1
-                if tokens.accept("^"):
-                    if negative_exponents:
-                        e = tokens.signed_int()
-                    elif is_int(tokens.peek()):
-                        e = tokens.take_int()
-                    else:
-                        raise tokens.expected("a non-negative exponent after '^'")
+                if toks[pos + 1] == "^":
+                    pos += 2
+                    token = toks[pos]
+                    negative = False
+                    if negative_exponents and (token == "+" or token == "-"):
+                        negative = token == "-"
+                        pos += 1
+                        token = toks[pos]
+                    if not "0" <= token[:1] <= "9":
+                        raise tokens.expected("an integer" if negative_exponents
+                                              else "a non-negative exponent after '^'", pos)
+                    try:
+                        e = int(token)
+                    except ValueError:
+                        e = tokens.int_at(pos)
+                    if negative:
+                        e = -e
                 if index > len(expo):
                     expo.extend([0] * (index - len(expo)))
                 expo[index - 1] += e
             else:
-                raise tokens.expected("coefficient or variable", at)
-            if not tokens.accept("*"):
+                raise tokens.expected("coefficient or variable", pos)
+            pos += 1
+            if toks[pos] != "*":
                 break
+            pos += 1
         raw.append((expo, coeff))
+    tokens.pos = pos
     width = rank if rank is not None else max(len(expo) for expo, _ in raw)
     total = {}
     for expo, coeff in raw:
         key = tuple(expo) + (0,) * (width - len(expo))
         total[key] = total.get(key, 0) + coeff
-    return width, total
+    return width, {key: coeff for key, coeff in total.items() if coeff}

@@ -139,6 +139,11 @@ class ReductionOutput:
     spec: object
 
 
+def _solution_vars(f):
+    """The solution variables x1..xs of f; zero f compiles to a system without them."""
+    return () if f.is_zero() else tuple(f"x{i}" for i in range(1, f.num_vars + 1))
+
+
 def _term_definitions(f, spec):
     """The system's definitions of its term chains and of y, in order.
 
@@ -150,6 +155,7 @@ def _term_definitions(f, spec):
     """
     d = f.degree()
     a1 = Constant(spec.active_gen(1))
+    xs = [Literal(x) for x in _solution_vars(f)]
     definitions = []
     y_names = []
     for alpha in f.support():
@@ -158,7 +164,7 @@ def _term_definitions(f, spec):
         y_names.append(y_name)
         base = Constant(spec.base_gen(1, power=f._terms[alpha]))
         factors = [a1] * (d - sum(alpha)) + [
-            Literal(f"x{i}") for i, reps in enumerate(alpha, start=1) for _ in range(reps)]
+            x for x, reps in zip(xs, alpha) for _ in range(reps)]
         names = [f"c_{tag}_{step}" for step in range(1, len(factors))] + [y_name]
         definitions.extend(_commutator_chain(base, factors, names) if factors
                            else [(y_name, base)])
@@ -179,7 +185,7 @@ def compile(f, spec):
         return ReductionOutput(System(), (), 0, "y", f.num_vars, spec)
     d = f.degree()
     s = f.num_vars
-    solution_vars = tuple(f"x{i}" for i in range(1, s + 1))
+    solution_vars = _solution_vars(f)
     parts = []
     for i, x in enumerate(solution_vars, start=1):
         parts.append(gadget_cyclic(x, spec, z_name=f"cyc_z_{i}").system)
@@ -210,8 +216,8 @@ def witness(f, z, spec):
     if f.is_zero():
         return {}
     asg = {}
-    for i, zi in enumerate(z, start=1):
-        asg.update(witness_cyclic(zi, spec, x_name=f"x{i}", z_name=f"cyc_z_{i}"))
+    for i, (x, zi) in enumerate(zip(_solution_vars(f), z), start=1):
+        asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
     for name, word in _term_definitions(f, spec):
         asg[name] = evaluate(word, asg, spec)
     asg.update(witness_delta_power(asg["y"], f.degree() + 1))
@@ -220,6 +226,10 @@ def witness(f, z, spec):
 
 def extract_solution(out, asg):
     """Read the integer root (z1..zs) off a satisfying assignment.
+
+    `out` names the solution variables and their count: the
+    `ReductionOutput` of `compile`, or an `interp.IteratedReduction`, which
+    needs no compiled system for it.
 
     Each solution variable must be assigned a pure power of a1; anything else
     signals an assignment outside the reduction's image and raises
@@ -247,6 +257,12 @@ def oracle_ef(f, z, rank=1):
     Returns (e_f, verdict) where verdict is True exactly when e_f lies in the
     (d+1)-st augmentation-ideal power, which happens iff f(z) = 0.
     """
+    e_f = _membership_poly(f, z, rank)
+    return e_f, delta_membership(e_f, f.degree() + 1)
+
+
+def _membership_poly(f, z, rank):
+    """The membership polynomial e_f at z, over rank `rank` (see the module docstring)."""
     z = tuple(z)
     if len(z) != f.num_vars:
         raise PreconditionError(f"expected {f.num_vars} solution values, got {len(z)}")
@@ -260,4 +276,4 @@ def oracle_ef(f, z, rank=1):
             expo = tuple(zi if v == 0 else 0 for v in range(rank))
             term = term * (LaurentPoly.monomial(rank, expo) - one) ** e
         e_f = e_f + term
-    return e_f, delta_membership(e_f, d + 1)
+    return e_f

@@ -311,28 +311,40 @@ def parse_element(text, spec):
 
 
 def read_element(tokens, spec):
-    """`{ active: vector [;] { b<j>: poly [,] } }`; omitted base coordinates are zero."""
+    """`{ active: vector [;] { b<j>: poly [,] } }`; omitted base coordinates are zero.
+
+    The grammar checks the vector's length, each coordinate's index and
+    that none repeats, and `read_poly` reads each coordinate in normal
+    form, so the element is built with no second check; the omitted
+    coordinates share one zero polynomial.
+    """
     tokens.expect("{")
     tokens.expect("active")
     tokens.expect(":")
     active = read_vector(tokens, spec.m)
     tokens.accept(";")
-    base = {}
+    zero = LaurentPoly._unchecked(spec.m, {})
+    base = [zero] * spec.n
     while is_name(tokens.peek()):
         at = tokens.pos
         name = tokens.take()
         if not (name[0] == "b" and name[1:].isdigit()):
             raise tokens.error(f"malformed base entry {name!r}", at)
-        j = int(name[1:])
+        # An index of more than 18 digits exceeds every rank; it is not
+        # converted, since int() refuses long enough digit strings.
+        j = int(name[1:]) if len(name) <= 19 else math.inf
         if not 1 <= j <= spec.n:
+            if j == math.inf:
+                raise tokens.error(f"base coordinate index of {len(name) - 1} digits "
+                                   f"out of range 1..{spec.n}", at)
             raise tokens.error(f"base coordinate b{j} out of range 1..{spec.n}", at)
-        if j in base:
+        if base[j - 1] is not zero:
             raise tokens.error(f"duplicate base coordinate b{j}", at)
         tokens.expect(":")
-        base[j] = read_poly(tokens, spec.m)
+        base[j - 1] = read_poly(tokens, spec.m)
         tokens.accept(",")
     tokens.expect("}")
-    return spec.element(active=active, base=base)
+    return WreathElement._unchecked(spec, active, tuple(base))
 
 
 def read_vector(tokens, length):

@@ -77,6 +77,27 @@ def test_oracle_output_root(capsys):
     assert out == "e_f = a1^2 - 2*a1 + 1\nvaluation 2 >= 2: solution\n"
 
 
+def test_oracle_computes_the_valuation_once(monkeypatch, capsys):
+    # The verdict is read off the one valuation that is printed; before,
+    # `oracle_ef` computed it a second time through `delta_membership`.
+    real = zwreath.laurent.aug_valuation
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (zwreath.laurent, zwreath.cli):
+        monkeypatch.setattr(module, "aug_valuation", counting)
+    for solution, expected in [
+            ("2", "e_f = a1^2 - 2*a1 + 1\nvaluation 2 >= 2: solution\n"),
+            ("3", "e_f = a1^3 - 2*a1 + 1\nvaluation 1 < 2: NOT a solution\n")]:
+        calls.clear()
+        assert run(capsys, "oracle", "--poly", "z1 - 2", "--ranks", "1,1",
+                   "--solution", solution) == (0, expected, "")
+        assert len(calls) == 1
+
+
 def test_extract_round_trip(tmp_path, capsys):
     assignment = tmp_path / "wit.asg"
     run(capsys, "witness", "--poly", "z1*z2 - 6", "--ranks", "1,1",

@@ -4,12 +4,14 @@ import pytest
 
 from zwreath.equations import (Commutator, Concat, Constant,
                                Equation, Literal, Power, System, check_system,
-                               equation, evaluate, flatten, free_vars,
+                               equation, evaluate, flatten, free_vars, merge_systems,
                                inverse_word, parse_assignment, parse_system,
                                power, serialize_assignment, serialize_system,
                                serialize_word, system_of)
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
+from zwreath.interp import IteratedSpec, compile_iterated, lift_system, spec_for_ranks
 from zwreath.laurent import LaurentPoly, parse_poly
+from zwreath.reduction import parse_intpoly
 from zwreath.selftest import _solve_definitions, rand_word
 from zwreath.wreath import GroupSpec
 
@@ -84,6 +86,50 @@ def test_check_requires_declared_assignments():
 def test_system_rejects_undeclared_variables():
     with pytest.raises(PreconditionError):
         System((equation(Literal("x")),), ())
+
+
+def test_system_rejects_names_declared_twice_or_invalid():
+    with pytest.raises(PreconditionError, match="equation 2 uses undeclared variable 'y'"):
+        System((equation(Literal("x")), equation(Literal("x"), Literal("y"))), ("x",))
+    with pytest.raises(PreconditionError, match="variable 'x' declared twice"):
+        System((equation(Literal("x")),), ("x", "y", "x"))
+    with pytest.raises(PreconditionError, match="invalid variable name"):
+        System((), ("1x",))
+
+
+# The golden CLI shapes: (polynomial, ranks).
+GOLDEN_SHAPES = [("z1*z2 - 6", (1, 1)), ("z1*z2 - 6", (2, 3)), ("z1*z2 - 6", (1, 1, 1)),
+                 ("z1*z2 - 6", (1, 2, 1, 1)), ("z1^2 + 3*z1 + 2", (2, 1))]
+
+
+@pytest.mark.parametrize("poly, ranks", GOLDEN_SHAPES)
+def test_systems_built_without_a_second_check_pass_it(poly, ranks):
+    # merge_systems, system_of, lift_system and parse_system (without a
+    # `# vars:` line) skip the constructor's check; each result must equal
+    # its rebuild through the checking constructor.
+    f = parse_intpoly(poly)
+    spec = spec_for_ranks(ranks)
+    reduction = compile_iterated(f, spec)
+    flat = reduction.flat.system
+    text = serialize_system(reduction.system)
+    systems = [reduction.system, flat,
+               merge_systems(flat, system_of([equation(Literal("spare"))]), flat),
+               system_of(reduction.system.equations),
+               parse_system(text, spec),
+               parse_system(text.partition("\n")[2], spec)]
+    levels = []
+    while isinstance(spec, IteratedSpec):
+        levels.insert(0, spec)
+        spec = spec.inner()
+    lifted = system_of(flat.equations)
+    for outer in levels:
+        lifted = lift_system(lifted, outer.base_gen(1))
+        systems.append(lifted)
+    for system in systems:
+        assert type(system.equations) is tuple and type(system.declared_vars) is tuple
+        assert system == System(system.equations, system.declared_vars)
+    assert systems[2].declared_vars == flat.declared_vars + ("spare",)
+    assert systems[3].declared_vars == systems[5].declared_vars
 
 
 def test_equation_normalizes_rhs():

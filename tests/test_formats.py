@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zwreath
 from zwreath.cli import main
 from zwreath.equations import (Commutator, Constant, Literal, concat,
                                equation, parse_assignment, parse_system,
@@ -16,7 +17,7 @@ from zwreath.errors import ParseError
 from zwreath.interp import IteratedSpec, NestedElement, parse_nested, spec_for_ranks
 from zwreath.laurent import LaurentPoly, parse_poly
 from zwreath.reduction import MAX_VARIABLES, parse_intpoly
-from zwreath.wreath import GroupSpec, parse_element
+from zwreath.wreath import GroupSpec, WreathElement, parse_element
 
 GOLDEN = Path(__file__).parent / "golden"
 S11 = GroupSpec(1, 1)
@@ -52,6 +53,25 @@ def test_cli_output_matches_golden_files(capsys, stem, poly, ranks, root):
     spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
     assert serialize_system(parse_system(system_text, spec)) == system_text
     assert serialize_assignment(parse_assignment(witness_text, spec)) == witness_text
+
+
+class CompileCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
+def test_witness_and_extract_build_no_system(monkeypatch, capsys, stem, poly, ranks, root):
+    def refuse(*args):
+        raise CompileCalled(args)
+
+    monkeypatch.setattr(zwreath.reduction, "compile", refuse)
+    witness = GOLDEN / f"{stem}.asg"
+    assert run(capsys, "witness", "--poly", poly, "--ranks", ranks, "--solution=" + root) == (
+        0, witness.read_text(encoding="utf-8"), "")
+    assert run(capsys, "extract", "--poly", poly, "--ranks", ranks,
+               "--assignment", str(witness)) == (0, root + "\n", "")
+    with pytest.raises(CompileCalled):
+        main(["compile", "--poly", poly, "--ranks", ranks])
 
 
 # The same systems as printed before constants became generator words, every
@@ -189,6 +209,15 @@ def test_integers_too_long_for_int_are_parse_errors_in_files(
                    f"of {sys.get_int_max_str_digits()} digits\n")
 
 
+def test_base_coordinate_index_too_long_for_int_is_a_parse_error(tmp_path, capsys):
+    (tmp_path / "s.eqs").write_text("# vars: x\nx = 1\n", encoding="utf-8")
+    (tmp_path / "a.asg").write_text(f"x := {{ active: (0); b{LONG}: 1 }}\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--ranks", "1,1", "--system", str(tmp_path / "s.eqs"),
+                         "--assignment", str(tmp_path / "a.asg"))
+    assert (code, out) == (2, "")
+    assert err == "error: line 1, col 21: base coordinate index of 5000 digits out of range 1..1\n"
+
+
 @pytest.mark.parametrize("poly, col", [(f"z1 - {LONG}", 6), (f"z1^{LONG} - 1", 4)])
 def test_integers_too_long_for_int_are_parse_errors_in_polynomials(capsys, poly, col):
     code, out, err = run(capsys, "compile", "--poly", poly, "--ranks", "1,1")
@@ -280,6 +309,81 @@ def test_comments_are_dropped_in_every_format():
     assert parse_poly("a1 # first\n - 1", 1) == parse_poly("a1 - 1", 1)
     system = parse_system("# vars: x y  # y is spare\nx = 1  # trivial\n", S11)
     assert system.declared_vars == ("x", "y")
+
+
+# -- parsed elements are built in normal form, with no second check ----------------------
+
+# (polynomial text, its terms): cancelling, zero and repeated terms.
+CANCELLING = [
+    ("a1 - a1", {}),
+    ("0", {}),
+    ("0*a1^2 + 3", {(0,): 3}),
+    ("a1 + a1", {(1,): 2}),
+    ("a1^2*a1^-2", {(0,): 1}),
+    ("a1^-1 - a1 + 2*a1 - a1^-1*a1^0", {(1,): 1}),
+]
+
+
+def rebuilt(g):
+    """`g` rebuilt through the public, checking constructors."""
+    if isinstance(g, WreathElement):
+        return WreathElement(g.spec, g.active,
+                             tuple(LaurentPoly(p.rank, dict(p.terms)) for p in g.base))
+    return NestedElement(g.spec, rebuilt(g.active),
+                         {rebuilt(key): vec for key, vec in g.base})
+
+
+def assert_normal(g):
+    """Int-tuple exponents of the right length, and no zero coefficient or vector."""
+    if isinstance(g, WreathElement):
+        assert type(g.active) is tuple and all(type(e) is int for e in g.active)
+        for p in g.base:
+            for mono, c in p.terms.items():
+                assert type(mono) is tuple and len(mono) == p.rank
+                assert all(type(e) is int for e in mono)
+                assert type(c) is int and c != 0
+        return
+    assert_normal(g.active)
+    for key, vec in g.base:
+        assert_normal(key)
+        assert all(type(e) is int for e in vec) and any(vec)
+
+
+def assert_parsed_like_rebuilt(g, expected):
+    assert g == expected == rebuilt(g)
+    assert hash(g) == hash(expected) == hash(rebuilt(g))
+    assert_normal(g)
+
+
+@pytest.mark.parametrize("text, terms", CANCELLING)
+def test_parsed_literals_are_in_normal_form(text, terms):
+    poly = LaurentPoly(1, terms)
+    flat = parse_element(f"{{ active: (1); b1: {text} }}", S11)
+    assert_parsed_like_rebuilt(flat, S11.element(active=(1,), base={1: poly}))
+    wide = parse_element(f"{{ active: (0,1,0); b2: {text}, b1: a3 - a3 }}", S23)
+    assert_parsed_like_rebuilt(wide, S23.element(active=(0, 1, 0), base={
+        2: LaurentPoly(3, {mono + (0, 0): c for mono, c in terms.items()})}))
+    inner = S11.element(active=(1,), base={1: poly})
+    nested = parse_nested(f"{{ active: {{ active: (0); b1: {text} }}; "
+                          f"[ {{ active: (1); b1: {text} }} -> (2) ], "
+                          f"[ {{ active: (2); b1: {text} }} -> (0) ] }}", I111)
+    assert_parsed_like_rebuilt(nested, NestedElement(
+        I111, S11.element(base={1: poly}), {inner: (2,)}))
+    (value,) = parse_assignment(f"x := {{ active: (1); b1: {text} }}\n", S11).values()
+    assert_parsed_like_rebuilt(value, flat)
+
+
+def test_parsed_generator_words_are_in_normal_form():
+    i2111 = IteratedSpec((2, 1, 1, 1))
+    cases = [(S11, "@a1^0", S11.identity()), (S11, "@b1^0", S11.identity()),
+             (S11, "@b1^3", S11.base_gen(1, 3)),
+             (i2111, "@a1^0", i2111.identity()), (i2111, "@b1^0", i2111.identity()),
+             (i2111, "@b1_3^0", i2111.identity()), (i2111, "@b2_4^0", i2111.identity()),
+             (i2111, "@b1^-6", i2111.embed(I111.embed(S11.base_gen(1, -6)))),
+             (i2111, "@b2_4", i2111.base_gen(2))]
+    for spec, word, value in cases:
+        (eq,) = parse_system(f"[x, {word}] = 1\n", spec).equations
+        assert_parsed_like_rebuilt(eq.lhs.right.value, value)
 
 
 # -- round trips ------------------------------------------------------------------------
