@@ -7,13 +7,13 @@ polynomial equations into group-equation systems with constructive witnesses,
 solution extraction, and an independent membership oracle.
 """
 
-from .equations import (CheckReport, Commutator, Concat, Constant, Equation,
-                        Literal, Power, System, check_system, concat,
-                        equation, evaluate, flatten, inverse_word,
-                        parse_assignment, parse_system, power,
-                        serialize_assignment, serialize_system, system_of)
+from .equations import (CheckReport, Commutator, Concat, Constant, Literal,
+                        Power, System, check_system, concat, equation,
+                        evaluate, flatten, inverse_word, parse_assignment,
+                        parse_system, power, serialize_assignment,
+                        serialize_system, system_of)
 from .errors import Error, ParseError, PreconditionError, SpecMismatchError
-from .gadgets import (Gadget, delta_blocks, gadget_cyclic, gadget_delta_power,
+from .gadgets import (delta_blocks, gadget_cyclic, gadget_delta_power,
                       gadget_in_A, gadget_in_N, witness_cyclic,
                       witness_delta_power)
 from .interp import (IteratedReduction, IteratedSpec, NestedElement,

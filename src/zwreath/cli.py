@@ -59,6 +59,17 @@ def _parse_solution(text):
     return _parse_ints(text, "solution")
 
 
+def _sample_count(text):
+    """argparse type of `--samples`: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _write_output(text, path):
     if path is None:
         sys.stdout.write(text)
@@ -187,7 +198,7 @@ def build_parser():
     p.set_defaults(func=_cmd_lcs_rank)
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_sample_count, default=None,
                    help="samples per suite (default: per-suite values)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_selftest)

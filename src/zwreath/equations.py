@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import PreconditionError, SpecMismatchError
+from .errors import ParseError, PreconditionError, SpecMismatchError
 from .lexer import TokenStream, is_generator, is_int, is_name
 from .wreath import read_generator
 
@@ -175,23 +175,21 @@ def evaluate(word, assignment, spec):
 # -- equations and systems ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Equation:
-    """One equation in `lhs = 1` form."""
-
-    lhs: object
-
-
 def equation(lhs, rhs=None):
-    """Author an equation `lhs = rhs`, normalized to `lhs * rhs^-1 = 1`."""
+    """The equation `lhs = rhs` as its word `lhs * rhs^-1`, in `w = 1` form.
+
+    Without `rhs`, or with the identity word, the equation is `lhs = 1` and
+    its word is `lhs` itself.
+    """
     if rhs is None or rhs == IDENTITY_WORD:
-        return Equation(lhs)
-    return Equation(concat(lhs, inverse_word(rhs)))
+        return lhs
+    return concat(lhs, inverse_word(rhs))
 
 
 @dataclass(frozen=True)
 class System:
-    """Ordered equations plus the declared variable list.
+    """Ordered equations, each a word `w` read as `w = 1`, plus the declared
+    variable list.
 
     The constructor is the one boundary check: every declared name is valid
     and declared once, and every equation uses only declared variables, in
@@ -211,8 +209,8 @@ class System:
             if name in seen:
                 raise PreconditionError(f"variable {name!r} declared twice")
             seen.add(name)
-        for idx, eq in enumerate(self.equations):
-            for name in free_vars(eq.lhs):
+        for idx, word in enumerate(self.equations):
+            for name in free_vars(word):
                 if name not in seen:
                     raise PreconditionError(
                         f"equation {idx + 1} uses undeclared variable {name!r}")
@@ -230,19 +228,17 @@ class System:
         return system
 
 
-def system_of(equations, declared_vars=None):
-    """Build a system, auto-declaring variables in first-occurrence order.
+def system_of(equations):
+    """Build a system, declaring its variables in first-occurrence order.
 
-    Auto-declared, the system declares exactly its free variables, so it
-    is valid as built and is not checked again: O(size of the system).
-    Given `declared_vars`, the checked `System` constructor validates them.
+    The system declares exactly its free variables, so it is valid as built
+    and is not checked again: O(size of the system).  A system with other
+    declarations is the checked `System(equations, declared_vars)`.
     """
     equations = tuple(equations)
-    if declared_vars is not None:
-        return System(equations, tuple(declared_vars))
     names = {}
-    for eq in equations:
-        names.update(dict.fromkeys(free_vars(eq.lhs)))
+    for word in equations:
+        names.update(dict.fromkeys(free_vars(word)))
     return System._unchecked(equations, tuple(names))
 
 
@@ -280,8 +276,8 @@ def check_system(system, assignment, spec):
     if missing:
         raise PreconditionError(f"assignment missing declared variables: {', '.join(missing)}")
     failures = []
-    for idx, eq in enumerate(system.equations):
-        if not evaluate(eq.lhs, assignment, spec).is_identity():
+    for idx, word in enumerate(system.equations):
+        if not evaluate(word, assignment, spec).is_identity():
             failures.append(idx)
     return CheckReport(not failures, tuple(failures))
 
@@ -418,13 +414,14 @@ def serialize_system(system):
     lines = []
     if system.declared_vars:
         lines.append("# vars: " + " ".join(system.declared_vars))
-    for eq in system.equations:
-        lines.append(f"{serialize_word(eq.lhs)} = 1")
+    for word in system.equations:
+        lines.append(f"{serialize_word(word)} = 1")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_system(text, spec):
-    """Parse the system file format: one `word = word` equation per line.
+    """Parse the system file format: one `word = word` equation per line,
+    and at most one `# vars:` header, which pins the declared variables.
 
     Each line is one tokenizer pass and one descent, O(len(text)) in all;
     element constants are read in place by `spec.read_element`.
@@ -434,7 +431,11 @@ def parse_system(text, spec):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("# vars:"):
-            tokens = TokenStream(raw, lineno, raw.index("# vars:") + len("# vars:"))
+            start = raw.index("# vars:")
+            if declared is not None:
+                raise ParseError("a system file has at most one '# vars:' header",
+                                 lineno, start + 1)
+            tokens = TokenStream(raw, lineno, start + len("# vars:"))
             names = []
             while tokens.peek():
                 names.append(tokens.name())

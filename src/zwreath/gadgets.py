@@ -1,13 +1,13 @@
 """Definability gadgets over Z^n wr Z^m, with constructive witness builders.
 
 Each gadget is a small equation system over distinguished constants a1 (first
-active generator) and b1 (first base generator), exposing named interface
-variables and deterministic fresh auxiliaries.  Witness builders return
-assignment fragments that satisfy the corresponding gadget exactly.  An
-auxiliary that a gadget defines by an equation `name = word` gets its value
-by evaluating that word; only those no equation defines have a dedicated
-builder: the cyclic gadget's geometric series and the ideal-power blocks'
-quotients y_beta.
+active generator) and b1 (first base generator).  Its first declared variable
+is the interface variable; the rest are deterministic fresh auxiliaries.
+Witness builders return assignment fragments that satisfy the corresponding
+gadget exactly.  An auxiliary that a gadget defines by an equation
+`name = word` gets its value by evaluating that word; only those no equation
+defines have a dedicated builder: the cyclic gadget's geometric series and
+the ideal-power blocks' quotients y_beta.
 """
 
 from __future__ import annotations
@@ -16,41 +16,20 @@ import itertools
 from dataclasses import dataclass
 
 from .equations import (Commutator, Constant, Literal, System, concat,
-                        equation, evaluate, serialize_system)
+                        equation, evaluate)
 from .errors import PreconditionError
 from .laurent import aug_valuation, delta_decompose, geom_series
 from .wreath import module_action
 
 
-@dataclass(frozen=True)
-class Gadget:
-    """An equation system with named interface and auxiliary variables."""
-
-    interface_vars: tuple
-    aux_vars: tuple
-    system: System
-
-    def __post_init__(self):
-        overlap = set(self.interface_vars) & set(self.aux_vars)
-        if overlap:
-            raise PreconditionError(
-                f"auxiliary names collide with interface names: {sorted(overlap)}")
-
-    def serialize(self):
-        header = "# interface: " + " ".join(self.interface_vars)
-        return header + "\n" + serialize_system(self.system)
-
-
 def gadget_in_N(x, spec):
     """Membership in the base subgroup: [x, b1] = 1."""
-    eq = equation(Commutator(Literal(x), Constant(spec.base_gen(1))))
-    return Gadget((x,), (), System((eq,), (x,)))
+    return System((equation(Commutator(Literal(x), Constant(spec.base_gen(1)))),), (x,))
 
 
 def gadget_in_A(x, spec):
     """Membership in the acting subgroup: [x, a1] = 1."""
-    eq = equation(Commutator(Literal(x), Constant(spec.active_gen(1))))
-    return Gadget((x,), (), System((eq,), (x,)))
+    return System((equation(Commutator(Literal(x), Constant(spec.active_gen(1)))),), (x,))
 
 
 def gadget_cyclic(x, spec, z_name="cyc_z_1"):
@@ -59,6 +38,7 @@ def gadget_cyclic(x, spec, z_name="cyc_z_1"):
     The system [x,a1] = 1, [z,b1] = 1, [b1,x] = [z,a1] is solvable exactly
     when x is a power of a1; the witness for x = a1^gamma sets z to b1 acted
     on by the geometric series with sum times (a1 - 1) equal to a1^gamma - 1.
+    Declares (x, z); three equations of O(1) size.
     """
     a1 = Constant(spec.active_gen(1))
     b1 = Constant(spec.base_gen(1))
@@ -67,11 +47,15 @@ def gadget_cyclic(x, spec, z_name="cyc_z_1"):
         equation(Commutator(Literal(z_name), b1)),
         equation(Commutator(b1, Literal(x)), Commutator(Literal(z_name), a1)),
     )
-    return Gadget((x,), (z_name,), System(eqs, (x, z_name)))
+    return System(eqs, (x, z_name))
 
 
 def witness_cyclic(gamma, spec, x_name="x", z_name="cyc_z_1"):
-    """Satisfying fragment {x: a1^gamma, z: b1^(geometric series)}."""
+    """Satisfying fragment {x: a1^gamma, z: b1^(geometric series)}.
+
+    The geometric series has |gamma| terms, so this costs O(|gamma|) time
+    and output.
+    """
     return {
         x_name: spec.active_gen(1) ** gamma,
         z_name: module_action(spec.base_gen(1), geom_series(gamma, spec.m)),
@@ -91,13 +75,15 @@ class DeltaBlock:
     chain_names: tuple
 
 
-def delta_blocks(spec, k, prefix="dp"):
+def delta_blocks(spec, k):
     """Deterministic block layout for `gadget_delta_power` and its witness.
 
     Blocks are indexed by the exponent vectors beta of total degree k over the
     m active generators, in ascending lexicographic order.  They are the
     C(k+m-1, m-1) placements of m-1 bars among k+m-1 slots, read off in
-    order: beta_i counts the slots between bar i-1 and bar i.
+    order: beta_i counts the slots between bar i-1 and bar i.  Each block
+    names its k links (k-1 chain names and x_beta) and y_beta, all with the
+    prefix `dp`, so the layout costs O(C(k+m-1, m-1) * k) time and names.
     """
     if not isinstance(k, int) or k < 1:
         raise PreconditionError(f"ideal power must be a positive int, got {k!r}")
@@ -106,8 +92,8 @@ def delta_blocks(spec, k, prefix="dp"):
     betas = (tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
              for bars in itertools.combinations(range(slots), spec.m - 1))
     for idx, beta in enumerate(betas, start=1):
-        chain = tuple(f"{prefix}_c_{idx}_{t}" for t in range(1, k))
-        blocks.append(DeltaBlock(beta, f"{prefix}_y_{idx}", f"{prefix}_x_{idx}", chain))
+        chain = tuple(f"dp_c_{idx}_{t}" for t in range(1, k))
+        blocks.append(DeltaBlock(beta, f"dp_y_{idx}", f"dp_x_{idx}", chain))
     return blocks
 
 
@@ -132,14 +118,16 @@ def _block_chain(block, spec):
     return _commutator_chain(Literal(block.y_name), factors, block.chain_names + (block.x_name,))
 
 
-def gadget_delta_power(x, k, spec, prefix="dp"):
+def gadget_delta_power(x, k, spec):
     """x lies in the base subgroup acted on by the k-th ideal power.
 
     Emits x = prod_beta x_beta and, per block, [y_beta, b1] = 1 together with
     the chain definitions equating x_beta to the left-normed commutator of
-    y_beta by a1 (beta_1 times), ..., am (beta_m times).
+    y_beta by a1 (beta_1 times), ..., am (beta_m times).  Declares x, then
+    per block x_beta, y_beta and its chain names.  That is C(k+m-1, m-1)
+    blocks of k links: 1 + C(k+m-1, m-1) * (k+1) equations and variables.
     """
-    blocks = delta_blocks(spec, k, prefix)
+    blocks = delta_blocks(spec, k)
     b1 = Constant(spec.base_gen(1))
     eqs = [equation(Literal(x), concat(*[Literal(bl.x_name) for bl in blocks]))]
     declared = [x]
@@ -149,10 +137,10 @@ def gadget_delta_power(x, k, spec, prefix="dp"):
         declared.extend(bl.chain_names)
         eqs.append(equation(Commutator(Literal(bl.y_name), b1)))
         eqs.extend(equation(Literal(name), word) for name, word in _block_chain(bl, spec))
-    return Gadget((x,), tuple(declared[1:]), System(tuple(eqs), tuple(declared)))
+    return System(tuple(eqs), tuple(declared))
 
 
-def witness_delta_power(g, k, prefix="dp"):
+def witness_delta_power(g, k):
     """Auxiliary assignment fragment for `gadget_delta_power` at x = g.
 
     Decomposes every base coordinate of g over the degree-k generator
@@ -168,7 +156,7 @@ def witness_delta_power(g, k, prefix="dp"):
         raise PreconditionError(f"{failure}: active part {g.active} is nontrivial")
     # delta_blocks rejects a bad k, so delta_decompose below fails only on a
     # coordinate outside the k-th ideal power.
-    blocks = delta_blocks(spec, k, prefix)
+    blocks = delta_blocks(spec, k)
     decomposed = []
     for j, p in enumerate(g.base):
         try:

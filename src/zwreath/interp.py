@@ -407,8 +407,8 @@ def lift_system(system, b):
         return outer.embed(value)
 
     return System._unchecked(
-        tuple(equation(Commutator(_convert_word(eq.lhs, convert), Constant(b)))
-              for eq in system.equations),
+        tuple(equation(Commutator(_convert_word(word, convert), Constant(b)))
+              for word in system.equations),
         system.declared_vars)
 
 

@@ -137,8 +137,9 @@ class LaurentPoly:
         return cls.constant(rank, 1)
 
     @classmethod
-    def monomial(cls, rank, exponents, coeff=1):
-        return cls(rank, {tuple(exponents): coeff})
+    def monomial(cls, rank, exponents):
+        """The unit monomial a^exponents."""
+        return cls(rank, {tuple(exponents): 1})
 
     @classmethod
     def variable(cls, rank, index):
@@ -218,18 +219,6 @@ class LaurentPoly:
             raise PreconditionError(f"exponent vector {shift!r} invalid for rank {self.rank}")
         return LaurentPoly._unchecked(self.rank, _shifted(self._terms, shift))
 
-    def substitute_one(self, index):
-        """Set the (0-based) variable `index` to 1, collapsing exponents."""
-        out = {}
-        for mono, c in self._terms.items():
-            key = tuple(0 if i == index else e for i, e in enumerate(mono))
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return LaurentPoly._unchecked(self.rank, out)
-
     # -- comparisons / hashing --------------------------------------------
 
     def __eq__(self, other):
@@ -306,6 +295,11 @@ def aug_valuation(p):
     denominator monomial, substituting a_i := y_i + 1 and taking the minimum
     total degree in y; the clearing step is harmless because each 1 + y_i is
     invertible modulo any power of (y_1, ..., y_m).
+
+    Cost: every cleared term a^gamma expands fully into prod_i (gamma_i + 1)
+    monomials, each one product of m big-int binomials C(gamma_i, j_i), so a
+    call costs the sum of prod_i (gamma_i + 1) over the terms in binomial
+    products and dict updates, however small the valuation turns out to be.
     """
     if p.is_zero():
         return INFINITY
@@ -315,7 +309,10 @@ def aug_valuation(p):
 
 
 def delta_membership(p, k):
-    """True iff p lies in the k-th power of the augmentation ideal."""
+    """True iff p lies in the k-th power of the augmentation ideal.
+
+    One `aug_valuation`, at its full cost whatever k is.
+    """
     if not isinstance(k, int) or k < 0:
         raise PreconditionError(f"ideal power must be a non-negative int, got {k!r}")
     return aug_valuation(p) >= k
@@ -418,7 +415,8 @@ def geom_series(gamma, rank=1):
     """The partial geometric series s in a1 with s * (a1 - 1) = a1^gamma - 1.
 
     Explicitly sum(a1^j for 0 <= j < gamma) for gamma > 0, zero for
-    gamma = 0, and -sum(a1^-j for 1 <= j <= |gamma|) for gamma < 0.
+    gamma = 0, and -sum(a1^-j for 1 <= j <= |gamma|) for gamma < 0: |gamma|
+    terms, built in O(|gamma|) time.
     """
     if not isinstance(gamma, int):
         raise PreconditionError(f"exponent must be an int, got {gamma!r}")

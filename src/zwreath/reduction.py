@@ -133,10 +133,7 @@ class ReductionOutput:
 
     system: System
     solution_vars: tuple
-    d: int
-    product_var: str
     num_vars: int
-    spec: object
 
 
 def _solution_vars(f):
@@ -180,22 +177,26 @@ def compile(f, spec):
     equation `name = word` per term definition (`_term_definitions`: the
     commutator chain of each support term, then the product y), and the
     ideal-power gadget for y at degree d+1.
+
+    Size, for s variables, t support terms, degree d and active rank m:
+    3s equations and 2s variables from the cyclic gadgets; t*max(d, 1) + 1
+    term definitions, each one equation and one variable of O(1) size but
+    the product y of t factors; and 1 + B*(d+2) equations and variables from
+    the ideal-power gadget (y counted once), with B = C(d+m, m-1) blocks.
+    Time is linear in that size.
     """
     if f.is_zero():
-        return ReductionOutput(System(), (), 0, "y", f.num_vars, spec)
-    d = f.degree()
-    s = f.num_vars
+        return ReductionOutput(System(), (), f.num_vars)
     solution_vars = _solution_vars(f)
     parts = []
     for i, x in enumerate(solution_vars, start=1):
-        parts.append(gadget_cyclic(x, spec, z_name=f"cyc_z_{i}").system)
+        parts.append(gadget_cyclic(x, spec, z_name=f"cyc_z_{i}"))
     definitions = _term_definitions(f, spec)
     parts.append(System(tuple(equation(Literal(name), word) for name, word in definitions),
                         solution_vars + tuple(name for name, _ in definitions)))
-    parts.append(gadget_delta_power("y", d + 1, spec).system)
-    ordered = merge_systems(
-        System((), solution_vars), *parts)
-    return ReductionOutput(ordered, solution_vars, d, "y", s, spec)
+    parts.append(gadget_delta_power("y", f.degree() + 1, spec))
+    return ReductionOutput(merge_systems(System((), solution_vars), *parts),
+                           solution_vars, f.num_vars)
 
 
 def witness(f, z, spec):
@@ -234,7 +235,8 @@ def extract_solution(out, asg):
     Each solution variable must be assigned a pure power of a1; anything else
     signals an assignment outside the reduction's image and raises
     PreconditionError.  Variables absent from the system (zero polynomial)
-    extract as 0.
+    extract as 0.  One lookup and one O(n + m) check per solution variable:
+    O(s * (n + m)) for s variables, whatever the size of the system.
     """
     values = []
     for name in out.solution_vars:
@@ -255,14 +257,22 @@ def oracle_ef(f, z, rank=1):
     """Directly evaluate the membership polynomial and its ideal-power verdict.
 
     Returns (e_f, verdict) where verdict is True exactly when e_f lies in the
-    (d+1)-st augmentation-ideal power, which happens iff f(z) = 0.
+    (d+1)-st augmentation-ideal power, which happens iff f(z) = 0.  Costs one
+    `_membership_poly` and one `delta_membership`, that is one
+    `aug_valuation` of e_f.
     """
     e_f = _membership_poly(f, z, rank)
     return e_f, delta_membership(e_f, f.degree() + 1)
 
 
 def _membership_poly(f, z, rank):
-    """The membership polynomial e_f at z, over rank `rank` (see the module docstring)."""
+    """The membership polynomial e_f at z, over rank `rank` (see the module docstring).
+
+    Per support term, d binomial factors (a1 - 1) or (a1^z_i - 1), raised
+    by square-and-multiply: O(t * d) polynomial products for t terms.  A
+    term has at most 2^d monomials, with exponents of size up to
+    d * max(1, |z_i|) and big-int binomial coefficients.
+    """
     z = tuple(z)
     if len(z) != f.num_vars:
         raise PreconditionError(f"expected {f.num_vars} solution values, got {len(z)}")

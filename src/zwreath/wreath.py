@@ -239,7 +239,11 @@ def in_A(g):
 
 
 def module_action(u, p):
-    """u^p for u in the base subgroup: multiply every coordinate by p."""
+    """u^p for u in the base subgroup: multiply every coordinate by p.
+
+    n polynomial products, the one of coordinate q in O(|q| * |p|)
+    coefficient products.
+    """
     if not in_N(u):
         raise PreconditionError("module action is defined on base-subgroup elements only")
     if p.rank != u.spec.m:
@@ -251,7 +255,8 @@ def in_delta_power(g, k):
     """True iff g is in the base subgroup with every coordinate in the k-th ideal power.
 
     For k >= 1 this decides membership in the (k+1)-st lower-central-series
-    term of the ambient wreath product.
+    term of the ambient wreath product.  Costs one `delta_membership`, so one
+    `aug_valuation`, per base coordinate.
     """
     return in_N(g) and all(delta_membership(p, k) for p in g.base)
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import zwreath
 from zwreath.cli import main
 from zwreath.equations import MAX_NESTING
@@ -160,6 +162,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("equation", ["[y, @a1] = 1", "[x, @a1] = 1"])
+def test_second_vars_header_is_a_parse_error(tmp_path, capsys, equation):
+    # One header declares the variables; a second one used to replace the first.
+    system = tmp_path / "sys.eqs"
+    system.write_text(f"# vars: x\n# vars: y\n{equation}\n")
+    wit = tmp_path / "wit.asg"
+    wit.write_text("x := { active: (0); }\ny := { active: (0); }\n")
+    code, out, err = run(capsys, "verify", "--ranks", "1,1",
+                         "--system", str(system), "--assignment", str(wit))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2, col 1: a system file has at most one '# vars:' header\n"
+
+
 def test_iterated_pipeline_through_cli(tmp_path, capsys):
     system = tmp_path / "sys.eqs"
     assignment = tmp_path / "wit.asg"
@@ -184,6 +199,18 @@ def test_selftest_subcommand_quick(capsys):
     assert code == 0
     assert "reduction-oracle: PASS" in out
     assert "FAIL" not in out
+
+
+def test_selftest_sample_count_is_non_negative(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--samples", "-3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --samples: must be non-negative, got -3" in captured.err
+    code, out, _ = run(capsys, "selftest", "--samples", "0", "--seed", "0")
+    assert code == 0
+    assert "laurent-ring-axioms: PASS (0 samples)" in out
 
 
 def test_repeated_support_point_is_a_parse_error(tmp_path, capsys):

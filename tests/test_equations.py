@@ -3,7 +3,7 @@ import random
 import pytest
 
 from zwreath.equations import (Commutator, Concat, Constant,
-                               Equation, Literal, Power, System, check_system,
+                               Literal, Power, System, check_system, concat,
                                equation, evaluate, flatten, free_vars, merge_systems,
                                inverse_word, parse_assignment, parse_system,
                                power, serialize_assignment, serialize_system,
@@ -95,6 +95,8 @@ def test_system_rejects_names_declared_twice_or_invalid():
         System((equation(Literal("x")),), ("x", "y", "x"))
     with pytest.raises(PreconditionError, match="invalid variable name"):
         System((), ("1x",))
+    with pytest.raises(PreconditionError, match="not a word node: 'x'"):
+        System(("x",), ())
 
 
 # The golden CLI shapes: (polynomial, ranks).
@@ -134,8 +136,14 @@ def test_systems_built_without_a_second_check_pass_it(poly, ranks):
 
 def test_equation_normalizes_rhs():
     eq = equation(Literal("x"), Literal("y"))
-    assert eq.lhs == Concat((Literal("x"), Literal("y", -1)))
-    assert equation(Literal("x"), IDENTITY) == Equation(Literal("x"))
+    assert eq == Concat((Literal("x"), Literal("y", -1)))
+    assert equation(Literal("x"), IDENTITY) == Literal("x")
+    rng = random.Random(5)
+    for _ in range(50):
+        left, right = (rand_word(rng, S22, ["x", "y"], depth=2) for _ in range(2))
+        assert equation(left) is left
+        if right != IDENTITY:
+            assert equation(left, right) == concat(left, inverse_word(right))
 
 
 # -- flatten ----------------------------------------------------------------------
@@ -204,8 +212,7 @@ def test_parse_commutator_with_constant():
     system = parse_system("[x, {active:(1); }] = 1", S11)
     assert len(system.equations) == 1
     assert system.declared_vars == ("x",)
-    eq = system.equations[0]
-    assert eq.lhs == Commutator(Literal("x"), Constant(S11.active_gen(1)))
+    assert system.equations[0] == Commutator(Literal("x"), Constant(S11.active_gen(1)))
 
 
 def test_parse_serialize_round_trip_simple():
@@ -282,4 +289,4 @@ def test_word_round_trip_random():
         word = rand_word(rng, S22, ["x", "y", "z"], depth=3)
         text = serialize_word(word)
         system = parse_system(f"{text} = 1", S22)
-        assert serialize_word(system.equations[0].lhs) == text
+        assert serialize_word(system.equations[0]) == text

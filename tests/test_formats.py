@@ -129,6 +129,10 @@ MALFORMED = [
     (lambda: parse_system("x = 1\n[x, = 1\n", S11), 2, 5, "unexpected token '='"),
     (lambda: parse_system("é = 1\n", S11), 1, 1, "unexpected character 'é'"),
     (lambda: parse_system("# vars: x 1y\nx = 1\n", S11), 1, 11, "expected a name"),
+    (lambda: parse_system("# vars: x\n# vars: y\n[y, @a1] = 1\n", S11), 2, 1,
+     "at most one '# vars:' header"),
+    (lambda: parse_system("# vars: x\n[x, @a1] = 1\n  # vars:\n", S11), 3, 3,
+     "at most one '# vars:' header"),
     (lambda: parse_system("# vars: x\n[x, { active: { active: (0); b1: $ }; }] = 1\n", I111),
      2, 34, "unexpected character '$'"),
     (lambda: parse_system("[x, @b2] = 1\n", S11), 1, 5, "unknown generator '@b2' for ranks 1,1"),
@@ -254,7 +258,7 @@ def test_generator_words_name_the_generators_of_every_level():
              "@b2_4": i2111.base_gen(2)}
     for word, value in words.items():
         system = parse_system(f"[x, {word}] = 1\n", i2111)
-        assert system.equations[0].lhs == Commutator(Literal("x"), Constant(value))
+        assert system.equations[0] == Commutator(Literal("x"), Constant(value))
         assert serialize_system(system) == f"# vars: x\n[x, {word}] = 1\n"
     # Element literals still read, and any constant that is no generator
     # power is printed as one.
@@ -267,7 +271,7 @@ def test_generator_words_name_the_generators_of_every_level():
 def test_names_without_the_sigil_stay_variables():
     system = parse_system("[a1, @a1] b1^2 = 1\n", S11)
     assert system.declared_vars == ("a1", "b1")
-    assert system.equations[0].lhs == concat(
+    assert system.equations[0] == concat(
         Commutator(Literal("a1"), Constant(S11.active_gen(1))), power(Literal("b1"), 2))
 
 
@@ -383,7 +387,7 @@ def test_parsed_generator_words_are_in_normal_form():
              (i2111, "@b2_4", i2111.base_gen(2))]
     for spec, word, value in cases:
         (eq,) = parse_system(f"[x, {word}] = 1\n", spec).equations
-        assert_parsed_like_rebuilt(eq.lhs.right.value, value)
+        assert_parsed_like_rebuilt(eq.right.value, value)
 
 
 # -- round trips ------------------------------------------------------------------------

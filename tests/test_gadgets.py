@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zwreath.equations import check_system
+from zwreath.equations import System, check_system
 from zwreath.errors import PreconditionError
 from zwreath.gadgets import (delta_blocks, gadget_cyclic, gadget_delta_power,
                              gadget_in_A, gadget_in_N, witness_cyclic,
@@ -23,50 +23,49 @@ S22 = GroupSpec(2, 2)
 
 
 def test_in_N_satisfied_by_base_elements():
-    gadget = gadget_in_N("x", S12)
-    assert check_system(gadget.system, {"x": S12.element(base={2: parse_poly("a1^2", 1)})}, S12).ok
-    assert check_system(gadget.system, {"x": S12.identity()}, S12).ok
+    system = gadget_in_N("x", S12)
+    assert check_system(system, {"x": S12.element(base={2: parse_poly("a1^2", 1)})}, S12).ok
+    assert check_system(system, {"x": S12.identity()}, S12).ok
 
 
 def test_in_N_violated_by_active_elements():
-    gadget = gadget_in_N("x", S11)
-    assert not check_system(gadget.system, {"x": S11.active_gen(1)}, S11).ok
+    system = gadget_in_N("x", S11)
+    assert not check_system(system, {"x": S11.active_gen(1)}, S11).ok
 
 
 def test_in_A_satisfied_by_active_elements():
-    gadget = gadget_in_A("x", S22)
-    assert check_system(gadget.system, {"x": S22.active_gen(2)}, S22).ok
-    assert check_system(gadget.system, {"x": S22.identity()}, S22).ok
+    system = gadget_in_A("x", S22)
+    assert check_system(system, {"x": S22.active_gen(2)}, S22).ok
+    assert check_system(system, {"x": S22.identity()}, S22).ok
 
 
 def test_in_A_violated_by_base_generator():
-    gadget = gadget_in_A("x", S22)
-    assert not check_system(gadget.system, {"x": S22.base_gen(1)}, S22).ok
+    system = gadget_in_A("x", S22)
+    assert not check_system(system, {"x": S22.base_gen(1)}, S22).ok
 
 
 # -- cyclic-subgroup gadget -------------------------------------------------------
 
 
 def test_cyclic_gadget_structure():
-    gadget = gadget_cyclic("x", S11)
-    assert gadget.interface_vars == ("x",)
-    assert gadget.aux_vars == ("cyc_z_1",)
-    assert len(gadget.system.equations) == 3
+    system = gadget_cyclic("x", S11)
+    assert system.declared_vars == ("x", "cyc_z_1")
+    assert len(system.equations) == 3
 
 
 def test_cyclic_witness_positive_power():
-    gadget = gadget_cyclic("x", S11)
+    system = gadget_cyclic("x", S11)
     asg = witness_cyclic(3, S11)
     assert asg["x"] == S11.element(active=(3,))
     assert asg["cyc_z_1"] == S11.element(base={1: parse_poly("1 + a1 + a1^2", 1)})
-    assert check_system(gadget.system, asg, S11).ok
+    assert check_system(system, asg, S11).ok
 
 
 def test_cyclic_witness_identity():
-    gadget = gadget_cyclic("x", S11)
+    system = gadget_cyclic("x", S11)
     asg = witness_cyclic(0, S11)
     assert asg["x"].is_identity() and asg["cyc_z_1"].is_identity()
-    assert check_system(gadget.system, asg, S11).ok
+    assert check_system(system, asg, S11).ok
 
 
 def test_cyclic_witness_gamma_one():
@@ -75,10 +74,10 @@ def test_cyclic_witness_gamma_one():
 
 
 def test_cyclic_witness_negative_power():
-    gadget = gadget_cyclic("x", S11)
+    system = gadget_cyclic("x", S11)
     asg = witness_cyclic(-2, S11)
     assert asg["cyc_z_1"] == S11.element(base={1: parse_poly("-a1^-1 - a1^-2", 1)})
-    assert check_system(gadget.system, asg, S11).ok
+    assert check_system(system, asg, S11).ok
     # direct evaluation of the defining equality [b1, x] = [z, a1]
     lhs = S11.base_gen(1).commutator(asg["x"])
     rhs = asg["cyc_z_1"].commutator(S11.active_gen(1))
@@ -86,10 +85,10 @@ def test_cyclic_witness_negative_power():
 
 
 def test_cyclic_witnesses_over_a_range():
-    gadget = gadget_cyclic("x", S21)
+    system = gadget_cyclic("x", S21)
     for gamma in range(-20, 21):
         asg = witness_cyclic(gamma, S21)
-        assert check_system(gadget.system, asg, S21).ok
+        assert check_system(system, asg, S21).ok
 
 
 def test_cyclic_refutation_for_independent_generator():
@@ -103,23 +102,22 @@ def test_cyclic_refutation_for_independent_generator():
 
 
 def test_cyclic_gadget_rejects_non_powers():
-    gadget = gadget_cyclic("x", S21)
+    system = gadget_cyclic("x", S21)
     # z would have to solve [b1, a2] = [z, a1]; no group element does, and in
     # particular the geometric-series witness shape fails.
     for z_val in [S21.identity(), S21.base_gen(1), rand_base_element(random.Random(1), S21)]:
         asg = {"x": S21.active_gen(2), "cyc_z_1": z_val}
-        assert not check_system(gadget.system, asg, S21).ok
+        assert not check_system(system, asg, S21).ok
 
 
 # -- ideal-power gadget --------------------------------------------------------------
 
 
 def test_delta_gadget_structure_k1_m1():
-    gadget = gadget_delta_power("x", 1, S11)
-    assert gadget.interface_vars == ("x",)
-    assert gadget.aux_vars == ("dp_x_1", "dp_y_1")
+    system = gadget_delta_power("x", 1, S11)
+    assert system.declared_vars == ("x", "dp_x_1", "dp_y_1")
     # x = x_1, [y_1, b1] = 1, x_1 = [y_1, a1]
-    assert len(gadget.system.equations) == 3
+    assert len(system.equations) == 3
 
 
 def test_delta_gadget_block_count():
@@ -137,11 +135,11 @@ def test_delta_blocks_match_filtered_product():
 
 
 def test_delta_gadget_identity_witness():
-    gadget = gadget_delta_power("x", 2, S21)
+    system = gadget_delta_power("x", 2, S21)
     asg = {"x": S21.identity()}
     asg.update(witness_delta_power(S21.identity(), 2))
     assert all(v.is_identity() for v in asg.values())
-    assert check_system(gadget.system, asg, S21).ok
+    assert check_system(system, asg, S21).ok
 
 
 def test_delta_witness_square_univariate():
@@ -149,8 +147,8 @@ def test_delta_witness_square_univariate():
     fragment = witness_delta_power(g, 2)
     assert fragment["dp_y_1"] == S11.base_gen(1)
     assert fragment["dp_x_1"] == g
-    gadget = gadget_delta_power("x", 2, S11)
-    assert check_system(gadget.system, {"x": g, **fragment}, S11).ok
+    system = gadget_delta_power("x", 2, S11)
+    assert check_system(system, {"x": g, **fragment}, S11).ok
 
 
 def test_delta_witness_mixed_bivariate():
@@ -161,8 +159,8 @@ def test_delta_witness_mixed_bivariate():
     for beta, bl in blocks.items():
         if beta != (1, 1):
             assert fragment[bl.y_name].is_identity()
-    gadget = gadget_delta_power("x", 2, S21)
-    assert check_system(gadget.system, {"x": g, **fragment}, S21).ok
+    system = gadget_delta_power("x", 2, S21)
+    assert check_system(system, {"x": g, **fragment}, S21).ok
 
 
 def test_delta_witness_requires_membership():
@@ -207,12 +205,17 @@ def test_delta_witness_random_members():
             coords[j] = delta_generator_product(tuple(beta), spec.m) * LaurentPoly(
                 spec.m, {tuple(rng.randint(-1, 1) for _ in range(spec.m)): rng.randint(-3, 3)})
         g = spec.element(base=coords)
-        gadget = gadget_delta_power("x", k, spec)
+        system = gadget_delta_power("x", k, spec)
         asg = {"x": g, **witness_delta_power(g, k)}
-        assert check_system(gadget.system, asg, spec).ok
+        assert check_system(system, asg, spec).ok
 
 
-def test_gadget_serialization_lists_interface():
-    text = gadget_cyclic("x", S11).serialize()
-    assert text.startswith("# interface: x\n")
-    assert "# vars: x cyc_z_1" in text
+@pytest.mark.parametrize("build", [
+    gadget_in_N, gadget_in_A, gadget_cyclic, lambda x, spec: gadget_delta_power(x, 2, spec),
+], ids=["in_N", "in_A", "cyclic", "delta_power"])
+def test_gadget_builders_return_systems_led_by_the_interface(build):
+    for spec in (S11, S21, S22):
+        system = build("w", spec)
+        assert isinstance(system, System)
+        assert system.declared_vars[0] == "w"
+        assert "w" not in system.declared_vars[1:]
