@@ -143,7 +143,10 @@ def _cmd_extract(args):
 def _cmd_lcs_rank(args):
     ranks = _parse_ranks(args.ranks)
     if len(ranks) != 2:
-        raise ParseError("lcs-rank is defined for exactly two ranks")
+        # A single rank names no group (malformed, as for every subcommand);
+        # an iterated rank list is well formed but has no formula here.
+        error = ParseError if len(ranks) < 2 else PreconditionError
+        raise error("lcs-rank is defined for exactly two ranks")
     print(lcs_rank(args.i, spec_for_ranks(ranks)))
     return EXIT_OK
 

@@ -21,8 +21,9 @@ wreath extension by pinning each equation's value into the centralizer of a
 distinguished base generator: every equation `w = 1` becomes the single
 equation `[w, b] = 1`, so a lifted system has as many equations and
 variables as the flat one, and each level adds one commutator around every
-equation.  `compile_iterated` chains the flat polynomial reduction through
-those lifts.  In system text every constant that is a power of one
+equation.  `compile_iterated` lifts the flat polynomial reduction through
+every level in one `lift_system` call, which embeds each constant straight
+into the outermost group.  In system text every constant that is a power of one
 generator is a generator word (`@a1`, `@b1^-6`, `@b1_3` for level 3's base
 generator; see `wreath.read_generator`) of O(1) characters, so a lifted
 system's text grows linearly in its depth.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import reduction as _reduction
-from .equations import Commutator, Constant, Concat, Power, System, equation
+from .equations import Commutator, Constant, Concat, Power, System
 from .errors import ParseError, PreconditionError, SpecMismatchError
 from .lexer import parse_whole
 from .wreath import GroupSpec, group_power, power_word, read_vector
@@ -99,15 +100,29 @@ class IteratedSpec:
         if not 1 <= j <= self.ranks[0]:
             raise PreconditionError(f"base generator index {j} out of range 1..{self.ranks[0]}")
         vec = tuple(power if v == j - 1 else 0 for v in range(self.ranks[0]))
-        return NestedElement(self, self.inner().identity(),
-                             ((self.inner().identity(), vec),))
+        if not isinstance(power, int):
+            raise PreconditionError(f"vector {vec!r} invalid for rank {self.ranks[0]}")
+        # One support point needs no sorting, so no checked constructor.
+        return NestedElement._unchecked(self, self._inner.identity(),
+                                        {self._inner.identity(): vec})
 
-    def embed(self, inner_element):
-        """Canonical embedding of the inner group as the active part."""
-        if inner_element.spec != self.inner():
-            raise SpecMismatchError(
-                f"element of {inner_element.spec} cannot embed into {self}")
-        return NestedElement(self, inner_element, ())
+    def embed(self, element):
+        """Canonical embedding of the inner group, or of any group below it.
+
+        An element of level k < depth becomes a pure active part at every
+        level from k + 1 up to this one.  One spec comparison, then one
+        wrapper per level crossed: O(depth - k).
+        """
+        specs = []
+        spec = self
+        while isinstance(spec, IteratedSpec) and len(spec.ranks) > len(element.spec.ranks):
+            specs.append(spec)
+            spec = spec.inner()
+        if not specs or element.spec != spec:
+            raise SpecMismatchError(f"element of {element.spec} cannot embed into {self}")
+        for spec in reversed(specs):
+            element = NestedElement._unchecked(spec, element, {})
+        return element
 
     def generator(self, level, j, power=1):
         """Generator j of `level` raised to `power`, embedded up to this group.
@@ -368,7 +383,7 @@ def read_nested(tokens, spec):
 
 def _convert_word(word, convert):
     if isinstance(word, Constant):
-        return Constant(convert(word.value))
+        return convert(word)
     if isinstance(word, Concat):
         return Concat(tuple(_convert_word(p, convert) for p in word.parts))
     if isinstance(word, Commutator):
@@ -378,8 +393,9 @@ def _convert_word(word, convert):
     return word
 
 
-def lift_system(system, b):
-    """Lift a system over H to one over K wr H using base generator b of K wr H.
+def lift_system(system, b, *outer):
+    """Lift a system over H to one over K wr H using base generator b of K wr H,
+    and on through one more wreath extension per generator in `outer`.
 
     Every equation w = 1 over H becomes the single equation [w', b] = 1, where
     w' is w with each constant embedded as a pure active part.  No variable
@@ -396,20 +412,43 @@ def lift_system(system, b):
     assignment: s solves the lifted equation iff its projection solves w = 1.
     The former lift, the pair {w' = t, [t, b] = 1} with a fresh t, has the
     same solutions up to t, because t is determined by w'.
+
+    A tower.  With `outer` = (b_4, ..., b_L), each b_k a base generator of
+    the group of level k, whose inner group is the group of b_(k-1), and b
+    = b_3, the result is the level-by-level lift in one pass: every w = 1
+    becomes [[...[w^(L), b_3^(L)], b_4^(L)]..., b_L] = 1, where ^(L) embeds
+    an element straight into the outermost group.  Each distinct constant
+    is embedded once, O(L), and each b_k once, O(L - k), so a system of
+    size S over a tower of depth L costs O(S·L + L²) time and output,
+    against the O(S·L²) of one call per level, which re-walks and
+    re-embeds every constant built so far.
     """
-    outer = b.spec
-    inner = outer.inner()
-
-    def convert(value):
-        if value.spec != inner:
+    bases = (b,) + outer
+    for below, above in zip(bases, outer):
+        if above.spec.inner() != below.spec:
             raise SpecMismatchError(
-                f"system constant belongs to {value.spec}, expected {inner}")
-        return outer.embed(value)
+                f"base generator of {above.spec} does not act on {below.spec}")
+    inner, top = b.spec.inner(), bases[-1].spec
+    wrappers = [Constant(top.embed(g)) for g in bases[:-1]] + [Constant(bases[-1])]
+    lifted = {}  # constant value -> its embedded Constant
 
-    return System._unchecked(
-        tuple(equation(Commutator(_convert_word(word, convert), Constant(b)))
-              for word in system.equations),
-        system.declared_vars)
+    def convert(constant):
+        value = constant.value
+        embedded = lifted.get(value)
+        if embedded is None:
+            if value.spec != inner:
+                raise SpecMismatchError(
+                    f"system constant belongs to {value.spec}, expected {inner}")
+            embedded = lifted[value] = Constant(top.embed(value))
+        return embedded
+
+    equations = []
+    for word in system.equations:
+        word = _convert_word(word, convert)
+        for wrapper in wrappers:
+            word = Commutator(word, wrapper)
+        equations.append(word)
+    return System._unchecked(tuple(equations), system.declared_vars)
 
 
 def project_assignment(assignment):
@@ -423,9 +462,9 @@ def project_assignment(assignment):
 def _tower(spec):
     """The groups from the flat innermost pair outward to `spec`."""
     tower = [spec]
-    while isinstance(tower[0], IteratedSpec):
-        tower.insert(0, tower[0].inner())
-    return tower
+    while isinstance(tower[-1], IteratedSpec):
+        tower.append(tower[-1].inner())
+    return tower[::-1]
 
 
 @dataclass(frozen=True)
@@ -448,12 +487,14 @@ class IteratedReduction:
 
     @cached_property
     def system(self):
-        """The flat system with one lift per level above the innermost two,
-        using the first generator of each level's outermost base copy;
-        built on first use."""
+        """The flat system lifted through every level above the innermost two
+        in one `lift_system` call, using the first generator of each level's
+        outermost base copy; built on first use.  O(S·L + L²) for a flat
+        system of size S and depth L (see `lift_system`)."""
         system = self.flat.system
-        for outer in _tower(self.spec)[1:]:
-            system = lift_system(system, outer.base_gen(1))
+        tower = _tower(self.spec)
+        if len(tower) > 1:
+            system = lift_system(system, *(outer.base_gen(1) for outer in tower[1:]))
         return system
 
     @property
@@ -466,11 +507,12 @@ class IteratedReduction:
         return self.poly.num_vars
 
     def witness(self, z):
-        """Embed the flat witness level by level (lifting adds no variables)."""
-        tower = _tower(self.spec)
-        asg = _reduction.witness(self.poly, z, tower[0])
-        for outer in tower[1:]:
-            asg = {name: outer.embed(value) for name, value in asg.items()}
+        """The flat witness with each value embedded straight into the
+        outermost group (lifting adds no variables): one spec check and
+        O(L) wrappers per value at depth L."""
+        asg = _reduction.witness(self.poly, z, _tower(self.spec)[0])
+        if isinstance(self.spec, IteratedSpec):
+            asg = {name: self.spec.embed(value) for name, value in asg.items()}
         return asg
 
     def extract_solution(self, assignment):
@@ -486,7 +528,8 @@ def compile_iterated(f, spec):
     """Compile f over the group of `spec_for_ranks` by lifting the flat reduction.
 
     Over a flat `GroupSpec` the result is the flat compiler's system; an
-    `IteratedSpec` wraps it in one lift per level above the innermost two.
+    `IteratedSpec` wraps it in one commutator per level above the innermost
+    two, all in one pass (see `IteratedReduction.system`).
     The returned reduction has its system built.
     """
     reduction = IteratedReduction(f, spec)

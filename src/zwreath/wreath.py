@@ -34,6 +34,7 @@ class GroupSpec:
             raise PreconditionError(f"active rank must be a positive int, got {self.m!r}")
         if not (isinstance(self.n, int) and self.n >= 1):
             raise PreconditionError(f"base rank must be a positive int, got {self.n!r}")
+        object.__setattr__(self, "_generators", {})
 
     def identity(self):
         return WreathElement(self, (0,) * self.m, (LaurentPoly.zero(self.m),) * self.n)
@@ -69,8 +70,20 @@ class GroupSpec:
         return WreathElement(self, act, tuple(coords))
 
     def generator(self, level, j, power=1):
-        """Generator j of `level` raised to `power`: level 1 is a_j, level 2 is b_j."""
-        return self.active_gen(j, power) if level == 1 else self.base_gen(j, power)
+        """Generator j of `level` raised to `power`: level 1 is a_j, level 2 is b_j.
+
+        Every `@a1` or `@b1` a system names is this call, so the spec keeps
+        the generators and their inverses it built, a set bounded by the
+        ranks, as `interp.IteratedSpec.generator` does; other powers are
+        built each time.
+        """
+        key = (level, j, power)
+        g = self._generators.get(key)
+        if g is None:
+            g = self.active_gen(j, power) if level == 1 else self.base_gen(j, power)
+            if power == 1 or power == -1:
+                self._generators[key] = g
+        return g
 
     # Literal and generator-word bridge used by the system and assignment formats.
     def read_element(self, tokens):
@@ -353,15 +366,38 @@ def read_element(tokens, spec):
 
 
 def read_vector(tokens, length):
-    """`( int {, int} [,] )` with exactly `length` entries."""
-    at = tokens.pos
-    tokens.expect("(")
+    """`( int {, int} [,] )` with exactly `length` entries.
+
+    O(length).  The tokens are read by a local index, written back to
+    `tokens.pos` at the end, as `laurent.read_terms` reads them; each error
+    names the position of its token.
+    """
+    toks = tokens.tokens
+    pos = at = tokens.pos
+    if toks[pos] != "(":
+        raise tokens.expected("'('", pos)
+    pos += 1
     values = []
-    while tokens.peek() != ")":
-        values.append(tokens.signed_int())
-        if not tokens.accept(","):
+    while toks[pos] != ")":
+        token = toks[pos]
+        negative = token == "-"
+        if negative or token == "+":
+            pos += 1
+            token = toks[pos]
+        if not "0" <= token[:1] <= "9":  # `lexer.is_int`, inlined
+            raise tokens.expected("an integer", pos)
+        try:
+            value = int(token)
+        except ValueError:  # too many digits: `int_at` raises the ParseError
+            value = tokens.int_at(pos)
+        values.append(-value if negative else value)
+        pos += 1
+        if toks[pos] != ",":
             break
-    tokens.expect(")")
+        pos += 1
+    if toks[pos] != ")":
+        raise tokens.expected("')'", pos)
+    tokens.pos = pos + 1
     if len(values) != length:
         raise tokens.error(f"vector has {len(values)} entries, expected {length}", at)
     return tuple(values)

@@ -120,7 +120,12 @@ def test_lcs_rank(capsys):
 
 
 def test_lcs_rank_requires_two_ranks(capsys):
+    # Well-formed but unsupported, like `--i 1`: a precondition failure.
     code, _, err = run(capsys, "lcs-rank", "--ranks", "1,1,1", "--i", "2")
+    assert code == 3
+    assert "two ranks" in err
+    # A single rank names no group: malformed input, as for every subcommand.
+    code, _, err = run(capsys, "lcs-rank", "--ranks", "1", "--i", "2")
     assert code == 2
     assert "two ranks" in err
 

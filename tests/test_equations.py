@@ -101,7 +101,8 @@ def test_system_rejects_names_declared_twice_or_invalid():
 
 # The golden CLI shapes: (polynomial, ranks).
 GOLDEN_SHAPES = [("z1*z2 - 6", (1, 1)), ("z1*z2 - 6", (2, 3)), ("z1*z2 - 6", (1, 1, 1)),
-                 ("z1*z2 - 6", (1, 2, 1, 1)), ("z1^2 + 3*z1 + 2", (2, 1))]
+                 ("z1*z2 - 6", (1, 2, 1, 1)), ("z1^2 + 3*z1 + 2", (2, 1)),
+                 ("z1 - 2", (1,) * 8)]
 
 
 @pytest.mark.parametrize("poly, ranks", GOLDEN_SHAPES)

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zwreath.equations import (Constant, Literal, check_system, equation,
+from zwreath import interp
+from zwreath.equations import (Commutator, Constant, Literal, check_system, equation,
                                parse_assignment, parse_system,
                                serialize_assignment, serialize_system,
                                system_of)
@@ -13,7 +14,7 @@ from zwreath.interp import (IteratedSpec, NestedElement, compile_iterated,
                             project_assignment, spec_for_ranks)
 from zwreath.reduction import compile as compile_flat
 from zwreath.reduction import parse_intpoly, witness as witness_flat
-from zwreath.selftest import check_lift, rand_nested, run_suite
+from zwreath.selftest import _planted_root_poly, check_lift, rand_nested, run_suite
 from zwreath.wreath import GroupSpec
 
 S11 = GroupSpec(1, 1)
@@ -320,6 +321,96 @@ def test_lift_rejects_foreign_constants():
     system = system_of([equation(Constant(I212.identity()))])
     with pytest.raises(SpecMismatchError):
         lift_system(system, I111.base_gen(1))
+
+
+def test_embed_crosses_several_levels_in_one_call():
+    i2111 = IteratedSpec((2, 1, 1, 1))
+    for value in (S11.active_gen(1), S11.base_gen(1, -6), S11.identity()):
+        assert i2111.embed(value) == i2111.embed(I111.embed(value))
+    assert i2111.embed(I111.base_gen(1, 2)) == NestedElement(i2111, I111.base_gen(1, 2), ())
+    for foreign in (i2111.identity(), I1111.identity(), GroupSpec(1, 2).identity(),
+                    IteratedSpec((2, 1, 1)).identity()):
+        with pytest.raises(SpecMismatchError):
+            i2111.embed(foreign)
+
+
+def test_lift_through_a_tower_needs_nested_levels():
+    system = system_of([equation(Literal("x"))])
+    with pytest.raises(SpecMismatchError, match="does not act on"):
+        lift_system(system, I111.base_gen(1), I212.base_gen(1))
+    # One lift over two levels wraps every equation twice.
+    lifted = lift_system(system, I111.base_gen(1), I1111.base_gen(1))
+    assert lifted.equations == (Commutator(Commutator(
+        Literal("x"), Constant(I1111.embed(I111.base_gen(1)))), Constant(I1111.base_gen(1))),)
+
+
+def test_the_tower_lift_walks_each_flat_word_once(monkeypatch):
+    # Lifting level by level re-walks the system built so far at every
+    # level, O(depth^2) word nodes; one pass visits each flat node once.
+    walk = interp._convert_word
+    visits = []
+
+    def counting(word, convert):
+        visits.append(word)
+        return walk(word, convert)
+
+    monkeypatch.setattr(interp, "_convert_word", counting)
+    f = parse_intpoly("z1 - 2")
+    counts = []
+    for depth in (3, 8, 64):
+        visits.clear()
+        compile_iterated(f, IteratedSpec((1,) * depth))
+        counts.append(len(visits))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+# -- the one-pass lift against the level-by-level reference ------------------------------
+
+
+def _levels(spec):
+    """The iterated groups of a tower, innermost first."""
+    levels = []
+    while isinstance(spec, IteratedSpec):
+        levels.insert(0, spec)
+        spec = spec.inner()
+    return levels
+
+
+def lift_level_by_level(system, spec):
+    """The former tower lift: one `lift_system` per level, each re-embedding
+    every constant built so far."""
+    for outer in _levels(spec):
+        system = lift_system(system, outer.base_gen(1))
+    return system
+
+
+def embed_level_by_level(assignment, spec):
+    """The former witness embedding: one checked `embed` per level and value."""
+    for outer in _levels(spec):
+        assignment = {name: NestedElement(outer, value, ()) for name, value in assignment.items()}
+    return assignment
+
+
+# Rank lists of depth 3 to 10, some of them with a 2 in them.
+TOWERS = [(1, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 1, 1), (1,) * 5, (2, 1, 1, 2, 1, 1),
+          (1,) * 7, (1, 1, 2, 1, 1, 1, 1, 1), (1,) * 9, (2,) + (1,) * 9]
+
+
+@pytest.mark.parametrize("ranks", TOWERS, ids=lambda ranks: ",".join(map(str, ranks)))
+def test_one_pass_lift_matches_the_level_by_level_reference(ranks):
+    spec = spec_for_ranks(ranks)
+    flat_spec = spec_for_ranks(ranks[-2:])
+    rng = random.Random(len(ranks) * 10 + sum(ranks))
+    cases = [(parse_intpoly("z1 - 2"), (2,))] + [_planted_root_poly(rng) for _ in range(2)]
+    for f, z in cases:
+        red = compile_iterated(f, spec)
+        reference = lift_level_by_level(red.flat.system, spec)
+        assert red.system == reference
+        assert serialize_system(red.system) == serialize_system(reference)
+        asg = red.witness(z)
+        assert asg == embed_level_by_level(witness_flat(f, z, flat_spec), spec)
+        assert check_system(red.system, asg, spec).ok
+        assert red.extract_solution(asg) == z
 
 
 # -- the iterated pipeline ---------------------------------------------------------------

@@ -99,6 +99,21 @@ def test_spec_mismatch_rejected():
         S11.identity() * S21.identity()
 
 
+def test_generators_and_their_inverses_are_built_once_per_spec():
+    spec = GroupSpec(m=2, n=3)
+    for level, j, make in ((1, 2, spec.active_gen), (2, 3, spec.base_gen)):
+        for power in (1, -1):
+            assert spec.generator(level, j, power) is spec.generator(level, j, power)
+            assert spec.generator(level, j, power) == make(j, power)
+        assert spec.generator(level, j, 5) == make(j, 5)
+        assert spec.generator(level, j, 5) is not spec.generator(level, j, 5)
+    assert set(spec._generators) == {(1, 2, 1), (1, 2, -1), (2, 3, 1), (2, 3, -1)}
+    # The cache is no part of the spec's value.
+    assert spec == GroupSpec(m=2, n=3) and hash(spec) == hash(GroupSpec(m=2, n=3))
+    with pytest.raises(PreconditionError):
+        spec.generator(2, 4)
+
+
 # -- lower central series -------------------------------------------------------
 
 
