@@ -21,12 +21,11 @@ from .interp import (IteratedReduction, IteratedSpec, NestedElement,
                      spec_for_ranks)
 from .laurent import (INFINITY, LaurentPoly, aug_valuation, delta_decompose,
                       delta_generator_product, delta_membership, geom_series,
-                      parse_poly, poly_str)
-from .reduction import (IntPolynomial, ReductionOutput, compile,
-                        extract_solution, intpoly_str, oracle_ef,
-                        parse_intpoly, witness)
+                      parse_poly)
+from .reduction import (IntPolynomial, Reduction, compile, extract_solution,
+                        oracle_ef, parse_intpoly, witness)
 from .wreath import (GroupSpec, LcsBasisElement, WreathElement,
-                     element_str, in_A, in_N, in_delta_power,
+                     in_A, in_N, in_delta_power,
                      left_normed_commutator, lcs_basis, lcs_rank,
                      module_action, parse_element)
 

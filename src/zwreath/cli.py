@@ -15,7 +15,7 @@ import sys
 from .equations import check_system, parse_assignment, parse_system, serialize_assignment, serialize_system
 from .errors import Error, ParseError, PreconditionError
 from .interp import IteratedReduction, compile_iterated, spec_for_ranks
-from .laurent import INFINITY, aug_valuation, poly_str
+from .laurent import INFINITY, aug_valuation
 from .lexer import TokenStream, is_int
 from .reduction import _membership_poly, parse_intpoly
 from .selftest import run_all
@@ -124,7 +124,7 @@ def _cmd_oracle(args):
     d = f.degree()
     val = aug_valuation(e_f)  # decides the verdict as `oracle_ef` does, computed once
     val_text = "INFINITY" if val == INFINITY else str(val)
-    print(f"e_f = {poly_str(e_f)}")
+    print(f"e_f = {e_f}")
     if val >= d + 1:
         print(f"valuation {val_text} >= {d + 1}: solution")
     else:
@@ -222,9 +222,6 @@ def main(argv=None):
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -263,9 +263,6 @@ class CheckReport:
     ok: bool
     failures: tuple = ()
 
-    def __bool__(self):
-        return self.ok
-
 
 def check_system(system, assignment, spec):
     """Evaluate every equation; true iff all evaluate to the identity.

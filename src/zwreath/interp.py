@@ -305,10 +305,19 @@ class NestedElement:
         return hash((self.spec, self.active, self.base))
 
     def __str__(self):
-        return nested_str(self)
+        """Canonical literal; the active part and support points print as inner literals.
+
+        `str` of an element at any level is its canonical literal, so the
+        innermost parts print as flat literals `{ active: (...); b1: ... }`.
+        """
+        entries = [
+            "[ " + str(key) + " -> (" + ",".join(str(v) for v in vec) + ") ]"
+            for key, vec in self.base]
+        body = " " + ", ".join(entries) + " " if entries else " "
+        return "{ active: " + str(self.active) + ";" + body + "}"
 
     def __repr__(self):
-        return f"NestedElement({nested_str(self)!r})"
+        return f"NestedElement({str(self)!r})"
 
 
 def _shift_add(support, base, shift, sign):
@@ -331,19 +340,6 @@ def _shift_add(support, base, shift, sign):
 
 
 # -- literals -----------------------------------------------------------------
-
-
-def nested_str(g):
-    """Canonical literal; the active part and support points print as inner literals.
-
-    `str` of an element at any level is its canonical literal, so the
-    innermost parts print as flat literals `{ active: (...); b1: ... }`.
-    """
-    entries = [
-        "[ " + str(key) + " -> (" + ",".join(str(v) for v in vec) + ") ]"
-        for key, vec in g.base]
-    body = " " + ", ".join(entries) + " " if entries else " "
-    return "{ active: " + str(g.active) + ";" + body + "}"
 
 
 def parse_nested(text, spec):
@@ -467,23 +463,16 @@ def _tower(spec):
     return tower[::-1]
 
 
-@dataclass(frozen=True)
-class IteratedReduction:
+class IteratedReduction(_reduction.Reduction):
     """Polynomial reduction compiled over a flat or iterated wreath product.
 
-    Witnessing and extracting need only `poly` and `spec`.  The flat
-    `reduction.compile` output (`flat`) and the lifted `system` are built on
-    first access and kept, so a caller that never reads the system, such as
-    the CLI's `witness` and `extract`, never compiles it.
+    Runs the flat pipeline over the innermost two ranks through the
+    `reduction` functions and carries it through the tower: the system is
+    lifted, witnesses are embedded and solutions projected.  As for the flat
+    `reduction.Reduction`, the system is built on first access and kept, so
+    a caller that never reads it, such as the CLI's `witness` and `extract`,
+    never compiles it.
     """
-
-    poly: object
-    spec: object
-
-    @cached_property
-    def flat(self):
-        """The flat compiler's output over the innermost group, built on first use."""
-        return _reduction.compile(self.poly, _tower(self.spec)[0])
 
     @cached_property
     def system(self):
@@ -491,20 +480,11 @@ class IteratedReduction:
         in one `lift_system` call, using the first generator of each level's
         outermost base copy; built on first use.  O(S·L + L²) for a flat
         system of size S and depth L (see `lift_system`)."""
-        system = self.flat.system
         tower = _tower(self.spec)
+        system = _reduction.compile(self.poly, tower[0]).system
         if len(tower) > 1:
             system = lift_system(system, *(outer.base_gen(1) for outer in tower[1:]))
         return system
-
-    @property
-    def solution_vars(self):
-        """The solution variables, named as `reduction.compile` names them."""
-        return _reduction._solution_vars(self.poly)
-
-    @property
-    def num_vars(self):
-        return self.poly.num_vars
 
     def witness(self, z):
         """The flat witness with each value embedded straight into the
@@ -516,12 +496,18 @@ class IteratedReduction:
         return asg
 
     def extract_solution(self, assignment):
-        """Project down to the flat group and read the root back out."""
-        asg = {name: assignment[name]
-               for name in self.solution_vars if name in assignment}
-        for _ in _tower(self.spec)[1:]:
+        """Project down to the flat group and read the root back out.
+
+        A solution value outside this group is a SpecMismatchError."""
+        tower = _tower(self.spec)
+        asg = {name: assignment[name] for name in self.solution_vars if name in assignment}
+        for name, value in asg.items():
+            if value.spec != self.spec:
+                raise SpecMismatchError(
+                    f"solution variable {name!r} belongs to {value.spec}, not {self.spec}")
+        for _ in tower[1:]:
             asg = project_assignment(asg)
-        return _reduction.extract_solution(self, asg)
+        return _reduction.extract_solution(_reduction.Reduction(self.poly, tower[0]), asg)
 
 
 def compile_iterated(f, spec):

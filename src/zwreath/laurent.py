@@ -244,10 +244,11 @@ class LaurentPoly:
         return tuple((m, self._terms[m]) for m in _ordered_monomials(self._terms))
 
     def __str__(self):
-        return poly_str(self)
+        """Canonical text form: terms in degree-lexicographic descending order."""
+        return terms_str(self._terms, "a")
 
     def __repr__(self):
-        return f"LaurentPoly({self.rank}, {poly_str(self)!r})"
+        return f"LaurentPoly({self.rank}, {str(self)!r})"
 
 
 # -- augmentation-ideal machinery -----------------------------------------
@@ -434,11 +435,6 @@ def geom_series(gamma, rank=1):
 
 def _ordered_monomials(terms):
     return sorted(terms, key=lambda m: (sum(m), m), reverse=True)
-
-
-def poly_str(p):
-    """Canonical text form: terms in degree-lexicographic descending order."""
-    return terms_str(p._terms, "a")
 
 
 def terms_str(terms, letter):

@@ -118,19 +118,15 @@ class TokenStream:
             raise self.error(f"integer of {len(token)} digits exceeds the limit of "
                              f"{sys.get_int_max_str_digits()} digits", pos) from None
 
-    def take_int(self):
-        """Consume an unsigned integer token and return its value."""
-        if not is_int(self.tokens[self.pos]):
-            raise self.expected("an integer")
-        self.pos += 1
-        return self.int_at(self.pos - 1)
-
     def signed_int(self):
         """Consume an integer with an optional `+` or `-` sign and return its value."""
         sign = self.tokens[self.pos]
         if sign == "+" or sign == "-":
             self.pos += 1
-        value = self.take_int()
+        if not is_int(self.tokens[self.pos]):
+            raise self.expected("an integer")
+        self.pos += 1
+        value = self.int_at(self.pos - 1)
         return -value if sign == "-" else value
 
     def expected(self, what, pos=None):

@@ -8,26 +8,29 @@ coordinate
     e_f = sum_alpha t_alpha (a1-1)^(d-|alpha|) prod_i (a1^{z_i} - 1)^{alpha_i},
 
 and requires y to lie in the (d+1)-st augmentation-ideal power -- which holds
-exactly when f(z) = 0.  The chains and y are written once, as ordered
-`(name, word)` definitions: `compile` emits each as the equation
-`name = word`, and `witness` builds the assignment from an integer root by
-evaluating the same words in order.  `extract_solution` reads a root back
-out of any satisfying assignment, and `oracle_ef` evaluates the membership
-polynomial directly as an independent check on the group-equation route.
+exactly when f(z) = 0.  A `Reduction` holds f and the group.  The chains
+and y are written once, as ordered `(name, word)` definitions: its `system`
+emits each as the equation `name = word`, and its `witness` builds the
+assignment from an integer root by evaluating the same words in order.  Its
+`extract_solution` reads a root back out of any satisfying assignment, and
+`oracle_ef` evaluates the membership polynomial directly as an independent
+check on the group-equation route.  `compile`, `witness` and
+`extract_solution` are the module-level entry points to the same pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .equations import (Constant, Literal, System, concat, equation, evaluate,
                         merge_systems)
-from .errors import PreconditionError
+from .errors import PreconditionError, SpecMismatchError
 from .gadgets import (_commutator_chain, gadget_cyclic, gadget_delta_power,
                       witness_cyclic, witness_delta_power)
 from .laurent import LaurentPoly, delta_membership, read_terms, terms_str
 from .lexer import parse_whole
-from .wreath import in_A
+from .wreath import GroupSpec, in_A
 
 
 # Largest variable count `parse_intpoly` infers from text.  Every term stores
@@ -103,14 +106,10 @@ class IntPolynomial:
         return hash((self.num_vars, frozenset(self._terms.items())))
 
     def __str__(self):
-        return intpoly_str(self)
+        return terms_str(self._terms, "z")
 
     def __repr__(self):
-        return f"IntPolynomial({self.num_vars}, {intpoly_str(self)!r})"
-
-
-def intpoly_str(f):
-    return terms_str(f._terms, "z")
+        return f"IntPolynomial({self.num_vars}, {str(self)!r})"
 
 
 def parse_intpoly(text, num_vars=None):
@@ -124,133 +123,167 @@ def parse_intpoly(text, num_vars=None):
                                       negative_exponents=False, max_rank=MAX_VARIABLES))
 
 
-# -- compilation ---------------------------------------------------------------
+# -- the reduction ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ReductionOutput:
-    """Compiled system plus the bookkeeping needed to read solutions back."""
+class Reduction:
+    """The reduction of the integer polynomial `poly` over the flat group `spec`.
 
-    system: System
-    solution_vars: tuple
-    num_vars: int
-
-
-def _solution_vars(f):
-    """The solution variables x1..xs of f; zero f compiles to a system without them."""
-    return () if f.is_zero() else tuple(f"x{i}" for i in range(1, f.num_vars + 1))
-
-
-def _term_definitions(f, spec):
-    """The system's definitions of its term chains and of y, in order.
-
-    Per support term alpha (degree-lex descending), the chain starts at
-    b1^{t_alpha} and commutes with a1 (d-|alpha| times), then with x_i
-    (alpha_i times, i ascending): c_<tag>_1, ..., c_<tag>_(r-1), y_<tag>
-    name its links; a term with no factors defines y_<tag> = b1^{t_alpha}.
-    Last comes y = prod_alpha y_<tag>.
+    `system` is compiled on first access and kept; `witness` and
+    `extract_solution` need only `poly` and `spec`, so a caller that never
+    reads the system never compiles it.  Any spec other than a `GroupSpec` is
+    a PreconditionError here: an iterated group is
+    `interp.IteratedReduction`, which overrides exactly these three members.
     """
-    d = f.degree()
-    a1 = Constant(spec.active_gen(1))
-    xs = [Literal(x) for x in _solution_vars(f)]
-    definitions = []
-    y_names = []
-    for alpha in f.support():
-        tag = "_".join(map(str, alpha)) or "const"
-        y_name = f"y_{tag}"
-        y_names.append(y_name)
-        base = Constant(spec.base_gen(1, power=f._terms[alpha]))
-        factors = [a1] * (d - sum(alpha)) + [
-            x for x, reps in zip(xs, alpha) for _ in range(reps)]
-        names = [f"c_{tag}_{step}" for step in range(1, len(factors))] + [y_name]
-        definitions.extend(_commutator_chain(base, factors, names) if factors
-                           else [(y_name, base)])
-    definitions.append(("y", concat(*[Literal(name) for name in y_names])))
-    return definitions
+
+    poly: IntPolynomial
+    spec: object
+
+    @cached_property
+    def solution_vars(self):
+        """The solution variables x1..xs; zero f compiles to a system without them."""
+        return () if self.poly.is_zero() else tuple(f"x{i + 1}" for i in range(self.num_vars))
+
+    @property
+    def num_vars(self):
+        return self.poly.num_vars
+
+    def _flat_spec(self):
+        """`spec`, which must be flat: an iterated one names `interp.compile_iterated`."""
+        if not isinstance(self.spec, GroupSpec):
+            raise PreconditionError(
+                f"the flat reduction needs a GroupSpec, got {self.spec!r}; "
+                "use interp.compile_iterated for an iterated group")
+        return self.spec
+
+    def _term_definitions(self, spec):
+        """The system's definitions of its term chains and of y, in order.
+
+        Per support term alpha (degree-lex descending), the chain starts at
+        b1^{t_alpha} and commutes with a1 (d-|alpha| times), then with x_i
+        (alpha_i times, i ascending): c_<tag>_1, ..., c_<tag>_(r-1), y_<tag>
+        name its links; a term with no factors defines y_<tag> = b1^{t_alpha}.
+        Last comes y = prod_alpha y_<tag>.
+        """
+        f = self.poly
+        d = f.degree()
+        a1 = Constant(spec.active_gen(1))
+        xs = [Literal(x) for x in self.solution_vars]
+        definitions = []
+        y_names = []
+        for alpha in f.support():
+            tag = "_".join(map(str, alpha)) or "const"
+            y_name = f"y_{tag}"
+            y_names.append(y_name)
+            base = Constant(spec.base_gen(1, power=f._terms[alpha]))
+            factors = [a1] * (d - sum(alpha)) + [
+                x for x, reps in zip(xs, alpha) for _ in range(reps)]
+            names = [f"c_{tag}_{step}" for step in range(1, len(factors))] + [y_name]
+            definitions.extend(_commutator_chain(base, factors, names) if factors
+                               else [(y_name, base)])
+        definitions.append(("y", concat(*[Literal(name) for name in y_names])))
+        return definitions
+
+    @cached_property
+    def system(self):
+        """A group-equation system solvable iff f has an integer root.
+
+        Zero f compiles to the empty system (every tuple is a root).  Otherwise
+        the system consists of a cyclic-subgroup gadget per variable, one
+        equation `name = word` per term definition (`_term_definitions`: the
+        commutator chain of each support term, then the product y), and the
+        ideal-power gadget for y at degree d+1.
+
+        Size, for s variables, t support terms, degree d and active rank m:
+        3s equations and 2s variables from the cyclic gadgets; t*max(d, 1) + 1
+        term definitions, each one equation and one variable of O(1) size but
+        the product y of t factors; and 1 + B*(d+2) equations and variables from
+        the ideal-power gadget (y counted once), with B = C(d+m, m-1) blocks.
+        Time is linear in that size.
+        """
+        spec = self._flat_spec()
+        if self.poly.is_zero():
+            return System()
+        xs = self.solution_vars
+        parts = [System((), xs)] + [
+            gadget_cyclic(x, spec, z_name=f"cyc_z_{i}") for i, x in enumerate(xs, start=1)]
+        definitions = self._term_definitions(spec)
+        parts.append(System(tuple(equation(Literal(name), word) for name, word in definitions),
+                            xs + tuple(name for name, _ in definitions)))
+        parts.append(gadget_delta_power("y", self.poly.degree() + 1, spec))
+        return merge_systems(*parts)
+
+    def witness(self, z):
+        """Satisfying assignment for `system` from an integer root z; builds no system.
+
+        Each x_i and its cyclic auxiliary come from `witness_cyclic`; every
+        other term auxiliary comes from evaluating the system's own term
+        definitions in order, one `evaluate` per definition, each O(n * terms);
+        the ideal-power auxiliaries come from `witness_delta_power` at y.
+        """
+        spec = self._flat_spec()
+        f = self.poly
+        z = tuple(z)
+        if len(z) != f.num_vars:
+            raise PreconditionError(f"expected {f.num_vars} solution values, got {len(z)}")
+        value = f.evaluate(z)
+        if value != 0:
+            point = ",".join(str(v) for v in z)
+            raise PreconditionError(f"not a root: f({point}) = {value}")
+        if f.is_zero():
+            return {}
+        asg = {}
+        for i, (x, zi) in enumerate(zip(self.solution_vars, z), start=1):
+            asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
+        for name, word in self._term_definitions(spec):
+            asg[name] = evaluate(word, asg, spec)
+        asg.update(witness_delta_power(asg["y"], f.degree() + 1))
+        return asg
+
+    def extract_solution(self, assignment):
+        """Read the integer root (z1..zs) off a satisfying assignment.
+
+        Each solution variable must be assigned an element of `spec`
+        (SpecMismatchError otherwise) that is a pure power of a1; anything
+        else signals an assignment outside the reduction's image and raises
+        PreconditionError.  Variables absent from the system (zero
+        polynomial) extract as 0.  One lookup and one O(n + m) check per
+        solution variable: O(s * (n + m)) for s variables, whatever the size
+        of the system.
+        """
+        spec = self._flat_spec()
+        values = []
+        for name in self.solution_vars:
+            try:
+                g = assignment[name]
+            except KeyError:
+                raise PreconditionError(f"assignment missing solution variable {name!r}") from None
+            if g.spec != spec:
+                raise SpecMismatchError(
+                    f"solution variable {name!r} belongs to {g.spec}, not {spec}")
+            if not in_A(g) or any(g.active[1:]):
+                raise PreconditionError(
+                    f"solution variable {name!r} is not a pure power of a1: {g}")
+            values.append(g.active[0])
+        return tuple(values) if self.solution_vars else (0,) * self.num_vars
 
 
 def compile(f, spec):
-    """Compile f into a group-equation system solvable iff f has an integer root.
-
-    Zero f compiles to the empty system (every tuple is a root).  Otherwise
-    the system consists of a cyclic-subgroup gadget per variable, one
-    equation `name = word` per term definition (`_term_definitions`: the
-    commutator chain of each support term, then the product y), and the
-    ideal-power gadget for y at degree d+1.
-
-    Size, for s variables, t support terms, degree d and active rank m:
-    3s equations and 2s variables from the cyclic gadgets; t*max(d, 1) + 1
-    term definitions, each one equation and one variable of O(1) size but
-    the product y of t factors; and 1 + B*(d+2) equations and variables from
-    the ideal-power gadget (y counted once), with B = C(d+m, m-1) blocks.
-    Time is linear in that size.
-    """
-    if f.is_zero():
-        return ReductionOutput(System(), (), f.num_vars)
-    solution_vars = _solution_vars(f)
-    parts = []
-    for i, x in enumerate(solution_vars, start=1):
-        parts.append(gadget_cyclic(x, spec, z_name=f"cyc_z_{i}"))
-    definitions = _term_definitions(f, spec)
-    parts.append(System(tuple(equation(Literal(name), word) for name, word in definitions),
-                        solution_vars + tuple(name for name, _ in definitions)))
-    parts.append(gadget_delta_power("y", f.degree() + 1, spec))
-    return ReductionOutput(merge_systems(System((), solution_vars), *parts),
-                           solution_vars, f.num_vars)
+    """The `Reduction` of f over the flat group `spec`, its system built."""
+    reduction = Reduction(f, spec)
+    reduction.system  # built here, so its cost falls to compiling
+    return reduction
 
 
 def witness(f, z, spec):
-    """Satisfying assignment for `compile(f, spec)` from an integer root z.
-
-    Each x_i and its cyclic auxiliary come from `witness_cyclic`; every
-    other term auxiliary comes from evaluating the system's own term
-    definitions in order, one `evaluate` per definition, each O(n * terms);
-    the ideal-power auxiliaries come from `witness_delta_power` at y.
-    """
-    z = tuple(z)
-    if len(z) != f.num_vars:
-        raise PreconditionError(f"expected {f.num_vars} solution values, got {len(z)}")
-    value = f.evaluate(z)
-    if value != 0:
-        point = ",".join(str(v) for v in z)
-        raise PreconditionError(f"not a root: f({point}) = {value}")
-    if f.is_zero():
-        return {}
-    asg = {}
-    for i, (x, zi) in enumerate(zip(_solution_vars(f), z), start=1):
-        asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
-    for name, word in _term_definitions(f, spec):
-        asg[name] = evaluate(word, asg, spec)
-    asg.update(witness_delta_power(asg["y"], f.degree() + 1))
-    return asg
+    """`Reduction(f, spec).witness(z)`: a satisfying assignment from a root z."""
+    return Reduction(f, spec).witness(z)
 
 
-def extract_solution(out, asg):
-    """Read the integer root (z1..zs) off a satisfying assignment.
-
-    `out` names the solution variables and their count: the
-    `ReductionOutput` of `compile`, or an `interp.IteratedReduction`, which
-    needs no compiled system for it.
-
-    Each solution variable must be assigned a pure power of a1; anything else
-    signals an assignment outside the reduction's image and raises
-    PreconditionError.  Variables absent from the system (zero polynomial)
-    extract as 0.  One lookup and one O(n + m) check per solution variable:
-    O(s * (n + m)) for s variables, whatever the size of the system.
-    """
-    values = []
-    for name in out.solution_vars:
-        try:
-            g = asg[name]
-        except KeyError:
-            raise PreconditionError(f"assignment missing solution variable {name!r}") from None
-        if not in_A(g) or any(g.active[1:]):
-            raise PreconditionError(
-                f"solution variable {name!r} is not a pure power of a1: {g}")
-        values.append(g.active[0])
-    if not out.solution_vars:
-        return (0,) * out.num_vars
-    return tuple(values)
+def extract_solution(reduction, assignment):
+    """`reduction.extract_solution(assignment)`, for a flat or iterated reduction."""
+    return reduction.extract_solution(assignment)
 
 
 def oracle_ef(f, z, rank=1):

@@ -18,7 +18,7 @@ from operator import add
 
 from .errors import PreconditionError, SpecMismatchError
 from .laurent import (LaurentPoly, _add_shifted, _shifted, binary_power,
-                      delta_membership, poly_str, read_poly)
+                      delta_membership, read_poly)
 from .lexer import is_name, parse_whole
 
 
@@ -224,10 +224,15 @@ class WreathElement:
         return (self.active,) + tuple(p.sort_key() for p in self.base)
 
     def __str__(self):
-        return element_str(self)
+        """Canonical literal: `{ active: (e1,...,em); b1: poly, ... }`."""
+        vec = "(" + ",".join(str(e) for e in self.active) + ")"
+        entries = [
+            f"b{j + 1}: {p}" for j, p in enumerate(self.base) if not p.is_zero()]
+        body = " " + ", ".join(entries) + " " if entries else " "
+        return "{ active: " + vec + ";" + body + "}"
 
     def __repr__(self):
-        return f"WreathElement({element_str(self)!r})"
+        return f"WreathElement({str(self)!r})"
 
 
 def left_normed_commutator(elements):
@@ -312,15 +317,6 @@ def lcs_rank(i, spec):
 
 
 # -- element literals --------------------------------------------------------
-
-
-def element_str(g):
-    """Canonical literal: `{ active: (e1,...,em); b1: poly, ... }`."""
-    vec = "(" + ",".join(str(e) for e in g.active) + ")"
-    entries = [
-        f"b{j + 1}: {poly_str(p)}" for j, p in enumerate(g.base) if not p.is_zero()]
-    body = " " + ", ".join(entries) + " " if entries else " "
-    return "{ active: " + vec + ";" + body + "}"
 
 
 def parse_element(text, spec):

@@ -11,7 +11,7 @@ from zwreath.equations import (Commutator, Concat, Constant,
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.interp import IteratedSpec, compile_iterated, lift_system, spec_for_ranks
 from zwreath.laurent import LaurentPoly, parse_poly
-from zwreath.reduction import parse_intpoly
+from zwreath.reduction import compile, parse_intpoly
 from zwreath.selftest import _solve_definitions, rand_word
 from zwreath.wreath import GroupSpec
 
@@ -113,7 +113,7 @@ def test_systems_built_without_a_second_check_pass_it(poly, ranks):
     f = parse_intpoly(poly)
     spec = spec_for_ranks(ranks)
     reduction = compile_iterated(f, spec)
-    flat = reduction.flat.system
+    flat = compile(f, spec_for_ranks(ranks[-2:])).system
     text = serialize_system(reduction.system)
     systems = [reduction.system, flat,
                merge_systems(flat, system_of([equation(Literal("spare"))]), flat),

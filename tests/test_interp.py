@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zwreath import interp
+from zwreath import interp, reduction
 from zwreath.equations import (Commutator, Constant, Literal, check_system, equation,
                                parse_assignment, parse_system,
                                serialize_assignment, serialize_system,
                                system_of)
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.interp import (IteratedSpec, NestedElement, compile_iterated,
-                            lift_system, nested_str, parse_nested,
+                            lift_system, parse_nested,
                             project_assignment, spec_for_ranks)
 from zwreath.reduction import compile as compile_flat
 from zwreath.reduction import parse_intpoly, witness as witness_flat
@@ -103,7 +103,7 @@ def test_products_and_inverses_are_in_normal_form():
             for value in (g * h, g.inverse(), g * g.inverse(), g.commutator(h)):
                 rebuilt = NestedElement(spec, value.active, value.base)
                 assert rebuilt == value and hash(rebuilt) == hash(value)
-                assert parse_nested(nested_str(value), spec) == value
+                assert parse_nested(str(value), spec) == value
 
 
 # -- the closed-form commutator ---------------------------------------------------------
@@ -193,17 +193,17 @@ def test_nested_literal_round_trip():
         spec = IteratedSpec(shape)
         for _ in range(50):
             g = rand_nested(rng, spec)
-            assert parse_nested(nested_str(g), spec) == g
+            assert parse_nested(str(g), spec) == g
 
 
 def test_nested_literal_shape():
     g = I111.base_gen(1)
-    assert nested_str(g) == "{ active: { active: (0); }; [ { active: (0); } -> (1) ] }"
+    assert str(g) == "{ active: { active: (0); }; [ { active: (0); } -> (1) ] }"
     assert parse_nested("{ active: {active:(0)} ; [ { active: (0) } -> (1) ] }", I111) == g
-    assert nested_str(I1111.base_gen(1)) == (
+    assert str(I1111.base_gen(1)) == (
         "{ active: { active: { active: (0); }; }; "
         "[ { active: { active: (0); }; } -> (1) ] }")
-    assert nested_str(I212.base_gen(2, power=-3)) == (
+    assert str(I212.base_gen(2, power=-3)) == (
         "{ active: { active: (0,0); }; [ { active: (0,0); } -> (0,-3) ] }")
 
 
@@ -277,7 +277,7 @@ def test_lift_keeps_the_flat_equation_count_at_every_depth():
     for depth in range(3, 9):
         red = compile_iterated(f, IteratedSpec((1,) * depth))
         assert len(red.system.equations) == flat_count
-        assert red.system.declared_vars == red.flat.system.declared_vars
+        assert red.system.declared_vars == compile_flat(f, S11).system.declared_vars
 
 
 def test_depth_three_system_text_is_pinned():
@@ -404,7 +404,7 @@ def test_one_pass_lift_matches_the_level_by_level_reference(ranks):
     cases = [(parse_intpoly("z1 - 2"), (2,))] + [_planted_root_poly(rng) for _ in range(2)]
     for f, z in cases:
         red = compile_iterated(f, spec)
-        reference = lift_level_by_level(red.flat.system, spec)
+        reference = lift_level_by_level(compile_flat(f, flat_spec).system, spec)
         assert red.system == reference
         assert serialize_system(red.system) == serialize_system(reference)
         asg = red.witness(z)
@@ -443,6 +443,22 @@ def test_compile_iterated_depth_three_end_to_end():
     asg = red.witness((2,))
     assert check_system(red.system, asg, I111).ok
     assert red.extract_solution(asg) == (2,)
+
+
+@pytest.mark.parametrize("ranks", [(1, 1), (1, 1, 1), (1, 2, 1, 1)])
+def test_iterated_reduction_is_a_reduction(ranks):
+    f = parse_intpoly("z1*z2 - 6")
+    red = compile_iterated(f, spec_for_ranks(ranks))
+    assert isinstance(red, reduction.Reduction)
+    assert red.solution_vars == ("x1", "x2") and red.num_vars == 2
+    assert reduction.extract_solution(red, red.witness((2, 3))) == (2, 3)
+
+
+def test_iterated_extract_rejects_a_value_from_another_group():
+    red = compile_iterated(parse_intpoly("z1 - 2"), I111)
+    for foreign in (S11.active_gen(1, power=2), I212.embed(GroupSpec(2, 1).active_gen(1, power=2))):
+        with pytest.raises(SpecMismatchError, match="x1"):
+            reduction.extract_solution(red, {"x1": foreign})
 
 
 def test_compile_iterated_rejects_single_rank():

@@ -4,13 +4,14 @@ import pytest
 
 from zwreath.equations import (check_system, evaluate, free_vars, parse_system,
                                serialize_system)
-from zwreath.errors import ParseError, PreconditionError
+from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.gadgets import (_block_chain, delta_blocks, witness_cyclic,
                              witness_delta_power)
 from zwreath.laurent import (INFINITY, LaurentPoly, aug_valuation, delta_decompose,
                              delta_generator_product, parse_poly)
-from zwreath.reduction import (IntPolynomial, compile, extract_solution,
-                               intpoly_str, oracle_ef, parse_intpoly, witness)
+from zwreath.interp import IteratedSpec
+from zwreath.reduction import (IntPolynomial, Reduction, compile, extract_solution,
+                               oracle_ef, parse_intpoly, witness)
 from zwreath.selftest import (check_oracle, check_reduction_roundtrip,
                               rand_intpoly)
 from zwreath.wreath import GroupSpec, module_action
@@ -45,8 +46,8 @@ def test_intpoly_round_trip():
     rng = random.Random(2)
     for _ in range(100):
         f = rand_intpoly(rng)
-        assert parse_intpoly(intpoly_str(f), num_vars=f.num_vars) == f
-    assert intpoly_str(IntPolynomial(1)) == "0"
+        assert parse_intpoly(str(f), num_vars=f.num_vars) == f
+    assert str(IntPolynomial(1)) == "0"
 
 
 # -- compile ------------------------------------------------------------------
@@ -305,6 +306,27 @@ def test_extract_rejects_foreign_generators():
 def test_extract_zero_polynomial_defaults_to_zeros():
     out = compile(IntPolynomial(3), S11)
     assert extract_solution(out, {}) == (0, 0, 0)
+
+
+def test_extract_rejects_a_value_from_another_group():
+    out = compile(parse_intpoly("z1 - 7"), S11)
+    # a1^7 of Z wr Z^2 is no element of Z wr Z, though its first coordinate is 7.
+    with pytest.raises(SpecMismatchError, match="x1"):
+        extract_solution(out, {"x1": S21.active_gen(1, power=7)})
+    depth_three = IteratedSpec((1, 1, 1)).embed(S11.active_gen(1, power=7))
+    with pytest.raises(SpecMismatchError, match="x1"):
+        extract_solution(out, {"x1": depth_three})
+
+
+def test_flat_reduction_over_a_tower_names_compile_iterated():
+    tower = IteratedSpec((1, 1, 1))
+    f = parse_intpoly("z1 - 2")
+    calls = [lambda: compile(f, tower), lambda: witness(f, (2,), tower),
+             lambda: Reduction(f, tower).extract_solution({}),
+             lambda: Reduction(IntPolynomial(1), tower).system]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="interp.compile_iterated"):
+            call()
 
 
 # -- oracle ------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.laurent import LaurentPoly, parse_poly
 from zwreath.wreath import (GroupSpec, LcsBasisElement, WreathElement,
-                            element_str, in_A, in_N, in_delta_power,
+                            in_A, in_N, in_delta_power,
                             lcs_basis, lcs_rank, left_normed_commutator,
                             module_action, parse_element)
 
@@ -161,14 +161,14 @@ def test_lcs_requires_index_at_least_two():
 
 def test_element_literal_round_trip():
     g = S22.element(active=(2, 0), base={1: parse_poly("a1 - 1", 2)})
-    text = element_str(g)
+    text = str(g)
     assert text == "{ active: (2,0); b1: a1 - 1 }"
     assert parse_element(text, S22) == g
 
 
 def test_element_literal_empty_base():
     g = S21.element(active=(1, -3))
-    text = element_str(g)
+    text = str(g)
     assert text == "{ active: (1,-3); }"
     assert parse_element(text, S21) == g
 
@@ -200,7 +200,7 @@ def test_random_literal_round_trips():
                     tuple(rng.randint(-2, 2) for _ in range(spec.m)): rng.randint(-5, 5)
                     for _ in range(rng.randint(1, 3))})
         g = spec.element(active=active, base=base)
-        assert parse_element(element_str(g), spec) == g
+        assert parse_element(str(g), spec) == g
 
 
 # -- hypothesis: group axioms and the action convention -----------------------------
