@@ -1,8 +1,8 @@
 """Group-equation syntax and semantics: words, systems, assignments.
 
-Words are trees (nested commutators stay nested, so no textual blow-up);
-equations are stored in `w = 1` form; systems carry an explicit declaration
-list so files round-trip exactly.  Evaluation is generic over any element
+Words are trees (a commutator chain is one left-normed node, so no textual
+blow-up); equations are stored in `w = 1` form; systems carry an explicit
+declaration list so files round-trip exactly.  Evaluation is generic over any element
 type providing `*`, `inverse()`, `commutator()` and `__pow__`, with the
 ambient spec supplying the identity element, the element-literal parser and
 the generator words: system text prints a constant that is a power of one
@@ -23,8 +23,10 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # Deepest bracket and parenthesis nesting a system file may use.  Words are
 # parsed, checked and evaluated recursively, at most three word nodes (and
 # so three stack frames) per nesting level, so the limit keeps all of them
-# well inside Python's default recursion limit of 1000; a lifted system over
-# the longest rank list (`interp.MAX_RANKS`, 64) nests 64 deep.
+# well inside Python's default recursion limit of 1000.  A commutator chain
+# is one n-ary bracket, so compiled systems nest at most three deep whatever
+# the degree, and lifted systems no longer nest once per level: a lift adds
+# its generators to one bracket around each equation.
 MAX_NESTING = 256
 
 
@@ -59,10 +61,22 @@ class Concat:
     parts: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Commutator:
-    left: object
-    right: object
+    """The left-normed commutator [w, f1, ..., fk] = [...[[w, f1], f2]..., fk].
+
+    `Commutator(w, f1, ..., fk)` takes k >= 1 factors, so `Commutator(x, y)`
+    is the plain [x, y] = x^-1 y^-1 x y.
+    """
+
+    word: object
+    factors: tuple
+
+    def __init__(self, word, *factors):
+        if not factors:
+            raise PreconditionError("a commutator needs at least one factor after its word")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "factors", factors)
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,8 @@ def power(word, exponent):
 
 
 def inverse_word(word):
-    """Structural inverse; commutators invert by swapping arguments."""
+    """Structural inverse; [u, f]^-1 = [f, u], so a commutator chain inverts to
+    [fk, [w, f1, ..., f(k-1)]]."""
     if isinstance(word, Literal):
         return Literal(word.name, -word.sign)
     if isinstance(word, Constant):
@@ -107,7 +122,8 @@ def inverse_word(word):
     if isinstance(word, Concat):
         return Concat(tuple(inverse_word(p) for p in reversed(word.parts)))
     if isinstance(word, Commutator):
-        return Commutator(word.right, word.left)
+        *rest, last = word.factors
+        return Commutator(last, Commutator(word.word, *rest) if rest else word.word)
     if isinstance(word, Power):
         return power(word.body, -word.exponent)
     raise PreconditionError(f"not a word node: {word!r}")
@@ -128,8 +144,9 @@ def free_vars(word):
             for p in w.parts:
                 walk(p)
         elif isinstance(w, Commutator):
-            walk(w.left)
-            walk(w.right)
+            walk(w.word)
+            for f in w.factors:
+                walk(f)
         elif isinstance(w, Power):
             walk(w.body)
         elif not isinstance(w, Constant):
@@ -142,8 +159,9 @@ def free_vars(word):
 def evaluate(word, assignment, spec):
     """Evaluate a word under an assignment; commutator nodes stay structural.
 
-    Costs one group operation per word node (a power by square-and-multiply
-    costs O(log |exponent|)), each of them O(n * terms) in the flat group.
+    Costs one group operation per word node and one commutator per factor of
+    a commutator chain, folded left (a power by square-and-multiply costs
+    O(log |exponent|)), each of them O(n * terms) in the flat group.
     """
     if isinstance(word, Literal):
         try:
@@ -165,8 +183,10 @@ def evaluate(word, assignment, spec):
             acc = acc * evaluate(p, assignment, spec)
         return acc
     if isinstance(word, Commutator):
-        return evaluate(word.left, assignment, spec).commutator(
-            evaluate(word.right, assignment, spec))
+        acc = evaluate(word.word, assignment, spec)
+        for f in word.factors:
+            acc = acc.commutator(evaluate(f, assignment, spec))
+        return acc
     if isinstance(word, Power):
         return evaluate(word.body, assignment, spec) ** word.exponent
     raise PreconditionError(f"not a word node: {word!r}")
@@ -304,8 +324,9 @@ def flatten(word, fresh=None):
 
     Returns (flat word, auxiliary system).  Every solution of the original
     context extends uniquely to the fresh variables: each is equated to a
-    word in earlier variables.  Powers expand by repeated squaring, so word
-    growth stays linear in the input size.
+    word in earlier variables.  A commutator chain [w, f1, ..., fk] takes
+    one fresh variable per link [t, f_i].  Powers expand by repeated
+    squaring, so word growth stays linear in the input size.
     """
     if fresh is None:
         fresh = NameGen(reserved=free_vars(word))
@@ -322,10 +343,11 @@ def flatten(word, fresh=None):
         if isinstance(w, Concat):
             return Concat(tuple(walk(p) for p in w.parts))
         if isinstance(w, Commutator):
-            left = walk(w.left)
-            right = walk(w.right)
-            return define(concat(
-                inverse_word(left), inverse_word(right), left, right))
+            left = walk(w.word)
+            for factor in w.factors:
+                right = walk(factor)
+                left = define(concat(inverse_word(left), inverse_word(right), left, right))
+            return left
         if isinstance(w, Power):
             body = walk(w.body)
             e = abs(w.exponent)
@@ -364,7 +386,7 @@ def normalize_word(word):
             return parts[0]
         return Concat(parts)
     if isinstance(word, Commutator):
-        return Commutator(normalize_word(word.left), normalize_word(word.right))
+        return Commutator(normalize_word(word.word), *map(normalize_word, word.factors))
     if isinstance(word, Power):
         return power(normalize_word(word.body), word.exponent)
     return word
@@ -387,7 +409,7 @@ def _serialize_factor(word):
     if isinstance(word, Constant):
         return word.value.spec.generator_word(word.value) or str(word.value)
     if isinstance(word, Commutator):
-        return f"[{_serialize_normal(word.left)}, {_serialize_normal(word.right)}]"
+        return "[" + ", ".join(map(_serialize_normal, (word.word,) + word.factors)) + "]"
     if isinstance(word, Power):
         body = word.body
         if isinstance(body, Literal) and body.sign == 1:
@@ -500,11 +522,14 @@ def _read_factor(tokens, spec, depth):
             raise tokens.error(f"brackets and parentheses nested deeper than {MAX_NESTING}")
         tokens.take()
         if token == "[":
-            left = _read_word(tokens, spec, (",",), depth + 1)
+            # `[w, f1, ..., fk]`, k >= 1: one bracket, one nesting level.
+            parts = [_read_word(tokens, spec, (",", "]"), depth + 1)]
             tokens.expect(",")
-            right = _read_word(tokens, spec, ("]",), depth + 1)
+            parts.append(_read_word(tokens, spec, (",", "]"), depth + 1))
+            while tokens.accept(","):
+                parts.append(_read_word(tokens, spec, (",", "]"), depth + 1))
             tokens.expect("]")
-            base = Commutator(left, right)
+            base = Commutator(*parts)
         else:
             base = _read_word(tokens, spec, (")",), depth + 1)
             tokens.expect(")")

@@ -7,7 +7,9 @@ Witness builders return assignment fragments that satisfy the corresponding
 gadget exactly.  An auxiliary that a gadget defines by an equation
 `name = word` gets its value by evaluating that word; only those no equation
 defines have a dedicated builder: the cyclic gadget's geometric series and
-the ideal-power blocks' quotients y_beta.
+the ideal-power blocks' quotients y_beta.  Each ideal-power block's
+commutator chain is one left-normed commutator, so the block defines x_beta
+alone, with no variable per chain link.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ class DeltaBlock:
     beta: tuple
     y_name: str
     x_name: str
-    chain_names: tuple
 
 
 def delta_blocks(spec, k):
@@ -82,8 +83,8 @@ def delta_blocks(spec, k):
     m active generators, in ascending lexicographic order.  They are the
     C(k+m-1, m-1) placements of m-1 bars among k+m-1 slots, read off in
     order: beta_i counts the slots between bar i-1 and bar i.  Each block
-    names its k links (k-1 chain names and x_beta) and y_beta, all with the
-    prefix `dp`, so the layout costs O(C(k+m-1, m-1) * k) time and names.
+    names x_beta and y_beta, with the prefix `dp`, so the layout costs
+    O(C(k+m-1, m-1) * m) time and O(C(k+m-1, m-1)) names.
     """
     if not isinstance(k, int) or k < 1:
         raise PreconditionError(f"ideal power must be a positive int, got {k!r}")
@@ -92,40 +93,25 @@ def delta_blocks(spec, k):
     betas = (tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
              for bars in itertools.combinations(range(slots), spec.m - 1))
     for idx, beta in enumerate(betas, start=1):
-        chain = tuple(f"dp_c_{idx}_{t}" for t in range(1, k))
-        blocks.append(DeltaBlock(beta, f"dp_y_{idx}", f"dp_x_{idx}", chain))
+        blocks.append(DeltaBlock(beta, f"dp_y_{idx}", f"dp_x_{idx}"))
     return blocks
 
 
-def _commutator_chain(word, factors, names):
-    """Left-normed commutator chain as ordered `(name, word)` definitions.
-
-    names[0] = [word, factors[0]] and names[t] = [names[t-1], factors[t]]:
-    each definition uses only names defined before it, so evaluating the
-    words in order solves the chain.
-    """
-    definitions = []
-    for name, factor in zip(names, factors):
-        definitions.append((name, Commutator(word, factor)))
-        word = Literal(name)
-    return definitions
-
-
 def _block_chain(block, spec):
-    """The block's chain x_beta = [y_beta, a1 (beta_1 times), ..., am (beta_m times)]."""
+    """The word defining x_beta: [y_beta, a1 (beta_1 times), ..., am (beta_m times)]."""
     factors = [Constant(spec.active_gen(i)) for i, reps in enumerate(block.beta, start=1)
                for _ in range(reps)]
-    return _commutator_chain(Literal(block.y_name), factors, block.chain_names + (block.x_name,))
+    return Commutator(Literal(block.y_name), *factors)
 
 
 def gadget_delta_power(x, k, spec):
     """x lies in the base subgroup acted on by the k-th ideal power.
 
-    Emits x = prod_beta x_beta and, per block, [y_beta, b1] = 1 together with
-    the chain definitions equating x_beta to the left-normed commutator of
+    Emits x = prod_beta x_beta and, per block, [y_beta, b1] = 1 and the
+    definition x_beta = [y_beta, a1, ..., am], the left-normed commutator of
     y_beta by a1 (beta_1 times), ..., am (beta_m times).  Declares x, then
-    per block x_beta, y_beta and its chain names.  That is C(k+m-1, m-1)
-    blocks of k links: 1 + C(k+m-1, m-1) * (k+1) equations and variables.
+    per block x_beta and y_beta.  With B = C(k+m-1, m-1) blocks that is
+    1 + 2B equations and variables; each definition is a chain of k factors.
     """
     blocks = delta_blocks(spec, k)
     b1 = Constant(spec.base_gen(1))
@@ -134,9 +120,8 @@ def gadget_delta_power(x, k, spec):
     for bl in blocks:
         declared.append(bl.x_name)
         declared.append(bl.y_name)
-        declared.extend(bl.chain_names)
         eqs.append(equation(Commutator(Literal(bl.y_name), b1)))
-        eqs.extend(equation(Literal(name), word) for name, word in _block_chain(bl, spec))
+        eqs.append(equation(Literal(bl.x_name), _block_chain(bl, spec)))
     return System(tuple(eqs), tuple(declared))
 
 
@@ -144,11 +129,10 @@ def witness_delta_power(g, k):
     """Auxiliary assignment fragment for `gadget_delta_power` at x = g.
 
     Decomposes every base coordinate of g over the degree-k generator
-    products, so y_beta carries the quotient coordinates; the rest of each
-    block comes from evaluating the gadget's own chain definitions in
-    order.  That is one `evaluate` per chain link, each a closed-form
-    commutator in O(n * terms).  Raises PreconditionError if some
-    coordinate is outside the k-th ideal power.
+    products, so y_beta carries the quotient coordinates; x_beta comes from
+    evaluating the gadget's own definition of it, k closed-form commutators
+    of O(n * terms) each.  Raises PreconditionError if some coordinate is
+    outside the k-th ideal power.
     """
     spec = g.spec
     failure = f"element is not in the ideal-power-{k} base subgroup"
@@ -169,6 +153,5 @@ def witness_delta_power(g, k):
     for bl in blocks:
         fragment[bl.y_name] = spec.element(base={
             j + 1: parts[bl.beta] for j, parts in enumerate(decomposed) if bl.beta in parts})
-        for name, word in _block_chain(bl, spec):
-            fragment[name] = evaluate(word, fragment, spec)
+        fragment[bl.x_name] = evaluate(_block_chain(bl, spec), fragment, spec)
     return fragment

@@ -20,10 +20,11 @@ five (two inverses, three products) of `g^-1 h^-1 g h`.
 wreath extension by pinning each equation's value into the centralizer of a
 distinguished base generator: every equation `w = 1` becomes the single
 equation `[w, b] = 1`, so a lifted system has as many equations and
-variables as the flat one, and each level adds one commutator around every
-equation.  `compile_iterated` lifts the flat polynomial reduction through
-every level in one `lift_system` call, which embeds each constant straight
-into the outermost group.  In system text every constant that is a power of one
+variables as the flat one, and each level adds one factor to the one
+left-normed commutator `[w, b_3, ..., b_L]` around every equation.
+`compile_iterated` lifts the flat polynomial reduction through every level
+in one `lift_system` call, which embeds each constant straight into the
+outermost group.  In system text every constant that is a power of one
 generator is a generator word (`@a1`, `@b1^-6`, `@b1_3` for level 3's base
 generator; see `wreath.read_generator`) of O(1) characters, so a lifted
 system's text grows linearly in its depth.
@@ -41,7 +42,7 @@ from .lexer import parse_whole
 from .wreath import GroupSpec, group_power, power_word, read_vector
 
 
-# Longest rank list accepted.  Specs, element literals and lifted words nest
+# Longest rank list accepted.  Specs, elements and element literals nest
 # once per rank and are built, printed and parsed recursively, so the depth
 # must stay well inside Python's recursion limit; a deeper list is refused
 # up front (PreconditionError) instead of overflowing the stack.
@@ -383,7 +384,7 @@ def _convert_word(word, convert):
     if isinstance(word, Concat):
         return Concat(tuple(_convert_word(p, convert) for p in word.parts))
     if isinstance(word, Commutator):
-        return Commutator(_convert_word(word.left, convert), _convert_word(word.right, convert))
+        return Commutator(*(_convert_word(p, convert) for p in (word.word,) + word.factors))
     if isinstance(word, Power):
         return Power(_convert_word(word.body, convert), word.exponent)
     return word
@@ -394,9 +395,13 @@ def lift_system(system, b, *outer):
     and on through one more wreath extension per generator in `outer`.
 
     Every equation w = 1 over H becomes the single equation [w', b] = 1, where
-    w' is w with each constant embedded as a pure active part.  No variable
-    is added, so `declared_vars` passes through unchanged and the lifted
-    system is not validated again; O(size of the system) time and output.
+    w' is w with each constant embedded as a pure active part.  When w' is
+    itself a commutator [u, f1, ..., fk], b joins its factors as the same
+    left-normed [u, f1, ..., fk, b], so lifting twice gives what one lift
+    through both levels gives, and no bracket nests once per level.  No
+    variable is added, so `declared_vars` passes through unchanged and the
+    lifted system is not validated again; O(size of the system) time and
+    output.
 
     Equivalence.  b is a base generator at the inner identity, and its
     centralizer in K wr H is exactly the base subgroup: conjugating b by an
@@ -412,12 +417,12 @@ def lift_system(system, b, *outer):
     A tower.  With `outer` = (b_4, ..., b_L), each b_k a base generator of
     the group of level k, whose inner group is the group of b_(k-1), and b
     = b_3, the result is the level-by-level lift in one pass: every w = 1
-    becomes [[...[w^(L), b_3^(L)], b_4^(L)]..., b_L] = 1, where ^(L) embeds
-    an element straight into the outermost group.  Each distinct constant
-    is embedded once, O(L), and each b_k once, O(L - k), so a system of
-    size S over a tower of depth L costs O(S·L + L²) time and output,
-    against the O(S·L²) of one call per level, which re-walks and
-    re-embeds every constant built so far.
+    becomes [w^(L), b_3^(L), b_4^(L), ..., b_L] = 1, one left-normed
+    commutator, where ^(L) embeds an element straight into the outermost
+    group.  Each distinct constant is embedded once, O(L), and each b_k
+    once, O(L - k), so a system of size S over a tower of depth L costs
+    O(S·L + L²) time and output, against the O(S·L²) of one call per
+    level, which re-walks and re-embeds every constant built so far.
     """
     bases = (b,) + outer
     for below, above in zip(bases, outer):
@@ -441,9 +446,10 @@ def lift_system(system, b, *outer):
     equations = []
     for word in system.equations:
         word = _convert_word(word, convert)
-        for wrapper in wrappers:
-            word = Commutator(word, wrapper)
-        equations.append(word)
+        if isinstance(word, Commutator):
+            equations.append(Commutator(word.word, *word.factors, *wrappers))
+        else:
+            equations.append(Commutator(word, *wrappers))
     return System._unchecked(tuple(equations), system.declared_vars)
 
 
@@ -514,8 +520,8 @@ def compile_iterated(f, spec):
     """Compile f over the group of `spec_for_ranks` by lifting the flat reduction.
 
     Over a flat `GroupSpec` the result is the flat compiler's system; an
-    `IteratedSpec` wraps it in one commutator per level above the innermost
-    two, all in one pass (see `IteratedReduction.system`).
+    `IteratedSpec` adds one commutator factor per level above the innermost
+    two to every equation, all in one pass (see `IteratedReduction.system`).
     The returned reduction has its system built.
     """
     reduction = IteratedReduction(f, spec)

@@ -9,9 +9,10 @@ coordinate
 
 and requires y to lie in the (d+1)-st augmentation-ideal power -- which holds
 exactly when f(z) = 0.  A `Reduction` holds f and the group.  The chains
-and y are written once, as ordered `(name, word)` definitions: its `system`
-emits each as the equation `name = word`, and its `witness` builds the
-assignment from an integer root by evaluating the same words in order.  Its
+and y are written once, as ordered `(name, word)` definitions, each chain
+one left-normed commutator: its `system` emits each as the equation
+`name = word`, and its `witness` builds the assignment from an integer root
+by evaluating the same words in order.  Its
 `extract_solution` reads a root back out of any satisfying assignment, and
 `oracle_ef` evaluates the membership polynomial directly as an independent
 check on the group-equation route.  `compile`, `witness` and
@@ -23,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .equations import (Constant, Literal, System, concat, equation, evaluate,
-                        merge_systems)
+from .equations import (Commutator, Constant, Literal, System, concat, equation,
+                        evaluate, merge_systems)
 from .errors import PreconditionError, SpecMismatchError
-from .gadgets import (_commutator_chain, gadget_cyclic, gadget_delta_power,
-                      witness_cyclic, witness_delta_power)
+from .gadgets import (gadget_cyclic, gadget_delta_power, witness_cyclic,
+                      witness_delta_power)
 from .laurent import LaurentPoly, delta_membership, read_terms, terms_str
 from .lexer import parse_whole
 from .wreath import GroupSpec, in_A
@@ -157,15 +158,18 @@ class Reduction:
                 "use interp.compile_iterated for an iterated group")
         return self.spec
 
-    def _term_definitions(self, spec):
-        """The system's definitions of its term chains and of y, in order.
+    @cached_property
+    def _term_definitions(self):
+        """The system's definitions of its term chains and of y, in order;
+        built once per reduction.
 
-        Per support term alpha (degree-lex descending), the chain starts at
-        b1^{t_alpha} and commutes with a1 (d-|alpha| times), then with x_i
-        (alpha_i times, i ascending): c_<tag>_1, ..., c_<tag>_(r-1), y_<tag>
-        name its links; a term with no factors defines y_<tag> = b1^{t_alpha}.
-        Last comes y = prod_alpha y_<tag>.
+        Per support term alpha (degree-lex descending), y_<tag> is the
+        left-normed commutator [b1^{t_alpha}, a1, ..., a1, x_1, ..., x_s] of
+        b1^{t_alpha} with a1 (d-|alpha| times), then with x_i (alpha_i times,
+        i ascending); a term with no factors defines y_<tag> = b1^{t_alpha}.
+        Last comes y = prod_alpha y_<tag>.  O(t * d) word nodes for t terms.
         """
+        spec = self._flat_spec()
         f = self.poly
         d = f.degree()
         a1 = Constant(spec.active_gen(1))
@@ -179,9 +183,7 @@ class Reduction:
             base = Constant(spec.base_gen(1, power=f._terms[alpha]))
             factors = [a1] * (d - sum(alpha)) + [
                 x for x, reps in zip(xs, alpha) for _ in range(reps)]
-            names = [f"c_{tag}_{step}" for step in range(1, len(factors))] + [y_name]
-            definitions.extend(_commutator_chain(base, factors, names) if factors
-                               else [(y_name, base)])
+            definitions.append((y_name, Commutator(base, *factors) if factors else base))
         definitions.append(("y", concat(*[Literal(name) for name in y_names])))
         return definitions
 
@@ -196,10 +198,11 @@ class Reduction:
         ideal-power gadget for y at degree d+1.
 
         Size, for s variables, t support terms, degree d and active rank m:
-        3s equations and 2s variables from the cyclic gadgets; t*max(d, 1) + 1
-        term definitions, each one equation and one variable of O(1) size but
-        the product y of t factors; and 1 + B*(d+2) equations and variables from
-        the ideal-power gadget (y counted once), with B = C(d+m, m-1) blocks.
+        3s equations and 2s variables from the cyclic gadgets; t + 1 term
+        definitions, each one equation and one variable: a chain of d factors
+        per term, then the product y of t factors; and 1 + 2B equations and
+        variables from the ideal-power gadget (y counted once), with
+        B = C(d+m, m-1) blocks, each defined by a chain of d + 1 factors.
         Time is linear in that size.
         """
         spec = self._flat_spec()
@@ -208,7 +211,7 @@ class Reduction:
         xs = self.solution_vars
         parts = [System((), xs)] + [
             gadget_cyclic(x, spec, z_name=f"cyc_z_{i}") for i, x in enumerate(xs, start=1)]
-        definitions = self._term_definitions(spec)
+        definitions = self._term_definitions
         parts.append(System(tuple(equation(Literal(name), word) for name, word in definitions),
                             xs + tuple(name for name, _ in definitions)))
         parts.append(gadget_delta_power("y", self.poly.degree() + 1, spec))
@@ -219,8 +222,9 @@ class Reduction:
 
         Each x_i and its cyclic auxiliary come from `witness_cyclic`; every
         other term auxiliary comes from evaluating the system's own term
-        definitions in order, one `evaluate` per definition, each O(n * terms);
-        the ideal-power auxiliaries come from `witness_delta_power` at y.
+        definitions in order, one closed-form commutator per chain factor,
+        each O(n * terms); the ideal-power auxiliaries come from
+        `witness_delta_power` at y.
         """
         spec = self._flat_spec()
         f = self.poly
@@ -236,7 +240,7 @@ class Reduction:
         asg = {}
         for i, (x, zi) in enumerate(zip(self.solution_vars, z), start=1):
             asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
-        for name, word in self._term_definitions(spec):
+        for name, word in self._term_definitions:
             asg[name] = evaluate(word, asg, spec)
         asg.update(witness_delta_power(asg["y"], f.degree() + 1))
         return asg

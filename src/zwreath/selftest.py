@@ -89,8 +89,8 @@ def rand_word(rng, spec, var_names, depth):
             rand_word(rng, spec, var_names, depth - 1)
             for _ in range(rng.randint(0, 3))))
     if roll < 0.85:
-        return Commutator(rand_word(rng, spec, var_names, depth - 1),
-                          rand_word(rng, spec, var_names, depth - 1))
+        return Commutator(*(rand_word(rng, spec, var_names, depth - 1)
+                            for _ in range(rng.randint(2, 4))))
     return Power(rand_word(rng, spec, var_names, depth - 1), rng.randint(-3, 3))
 
 
@@ -324,8 +324,8 @@ def _iter_nodes(word):
         for p in word.parts:
             yield from _iter_nodes(p)
     elif isinstance(word, Commutator):
-        yield from _iter_nodes(word.left)
-        yield from _iter_nodes(word.right)
+        for p in (word.word,) + word.factors:
+            yield from _iter_nodes(p)
     elif isinstance(word, Power):
         yield from _iter_nodes(word.body)
 
@@ -534,8 +534,8 @@ def rand_word_nested(rng, spec, var_names, depth):
         return Concat(tuple(
             rand_word_nested(rng, spec, var_names, depth - 1)
             for _ in range(rng.randint(0, 2))))
-    return Commutator(rand_word_nested(rng, spec, var_names, depth - 1),
-                      rand_word_nested(rng, spec, var_names, depth - 1))
+    return Commutator(*(rand_word_nested(rng, spec, var_names, depth - 1)
+                        for _ in range(rng.randint(2, 3))))
 
 
 # -- runner ------------------------------------------------------------------------

@@ -29,8 +29,8 @@ def test_compile_witness_verify_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--ranks", "1,1",
                        "--system", str(system), "--assignment", str(assignment))
     assert code == 0
-    assert "satisfied: all 10 equations hold" in out
-    assert out.count(": ok") == 10
+    assert "satisfied: all 9 equations hold" in out
+    assert out.count(": ok") == 9
 
 
 def test_verify_reports_failures(tmp_path, capsys):
@@ -259,13 +259,15 @@ def test_longest_rank_list_compiles(capsys):
                        "--ranks", ",".join(["1"] * MAX_RANKS))
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 11  # the declaration line and the flat system's 10 equations
-    assert lines[1].startswith("[" * (MAX_RANKS - 1) + "x1, ")
+    assert len(lines) == 10  # the declaration line and the flat system's 9 equations
+    # One left-normed commutator adds every level's generator to [x1, @a1].
+    levels = "".join(f", @b1_{k}" for k in range(3, MAX_RANKS + 1))
+    assert lines[1] == f"[x1, @a1{levels}] = 1"
 
 
 def test_longest_rank_list_text_is_linear_and_round_trips(tmp_path, capsys):
     # Every constant is a generator word, so each lifted level adds O(1)
-    # text to each equation: about 6 KB here, where element literals took
+    # text to each equation: about 5 KB here, where element literals took
     # 784 KB (the word of level k's base generator is as long as level k).
     ranks = ",".join(["1"] * MAX_RANKS)
     system, assignment = tmp_path / "deep.eqs", tmp_path / "deep.asg"
@@ -276,9 +278,42 @@ def test_longest_rank_list_text_is_linear_and_round_trips(tmp_path, capsys):
                "-o", str(assignment))[0] == 0
     code, out, _ = run(capsys, "verify", "--ranks", ranks, "--system", str(system),
                        "--assignment", str(assignment))
-    assert (code, out.splitlines()[-1]) == (0, "satisfied: all 10 equations hold")
+    assert (code, out.splitlines()[-1]) == (0, "satisfied: all 9 equations hold")
     assert run(capsys, "extract", "--poly", "z1 - 2", "--ranks", ranks,
                "--assignment", str(assignment)) == (0, "2\n", "")
+
+
+def _nesting(text):
+    """The deepest bracket and parenthesis nesting in a text."""
+    depth = deepest = 0
+    for ch in text:
+        if ch in "[(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "])":
+            depth -= 1
+    return deepest
+
+
+@pytest.mark.parametrize("ranks", ["1,1", ",".join(["1"] * MAX_RANKS)])
+def test_nesting_does_not_grow_with_the_degree(tmp_path, capsys, ranks):
+    # Each commutator chain is one bracket, whatever its length: the degree-300
+    # system nests as deep as the degree-1 one, and its witness has no value
+    # per chain link.
+    system, assignment = tmp_path / "sys.eqs", tmp_path / "wit.asg"
+    assert run(capsys, "compile", "--poly", "z1^300 - 1", "--ranks", ranks,
+               "-o", str(system))[0] == 0
+    code, linear, _ = run(capsys, "compile", "--poly", "z1 - 2", "--ranks", ranks)
+    assert code == 0
+    assert _nesting(system.read_text()) == _nesting(linear) <= 3
+    assert run(capsys, "witness", "--poly", "z1^300 - 1", "--ranks", ranks, "--solution", "1",
+               "-o", str(assignment))[0] == 0
+    assert len(assignment.read_bytes()) < 64 * 1024
+    code, out, _ = run(capsys, "verify", "--ranks", ranks, "--system", str(system),
+                       "--assignment", str(assignment))
+    assert (code, out.splitlines()[-1]) == (0, "satisfied: all 9 equations hold")
+    assert run(capsys, "extract", "--poly", "z1^300 - 1", "--ranks", ranks,
+               "--assignment", str(assignment)) == (0, "1\n", "")
 
 
 def _deep_commutator(depth, step):

@@ -12,7 +12,7 @@ from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.interp import IteratedSpec, compile_iterated, lift_system, spec_for_ranks
 from zwreath.laurent import LaurentPoly, parse_poly
 from zwreath.reduction import compile, parse_intpoly
-from zwreath.selftest import _solve_definitions, rand_word
+from zwreath.selftest import _solve_definitions, rand_element, rand_word
 from zwreath.wreath import GroupSpec
 
 S11 = GroupSpec(1, 1)
@@ -29,6 +29,24 @@ def test_evaluate_commutator_matches_group_commutator():
     asg = {"x": S11.base_gen(1), "y": S11.active_gen(1)}
     value = evaluate(Commutator(Literal("x"), Literal("y")), asg, S11)
     assert value == S11.element(base={1: parse_poly("a1 - 1", 1)})
+
+
+def test_left_normed_commutator_parses_and_checks_like_the_nested_one():
+    flat = parse_system("[x, y, z] = 1\n", S22)
+    nested = parse_system("[[x, y], z] = 1\n", S22)
+    assert flat.equations == (Commutator(Literal("x"), Literal("y"), Literal("z")),)
+    assert nested.equations == (Commutator(Commutator(Literal("x"), Literal("y")), Literal("z")),)
+    assert serialize_system(flat) == "# vars: x y z\n[x, y, z] = 1\n"
+    rng = random.Random(5)
+    for _ in range(30):
+        asg = {name: rand_element(rng, S22, exp_bound=1, max_terms=2) for name in "xyz"}
+        assert evaluate(flat.equations[0], asg, S22) == evaluate(nested.equations[0], asg, S22)
+        assert check_system(flat, asg, S22) == check_system(nested, asg, S22)
+    # [w, f1, f2]^-1 = [f2, [w, f1]]
+    assert inverse_word(flat.equations[0]) == Commutator(
+        Literal("z"), Commutator(Literal("x"), Literal("y")))
+    with pytest.raises(PreconditionError, match="at least one factor"):
+        Commutator(Literal("x"))
 
 
 def test_evaluate_empty_concat_is_identity():
@@ -177,6 +195,12 @@ def test_flatten_nested_commutator():
         Literal("t2"),
         Concat((Literal("t1", -1), Literal("z", -1), Literal("t1"), Literal("z"))))
     assert aux.equations == (inner, outer)
+
+
+def test_flatten_defines_one_variable_per_chain_link():
+    chain = Commutator(Literal("x"), Literal("y"), Literal("z"))
+    nested = Commutator(Commutator(Literal("x"), Literal("y")), Literal("z"))
+    assert flatten(chain) == flatten(nested)
 
 
 def test_flatten_preserves_value_on_random_words():

@@ -9,14 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 import zwreath
 from zwreath.cli import main
-from zwreath.equations import (Commutator, Constant, Literal, concat,
-                               equation, parse_assignment, parse_system,
-                               power, serialize_assignment, serialize_system,
+from zwreath.equations import (Commutator, Constant, Literal, NameGen,
+                               check_system, concat, equation, flatten,
+                               parse_assignment, parse_system, power,
+                               serialize_assignment, serialize_system,
                                system_of)
 from zwreath.errors import ParseError
-from zwreath.interp import IteratedSpec, NestedElement, parse_nested, spec_for_ranks
+from zwreath.interp import (IteratedReduction, IteratedSpec, NestedElement,
+                            parse_nested, spec_for_ranks)
 from zwreath.laurent import LaurentPoly, parse_poly
 from zwreath.reduction import MAX_VARIABLES, parse_intpoly
+from zwreath.selftest import _iter_nodes, _solve_definitions
 from zwreath.wreath import GroupSpec, WreathElement, parse_element
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,10 +78,14 @@ def test_witness_and_extract_build_no_system(monkeypatch, capsys, stem, poly, ra
         main(["compile", "--poly", poly, "--ranks", ranks])
 
 
-# The same systems as printed before constants became generator words, every
-# constant an element literal; such files must keep their meaning.
+# Older texts of the golden systems, which must keep their meaning.
+# `legacy/` holds them as printed before constants became generator words,
+# every constant an element literal.  `legacy/chains/` holds them and their
+# witnesses as printed before each commutator chain became one left-normed
+# commutator, every chain link its own variable `c_*` or `dp_c_*`.
 LEGACY = GOLDEN / "legacy"
-# The depth-8 pair was first written with generator words and has no legacy text.
+CHAINS = LEGACY / "chains"
+# The depth-8 pair was first written with generator words and has no literal text.
 LEGACY_CASES = GOLDEN_CASES[:5]
 
 
@@ -86,10 +93,10 @@ LEGACY_CASES = GOLDEN_CASES[:5]
 def test_legacy_literal_systems_parse_to_the_same_system(tmp_path, capsys, stem, poly, ranks, root):
     spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
     legacy = LEGACY / f"{stem}.eqs"
-    current = GOLDEN / f"{stem}.eqs"
+    current = CHAINS / f"{stem}.eqs"
     assert parse_system(legacy.read_text(encoding="utf-8"), spec) == parse_system(
         current.read_text(encoding="utf-8"), spec)
-    witness = GOLDEN / f"{stem}.asg"
+    witness = CHAINS / f"{stem}.asg"
     mutated = tmp_path / "mutated.asg"
     values = parse_assignment(witness.read_text(encoding="utf-8"), spec)
     values["x1"] = values["x1"] * spec.generator(1, 1)
@@ -98,6 +105,52 @@ def test_legacy_literal_systems_parse_to_the_same_system(tmp_path, capsys, stem,
         verdicts = [run(capsys, "verify", "--ranks", ranks, "--system", str(system),
                         "--assignment", str(assignment)) for system in (legacy, current)]
         assert verdicts[0] == verdicts[1] and verdicts[0][0] == code
+
+
+@pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
+def test_chain_link_systems_keep_their_meaning(stem, poly, ranks, root):
+    # The current system is the former one with its link variables
+    # substituted away: the former witness solves the former system, and
+    # without its link values it is the current witness.
+    spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
+    old_system = parse_system((CHAINS / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
+    old_witness = parse_assignment((CHAINS / f"{stem}.asg").read_text(encoding="utf-8"), spec)
+    system = parse_system((GOLDEN / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
+    witness = parse_assignment((GOLDEN / f"{stem}.asg").read_text(encoding="utf-8"), spec)
+    assert check_system(old_system, old_witness, spec).ok
+    links = set(old_system.declared_vars) - set(system.declared_vars)
+    assert links and all(name.startswith(("c_", "dp_c_")) for name in links)
+    assert {name: old_witness[name] for name in system.declared_vars} == witness
+    reduction = IteratedReduction(parse_intpoly(poly), spec)
+    expected = tuple(int(v) for v in root.split(","))
+    assert reduction.extract_solution(old_witness) == expected
+
+
+@pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
+def test_flattening_gives_one_definition_per_former_chain_link(stem, poly, ranks, root):
+    # Every commutator of the former layout is binary, one per chain link;
+    # `flatten` defines one fresh variable per link of each n-ary chain.  A
+    # lift adds one link per level above the flat pair to every equation, and
+    # the former layout had one equation more per link variable.
+    levels = len(ranks.split(","))
+    spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
+    old_system = parse_system((CHAINS / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
+    old_links = [node for word in old_system.equations for node in _iter_nodes(word)
+                 if isinstance(node, Commutator)]
+    assert all(len(node.factors) == 1 for node in old_links)
+    reduction = IteratedReduction(parse_intpoly(poly), spec)
+    fresh = NameGen(reserved=reduction.system.declared_vars)
+    flat_equations, definitions = [], []
+    for word in reduction.system.equations:
+        flat, aux = flatten(word, fresh)
+        flat_equations.append(flat)
+        definitions.extend(aux.equations)
+    removed = len(old_system.equations) - len(reduction.system.equations)
+    assert removed > 0
+    assert len(definitions) == len(old_links) - removed * (levels - 2)
+    witness = reduction.witness(tuple(int(v) for v in root.split(",")))
+    extended = _solve_definitions(system_of(definitions), witness, spec)
+    assert check_system(system_of(flat_equations + definitions), extended, spec).ok
 
 
 # -- every ParseError carries the true line and column ------------------------------
@@ -130,6 +183,9 @@ MALFORMED = [
     (lambda: parse_assignment("x := { active: (0); }\nx := { active: (1); }\n", S11), 2, 1,
      "assigned twice"),
     (lambda: parse_system("x = 1\n[x, = 1\n", S11), 2, 5, "unexpected token '='"),
+    (lambda: parse_system("[x] = 1\n", S11), 1, 3, "expected ',', found ']'"),
+    (lambda: parse_system("[x,] = 1\n", S11), 1, 4, "empty word"),
+    (lambda: parse_system("[x, y,, z] = 1\n", S11), 1, 7, "empty word"),
     (lambda: parse_system("é = 1\n", S11), 1, 1, "unexpected character 'é'"),
     (lambda: parse_system("# vars: x 1y\nx = 1\n", S11), 1, 11, "expected a name"),
     (lambda: parse_system("# vars: x\n# vars: y\n[y, @a1] = 1\n", S11), 2, 1,
@@ -394,7 +450,7 @@ def test_parsed_generator_words_are_in_normal_form():
              (i2111, "@b2_4", i2111.base_gen(2))]
     for spec, word, value in cases:
         (eq,) = parse_system(f"[x, {word}] = 1\n", spec).equations
-        assert_parsed_like_rebuilt(eq.right.value, value)
+        assert_parsed_like_rebuilt(eq.factors[0].value, value)
 
 
 # -- round trips ------------------------------------------------------------------------
@@ -450,7 +506,7 @@ def words(draw, spec):
               | elements(spec).map(Constant) | generators(spec))
 
     def extend(inner):
-        return (st.builds(Commutator, inner, inner)
+        return (st.lists(inner, min_size=2, max_size=4).map(lambda parts: Commutator(*parts))
                 | st.builds(power, inner, st.integers(-BIG, BIG).filter(lambda e: e not in (0, 1)))
                 | st.lists(inner, min_size=2, max_size=3).map(lambda parts: concat(*parts)))
 

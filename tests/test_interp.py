@@ -285,17 +285,16 @@ def test_depth_three_system_text_is_pinned():
     one = "@b1"
     a = "@a1"
     expected = "\n".join([
-        "# vars: x1 cyc_z_1 y_1 y_0 y dp_x_1 dp_y_1 dp_c_1_1",
-        f"[[x1, {a}], {b}] = 1",
-        f"[[cyc_z_1, {one}], {b}] = 1",
+        "# vars: x1 cyc_z_1 y_1 y_0 y dp_x_1 dp_y_1",
+        f"[x1, {a}, {b}] = 1",
+        f"[cyc_z_1, {one}, {b}] = 1",
         f"[[{one}, x1] [{a}, cyc_z_1], {b}] = 1",
         f"[y_1 [x1, {one}], {b}] = 1",
         f"[y_0 [{a}, @b1^-2], {b}] = 1",
         f"[y y_0^-1 y_1^-1, {b}] = 1",
         f"[y dp_x_1^-1, {b}] = 1",
-        f"[[dp_y_1, {one}], {b}] = 1",
-        f"[dp_c_1_1 [{a}, dp_y_1], {b}] = 1",
-        f"[dp_x_1 [{a}, dp_c_1_1], {b}] = 1",
+        f"[dp_y_1, {one}, {b}] = 1",
+        f"[dp_x_1 [{a}, [dp_y_1, {a}]], {b}] = 1",
     ]) + "\n"
     assert serialize_system(compile_iterated(parse_intpoly("z1 - 2"), I111).system) == expected
 
@@ -338,10 +337,14 @@ def test_lift_through_a_tower_needs_nested_levels():
     system = system_of([equation(Literal("x"))])
     with pytest.raises(SpecMismatchError, match="does not act on"):
         lift_system(system, I111.base_gen(1), I212.base_gen(1))
-    # One lift over two levels wraps every equation twice.
+    # One lift over two levels wraps every equation in one commutator with
+    # two factors, and a commutator gains them as further factors.
+    b3, b4 = Constant(I1111.embed(I111.base_gen(1))), Constant(I1111.base_gen(1))
     lifted = lift_system(system, I111.base_gen(1), I1111.base_gen(1))
-    assert lifted.equations == (Commutator(Commutator(
-        Literal("x"), Constant(I1111.embed(I111.base_gen(1)))), Constant(I1111.base_gen(1))),)
+    assert lifted.equations == (Commutator(Literal("x"), b3, b4),)
+    system = system_of([equation(Commutator(Literal("x"), Literal("y")))])
+    lifted = lift_system(system, I111.base_gen(1), I1111.base_gen(1))
+    assert lifted.equations == (Commutator(Literal("x"), Literal("y"), b3, b4),)
 
 
 def test_the_tower_lift_walks_each_flat_word_once(monkeypatch):

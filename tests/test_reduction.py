@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from zwreath import reduction
 from zwreath.equations import (check_system, evaluate, free_vars, parse_system,
                                serialize_system)
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
@@ -59,15 +60,15 @@ def test_compile_linear_example_shape():
     assert out.solution_vars == ("x1",)
     assert f.degree() == 1
     assert out.system.declared_vars == (
-        "x1", "cyc_z_1", "y_1", "y_0", "y", "dp_x_1", "dp_y_1", "dp_c_1_1")
-    # 3 cyclic + 2 chains + product + 4 ideal-power equations
-    assert len(out.system.equations) == 10
+        "x1", "cyc_z_1", "y_1", "y_0", "y", "dp_x_1", "dp_y_1")
+    # 3 cyclic + 2 chains + product + 3 ideal-power equations
+    assert len(out.system.equations) == 9
 
 
 def test_compile_golden_text():
     out = compile(parse_intpoly("z1 - 2"), S11)
     expected = "\n".join([
-        "# vars: x1 cyc_z_1 y_1 y_0 y dp_x_1 dp_y_1 dp_c_1_1",
+        "# vars: x1 cyc_z_1 y_1 y_0 y dp_x_1 dp_y_1",
         "[x1, @a1] = 1",
         "[cyc_z_1, @b1] = 1",
         "[@b1, x1] [@a1, cyc_z_1] = 1",
@@ -76,8 +77,7 @@ def test_compile_golden_text():
         "y y_0^-1 y_1^-1 = 1",
         "y dp_x_1^-1 = 1",
         "[dp_y_1, @b1] = 1",
-        "dp_c_1_1 [@a1, dp_y_1] = 1",
-        "dp_x_1 [@a1, dp_c_1_1] = 1",
+        "dp_x_1 [@a1, [dp_y_1, @a1]] = 1",
     ]) + "\n"
     assert serialize_system(out.system) == expected
 
@@ -174,7 +174,8 @@ def test_witness_matches_oracle_coordinate():
 def reference_witness(f, z, spec):
     """The witness built link by link with module actions, independently of
     the system's definitions: each chain link multiplies the previous
-    coordinates by a1 - 1, a1^{z_i} - 1 or a generator's a_i - 1."""
+    coordinates by a1 - 1, a1^{z_i} - 1 or a generator's a_i - 1, and only
+    a chain's last link is a variable."""
     asg = {}
     for i, zi in enumerate(z, start=1):
         asg.update(witness_cyclic(zi, spec, x_name=f"x{i}", z_name=f"cyc_z_{i}"))
@@ -188,10 +189,8 @@ def reference_witness(f, z, spec):
             expo = (zi,) + (0,) * (spec.m - 1)
             multipliers += [LaurentPoly.monomial(spec.m, expo) - one] * reps
         cur = spec.base_gen(1, power=f.terms[alpha])
-        for step, p in enumerate(multipliers, start=1):
+        for p in multipliers:
             cur = module_action(cur, p)
-            if step < len(multipliers):
-                asg[f"c_{tag}_{step}"] = cur
         asg[f"y_{tag}"] = cur
         y = y * cur
     asg["y"] = y
@@ -207,12 +206,11 @@ def reference_delta_power(g, k):
         cur = spec.element(base={
             j + 1: parts[bl.beta] for j, parts in enumerate(decomposed) if bl.beta in parts})
         fragment[bl.y_name] = cur
-        names = iter(bl.chain_names + (bl.x_name,))
         for i, reps in enumerate(bl.beta):
             unit = tuple(int(v == i) for v in range(spec.m))
             for _ in range(reps):
                 cur = module_action(cur, delta_generator_product(unit, spec.m))
-                fragment[next(names)] = cur
+        fragment[bl.x_name] = cur
     return fragment
 
 
@@ -250,6 +248,24 @@ def test_witness_matches_module_action_reference():
                     == list(reference_delta_power(g, k).items()))
 
 
+def test_term_definitions_are_built_once_per_reduction(monkeypatch):
+    # `compile` builds the chain words for the system; the witness of the
+    # same reduction evaluates those words and builds none.
+    built = []
+    real = reduction.Commutator
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reduction, "Commutator", counting)
+    f = parse_intpoly("z1^2*z2 - 4*z1")
+    r = compile(f, S21)
+    assert len(built) == 2  # one chain per support term
+    assert check_system(r.system, r.witness((2, 2)), S21).ok
+    assert len(built) == 2
+
+
 def test_non_canonical_flat_solution_is_accepted_and_extracts_the_root():
     # Over Z^2 wr Z^3, y = prod_beta x_beta with x_beta = y_beta (a-1)^beta.
     # Moving (a1-1) r into q_(1,1,1) and (a2-1) r out of q_(2,0,1) keeps every
@@ -267,8 +283,7 @@ def test_non_canonical_flat_solution_is_accepted_and_extracts_the_root():
         shift = module_action(spec.base_gen(2, power=sign), (LaurentPoly.variable(3, i) - one) * r)
         bl = blocks[beta]
         asg[bl.y_name] = asg[bl.y_name] * shift
-        for name, word in _block_chain(bl, spec):
-            asg[name] = evaluate(word, asg, spec)
+        asg[bl.x_name] = evaluate(_block_chain(bl, spec), asg, spec)
     assert asg != canonical
     assert check_system(out.system, asg, spec).ok
     assert extract_solution(out, asg) == (2, 3)
