@@ -26,12 +26,12 @@ from .wreath import module_action
 
 def gadget_in_N(x, spec):
     """Membership in the base subgroup: [x, b1] = 1."""
-    return System((equation(Commutator(Literal(x), Constant(spec.base_gen(1)))),), (x,))
+    return System((equation(Commutator(Literal(x), Constant(spec.generator(2, 1)))),), (x,))
 
 
 def gadget_in_A(x, spec):
     """Membership in the acting subgroup: [x, a1] = 1."""
-    return System((equation(Commutator(Literal(x), Constant(spec.active_gen(1)))),), (x,))
+    return System((equation(Commutator(Literal(x), Constant(spec.generator(1, 1)))),), (x,))
 
 
 def gadget_cyclic(x, spec, z_name="cyc_z_1"):
@@ -42,8 +42,8 @@ def gadget_cyclic(x, spec, z_name="cyc_z_1"):
     on by the geometric series with sum times (a1 - 1) equal to a1^gamma - 1.
     Declares (x, z); three equations of O(1) size.
     """
-    a1 = Constant(spec.active_gen(1))
-    b1 = Constant(spec.base_gen(1))
+    a1 = Constant(spec.generator(1, 1))
+    b1 = Constant(spec.generator(2, 1))
     eqs = (
         equation(Commutator(Literal(x), a1)),
         equation(Commutator(Literal(z_name), b1)),
@@ -59,8 +59,8 @@ def witness_cyclic(gamma, spec, x_name="x", z_name="cyc_z_1"):
     and output.
     """
     return {
-        x_name: spec.active_gen(1) ** gamma,
-        z_name: module_action(spec.base_gen(1), geom_series(gamma, spec.m)),
+        x_name: spec.generator(1, 1, gamma),
+        z_name: module_action(spec.generator(2, 1), geom_series(gamma, spec.m)),
     }
 
 
@@ -99,7 +99,7 @@ def delta_blocks(spec, k):
 
 def _block_chain(block, spec):
     """The word defining x_beta: [y_beta, a1 (beta_1 times), ..., am (beta_m times)]."""
-    factors = [Constant(spec.active_gen(i)) for i, reps in enumerate(block.beta, start=1)
+    factors = [Constant(spec.generator(1, i)) for i, reps in enumerate(block.beta, start=1)
                for _ in range(reps)]
     return Commutator(Literal(block.y_name), *factors)
 
@@ -114,7 +114,7 @@ def gadget_delta_power(x, k, spec):
     1 + 2B equations and variables; each definition is a chain of k factors.
     """
     blocks = delta_blocks(spec, k)
-    b1 = Constant(spec.base_gen(1))
+    b1 = Constant(spec.generator(2, 1))
     eqs = [equation(Literal(x), concat(*[Literal(bl.x_name) for bl in blocks]))]
     declared = [x]
     for bl in blocks:

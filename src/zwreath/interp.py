@@ -170,9 +170,12 @@ class NestedElement:
     `active` is an inner-group element; `base` is a canonically sorted tuple
     of (inner element, nonzero integer vector) pairs giving the finitely
     supported base coordinates.  A support point may occur only once.
+    `_trivial` records, once when the element is built, whether it is the
+    identity, so `is_identity` is O(1) at any depth instead of recursing
+    through every pure-active level below.
     """
 
-    __slots__ = ("spec", "active", "base")
+    __slots__ = ("spec", "active", "base", "_trivial")
 
     def __init__(self, spec, active, base):
         inner = spec.inner()
@@ -191,9 +194,11 @@ class NestedElement:
         for before, after in zip(keyed, keyed[1:]):
             if before[0] == after[0]:
                 raise PreconditionError(f"support point {after[1]} is repeated")
+        base = tuple((key, vec) for _, key, vec in keyed if any(vec))
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "active", active)
-        object.__setattr__(self, "base", tuple((key, vec) for _, key, vec in keyed if any(vec)))
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_trivial", not base and active.is_identity())
 
     @classmethod
     def _unchecked(cls, spec, active, support):
@@ -209,6 +214,7 @@ class NestedElement:
         object.__setattr__(g, "spec", spec)
         object.__setattr__(g, "active", active)
         object.__setattr__(g, "base", tuple(entries))
+        object.__setattr__(g, "_trivial", not entries and active.is_identity())
         return g
 
     def __setattr__(self, name, value):
@@ -286,7 +292,8 @@ class NestedElement:
     __pow__ = group_power
 
     def is_identity(self):
-        return not self.base and self.active.is_identity()
+        """O(1): the flag set when the element was built."""
+        return self._trivial
 
     def project(self):
         """Quotient map onto the inner group (kill the base coordinates)."""

@@ -47,31 +47,50 @@ def _check_rank(rank):
 
 
 def _shifted(terms, shift, sign=1):
-    """The term dict of sign * a^shift * terms, in one pass; `sign` is 1 or -1.
+    """A fresh term dict of sign * a^shift * terms; `sign` is 1 or -1.
 
-    Shifting is a bijection on monomials, so no terms merge or cancel.
+    Shifting is a bijection on monomials, so no terms merge or cancel and
+    the copy is built in one pass: one dict comprehension over the terms,
+    whose keys at rank 1 are `(e + s,)`.  A `shift` of None or all zeros
+    copies the terms unshifted.
     """
-    if any(shift):
-        return {tuple(map(add, mono, shift)): sign * c for mono, c in terms.items()}
+    if shift is None or not any(shift):
+        return dict(terms) if sign > 0 else {mono: -c for mono, c in terms.items()}
+    if len(shift) == 1:
+        s = shift[0]
+        if sign > 0:
+            return {(mono[0] + s,): c for mono, c in terms.items()}
+        return {(mono[0] + s,): -c for mono, c in terms.items()}
     if sign > 0:
-        return dict(terms)
-    return {mono: -c for mono, c in terms.items()}
+        return {tuple(map(add, mono, shift)): c for mono, c in terms.items()}
+    return {tuple(map(add, mono, shift)): -c for mono, c in terms.items()}
 
 
 def _add_shifted(out, terms, sign, shift=None):
-    """out += sign * a^shift * terms in place, dropping zeros; O(terms).
+    """out += sign * a^shift * terms in place, dropping zeros.
 
-    `sign` is 1 or -1; `shift` None adds the terms unshifted.
+    `sign` is 1 or -1; `shift` None adds the terms unshifted.  Cost: one
+    `_shifted` comprehension when a shift is given, then one accumulation
+    loop over the terms, split by sign so that no term pays for a
+    multiplication; `terms` itself is never changed.
     """
+    if shift is not None:
+        terms = _shifted(terms, shift)
     get = out.get
-    items = terms.items() if shift is None else (
-        (tuple(map(add, mono, shift)), c) for mono, c in terms.items())
-    for mono, c in items:
-        s = get(mono, 0) + sign * c
-        if s:
-            out[mono] = s
-        else:
-            del out[mono]
+    if sign > 0:
+        for mono, c in terms.items():
+            s = get(mono, 0) + c
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    else:
+        for mono, c in terms.items():
+            s = get(mono, 0) - c
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
 
 
 class LaurentPoly:

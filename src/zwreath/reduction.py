@@ -172,7 +172,7 @@ class Reduction:
         spec = self._flat_spec()
         f = self.poly
         d = f.degree()
-        a1 = Constant(spec.active_gen(1))
+        a1 = Constant(spec.generator(1, 1))
         xs = [Literal(x) for x in self.solution_vars]
         definitions = []
         y_names = []
@@ -180,7 +180,7 @@ class Reduction:
             tag = "_".join(map(str, alpha)) or "const"
             y_name = f"y_{tag}"
             y_names.append(y_name)
-            base = Constant(spec.base_gen(1, power=f._terms[alpha]))
+            base = Constant(spec.generator(2, 1, f._terms[alpha]))
             factors = [a1] * (d - sum(alpha)) + [
                 x for x, reps in zip(xs, alpha) for _ in range(reps)]
             definitions.append((y_name, Commutator(base, *factors) if factors else base))

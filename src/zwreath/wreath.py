@@ -186,9 +186,11 @@ class WreathElement:
             g^-1 h^-1 g   = (-beta, -p*a^-beta - q*a^(alpha-beta) + p)
             g^-1 h^-1 g h = (0, -p - q*a^alpha + p*a^beta + q)
 
-        so [g, h] = (0, p*(a^beta - 1) - q*(a^alpha - 1)).  Each coordinate is
-        built in one dict by four signed shift-adds; a zero alpha (beta)
-        drops both q (p) terms.
+        so [g, h] = (0, p*(a^beta - 1) - q*(a^alpha - 1)).  A zero alpha
+        (beta) drops both q (p) terms.  Each coordinate starts as the fresh
+        copy p*a^beta, one `_shifted` comprehension over p, and takes p off
+        in place, one accumulation loop; the q terms add one comprehension
+        and two accumulation loops over q.
         """
         self._check_spec(other)
         spec = self.spec
@@ -196,10 +198,11 @@ class WreathElement:
         move_p, move_q = any(beta), any(alpha)
         base = []
         for p, q in zip(self.base, other.base):
-            out = {}
             if move_p:
-                _add_shifted(out, p._terms, 1, beta)
+                out = _shifted(p._terms, beta)
                 _add_shifted(out, p._terms, -1)
+            else:
+                out = {}
             if move_q:
                 _add_shifted(out, q._terms, -1, alpha)
                 _add_shifted(out, q._terms, 1)

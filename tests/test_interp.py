@@ -367,6 +367,32 @@ def test_the_tower_lift_walks_each_flat_word_once(monkeypatch):
     assert counts[0] > 0 and counts == [counts[0]] * 3
 
 
+def test_the_depth_check_tests_identity_linearly_often(monkeypatch):
+    # A nested identity test that recursed through every pure-active level
+    # below made checking a depth-L system cost O(E·L²): 4.2 times the
+    # calls at depth 64 as at depth 32.  The flag set at construction makes
+    # each test O(1), so doubling the depth about doubles the calls.
+    original = NestedElement.is_identity
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    f = parse_intpoly("z1 - 2")
+    counts = []
+    for depth in (32, 64):
+        spec = IteratedSpec((1,) * depth)
+        compiled = compile_iterated(f, spec)
+        asg = compiled.witness((2,))
+        calls.clear()
+        monkeypatch.setattr(NestedElement, "is_identity", counting)
+        assert check_system(compiled.system, asg, spec).ok
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert 0 < counts[1] <= 2.2 * counts[0]
+
+
 # -- the one-pass lift against the level-by-level reference ------------------------------
 
 

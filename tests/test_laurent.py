@@ -7,9 +7,10 @@ import sympy
 from hypothesis import given, strategies as st
 
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
-from zwreath.laurent import (INFINITY, LaurentPoly, aug_valuation,
-                             delta_decompose, delta_generator_product,
-                             delta_membership, geom_series, parse_poly)
+from zwreath.laurent import (INFINITY, LaurentPoly, _add_shifted, _shifted,
+                             aug_valuation, delta_decompose,
+                             delta_generator_product, delta_membership,
+                             geom_series, parse_poly)
 
 
 def P(text, rank):
@@ -382,3 +383,66 @@ def test_valuation_laws(p, q):
 @given(poly_strategy(2), st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
 def test_valuation_unit_invariance(p, shift):
     assert aug_valuation(p.times_monomial(shift)) == aug_valuation(p)
+
+
+# -- the flat kernels against a per-term reference ---------------------------------
+
+
+@st.composite
+def kernel_case(draw):
+    """(rank, out, terms, sign, shift) for `_shifted` and `_add_shifted`.
+
+    Ranks 1-4, with a rank-1 case of 300 terms; shifts None, all zero or
+    not; signs 1 and -1.  `out` is empty, random, or exactly minus the
+    shifted terms, so that the sum cancels to {}.
+    """
+    rank = draw(st.integers(1, 4))
+    if rank == 1 and draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        exponents = rng.sample(range(-1000, 1000), 300)
+        terms = {(e,): rng.choice((-1, 1)) * rng.randint(1, 10**6) for e in exponents}
+    else:
+        terms = draw(poly_strategy(rank))._terms
+    shift = draw(st.one_of(st.none(), st.just((0,) * rank),
+                           st.tuples(*([st.integers(-5, 5)] * rank))))
+    sign = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("empty", "random", "cancel")))
+    if kind == "empty":
+        out = {}
+    elif kind == "random":
+        out = dict(draw(poly_strategy(rank))._terms)
+    else:
+        out = _reference_shifted(rank, terms, shift, -sign)._terms
+    return rank, out, terms, sign, shift
+
+
+def _reference_shifted(rank, terms, shift, sign):
+    """sign * a^shift * terms, one term at a time through the checked constructor."""
+    shift = shift or (0,) * rank
+    return LaurentPoly(rank, [(tuple(e + s for e, s in zip(mono, shift)), sign * c)
+                              for mono, c in terms.items()])
+
+
+@given(kernel_case())
+def test_kernels_match_the_per_term_reference(case):
+    rank, out, terms, sign, shift = case
+    terms_before, out_before = dict(terms), dict(out)
+    shifted = _reference_shifted(rank, terms, shift, sign)
+
+    copy = _shifted(terms, shift, sign)
+    assert copy == shifted._terms
+    assert copy is not terms
+
+    _add_shifted(out, terms, sign, shift)
+    assert out == (LaurentPoly(rank, out_before) + shifted)._terms
+    assert terms == terms_before
+
+
+@given(poly_strategy(2), poly_strategy(2), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_operations_neither_change_nor_return_their_operands_terms(p, q, shift):
+    before = (dict(p._terms), dict(q._terms))
+    results = [p + q, q + p, p - q, p + 0, p - 0, -p, p.times_monomial(shift),
+               p.times_monomial((0, 0))]
+    for r in results:
+        assert r._terms is not p._terms and r._terms is not q._terms
+    assert (p._terms, q._terms) == before

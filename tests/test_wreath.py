@@ -283,6 +283,20 @@ def test_commutator_matches_the_product_of_four_on_edge_cases():
             assert x.commutator(y) == x.inverse() * y.inverse() * x * y
 
 
+def test_commutator_matches_the_product_of_four_on_long_coordinates():
+    """Rank-1 coordinates of a few hundred terms, the shape of a large root's witness."""
+    rng = random.Random(14)
+    for n in (1, 2):
+        spec = GroupSpec(1, n)
+        for _ in range(10):
+            g, h = (spec.element(active=(rng.choice((0, rng.randint(-40, 40))),), base={
+                j: LaurentPoly(1, {(e,): rng.randint(-9, 9)
+                                   for e in rng.sample(range(-400, 400), rng.randint(200, 400))})
+                for j in range(1, n + 1)}) for _ in range(2))
+            for x, y in ((g, h), (h, g), (g, g), (g, spec.element(active=h.active))):
+                assert x.commutator(y) == x.inverse() * y.inverse() * x * y
+
+
 def _random_element(rng, spec):
     base = {}
     for j in range(1, spec.n + 1):
