@@ -105,8 +105,9 @@ def _cmd_verify(args):
     system = parse_system(_read(args.system), spec)
     assignment = parse_assignment(_read(args.assignment), spec)
     report = check_system(system, assignment, spec)
+    failed = set(report.failures)
     for idx in range(len(system.equations)):
-        verdict = "FAIL" if idx in report.failures else "ok"
+        verdict = "FAIL" if idx in failed else "ok"
         print(f"equation {idx + 1}: {verdict}")
     if report.ok:
         print(f"satisfied: all {len(system.equations)} equations hold")

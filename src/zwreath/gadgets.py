@@ -21,7 +21,6 @@ from .equations import (Commutator, Constant, Literal, System, concat,
                         equation, evaluate)
 from .errors import PreconditionError
 from .laurent import aug_valuation, delta_decompose, geom_series
-from .wreath import module_action
 
 
 def gadget_in_N(x, spec):
@@ -53,14 +52,14 @@ def gadget_cyclic(x, spec, z_name="cyc_z_1"):
 
 
 def witness_cyclic(gamma, spec, x_name="x", z_name="cyc_z_1"):
-    """Satisfying fragment {x: a1^gamma, z: b1^(geometric series)}.
+    """Satisfying fragment {x: a1^gamma, z: b1^s} for the geometric series s.
 
-    The geometric series has |gamma| terms, so this costs O(|gamma|) time
-    and output.
+    z is the base element whose b1 coordinate is s, built without a ring
+    product.  s has |gamma| terms, so this costs O(|gamma|) time and output.
     """
     return {
         x_name: spec.generator(1, 1, gamma),
-        z_name: module_action(spec.generator(2, 1), geom_series(gamma, spec.m)),
+        z_name: spec.element(base={1: geom_series(gamma, spec.m)}),
     }
 
 

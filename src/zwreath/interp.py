@@ -177,28 +177,32 @@ class NestedElement:
 
     __slots__ = ("spec", "active", "base", "_trivial")
 
-    def __init__(self, spec, active, base):
+    def __new__(cls, spec, active, base):
+        """Check the parts, then take the normal form from `_unchecked`.
+
+        `base` maps support points to vectors, or lists (point, vector)
+        pairs.  Every part is checked before a repetition is reported; of
+        several repeated points the least in canonical order is named.
+        """
         inner = spec.inner()
         if active.spec != inner:
             raise SpecMismatchError(f"active part belongs to {active.spec}, not {inner}")
         width = spec.ranks[0]
-        keyed = []
+        support = {}
+        repeated = []
         for key, vec in (base.items() if hasattr(base, "items") else base):
             vec = tuple(vec)
             if key.spec != inner:
                 raise SpecMismatchError(f"support point belongs to {key.spec}, not {inner}")
             if len(vec) != width or not all(isinstance(e, int) for e in vec):
                 raise PreconditionError(f"vector {vec!r} invalid for rank {width}")
-            keyed.append((key.sort_key(), key, vec))
-        keyed.sort(key=lambda item: item[0])
-        for before, after in zip(keyed, keyed[1:]):
-            if before[0] == after[0]:
-                raise PreconditionError(f"support point {after[1]} is repeated")
-        base = tuple((key, vec) for _, key, vec in keyed if any(vec))
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "active", active)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_trivial", not base and active.is_identity())
+            if key in support:
+                repeated.append(key)
+            support[key] = vec
+        if repeated:
+            first = min(repeated, key=lambda key: key.sort_key())
+            raise PreconditionError(f"support point {first} is repeated")
+        return cls._unchecked(spec, active, support)
 
     @classmethod
     def _unchecked(cls, spec, active, support):

@@ -46,6 +46,33 @@ def _check_rank(rank):
         raise PreconditionError(f"polynomial rank must be a positive int, got {rank!r}")
 
 
+def _normal_terms(terms, width, where, nonnegative=False):
+    """The normal form of a term mapping or of (exponent vector, coefficient) pairs.
+
+    Repeated exponent vectors are summed and zero sums dropped.  Every
+    vector must hold `width` ints, non-negative ones if `nonnegative`, and
+    every coefficient must be an int, else PreconditionError; `where` is the
+    message's "invalid for ..." format, filled with `width`.  This is the
+    checked constructor of `LaurentPoly` and of `reduction.IntPolynomial`.
+    O(terms * width).
+    """
+    items = terms.items() if hasattr(terms, "items") else (terms or ())
+    clean = {}
+    for mono, coeff in items:
+        mono = tuple(mono)
+        if len(mono) != width or not all(
+                isinstance(e, int) and (not nonnegative or e >= 0) for e in mono):
+            raise PreconditionError(
+                f"exponent vector {mono!r} invalid for {where.format(width)}")
+        if not isinstance(coeff, int):
+            raise PreconditionError(f"coefficient {coeff!r} is not an int")
+        if coeff:
+            clean[mono] = clean.get(mono, 0) + coeff
+            if not clean[mono]:
+                del clean[mono]
+    return clean
+
+
 def _shifted(terms, shift, sign=1):
     """A fresh term dict of sign * a^shift * terms; `sign` is 1 or -1.
 
@@ -105,21 +132,8 @@ class LaurentPoly:
 
     def __init__(self, rank, terms=None):
         _check_rank(rank)
-        items = terms.items() if hasattr(terms, "items") else (terms or ())
-        clean = {}
-        for mono, coeff in items:
-            mono = tuple(mono)
-            if len(mono) != rank or not all(isinstance(e, int) for e in mono):
-                raise PreconditionError(
-                    f"exponent vector {mono!r} invalid for rank {rank}")
-            if not isinstance(coeff, int):
-                raise PreconditionError(f"coefficient {coeff!r} is not an int")
-            if coeff:
-                clean[mono] = clean.get(mono, 0) + coeff
-                if not clean[mono]:
-                    del clean[mono]
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", _normal_terms(terms, rank, "rank {}"))
 
     @classmethod
     def _unchecked(cls, rank, terms):

@@ -29,7 +29,8 @@ from .equations import (Commutator, Constant, Literal, System, concat, equation,
 from .errors import PreconditionError, SpecMismatchError
 from .gadgets import (gadget_cyclic, gadget_delta_power, witness_cyclic,
                       witness_delta_power)
-from .laurent import LaurentPoly, delta_membership, read_terms, terms_str
+from .laurent import (LaurentPoly, _normal_terms, _ordered_monomials, delta_membership,
+                      read_terms, terms_str)
 from .lexer import parse_whole
 from .wreath import GroupSpec, in_A
 
@@ -52,20 +53,9 @@ class IntPolynomial:
     def __init__(self, num_vars, terms=None):
         if not isinstance(num_vars, int) or num_vars < 0:
             raise PreconditionError(f"variable count must be a non-negative int, got {num_vars!r}")
-        items = terms.items() if hasattr(terms, "items") else (terms or ())
-        clean = {}
-        for alpha, coeff in items:
-            alpha = tuple(alpha)
-            if len(alpha) != num_vars or not all(isinstance(e, int) and e >= 0 for e in alpha):
-                raise PreconditionError(f"exponent vector {alpha!r} invalid for {num_vars} variables")
-            if not isinstance(coeff, int):
-                raise PreconditionError(f"coefficient {coeff!r} is not an int")
-            if coeff:
-                clean[alpha] = clean.get(alpha, 0) + coeff
-                if not clean[alpha]:
-                    del clean[alpha]
         object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms",
+                           _normal_terms(terms, num_vars, "{} variables", nonnegative=True))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
@@ -96,7 +86,7 @@ class IntPolynomial:
 
     def support(self):
         """Exponent vectors in degree-lexicographic descending order."""
-        return sorted(self._terms, key=lambda a: (sum(a), a), reverse=True)
+        return _ordered_monomials(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, IntPolynomial):

@@ -34,10 +34,11 @@ class GroupSpec:
             raise PreconditionError(f"active rank must be a positive int, got {self.m!r}")
         if not (isinstance(self.n, int) and self.n >= 1):
             raise PreconditionError(f"base rank must be a positive int, got {self.n!r}")
+        object.__setattr__(self, "_identity", self.element())
         object.__setattr__(self, "_generators", {})
 
     def identity(self):
-        return WreathElement(self, (0,) * self.m, (LaurentPoly.zero(self.m),) * self.n)
+        return self._identity
 
     @property
     def ranks(self):
@@ -48,10 +49,7 @@ class GroupSpec:
         """The generator a_i of the acting group (1-based), optionally raised."""
         if not 1 <= i <= self.m:
             raise PreconditionError(f"active generator index {i} out of range 1..{self.m}")
-        return WreathElement(
-            self,
-            tuple(power if j == i - 1 else 0 for j in range(self.m)),
-            (LaurentPoly.zero(self.m),) * self.n)
+        return self.element(active=tuple(power if j == i - 1 else 0 for j in range(self.m)))
 
     def base_gen(self, j, power=1):
         """The generator b_j of the base group (1-based), optionally raised."""

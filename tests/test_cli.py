@@ -50,6 +50,22 @@ def test_verify_reports_failures(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_reports_every_equation_of_a_long_mixed_system(tmp_path, capsys):
+    # Equation i fails exactly when i is a multiple of 3 or of 7: x is a1,
+    # so `x = 1` fails and `x = @a1` holds.
+    failing = [i % 3 == 0 or i % 7 == 0 for i in range(3000)]
+    system = tmp_path / "sys.eqs"
+    assignment = tmp_path / "x.asg"
+    system.write_text("".join("x = 1\n" if bad else "x = @a1\n" for bad in failing))
+    assignment.write_text("x := { active: (1); }\n")
+    code, out, _ = run(capsys, "verify", "--ranks", "1,1",
+                       "--system", str(system), "--assignment", str(assignment))
+    assert code == 1
+    expected = [f"equation {i + 1}: {'FAIL' if bad else 'ok'}" for i, bad in enumerate(failing)]
+    expected.append(f"unsatisfied: {sum(failing)} of 3000 equations fail")
+    assert out.splitlines() == expected
+
+
 def test_compile_is_deterministic(tmp_path, capsys):
     first = tmp_path / "one.eqs"
     second = tmp_path / "two.eqs"

@@ -241,6 +241,48 @@ def test_repeated_support_point_rejected_by_constructor():
     assert g.base == ((key, (1,)),)
 
 
+S12 = GroupSpec(1, 2)
+A1 = S11.active_gen(1)
+A1_2 = S11.active_gen(1, 2)
+
+
+def test_checked_constructor_gives_the_unchecked_normal_form():
+    rng = random.Random(15)
+    for spec in (I111, I212, I1111, IteratedSpec((2, 1, 1, 2))):
+        inner = spec.inner()
+        for _ in range(40):
+            active = rand_nested(rng, inner)
+            base = {rand_nested(rng, inner, 1, 1):
+                    tuple(rng.randint(-1, 1) for _ in range(spec.ranks[0]))
+                    for _ in range(rng.randint(0, 5))}
+            g = NestedElement(spec, active, base)
+            assert g == NestedElement._unchecked(spec, active, dict(base))
+            assert g.is_identity() == (not g.base and active.is_identity())
+
+
+@pytest.mark.parametrize("active, base, error, message", [
+    (S12.identity(), {A1: (0.5,)}, SpecMismatchError,
+     "active part belongs to GroupSpec(m=1, n=2), not GroupSpec(m=1, n=1)"),
+    (S11.identity(), {S12.identity(): (1,)}, SpecMismatchError,
+     "support point belongs to GroupSpec(m=1, n=2), not GroupSpec(m=1, n=1)"),
+    (S11.identity(), {A1: (1, 2)}, PreconditionError, "vector (1, 2) invalid for rank 1"),
+    (S11.identity(), {A1: (1.5,)}, PreconditionError, "vector (1.5,) invalid for rank 1"),
+    # every entry is checked before any repetition, and of several repeated
+    # points the least in canonical order is named
+    (S11.identity(), [(A1, (1,)), (A1, (1,)), (A1_2, (0.5,))], PreconditionError,
+     "vector (0.5,) invalid for rank 1"),
+    (S11.identity(), [(A1, (1,)), (A1, (1,)), (S12.identity(), (1,))], SpecMismatchError,
+     "support point belongs to GroupSpec(m=1, n=2), not GroupSpec(m=1, n=1)"),
+    (S11.identity(), [(A1_2, (1,)), (A1_2, (1,)), (A1, (1,)), (A1, (0,))], PreconditionError,
+     "support point { active: (1); } is repeated"),
+])
+def test_nested_constructor_errors_keep_their_class_message_and_order(active, base, error,
+                                                                      message):
+    with pytest.raises(error) as caught:
+        NestedElement(I111, active, base)
+    assert caught.type is error and str(caught.value) == message
+
+
 # -- lifting --------------------------------------------------------------------------
 
 

@@ -311,6 +311,15 @@ def test_public_constructor_rejects_malformed_input():
         P("a1", 1).times_monomial((0.5,))
 
 
+def test_public_constructor_sums_repeated_exponents_and_drops_zero_sums():
+    assert LaurentPoly(1, [((-1,), 2), ((-1,), -2)]).is_zero()
+    p = LaurentPoly(2, [((1, -1), 2), ((0, 0), 0), ((1, -1), -2), ((1, -1), 5), ((0, 1), 1)])
+    assert dict(p.terms) == {(1, -1): 5, (0, 1): 1}
+    with pytest.raises(PreconditionError) as caught:
+        LaurentPoly(1, {(0.5,): 2.0})
+    assert str(caught.value) == "exponent vector (0.5,) invalid for rank 1"
+
+
 # -- text round trip --------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from zwreath import reduction
 from zwreath.equations import (check_system, evaluate, free_vars, parse_system,
@@ -8,8 +9,8 @@ from zwreath.equations import (check_system, evaluate, free_vars, parse_system,
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.gadgets import (_block_chain, delta_blocks, witness_cyclic,
                              witness_delta_power)
-from zwreath.laurent import (INFINITY, LaurentPoly, aug_valuation, delta_decompose,
-                             delta_generator_product, parse_poly)
+from zwreath.laurent import (INFINITY, LaurentPoly, _ordered_monomials, aug_valuation,
+                             delta_decompose, delta_generator_product, parse_poly)
 from zwreath.interp import IteratedSpec
 from zwreath.reduction import (IntPolynomial, Reduction, compile, extract_solution,
                                oracle_ef, parse_intpoly, witness)
@@ -49,6 +50,36 @@ def test_intpoly_round_trip():
         f = rand_intpoly(rng)
         assert parse_intpoly(str(f), num_vars=f.num_vars) == f
     assert str(IntPolynomial(1)) == "0"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IntPolynomial(-1), "variable count must be a non-negative int, got -1"),
+    (lambda: IntPolynomial(1.0), "variable count must be a non-negative int, got 1.0"),
+    (lambda: IntPolynomial(2, {(1,): 1}), "exponent vector (1,) invalid for 2 variables"),
+    (lambda: IntPolynomial(2, {(1, -1): 1}), "exponent vector (1, -1) invalid for 2 variables"),
+    (lambda: IntPolynomial(1, {(0.5,): 1}), "exponent vector (0.5,) invalid for 1 variables"),
+    (lambda: IntPolynomial(1, {(-1,): 2.0}), "exponent vector (-1,) invalid for 1 variables"),
+    (lambda: IntPolynomial(1, {(1,): 2.0}), "coefficient 2.0 is not an int"),
+])
+def test_intpolynomial_rejects_malformed_input(build, message):
+    with pytest.raises(PreconditionError) as caught:
+        build()
+    assert caught.type is PreconditionError and str(caught.value) == message
+
+
+@given(st.integers(1, 4).flatmap(lambda rank: st.tuples(st.just(rank), st.lists(st.tuples(
+    st.tuples(*[st.integers(0, 3)] * rank), st.integers(-3, 3)), max_size=12))))
+def test_intpolynomial_and_laurentpoly_share_one_normal_form(case):
+    rank, pairs = case
+    f = IntPolynomial(rank, pairs)
+    assert f.terms == dict(LaurentPoly(rank, pairs).terms)
+    assert f.support() == _ordered_monomials(f.terms)
+
+
+def test_intpolynomial_sums_repeated_exponents_and_drops_zero_sums():
+    assert IntPolynomial(1, [((1,), 2), ((1,), -2)]).is_zero()
+    f = IntPolynomial(2, [((1, 0), 2), ((0, 0), 0), ((1, 0), -2), ((1, 0), 5), ((0, 1), 1)])
+    assert f.terms == {(1, 0): 5, (0, 1): 1}
 
 
 # -- compile ------------------------------------------------------------------
@@ -146,6 +177,20 @@ def test_witness_over_higher_rank_ambient_group():
     assert member
     assert asg["y"].base[0] == e_f
     assert asg["y"].base[1].is_zero()
+
+
+def test_flat_witness_makes_no_ring_product(monkeypatch):
+    products = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__",
+                        lambda p, q: products.append((p, q)) or mul(p, q))
+    cases = [("z1*z2 - 6", (2, 3), S11), ("z1 - 2", (2,), S11),
+             ("z1^2*z2 - 3", (1, 3), GroupSpec(2, 2)), ("z1 + 30", (-30,), S21)]
+    witnesses = [(f, witness(parse_intpoly(f), z, spec), spec) for f, z, spec in cases]
+    assert products == []
+    monkeypatch.undo()
+    for f, asg, spec in witnesses:
+        assert check_system(compile(parse_intpoly(f), spec).system, asg, spec).ok
 
 
 def test_witness_rejects_non_roots():

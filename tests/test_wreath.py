@@ -36,6 +36,13 @@ def test_multiply_identity():
     assert S22.identity() * g == g
 
 
+def test_identity_is_built_once():
+    for spec in (S11, S21, S22, GroupSpec(3, 2)):
+        assert spec.identity() is spec.identity()
+        assert spec.identity() == WreathElement(spec, (0,) * spec.m,
+                                                (LaurentPoly.zero(spec.m),) * spec.n)
+
+
 def test_inverse_examples():
     assert S11.identity().inverse() == S11.identity()
     assert S11.active_gen(1).inverse() == S11.element(active=(-1,))
@@ -354,3 +361,21 @@ def test_public_constructor_rejects_malformed_input():
         S21.element(base={1: LaurentPoly.one(1)})
     with pytest.raises(PreconditionError, match="invalid for rank 1"):
         WreathElement(S11, (1.0,), (LaurentPoly.zero(1),))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GroupSpec(0, 1), "active rank must be a positive int, got 0"),
+    (lambda: GroupSpec(1.0, 1), "active rank must be a positive int, got 1.0"),
+    (lambda: GroupSpec(1, 0), "base rank must be a positive int, got 0"),
+    (lambda: GroupSpec(0, 0), "active rank must be a positive int, got 0"),
+    (lambda: S21.active_gen(3), "active generator index 3 out of range 1..2"),
+    (lambda: S21.active_gen(0, 5), "active generator index 0 out of range 1..2"),
+    (lambda: S21.generator(1, 3, -1), "active generator index 3 out of range 1..2"),
+    (lambda: S21.base_gen(2), "base generator index 2 out of range 1..1"),
+    (lambda: S21.element(base={2: LaurentPoly.zero(2)}), "base coordinate b2 out of range 1..1"),
+    (lambda: S21.element(base={0: LaurentPoly.zero(2)}), "base coordinate b0 out of range 1..1"),
+])
+def test_spec_constructors_reject_malformed_input(build, message):
+    with pytest.raises(PreconditionError) as caught:
+        build()
+    assert caught.type is PreconditionError and str(caught.value) == message
