@@ -78,9 +78,25 @@ def _write_output(text, path):
             fh.write(text)
 
 
+def _newlines(text):
+    """`text` with universal newlines, as a file opened in text mode reads it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The UTF-8 text of the file at `path`, with universal newlines.
+
+    A byte that is not UTF-8 is a ParseError at the line and column where
+    the parsers would count it; the valid prefix is decoded only then.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        head = _newlines(data[:exc.start].decode("utf-8"))
+        raise ParseError(f"{path} is not UTF-8 text: byte 0x{data[exc.start]:02x}",
+                         head.count("\n") + 1, len(head) - head.rfind("\n")) from None
 
 
 def _poly_and_spec(args):

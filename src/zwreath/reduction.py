@@ -8,7 +8,9 @@ coordinate
     e_f = sum_alpha t_alpha (a1-1)^(d-|alpha|) prod_i (a1^{z_i} - 1)^{alpha_i},
 
 and requires y to lie in the (d+1)-st augmentation-ideal power -- which holds
-exactly when f(z) = 0.  A `Reduction` holds f and the group.  The chains
+exactly when f(z) = 0.  Since e_f lies in Z[a1^{+-1}], one ideal-power block
+says so: y = [q, a1, ..., a1] with d+1 copies of a1 and q in the base
+subgroup.  A `Reduction` holds f and the group.  The chains
 and y are written once, as ordered `(name, word)` definitions, each chain
 one left-normed commutator: its `system` emits each as the equation
 `name = word`, and its `witness` builds the assignment from an integer root
@@ -27,10 +29,9 @@ from functools import cached_property
 from .equations import (Commutator, Constant, Literal, System, concat, equation,
                         evaluate, merge_systems)
 from .errors import PreconditionError, SpecMismatchError
-from .gadgets import (gadget_cyclic, gadget_delta_power, witness_cyclic,
-                      witness_delta_power)
-from .laurent import (LaurentPoly, _normal_terms, _ordered_monomials, delta_membership,
-                      read_terms, terms_str)
+from .gadgets import gadget_cyclic, witness_cyclic
+from .laurent import (LaurentPoly, _normal_terms, _ordered_monomials, delta_decompose,
+                      delta_membership, read_terms, terms_str)
 from .lexer import parse_whole
 from .wreath import GroupSpec, in_A
 
@@ -184,16 +185,32 @@ class Reduction:
         Zero f compiles to the empty system (every tuple is a root).  Otherwise
         the system consists of a cyclic-subgroup gadget per variable, one
         equation `name = word` per term definition (`_term_definitions`: the
-        commutator chain of each support term, then the product y), and the
-        ideal-power gadget for y at degree d+1.
+        commutator chain of each support term, then the product y), and one
+        ideal-power block for y at degree k = d+1, in this order:
 
-        Size, for s variables, t support terms, degree d and active rank m:
-        3s equations and 2s variables from the cyclic gadgets; t + 1 term
-        definitions, each one equation and one variable: a chain of d factors
-        per term, then the product y of t factors; and 1 + 2B equations and
-        variables from the ideal-power gadget (y counted once), with
-        B = C(d+m, m-1) blocks, each defined by a chain of d + 1 factors.
-        Time is linear in that size.
+            y = dp_x_1,   [dp_y_1, b1] = 1,   dp_x_1 = [dp_y_1, a1, ..., a1]
+
+        with k copies of a1.  The second equation puts dp_y_1 in the base
+        subgroup, the centralizer of b1, so the others make each base
+        coordinate of y (a1-1)^k times that of dp_y_1.  This is the block
+        beta = (k, 0, ..., 0) of `gadgets.gadget_delta_power`, and at m = 1
+        the whole gadget.  One block suffices for every m: the cyclic gadgets
+        put each x_i in <a1>, and every chain uses only b1, a1 and the x_i,
+        so y's coordinate e_f lies in Z[a1^{+-1}].  The retraction
+        phi: a_j -> 1 (j >= 2) of Z[A] maps the k-th augmentation-ideal power
+        Delta^k onto (a1-1)^k Z[a1^{+-1}] and fixes Z[a1^{+-1}], so a p in
+        Z[a1^{+-1}] lies in Delta^k exactly when (a1-1)^k divides it there.
+        Soundness: a solution has e_f in (a1-1)^k Z[A], inside Delta^k, so
+        f(z) = 0.  Completeness: a root puts e_f in Delta^k, so e_f = phi(e_f)
+        is (a1-1)^k times some q in Z[a1^{+-1}], and b1^q solves dp_y_1.
+
+        Size, for s variables, t support terms and degree d, whatever the
+        active rank m: 3s equations and 2s variables from the cyclic gadgets;
+        t + 1 term definitions, each one equation and one variable: a chain
+        of d factors per term, then the product y of t factors; and 3
+        equations and 2 variables from the ideal-power block, whose chain has
+        d + 1 factors.  That is 3s + t + 4 equations and 2s + t + 3 variables,
+        built in time linear in their size.
         """
         spec = self._flat_spec()
         if self.poly.is_zero():
@@ -204,7 +221,12 @@ class Reduction:
         definitions = self._term_definitions
         parts.append(System(tuple(equation(Literal(name), word) for name, word in definitions),
                             xs + tuple(name for name, _ in definitions)))
-        parts.append(gadget_delta_power("y", self.poly.degree() + 1, spec))
+        a1 = Constant(spec.generator(1, 1))
+        q, x = Literal("dp_y_1"), Literal("dp_x_1")
+        parts.append(System((equation(Literal("y"), x),
+                             equation(Commutator(q, Constant(spec.generator(2, 1)))),
+                             equation(x, Commutator(q, *[a1] * (self.poly.degree() + 1)))),
+                            ("y", "dp_x_1", "dp_y_1")))
         return merge_systems(*parts)
 
     def witness(self, z):
@@ -213,8 +235,10 @@ class Reduction:
         Each x_i and its cyclic auxiliary come from `witness_cyclic`; every
         other term auxiliary comes from evaluating the system's own term
         definitions in order, one closed-form commutator per chain factor,
-        each O(n * terms); the ideal-power auxiliaries come from
-        `witness_delta_power` at y.
+        each O(n * terms).  The ideal-power block takes dp_x_1 = y, and
+        dp_y_1 the quotients of y's coordinates by (a1-1)^(d+1) from
+        `delta_decompose`: O(m * T + d * E) additions on a coordinate of T
+        terms and a1-span E, free of a2..am.
         """
         spec = self._flat_spec()
         f = self.poly
@@ -232,7 +256,12 @@ class Reduction:
             asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
         for name, word in self._term_definitions:
             asg[name] = evaluate(word, asg, spec)
-        asg.update(witness_delta_power(asg["y"], f.degree() + 1))
+        k = f.degree() + 1
+        beta = (k,) + (0,) * (spec.m - 1)
+        asg["dp_y_1"] = spec.element(base={
+            j: delta_decompose(p, k)[beta] for j, p in enumerate(asg["y"].base, start=1)
+            if not p.is_zero()})
+        asg["dp_x_1"] = asg["y"]
         return asg
 
     def extract_solution(self, assignment):

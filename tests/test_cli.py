@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -181,6 +182,44 @@ def test_parse_error_exit_code(tmp_path, capsys):
                        "--system", str(bad), "--assignment", str(wit))
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("name, text, line, col, byte", [
+    ("s.eqs", b"# vars: x\r\nx =\xe9 1\r\n", 2, 4, 0xe9),
+    ("s.eqs", b"\xff", 1, 1, 0xff),
+    ("a.asg", b"x1 := { active: (0); }\r\r\xc3 }\n", 3, 1, 0xc3),
+    ("a.asg", "x1 := { active: (2); b1: é".encode() + b"\x80 }\n", 1, 27, 0x80),
+], ids=["system-crlf", "system-one-byte", "assignment-cr", "assignment-after-non-ascii"])
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, name, text, line, col, byte):
+    # The column counts characters, as the parsers do, and CR, LF and CRLF
+    # each end one line.
+    files = {"s.eqs": b"# vars: x1\nx1 = 1\n", "a.asg": b"x1 := { active: (0); }\n", name: text}
+    for file, data in files.items():
+        (tmp_path / file).write_bytes(data)
+    expected = (2, "", f"error: line {line}, col {col}: {tmp_path / name} is not UTF-8 text: "
+                       f"byte 0x{byte:02x}\n")
+    assert run(capsys, "verify", "--ranks", "1,1", "--system", str(tmp_path / "s.eqs"),
+               "--assignment", str(tmp_path / "a.asg")) == expected
+    if name == "a.asg":
+        assert run(capsys, "extract", "--poly", "z1 - 2", "--ranks", "1,1",
+                   "--assignment", str(tmp_path / "a.asg")) == expected
+
+
+def test_utf8_files_read_with_universal_newlines(tmp_path, capsys):
+    # CRLF, CR and LF line ends and a non-ASCII comment read as LF text.
+    system, assignment = tmp_path / "s.eqs", tmp_path / "a.asg"
+    run(capsys, "compile", "--poly", "z1 - 2", "--ranks", "1,1", "-o", str(system))
+    run(capsys, "witness", "--poly", "z1 - 2", "--ranks", "1,1", "--solution", "2",
+        "-o", str(assignment))
+    for path in (system, assignment):
+        ends = itertools.cycle(["\r\n", "\r", "\n"])
+        lines = path.read_text(encoding="utf-8").splitlines() + ["# é"]
+        path.write_bytes("".join(line + next(ends) for line in lines).encode())
+    code, out, err = run(capsys, "verify", "--ranks", "1,1", "--system", str(system),
+                         "--assignment", str(assignment))
+    assert (code, out.splitlines()[-1], err) == (0, "satisfied: all 9 equations hold", "")
+    assert run(capsys, "extract", "--poly", "z1 - 2", "--ranks", "1,1",
+               "--assignment", str(assignment)) == (0, "2\n", "")
 
 
 @pytest.mark.parametrize("equation", ["[y, @a1] = 1", "[x, @a1] = 1"])

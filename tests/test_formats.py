@@ -83,8 +83,12 @@ def test_witness_and_extract_build_no_system(monkeypatch, capsys, stem, poly, ra
 # every constant an element literal.  `legacy/chains/` holds them and their
 # witnesses as printed before each commutator chain became one left-normed
 # commutator, every chain link its own variable `c_*` or `dp_c_*`.
+# `legacy/blocks/` holds the one golden pair over an active rank above 1 as
+# printed before the reduction constrained y with one ideal-power block, when
+# y was the product of all C(d+m, m-1) blocks of `gadget_delta_power`.
 LEGACY = GOLDEN / "legacy"
 CHAINS = LEGACY / "chains"
+BLOCKS = LEGACY / "blocks"
 # The depth-8 pair was first written with generator words and has no literal text.
 LEGACY_CASES = GOLDEN_CASES[:5]
 
@@ -107,16 +111,24 @@ def test_legacy_literal_systems_parse_to_the_same_system(tmp_path, capsys, stem,
         assert verdicts[0] == verdicts[1] and verdicts[0][0] == code
 
 
+def unchained(stem, spec):
+    """The system and witness that replaced the chain-link texts of `stem`:
+    the golden pair, or the one under `legacy/blocks/` where the ideal-power
+    layout has changed since."""
+    folder = BLOCKS if (BLOCKS / f"{stem}.eqs").exists() else GOLDEN
+    return (parse_system((folder / f"{stem}.eqs").read_text(encoding="utf-8"), spec),
+            parse_assignment((folder / f"{stem}.asg").read_text(encoding="utf-8"), spec))
+
+
 @pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
 def test_chain_link_systems_keep_their_meaning(stem, poly, ranks, root):
-    # The current system is the former one with its link variables
-    # substituted away: the former witness solves the former system, and
-    # without its link values it is the current witness.
+    # The system that replaced the chain-link layout is the former one with
+    # its link variables substituted away: the former witness solves the
+    # former system, and without its link values it is the newer witness.
     spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
     old_system = parse_system((CHAINS / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
     old_witness = parse_assignment((CHAINS / f"{stem}.asg").read_text(encoding="utf-8"), spec)
-    system = parse_system((GOLDEN / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
-    witness = parse_assignment((GOLDEN / f"{stem}.asg").read_text(encoding="utf-8"), spec)
+    system, witness = unchained(stem, spec)
     assert check_system(old_system, old_witness, spec).ok
     links = set(old_system.declared_vars) - set(system.declared_vars)
     assert links and all(name.startswith(("c_", "dp_c_")) for name in links)
@@ -138,19 +150,32 @@ def test_flattening_gives_one_definition_per_former_chain_link(stem, poly, ranks
     old_links = [node for word in old_system.equations for node in _iter_nodes(word)
                  if isinstance(node, Commutator)]
     assert all(len(node.factors) == 1 for node in old_links)
-    reduction = IteratedReduction(parse_intpoly(poly), spec)
-    fresh = NameGen(reserved=reduction.system.declared_vars)
+    system, witness = unchained(stem, spec)
+    fresh = NameGen(reserved=system.declared_vars)
     flat_equations, definitions = [], []
-    for word in reduction.system.equations:
+    for word in system.equations:
         flat, aux = flatten(word, fresh)
         flat_equations.append(flat)
         definitions.extend(aux.equations)
-    removed = len(old_system.equations) - len(reduction.system.equations)
+    removed = len(old_system.equations) - len(system.equations)
     assert removed > 0
     assert len(definitions) == len(old_links) - removed * (levels - 2)
-    witness = reduction.witness(tuple(int(v) for v in root.split(",")))
     extended = _solve_definitions(system_of(definitions), witness, spec)
     assert check_system(system_of(flat_equations + definitions), extended, spec).ok
+
+
+def test_one_block_and_all_block_systems_accept_their_witnesses(capsys):
+    # `legacy/blocks/` constrains y with the B = C(3+2, 2) = 10 blocks of
+    # `gadget_delta_power`, the golden system with the one block (3, 0, 0):
+    # 3s + t + 2 + 2B and 3s + t + 4 equations for s = 2 variables and t = 2 terms.
+    for folder, count in ((BLOCKS, 3 * 2 + 2 + 2 + 2 * 10), (GOLDEN, 3 * 2 + 2 + 4)):
+        system, witness = folder / "product_2-3.eqs", folder / "product_2-3.asg"
+        code, out, err = run(capsys, "verify", "--ranks", "2,3", "--system", str(system),
+                             "--assignment", str(witness))
+        assert (code, out.splitlines()[-1], err) == (
+            0, f"satisfied: all {count} equations hold", "")
+        assert run(capsys, "extract", "--poly", "z1*z2 - 6", "--ranks", "2,3",
+                   "--assignment", str(witness)) == (0, "2,3\n", "")
 
 
 # -- every ParseError carries the true line and column ------------------------------

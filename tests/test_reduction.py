@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zwreath import reduction
-from zwreath.equations import (check_system, evaluate, free_vars, parse_system,
-                               serialize_system)
+from zwreath.equations import (System, check_system, evaluate, free_vars, merge_systems,
+                               parse_system, serialize_system)
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
-from zwreath.gadgets import (_block_chain, delta_blocks, witness_cyclic,
+from zwreath.gadgets import (delta_blocks, gadget_delta_power, witness_cyclic,
                              witness_delta_power)
 from zwreath.laurent import (INFINITY, LaurentPoly, _ordered_monomials, aug_valuation,
                              delta_decompose, delta_generator_product, parse_poly)
@@ -220,7 +220,8 @@ def reference_witness(f, z, spec):
     """The witness built link by link with module actions, independently of
     the system's definitions: each chain link multiplies the previous
     coordinates by a1 - 1, a1^{z_i} - 1 or a generator's a_i - 1, and only
-    a chain's last link is a variable."""
+    a chain's last link is a variable.  The ideal-power block's dp_x_1 is
+    its quotient dp_y_1 acted on by a1 - 1, d + 1 times."""
     asg = {}
     for i, zi in enumerate(z, start=1):
         asg.update(witness_cyclic(zi, spec, x_name=f"x{i}", z_name=f"cyc_z_{i}"))
@@ -239,7 +240,14 @@ def reference_witness(f, z, spec):
         asg[f"y_{tag}"] = cur
         y = y * cur
     asg["y"] = y
-    asg.update(reference_delta_power(y, d + 1))
+    k = d + 1
+    beta = (k,) + (0,) * (spec.m - 1)
+    cur = spec.element(base={j: delta_decompose(p, k)[beta]
+                             for j, p in enumerate(y.base, start=1) if not p.is_zero()})
+    asg["dp_y_1"] = cur
+    for _ in range(k):
+        cur = module_action(cur, LaurentPoly.variable(spec.m, 1) - one)
+    asg["dp_x_1"] = cur
     return asg
 
 
@@ -294,8 +302,9 @@ def test_witness_matches_module_action_reference():
 
 
 def test_term_definitions_are_built_once_per_reduction(monkeypatch):
-    # `compile` builds the chain words for the system; the witness of the
-    # same reduction evaluates those words and builds none.
+    # `compile` builds the chain words for the system, one per support term,
+    # and two for the ideal-power block; the witness of the same reduction
+    # evaluates the chains and builds none.
     built = []
     real = reduction.Commutator
 
@@ -306,30 +315,19 @@ def test_term_definitions_are_built_once_per_reduction(monkeypatch):
     monkeypatch.setattr(reduction, "Commutator", counting)
     f = parse_intpoly("z1^2*z2 - 4*z1")
     r = compile(f, S21)
-    assert len(built) == 2  # one chain per support term
+    assert len(built) == 4
     assert check_system(r.system, r.witness((2, 2)), S21).ok
-    assert len(built) == 2
+    assert len(built) == 4
 
 
-def test_non_canonical_flat_solution_is_accepted_and_extracts_the_root():
-    # Over Z^2 wr Z^3, y = prod_beta x_beta with x_beta = y_beta (a-1)^beta.
-    # Moving (a1-1) r into q_(1,1,1) and (a2-1) r out of q_(2,0,1) keeps every
-    # x_beta product, since (a-1)^(1,1,1) (a1-1) = (a-1)^(2,0,1) (a2-1).
+def test_every_variable_of_a_wide_flat_solution_is_pinned():
+    # Over Z^2 wr Z^3 the root has one solution: multiplication by
+    # (a1-1)^3 is injective on Z[A], so y fixes dp_y_1.  Moving any declared
+    # variable by b1 or a1 breaks an equation that names it.
     f = parse_intpoly("z1*z2 - 6")
     spec = GroupSpec(3, 2)
     out = compile(f, spec)
-    canonical = witness(f, (2, 3), spec)
-    asg = dict(canonical)
-    blocks = {bl.beta: bl for bl in delta_blocks(spec, f.degree() + 1)}
-    r = parse_poly("3*a2^-1 - a1*a3^2 + 5", 3)
-    one = LaurentPoly.one(3)
-    for beta, i in (((1, 1, 1), 1), ((2, 0, 1), 2)):
-        sign = 1 if i == 1 else -1
-        shift = module_action(spec.base_gen(2, power=sign), (LaurentPoly.variable(3, i) - one) * r)
-        bl = blocks[beta]
-        asg[bl.y_name] = asg[bl.y_name] * shift
-        asg[bl.x_name] = evaluate(_block_chain(bl, spec), asg, spec)
-    assert asg != canonical
+    asg = witness(f, (2, 3), spec)
     assert check_system(out.system, asg, spec).ok
     assert extract_solution(out, asg) == (2, 3)
     for name in out.system.declared_vars:
@@ -338,6 +336,70 @@ def test_non_canonical_flat_solution_is_accepted_and_extracts_the_root():
             assert not report.ok, (name, g)
             for idx in report.failures:
                 assert name in free_vars(out.system.equations[idx])
+
+
+def test_system_size_is_closed_form_for_every_active_rank():
+    # 3s + t + 4 equations and 2s + t + 3 variables: the cyclic gadgets, the
+    # term definitions and y, and one ideal-power block, whatever m is.
+    rng = random.Random(67)
+    for m in range(1, 7):
+        for _ in range(8):
+            f = rand_intpoly(rng)
+            if f.is_zero():
+                continue
+            system = compile(f, GroupSpec(m, rng.randint(1, 2))).system
+            s, t = f.num_vars, len(f.terms)
+            assert len(system.equations) == 3 * s + t + 4
+            assert len(system.declared_vars) == 2 * s + t + 3
+    assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(6, 1)).system.equations) == 9
+
+
+def all_blocks_system(r):
+    """The system `r.system` replaced: its cyclic gadgets and term
+    definitions, then `gadget_delta_power` for y with all C(d+m, m-1) blocks."""
+    common = r.system.equations[:-3], r.system.declared_vars[:-2]
+    return merge_systems(System(*common),
+                         gadget_delta_power("y", r.poly.degree() + 1, r.spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(1, 2).flatmap(lambda s: st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * s), st.integers(-3, 3), max_size=3),
+    st.tuples(*[st.integers(-3, 3)] * s), st.booleans())))
+def test_one_block_and_all_blocks_accept_the_same_roots(m, n, case):
+    terms, z, plant = case
+    spec = GroupSpec(m, n)
+    f = IntPolynomial(len(z), terms)
+    if plant:
+        f = IntPolynomial(len(z), list(terms.items()) + [((0,) * len(z), -f.evaluate(z))])
+    assume(not f.is_zero())
+    r = Reduction(f, spec)
+    asg = {}
+    for i, (x, zi) in enumerate(zip(r.solution_vars, z), start=1):
+        asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
+    for name, word in r._term_definitions:
+        asg[name] = evaluate(word, asg, spec)
+    k = f.degree() + 1
+    beta = (k,) + (0,) * (m - 1)
+    try:
+        quotients = [delta_decompose(p, k) for p in asg["y"].base]
+        one_block = all(set(parts) <= {beta} for parts in quotients)
+    except PreconditionError:
+        one_block = False
+    try:
+        all_blocks = witness_delta_power(asg["y"], k)
+    except PreconditionError:
+        all_blocks = None
+    assert one_block == (all_blocks is not None) == (f.evaluate(z) == 0)
+    head = all_blocks_system(r)
+    if m == 1:
+        assert head == r.system
+    if not one_block:
+        return
+    new = r.witness(z)
+    assert check_system(r.system, new, spec).ok
+    assert check_system(head, {**new, **all_blocks}, spec).ok
+    assert extract_solution(r, new) == extract_solution(r, {**new, **all_blocks}) == z
 
 
 # -- extraction ----------------------------------------------------------------------
