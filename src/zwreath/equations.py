@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError, SpecMismatchError
 from .lexer import TokenStream, is_generator, is_int, is_name
-from .wreath import read_generator
+from .wreath import GroupSpec, _read_canonical, read_generator
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -443,10 +443,15 @@ def parse_system(text, spec):
     and at most one `# vars:` header, which pins the declared variables.
 
     Each line is one tokenizer pass and one descent, O(len(text)) in all;
-    element constants are read in place by `spec.read_element`.
+    element constants are read in place by `spec.read_element`.  One memo,
+    bounded by the text and dropped on return, keeps each name's `Literal`
+    and each generator word's `Constant`.  With a header of distinct names
+    that covers every name the words use, the system is built with no
+    second walk; otherwise the checked `System` constructor raises its error.
     """
     equations = []
     declared = None
+    memo = {"1": IDENTITY_WORD}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("# vars:"):
@@ -461,21 +466,43 @@ def parse_system(text, spec):
             declared = tuple(names)
             continue
         tokens = TokenStream(raw, lineno)
-        if not tokens.peek():
+        toks = tokens.tokens
+        if not toks[0]:
             continue
-        lhs = _read_word(tokens, spec, ("=", ""), 0)
-        tokens.expect("=")
-        rhs = _read_word(tokens, spec, ("",), 0)
+        lhs, pos = _read_word(tokens, 0, spec, ("=", ""), 0, memo)
+        if toks[pos] != "=":
+            raise tokens.expected("'='", pos)
+        rhs, pos = _read_word(tokens, pos + 1, spec, ("",), 0, memo)
         equations.append(equation(lhs, rhs))
     if declared is None:
         return system_of(equations)
+    names = set(declared)
+    # The memo's keys that are name tokens are the names the words use.
+    if len(names) == len(declared) and all(
+            key in names for key in memo if type(key) is str and is_name(key)):
+        return System._unchecked(tuple(equations), declared)
     return System(tuple(equations), declared)
 
 
 def parse_assignment(text, spec):
-    """Parse assignment files, lines `name := <element literal>`: O(len(text))."""
+    """Parse assignment files, lines `name := <element literal>`: O(len(text)).
+
+    Over a flat `GroupSpec`, a line as `serialize_assignment` writes it is
+    read straight off the line by `wreath._read_canonical`, one regex
+    match and one split per literal; any other line, and any line that
+    reader is not certain of, goes through the token grammar, which reads
+    every valid spelling to the same value and raises every error.
+    """
     out = {}
+    flat = isinstance(spec, GroupSpec)
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if flat:
+            name, separator, literal = raw.partition(" := ")
+            if separator and NAME_RE.match(name) and name not in out:
+                value = _read_canonical(literal, spec)
+                if value is not None:
+                    out[name] = value
+                    continue
         tokens = TokenStream(raw, lineno)
         if not tokens.peek():
             continue
@@ -496,53 +523,82 @@ def serialize_assignment(assignment):
 # -- word grammar ---------------------------------------------------------------
 
 
-def _read_word(tokens, spec, stop, depth):
-    """Juxtaposed factors up to a token in `stop`.
+def _read_word(tokens, pos, spec, stop, depth, memo):
+    """Juxtaposed factors from token `pos` up to a token in `stop`: (word, next pos).
 
-    `depth` counts the brackets and parentheses open around the word.
+    `depth` counts the brackets and parentheses open around the word.  The
+    tokens are read by a local index, as `laurent.read_terms` reads them,
+    and each error names the position of its token: O(tokens of the word),
+    and a name or bare generator word read before costs one memo lookup.
     """
+    toks = tokens.tokens
     factors = []
-    while tokens.peek() not in stop:
-        factors.append(_read_factor(tokens, spec, depth))
+    while toks[pos] not in stop:
+        factor = memo.get(toks[pos])
+        if factor is not None and toks[pos + 1] != "^":
+            pos += 1  # `1`, or a name or bare generator word read before
+        else:
+            factor, pos = _read_factor(tokens, pos, spec, depth, memo)
+        factors.append(factor)
     if not factors:
-        raise tokens.error("empty word (write '1' for the identity)")
+        raise tokens.error("empty word (write '1' for the identity)", pos)
     if len(factors) == 1:
-        return factors[0]
-    return Concat(tuple(factors))
+        return factors[0], pos
+    return Concat(tuple(factors)), pos
 
 
-def _read_factor(tokens, spec, depth):
-    token = tokens.peek()
-    if token == "{":
+def _read_factor(tokens, pos, spec, depth, memo):
+    """One factor from token `pos`, with its `^` exponent: (word, next pos).
+
+    `memo` maps each name read to its `Literal`, and each generator word,
+    keyed by its token or, with an exponent, by its tokens, to its `Constant`.
+    """
+    toks = tokens.tokens
+    token = toks[pos]
+    if is_generator(token):
+        # Its `^` exponent is its own: `@b1^-6` is one constant.
+        end = pos + 1
+        if toks[end] == "^":
+            end += 3 if toks[end + 1] == "+" or toks[end + 1] == "-" else 2
+        key = token if end == pos + 1 else tuple(toks[pos:end])
+        constant = memo.get(key)
+        if constant is None:
+            tokens.pos = pos
+            constant = memo[key] = Constant(read_generator(tokens, spec))
+        return constant, end
+    if is_name(token):
+        base = memo.get(token) or memo.setdefault(token, Literal(token))
+        pos += 1
+    elif token == "{":
+        tokens.pos = pos
         base = Constant(spec.read_element(tokens))
-    elif is_generator(token):
-        return Constant(read_generator(tokens, spec))  # its `^` exponent is its own
+        pos = tokens.pos
     elif token == "[" or token == "(":
         if depth == MAX_NESTING:
-            raise tokens.error(f"brackets and parentheses nested deeper than {MAX_NESTING}")
-        tokens.take()
+            raise tokens.error(f"brackets and parentheses nested deeper than {MAX_NESTING}", pos)
         if token == "[":
             # `[w, f1, ..., fk]`, k >= 1: one bracket, one nesting level.
-            parts = [_read_word(tokens, spec, (",", "]"), depth + 1)]
-            tokens.expect(",")
-            parts.append(_read_word(tokens, spec, (",", "]"), depth + 1))
-            while tokens.accept(","):
-                parts.append(_read_word(tokens, spec, (",", "]"), depth + 1))
-            tokens.expect("]")
+            word, pos = _read_word(tokens, pos + 1, spec, (",", "]"), depth + 1, memo)
+            parts = [word]
+            if toks[pos] != ",":
+                raise tokens.expected("','", pos)
+            while toks[pos] == ",":
+                word, pos = _read_word(tokens, pos + 1, spec, (",", "]"), depth + 1, memo)
+                parts.append(word)
             base = Commutator(*parts)
         else:
-            base = _read_word(tokens, spec, (")",), depth + 1)
-            tokens.expect(")")
-    elif is_name(token):
-        base = Literal(tokens.take())
+            base, pos = _read_word(tokens, pos + 1, spec, (")",), depth + 1, memo)
+        pos += 1  # the closing `]` or `)`, where the word stopped
     elif is_int(token):
-        value = tokens.int_at(tokens.pos)
+        value = tokens.int_at(pos)
         if value != 1:
-            raise tokens.error(f"unexpected integer {value}")
-        tokens.take()
+            raise tokens.error(f"unexpected integer {value}", pos)
         base = IDENTITY_WORD
+        pos += 1
     else:
-        raise tokens.error(f"unexpected token {token or 'end of input'!r}")
-    if tokens.accept("^"):
+        raise tokens.error(f"unexpected token {token or 'end of input'!r}", pos)
+    if toks[pos] == "^":
+        tokens.pos = pos + 1
         base = power(base, tokens.signed_int())
-    return base
+        pos = tokens.pos
+    return base, pos

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from operator import add
 from types import MappingProxyType
 
@@ -474,10 +475,29 @@ def terms_str(terms, letter):
     """Text of an {exponent vector: coefficient} map over variables letter1, letter2, ...
 
     Terms run in degree-lexicographic descending order; a unit coefficient
-    is omitted before a variable part, and the zero map prints as `0`.
+    is omitted before a variable part, and the zero map prints as `0`.  At
+    rank 1 that order is the exponent's, so the terms are written directly:
+    one sort of the monomials and one string per term, O(T log T) for T terms.
     """
     if not terms:
         return "0"
+    if len(next(iter(terms))) == 1:
+        var = f"{letter}1"
+        pieces = []
+        for mono in sorted(terms, reverse=True):
+            (e,), coeff = mono, terms[mono]
+            sign = "+"
+            if coeff < 0:
+                sign, coeff = "-", -coeff
+            if not e:
+                pieces.append(f"{sign} {coeff}")
+            elif coeff == 1:
+                pieces.append(f"{sign} {var}" if e == 1 else f"{sign} {var}^{e}")
+            else:
+                pieces.append(f"{sign} {coeff}*{var}" if e == 1 else f"{sign} {coeff}*{var}^{e}")
+        text = " ".join(pieces)
+        # The first term takes no `+ `, and its `- ` closes up to `-`.
+        return text[2:] if text[0] == "+" else "-" + text[2:]
     pieces = []
     for mono in _ordered_monomials(terms):
         coeff = terms[mono]
@@ -494,6 +514,76 @@ def terms_str(terms, letter):
         else:
             pieces.append(("- " if coeff < 0 else "+ ") + body)
     return " ".join(pieces)
+
+
+# The terms of `terms_str`'s text over `a`, one match each: the first term's
+# glued `-` or a single-spaced ` + `/` - `, then an optional
+# `<coefficient>*` and either a power of `a1` alone, whose exponent has its
+# own group, or any `*`-product of variable powers; or a coefficient alone.
+# Any other character is a match of the last group, which makes the text not
+# canonical.  `[0-9]` matches the ASCII digits alone, as the token grammar does.
+_CANONICAL_TERMS = re.compile(r"""
+    (\A-?|\ [+-]\ )
+    (?: (?:([0-9]+)\*)?
+        (?: a1(?:\^(-?[0-9]+))?(?![*^0-9])
+          | (a[0-9]+(?:\^-?[0-9]+)?(?:\*a[0-9]+(?:\^-?[0-9]+)?)*) )
+      | ([0-9]+) )
+  | (.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _canonical_terms(text, rank):
+    """The terms of `text` if it is a rank-`rank` polynomial as `terms_str` writes it, else None.
+
+    A second reader of the text `str(LaurentPoly)` writes, for the
+    assignment fast path.  It returns None, leaving the text to `read_poly`,
+    wherever it is not certain of the same value: other spacing, a leading
+    `+`, a zero coefficient, a repeated monomial, a variable repeated or out
+    of order within a term or out of range, and an integer too long for
+    `int()`.  Cost: one C-level `findall` pass over the text, then one tuple
+    of strings per term, O(len(text)), with no per-token work.
+    """
+    found = _CANONICAL_TERMS.findall(text)
+    if not found or found[0][0][:1] == " ":  # the first term must start the text
+        return None
+    zero = (0,) * rank
+    tail = zero[1:]
+    terms = {}
+    try:
+        for sign, coeff, expo, powers, constant, other in found:
+            if other:
+                return None
+            if constant:
+                coeff, key = int(constant), zero
+            else:
+                coeff = int(coeff) if coeff else 1
+                if powers:
+                    key = _canonical_monomial(powers, rank)
+                    if key is None:
+                        return None
+                else:
+                    key = (int(expo) if expo else 1,) + tail
+            if not coeff or key in terms:
+                return None
+            terms[key] = -coeff if "-" in sign else coeff
+    except ValueError:  # an integer of more digits than `int()` converts
+        return None
+    return terms
+
+
+def _canonical_monomial(powers, rank):
+    """The exponent vector of the product `a<i>^<e>*...` of `powers`, or None
+    unless the indices increase and stay within `rank`."""
+    vector = [0] * rank
+    last = 0
+    for power in powers.split("*"):
+        index, _, expo = power[1:].partition("^")
+        index = int(index)
+        if not last < index <= rank:
+            return None
+        vector[index - 1] = int(expo) if expo else 1
+        last = index
+    return tuple(vector)
 
 
 def parse_poly(text, rank):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import PreconditionError, SpecMismatchError
-from .laurent import (LaurentPoly, _add_shifted, _shifted, binary_power,
+from .laurent import (LaurentPoly, _add_shifted, _canonical_terms, _shifted, binary_power,
                       delta_membership, read_poly)
 from .lexer import is_name, parse_whole
 
@@ -73,14 +73,28 @@ class GroupSpec:
         Every `@a1` or `@b1` a system names is this call, so the spec keeps
         the generators and their inverses it built, a set bounded by the
         ranks, as `interp.IteratedSpec.generator` does; other powers are
-        built each time.
+        built each time, unchecked once the index is known to be in range,
+        in O(m + n).  An index out of range raises the error of `active_gen`
+        or `base_gen`.
         """
         key = (level, j, power)
         g = self._generators.get(key)
-        if g is None:
-            g = self.active_gen(j, power) if level == 1 else self.base_gen(j, power)
-            if power == 1 or power == -1:
-                self._generators[key] = g
+        if g is not None:
+            return g
+        m = self.m
+        if type(power) is not int or type(j) is not int or not 1 <= j <= (
+                m if level == 1 else self.n):
+            return self.active_gen(j, power) if level == 1 else self.base_gen(j, power)
+        if not power:
+            return self._identity
+        zeros = self._identity.base
+        if level == 1:
+            g = WreathElement._unchecked(self, (0,) * (j - 1) + (power,) + (0,) * (m - j), zeros)
+        else:
+            coordinate = LaurentPoly._unchecked(m, {(0,) * m: power})
+            g = WreathElement._unchecked(self, (0,) * m, zeros[:j - 1] + (coordinate,) + zeros[j:])
+        if power == 1 or power == -1:
+            self._generators[key] = g
         return g
 
     # Literal and generator-word bridge used by the system and assignment formats.
@@ -323,6 +337,49 @@ def lcs_rank(i, spec):
 def parse_element(text, spec):
     """Parse the flat element literal; one tokenizer pass and one descent, O(len(text))."""
     return parse_whole(text, read_element, spec)
+
+
+# The literal `WreathElement.__str__` writes, separators exactly as written:
+# the active vector's entries, then the `b<j>: <poly>` entries, if any.
+_CANONICAL_ELEMENT = re.compile(
+    r"\{ active: \((-?[0-9]+(?:,-?[0-9]+)*)\);"
+    r"(?: (b[0-9]+: [^,{}]+(?:, b[0-9]+: [^,{}]+)*))? \}\Z")
+
+
+def _read_canonical(text, spec):
+    """The element `text` spells if it is a literal as `str(WreathElement)` writes it, else None.
+
+    A second reader of the flat literal, for the assignment fast path.  It
+    returns None, leaving the text to `read_element`, wherever it is not
+    certain of the same value: any other spacing or separator, a vector of
+    the wrong length, a base index out of range or repeated, an integer too
+    long for `int()`, and each coordinate `laurent._canonical_terms`
+    declines.  Cost: one regex match of the frame, one split of the vector
+    and of the entries, and one `_canonical_terms` per coordinate, O(len(text)).
+    """
+    match = _CANONICAL_ELEMENT.match(text)
+    if match is None:
+        return None
+    vector, entries = match.groups()
+    m = spec.m
+    zero = LaurentPoly._unchecked(m, {})
+    base = [zero] * spec.n
+    try:
+        active = tuple(map(int, vector.split(",")))
+        for entry in entries.split(", ") if entries else ():
+            name, _, poly = entry.partition(": ")
+            j = int(name[1:])
+            if not 1 <= j <= spec.n or base[j - 1] is not zero:
+                return None
+            terms = _canonical_terms(poly, m)
+            if terms is None:
+                return None
+            base[j - 1] = LaurentPoly._unchecked(m, terms)
+    except ValueError:  # an integer of more digits than `int()` converts
+        return None
+    if len(active) != m:
+        return None
+    return WreathElement._unchecked(spec, active, tuple(base))
 
 
 def read_element(tokens, spec):

@@ -121,6 +121,22 @@ def test_generators_and_their_inverses_are_built_once_per_spec():
         spec.generator(2, 4)
 
 
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3),
+       st.data())
+def test_generator_powers_equal_the_checked_generators(m, n, power, data):
+    spec = GroupSpec(m=m, n=n)
+    i, j = data.draw(st.integers(1, m)), data.draw(st.integers(1, n))
+    for g, expected in ((spec.generator(1, i, power), spec.active_gen(i, power)),
+                        (spec.generator(2, j, power), spec.base_gen(j, power))):
+        assert g == expected and hash(g) == hash(expected)
+        assert g.is_identity() is (power == 0)
+        assert all(c for p in g.base for c in p.terms.values())
+    for level, bad, message in ((1, m + 1, "active generator index"),
+                                (2, n + 1, "base generator index"), (1, 0, "active generator index")):
+        with pytest.raises(PreconditionError, match=f"{message} {bad} out of range"):
+            spec.generator(level, bad, power)
+
+
 # -- lower central series -------------------------------------------------------
 
 
