@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError, SpecMismatchError
 from .lexer import TokenStream, is_generator, is_int, is_name
-from .wreath import GroupSpec, _read_canonical, read_generator
+from .wreath import read_generator
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -394,47 +394,61 @@ def normalize_word(word):
 
 def serialize_word(word):
     """Text of a word: normalized once, then printed in O(size of the word)."""
-    return _serialize_normal(normalize_word(word))
+    return _serialize_normal(normalize_word(word), {})
 
 
-def _serialize_normal(word):
+def _serialize_normal(word, memo):
+    """`memo` maps each `Constant` node printed, by identity, to its text, so
+    a node that several words share is printed once and no element is hashed."""
     if isinstance(word, Concat) and word.parts:
-        return " ".join(_serialize_factor(p) for p in word.parts)
-    return _serialize_factor(word)
+        return " ".join(_serialize_factor(p, memo) for p in word.parts)
+    return _serialize_factor(word, memo)
 
 
-def _serialize_factor(word):
+def _serialize_factor(word, memo):
     if isinstance(word, Literal):
         return word.name if word.sign == 1 else f"{word.name}^-1"
     if isinstance(word, Constant):
-        return word.value.spec.generator_word(word.value) or str(word.value)
+        text = memo.get(id(word))
+        if text is None:
+            value = word.value
+            text = memo[id(word)] = value.spec.generator_word(value) or str(value)
+        return text
     if isinstance(word, Commutator):
-        return "[" + ", ".join(map(_serialize_normal, (word.word,) + word.factors)) + "]"
+        return "[" + ", ".join(_serialize_normal(part, memo)
+                               for part in (word.word,) + word.factors) + "]"
     if isinstance(word, Power):
         body = word.body
         if isinstance(body, Literal) and body.sign == 1:
             return f"{body.name}^{word.exponent}"
         if isinstance(body, (Commutator, Constant)):
-            text = _serialize_factor(body)
+            text = _serialize_factor(body, memo)
             # A generator word reads its own `^` exponent: `(@b1)^3`, not `@b1^3`.
             if text[0] == "@":
                 text = f"({text})"
             return f"{text}^{word.exponent}"
-        return f"({_serialize_normal(body)})^{word.exponent}"
+        return f"({_serialize_normal(body, memo)})^{word.exponent}"
     if isinstance(word, Concat):
         if not word.parts:
             return "1"
-        return f"({_serialize_normal(word)})"
+        return f"({_serialize_normal(word, memo)})"
     raise PreconditionError(f"not a word node: {word!r}")
 
 
 def serialize_system(system):
-    """Deterministic text form; first line declares the variables."""
+    """Deterministic text form; first line declares the variables.
+
+    One memo per call, dropped on return, keeps the text of each
+    `Constant` node: a lifted system shares one node per distinct constant
+    and per level's base generator among all its equations, so each is
+    printed once.
+    """
     lines = []
     if system.declared_vars:
         lines.append("# vars: " + " ".join(system.declared_vars))
+    memo = {}
     for word in system.equations:
-        lines.append(f"{serialize_word(word)} = 1")
+        lines.append(f"{_serialize_normal(normalize_word(word), memo)} = 1")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -487,22 +501,23 @@ def parse_system(text, spec):
 def parse_assignment(text, spec):
     """Parse assignment files, lines `name := <element literal>`: O(len(text)).
 
-    Over a flat `GroupSpec`, a line as `serialize_assignment` writes it is
-    read straight off the line by `wreath._read_canonical`, one regex
-    match and one split per literal; any other line, and any line that
-    reader is not certain of, goes through the token grammar, which reads
-    every valid spelling to the same value and raises every error.
+    A line as `serialize_assignment` writes it, with a flat literal or,
+    over three or more ranks, an embedded flat one, is read straight off
+    the line by `spec.read_canonical`: one regex match and one split per
+    flat literal (`wreath._read_canonical`), and at depth L one match of
+    the L - 2 frames around it (`interp.IteratedSpec.read_canonical`).
+    Any other line, and any line that reader is not certain of, goes
+    through the token grammar, which reads every valid spelling to the
+    same value and raises every error.
     """
     out = {}
-    flat = isinstance(spec, GroupSpec)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if flat:
-            name, separator, literal = raw.partition(" := ")
-            if separator and NAME_RE.match(name) and name not in out:
-                value = _read_canonical(literal, spec)
-                if value is not None:
-                    out[name] = value
-                    continue
+        name, separator, literal = raw.partition(" := ")
+        if separator and NAME_RE.match(name) and name not in out:
+            value = spec.read_canonical(literal)
+            if value is not None:
+                out[name] = value
+                continue
         tokens = TokenStream(raw, lineno)
         if not tokens.peek():
             continue

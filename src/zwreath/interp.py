@@ -7,7 +7,11 @@ group).  Elements at depth >= 3 hold an inner-group active part and a
 finitely supported map from inner elements to integer vectors; multiplication
 shifts the support of the left factor by right-multiplication with the
 incoming active part, matching the coordinate convention of the flat
-two-level representation.
+two-level representation.  An element with an empty base, such as every
+embedded constant and witness value of a lifted system, holds the highest
+part below it that is not pure active once, with the number of levels it
+skips (see `NestedElement`): embedding, generators and the group
+operations on such elements cost O(1) in the depth, not one step per level.
 
 Every level has one element type, and all of them offer `*`, `inverse()`,
 `commutator()`, `__pow__`, `is_identity()` and `sort_key()`, so equation
@@ -42,8 +46,9 @@ from .lexer import parse_whole
 from .wreath import GroupSpec, group_power, power_word, read_vector
 
 
-# Longest rank list accepted.  Specs, elements and element literals nest
-# once per rank and are built, printed and parsed recursively, so the depth
+# Longest rank list accepted.  Element literals nest once per rank and the
+# token grammar reads them recursively, as `str`, `sort_key` and the group
+# operations walk an element with a support at every level, so the depth
 # must stay well inside Python's recursion limit; a deeper list is refused
 # up front (PreconditionError) instead of overflowing the stack.
 MAX_RANKS = 64
@@ -82,11 +87,24 @@ class IteratedSpec:
         if len(ranks) > MAX_RANKS:
             raise PreconditionError(
                 f"at most {MAX_RANKS} ranks are supported, got {len(ranks)}")
-        # Built once: every element construction compares against the inner
-        # group, and the identity recurses through every level.
-        object.__setattr__(self, "_inner", spec_for_ranks(ranks[1:]))
-        object.__setattr__(self, "_identity",
-                           NestedElement._unchecked(self, self._inner.identity(), {}))
+        # The groups below are built once, from the flat pair outward, with
+        # no second check of their ranks: O(depth) specs.
+        inner = GroupSpec(m=ranks[-1], n=ranks[-2])
+        below = (inner,)
+        for start in range(len(ranks) - 3, 0, -1):
+            spec = object.__new__(IteratedSpec)
+            object.__setattr__(spec, "ranks", ranks[start:])
+            spec._build(inner, below)
+            inner, below = spec, below + (spec,)
+        self._build(inner, below)
+
+    def _build(self, inner, below):
+        # Every element construction compares against the inner group, and
+        # embedding finds the group of an element's level in `_below`, the
+        # groups below this one, flat first: `_below[k - 2]` is level k.
+        object.__setattr__(self, "_inner", inner)
+        object.__setattr__(self, "_below", below)
+        object.__setattr__(self, "_identity", NestedElement._unchecked(self, inner.identity(), {}))
         object.__setattr__(self, "_generators", {})
 
     def inner(self):
@@ -111,37 +129,41 @@ class IteratedSpec:
         """Canonical embedding of the inner group, or of any group below it.
 
         An element of level k < depth becomes a pure active part at every
-        level from k + 1 up to this one.  One spec comparison, then one
-        wrapper per level crossed: O(depth - k).
+        level from k + 1 up to this one.  In the normal form (see
+        `NestedElement`) that is one wrapper around the element's core,
+        whatever the number of levels crossed: one spec comparison and O(1)
+        work in the depth.
         """
-        specs = []
-        spec = self
-        while isinstance(spec, IteratedSpec) and len(spec.ranks) > len(element.spec.ranks):
-            specs.append(spec)
-            spec = spec.inner()
-        if not specs or element.spec != spec:
+        level, depth = len(element.spec.ranks), len(self.ranks)
+        if not 2 <= level < depth or element.spec != self._below[level - 2]:
             raise SpecMismatchError(f"element of {element.spec} cannot embed into {self}")
-        for spec in reversed(specs):
-            element = NestedElement._unchecked(spec, element, {})
-        return element
+        return NestedElement._embed(self, element, depth - 1 - level)
 
     def generator(self, level, j, power=1):
         """Generator j of `level` raised to `power`, embedded up to this group.
 
         Levels count outward from the acting group (see
         `wreath.read_generator`); this group's own base is level
-        `len(ranks)`.  Building costs O(depth - level) embeddings.  A
-        lifted system names every level's base generator once per
-        equation, so each level keeps the generators and their inverses it
-        built: a set bounded by the ranks, unlike the other powers.
+        `len(ranks)`.  A generator of a level below is built by the group
+        of that level and embedded under one wrapper, so building costs
+        O(1) in the depth.  A lifted system names every level's base
+        generator once per equation, so each level keeps the generators and
+        their inverses it built: a set bounded by the ranks, unlike the
+        other powers.
         """
         key = (level, j, power)
         g = self._generators.get(key)
         if g is None:
-            if level == len(self.ranks):
+            depth = len(self.ranks)
+            if level == depth:
                 g = self.base_gen(j, power)
+            elif 1 <= level < depth:
+                # Levels 1 and 2 are both generated by the flat group.
+                below = max(level, 2)
+                g = NestedElement._embed(self, self._below[below - 2].generator(level, j, power),
+                                         depth - 1 - below)
             else:
-                g = NestedElement._unchecked(self, self.inner().generator(level, j, power), {})
+                raise PreconditionError(f"generator level {level} out of range 1..{depth}")
             if power == 1 or power == -1:
                 self._generators[key] = g
         return g
@@ -150,12 +172,30 @@ class IteratedSpec:
     def read_element(self, tokens):
         return read_nested(tokens, self)
 
+    def read_canonical(self, text):
+        """The element `text` spells if it is the literal `str` writes for an
+        embedded flat element, else None.
+
+        That literal is `len(ranks) - 2` frames `{ active: ...; }` around a
+        flat literal as `str(WreathElement)` writes it.  The frames are
+        matched as two whole strings, and the flat literal is read by
+        `wreath._read_canonical`, which declines all it is not certain of;
+        the value is the flat element under one wrapper.  O(len(text)).
+        """
+        frames = len(self.ranks) - 2
+        head, tail = "{ active: " * frames, "; }" * frames
+        if not (text.startswith(head) and text.endswith(tail)):
+            return None
+        flat = self._below[0].read_canonical(text[len(head):len(text) - len(tail)])
+        return None if flat is None else NestedElement._embed(self, flat, frames - 1)
+
     def generator_word(self, g):
         """`@b<j>_<k>^e` for a power of this level's base generator b_j, the
-        inner word for an embedded inner element, else None."""
+        word of the core for a pure active element, else None: O(1) in the depth."""
         if not g.base:
-            return self.inner().generator_word(g.active)
-        if len(g.base) == 1 and g.active.is_identity():
+            core = g._part
+            return core.spec.generator_word(core)
+        if len(g.base) == 1 and g._part.is_identity():
             key, vec = g.base[0]
             nonzero = [j for j, v in enumerate(vec) if v]
             if len(nonzero) == 1 and key.is_identity():
@@ -170,12 +210,23 @@ class NestedElement:
     `active` is an inner-group element; `base` is a canonically sorted tuple
     of (inner element, nonzero integer vector) pairs giving the finitely
     supported base coordinates.  A support point may occur only once.
-    `_trivial` records, once when the element is built, whether it is the
-    identity, so `is_identity` is O(1) at any depth instead of recursing
-    through every pure-active level below.
+
+    Normal form.  An element with an empty base is pure active: its active
+    part embedded, and that part may be pure active in turn.  It holds its
+    *core* once: the highest element below it that is not pure active, a
+    flat `WreathElement` or a `NestedElement` with a support.  `_skip`
+    counts the pure-active levels between the core and the active part.
+    So `_part` is the active part when `_skip` is 0 and the core otherwise,
+    and an element with a support holds its active part with `_skip` 0.
+    Costs in the depth: embedding an element of any level below is one
+    object, O(1); `active` builds the level below in O(1) when it is asked
+    for; `==` and `hash` compare the parts, O(1) for a pure active element;
+    `sort_key`, `str` and the generator word are the long-hand values, as
+    if every level were stored.  `_trivial` records, once when the element
+    is built, whether it is the identity, so `is_identity` is O(1).
     """
 
-    __slots__ = ("spec", "active", "base", "_trivial")
+    __slots__ = ("spec", "base", "_part", "_skip", "_trivial")
 
     def __new__(cls, spec, active, base):
         """Check the parts, then take the normal form from `_unchecked`.
@@ -209,20 +260,50 @@ class NestedElement:
         """Products and inverses of valid elements: no checks, only normal form.
 
         `support` maps distinct inner elements of `spec` to integer vectors of
-        its base rank; they are put in canonical order and zero vectors dropped.
+        its base rank; they are put in canonical order and zero vectors
+        dropped.  With none left, the element is `active` embedded.
         """
         entries = [(key, vec) for key, vec in support.items() if any(vec)]
+        if not entries:
+            return cls._embed(spec, active, 0)
         if len(entries) > 1:
             entries.sort(key=lambda entry: entry[0].sort_key())
         g = object.__new__(cls)
         object.__setattr__(g, "spec", spec)
-        object.__setattr__(g, "active", active)
         object.__setattr__(g, "base", tuple(entries))
-        object.__setattr__(g, "_trivial", not entries and active.is_identity())
+        object.__setattr__(g, "_part", active)
+        object.__setattr__(g, "_skip", 0)
+        object.__setattr__(g, "_trivial", False)
+        return g
+
+    @classmethod
+    def _embed(cls, spec, element, skip):
+        """`element`, of the group `skip` levels below the inner group of
+        `spec`, embedded as a pure active element of `spec`: O(1)."""
+        if type(element) is cls and not element.base:
+            return cls._pure(spec, element._part, skip + element._skip + 1, element._trivial)
+        return cls._pure(spec, element, skip, element.is_identity())
+
+    @classmethod
+    def _pure(cls, spec, core, skip, trivial):
+        """The pure active element of `spec` with this core and `_skip`."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "spec", spec)
+        object.__setattr__(g, "base", ())
+        object.__setattr__(g, "_part", core)
+        object.__setattr__(g, "_skip", skip)
+        object.__setattr__(g, "_trivial", trivial)
         return g
 
     def __setattr__(self, name, value):
         raise AttributeError("NestedElement is immutable")
+
+    @property
+    def active(self):
+        """The inner-group part; built in O(1) when the element skips levels."""
+        if not self._skip:
+            return self._part
+        return NestedElement._pure(self.spec._inner, self._part, self._skip - 1, self._trivial)
 
     def _check(self, other):
         if not isinstance(other, NestedElement) or other.spec != self.spec:
@@ -234,21 +315,31 @@ class NestedElement:
         `p.beta` right-multiplies every support point of p by beta.  Cost:
         one inner product for the active parts and one per support point
         of p (none when beta is the identity), |q| vector additions of
-        width m_k, and sorting the result's support.
+        width m_k, and sorting the result's support.  Two pure active
+        operands multiply their cores once, at the higher core's level
+        (`_cores`), and the product is embedded once.
         """
         self._check(other)
+        if not self.base and not other.base:
+            g, h, skip = _cores(self, other)
+            return NestedElement._embed(self.spec, g * h, skip)
+        beta = other.active
         support = {}
-        _shift_add(support, self.base, other.active, 1)
+        _shift_add(support, self.base, beta, 1)
         _shift_add(support, other.base, None, 1)
-        return NestedElement._unchecked(self.spec, self.active * other.active, support)
+        return NestedElement._unchecked(self.spec, self.active * beta, support)
 
     def inverse(self):
         """(alpha, p)^-1 = (alpha^-1, -p.alpha^-1).
 
         Cost: one inner inverse, one inner product per support point of p
-        (none when alpha is the identity), and sorting the support.
+        (none when alpha is the identity), and sorting the support.  A pure
+        active element inverts its core, whose inverse is a core again.
         """
-        ai = self.active.inverse()
+        if not self.base:
+            return NestedElement._pure(self.spec, self._part.inverse(), self._skip,
+                                       self._trivial)
+        ai = self._part.inverse()
         support = {}
         _shift_add(support, self.base, ai, -1)
         return NestedElement._unchecked(self.spec, ai, support)
@@ -275,9 +366,16 @@ class NestedElement:
         (both skipped when alpha or beta is the identity, where c = 1, and
         the product when q is empty), and at most two inner products per
         support point of p and one per support point of q; at depth 2 the
-        flat closed form `WreathElement.commutator` ends the recursion.
+        flat closed form `WreathElement.commutator` ends the recursion.  Two
+        pure active operands take one commutator of their cores, at the
+        higher core's level (`_cores`), embedded once.
         """
         self._check(other)
+        if self._trivial or other._trivial:
+            return self.spec._identity
+        if not self.base and not other.base:
+            g, h, skip = _cores(self, other)
+            return NestedElement._embed(self.spec, g.commutator(h), skip)
         alpha, beta = self.active, other.active
         if alpha.is_identity() or beta.is_identity():
             c, alpha_c = self.spec.inner().identity(), alpha
@@ -304,32 +402,59 @@ class NestedElement:
         return self.active
 
     def sort_key(self):
-        return (self.active.sort_key(),
-                tuple((key.sort_key(), vec) for key, vec in self.base))
+        """`(active key, support keys)`, nested once per level of a pure
+        active element down to its core's key: O(depth) for one."""
+        if self.base:
+            return (self._part.sort_key(),
+                    tuple((key.sort_key(), vec) for key, vec in self.base))
+        key = self._part.sort_key()
+        for _ in range(self._skip + 1):
+            key = (key, ())
+        return key
 
     def __eq__(self, other):
         if not isinstance(other, NestedElement):
             return NotImplemented
-        return (self.spec == other.spec and self.active == other.active
-                and self.base == other.base)
+        return (self._skip == other._skip and self.spec == other.spec
+                and self.base == other.base and self._part == other._part)
 
     def __hash__(self):
-        return hash((self.spec, self.active, self.base))
+        return hash((self._part, self._skip, self.base))
 
     def __str__(self):
         """Canonical literal; the active part and support points print as inner literals.
 
         `str` of an element at any level is its canonical literal, so the
         innermost parts print as flat literals `{ active: (...); b1: ... }`.
+        A pure active element prints one frame `{ active: ...; }` per level
+        around its core.
         """
+        if not self.base:
+            frames = self._skip + 1
+            return "{ active: " * frames + str(self._part) + "; }" * frames
         entries = [
             "[ " + str(key) + " -> (" + ",".join(str(v) for v in vec) + ") ]"
             for key, vec in self.base]
-        body = " " + ", ".join(entries) + " " if entries else " "
-        return "{ active: " + str(self.active) + ";" + body + "}"
+        return "{ active: " + str(self._part) + "; " + ", ".join(entries) + " }"
 
     def __repr__(self):
         return f"NestedElement({str(self)!r})"
+
+
+def _cores(g, h):
+    """The cores of two pure active elements of one group, brought to the
+    higher core's level, and the levels that lie between it and the
+    group's inner group: (core, core, skip).  The lower core is lifted by
+    one wrapper."""
+    g_core, h_core, g_skip, h_skip = g._part, h._part, g._skip, h._skip
+    if g_skip > h_skip:
+        return (NestedElement._pure(h_core.spec, g_core, g_skip - h_skip - 1, g._trivial),
+                h_core, h_skip)
+    if h_skip > g_skip:
+        return (g_core,
+                NestedElement._pure(g_core.spec, h_core, h_skip - g_skip - 1, h._trivial),
+                g_skip)
+    return g_core, h_core, g_skip
 
 
 def _shift_add(support, base, shift, sign):
@@ -430,10 +555,11 @@ def lift_system(system, b, *outer):
     = b_3, the result is the level-by-level lift in one pass: every w = 1
     becomes [w^(L), b_3^(L), b_4^(L), ..., b_L] = 1, one left-normed
     commutator, where ^(L) embeds an element straight into the outermost
-    group.  Each distinct constant is embedded once, O(L), and each b_k
-    once, O(L - k), so a system of size S over a tower of depth L costs
-    O(S·L + L²) time and output, against the O(S·L²) of one call per
-    level, which re-walks and re-embeds every constant built so far.
+    group.  Each distinct constant and each b_k is embedded once, in O(1)
+    (see `IteratedSpec.embed`), so a system of size S with E equations over
+    a tower of depth L costs O(S + E·L) time, against the O(S·L²) of one
+    call per level, which re-walks and re-embeds every constant built so
+    far.
     """
     bases = (b,) + outer
     for below, above in zip(bases, outer):
@@ -474,10 +600,7 @@ def project_assignment(assignment):
 
 def _tower(spec):
     """The groups from the flat innermost pair outward to `spec`."""
-    tower = [spec]
-    while isinstance(tower[-1], IteratedSpec):
-        tower.append(tower[-1].inner())
-    return tower[::-1]
+    return [*spec._below, spec] if isinstance(spec, IteratedSpec) else [spec]
 
 
 class IteratedReduction(_reduction.Reduction):
@@ -495,8 +618,8 @@ class IteratedReduction(_reduction.Reduction):
     def system(self):
         """The flat system lifted through every level above the innermost two
         in one `lift_system` call, using the first generator of each level's
-        outermost base copy; built on first use.  O(S·L + L²) for a flat
-        system of size S and depth L (see `lift_system`)."""
+        outermost base copy; built on first use.  O(S + E·L) for a flat
+        system of size S with E equations and depth L (see `lift_system`)."""
         tower = _tower(self.spec)
         system = _reduction.compile(self.poly, tower[0]).system
         if len(tower) > 1:
@@ -506,7 +629,7 @@ class IteratedReduction(_reduction.Reduction):
     def witness(self, z):
         """The flat witness with each value embedded straight into the
         outermost group (lifting adds no variables): one spec check and
-        O(L) wrappers per value at depth L."""
+        one wrapper per value, O(1) in the depth."""
         asg = _reduction.witness(self.poly, z, _tower(self.spec)[0])
         if isinstance(self.spec, IteratedSpec):
             asg = {name: self.spec.embed(value) for name, value in asg.items()}

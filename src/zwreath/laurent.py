@@ -475,17 +475,20 @@ def terms_str(terms, letter):
     """Text of an {exponent vector: coefficient} map over variables letter1, letter2, ...
 
     Terms run in degree-lexicographic descending order; a unit coefficient
-    is omitted before a variable part, and the zero map prints as `0`.  At
-    rank 1 that order is the exponent's, so the terms are written directly:
-    one sort of the monomials and one string per term, O(T log T) for T terms.
+    is omitted before a variable part, and the zero map prints as `0`.  When
+    every monomial is a power of the first variable alone, as at rank 1,
+    that order is the exponent's, so the terms are written directly: one
+    sort of the monomials and one string per term, O(T log T) for T terms.
     """
     if not terms:
         return "0"
-    if len(next(iter(terms))) == 1:
+    rank = len(next(iter(terms)))
+    rest = (0,) * (rank - 1)
+    if rank == 1 or all(mono[1:] == rest for mono in terms):
         var = f"{letter}1"
         pieces = []
         for mono in sorted(terms, reverse=True):
-            (e,), coeff = mono, terms[mono]
+            e, coeff = mono[0], terms[mono]
             sign = "+"
             if coeff < 0:
                 sign, coeff = "-", -coeff
@@ -498,6 +501,12 @@ def terms_str(terms, letter):
         text = " ".join(pieces)
         # The first term takes no `+ `, and its `- ` closes up to `-`.
         return text[2:] if text[0] == "+" else "-" + text[2:]
+    return _deglex_terms_str(terms, letter)
+
+
+def _deglex_terms_str(terms, letter):
+    """`terms_str` of a nonzero map of any monomials: one deglex sort with a
+    key per monomial and one join of variable powers per term."""
     pieces = []
     for mono in _ordered_monomials(terms):
         coeff = terms[mono]

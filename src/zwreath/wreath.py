@@ -101,6 +101,10 @@ class GroupSpec:
     def read_element(self, tokens):
         return read_element(tokens, self)
 
+    def read_canonical(self, text):
+        """The element `text` spells if it is written as `str` writes it, else None."""
+        return _read_canonical(text, self)
+
     def generator_word(self, g):
         """`@a<i>^e` or `@b<j>^e` when g is a nonzero power of one generator, else None."""
         if not any(g.active):

@@ -308,6 +308,41 @@ def test_serialize_word_edge_cases():
     assert serialize_word(power(Literal("x"), -1)) == "x^-1"
 
 
+def test_a_system_prints_each_shared_constant_once(monkeypatch):
+    # A lifted system shares one `Constant` node per distinct constant and
+    # per level's base generator among all its equations.
+    spec = IteratedSpec((1,) * 8)
+    system = compile_iterated(parse_intpoly("z1*z2 - 6"), spec).system
+    nodes = set()
+
+    def walk(word):
+        if isinstance(word, Constant):
+            nodes.add(id(word))
+        elif isinstance(word, Concat):
+            for part in word.parts:
+                walk(part)
+        elif isinstance(word, Commutator):
+            for part in (word.word,) + word.factors:
+                walk(part)
+        elif isinstance(word, Power):
+            walk(word.body)
+
+    for word in system.equations:
+        walk(word)
+    expected = serialize_system(system)
+    printed = []
+    for cls in (GroupSpec, IteratedSpec):
+        def counting(self, g, _original=cls.generator_word):
+            printed.append(g)
+            return _original(self, g)
+        monkeypatch.setattr(cls, "generator_word", counting)
+    assert serialize_system(system) == expected
+    # One call per node, and one more at most for the level of its core,
+    # not one per level below it.
+    assert sum(g.spec == spec for g in printed) == len(nodes)
+    assert len(printed) <= 2 * len(nodes)
+
+
 def test_word_round_trip_random():
     rng = random.Random(31)
     for _ in range(150):

@@ -7,10 +7,10 @@ import sympy
 from hypothesis import given, strategies as st
 
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
-from zwreath.laurent import (INFINITY, LaurentPoly, _add_shifted, _shifted,
+from zwreath.laurent import (INFINITY, LaurentPoly, _add_shifted, _deglex_terms_str, _shifted,
                              aug_valuation, delta_decompose,
                              delta_generator_product, delta_membership,
-                             geom_series, parse_poly)
+                             geom_series, parse_poly, terms_str)
 
 
 def P(text, rank):
@@ -336,6 +336,24 @@ def test_serialize_parse_round_trip():
                  for _ in range(rng.randint(0, 4))}
         p = LaurentPoly(rank, terms)
         assert parse_poly(str(p), rank) == p
+
+
+@st.composite
+def first_variable_maps(draw):
+    """Nonzero term maps of rank 2-4 whose monomials are powers of the first variable alone."""
+    rank = draw(st.integers(2, 4))
+    coeffs = st.integers(-2 ** 70, 2 ** 70).filter(bool) | st.sampled_from((1, -1))
+    powers = draw(st.dictionaries(st.integers(-30, 30), coeffs, min_size=1, max_size=8))
+    return {(e,) + (0,) * (rank - 1): c for e, c in powers.items()}
+
+
+@given(first_variable_maps(), st.sampled_from("az"))
+def test_powers_of_the_first_variable_print_as_the_deglex_path_prints_them(terms, letter):
+    text = terms_str(terms, letter)
+    assert text == _deglex_terms_str(terms, letter)
+    if letter == "a":
+        rank = len(next(iter(terms)))
+        assert parse_poly(text, rank) == LaurentPoly(rank, terms)
 
 
 def test_zero_serializes_as_zero():

@@ -2,8 +2,10 @@
 
 `wreath._read_canonical` reads an element literal as the program writes it
 straight off the line, through `laurent._canonical_terms` for each
-coordinate, and the word grammar of `equations.parse_system` reads by a
-local index with a per-parse memo.  The token grammar stays the definition
+coordinate; `interp.IteratedSpec.read_canonical` reads an embedded flat
+literal over three or more ranks by stripping its frames and reading the
+flat literal inside; and the word grammar of `equations.parse_system`
+reads by a local index with a per-parse memo.  The token grammar stays the definition
 of every format and the only source of errors.  A seeded differential fuzz
 mutates the golden texts and polynomial strings: the fast readers must
 decline a mutant or agree with the token grammar, and the whole parsers
@@ -23,9 +25,9 @@ from zwreath.equations import (IDENTITY_WORD, MAX_NESTING, Commutator, Concat, C
                                power, serialize_assignment, system_of)
 from zwreath.cli import main
 from zwreath.errors import Error, ParseError
-from zwreath.interp import spec_for_ranks
+from zwreath.interp import IteratedSpec, spec_for_ranks
 from zwreath.laurent import LaurentPoly, _canonical_terms, parse_poly
-from zwreath.lexer import TokenStream, is_generator, is_int, is_name
+from zwreath.lexer import TokenStream, is_generator, is_int, is_name, parse_whole
 from zwreath.wreath import GroupSpec, _read_canonical, parse_element, read_generator
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -175,20 +177,37 @@ POLYS = [(2, "a1*a2 - 6"), (1, "a1^2 + 3*a1 + 2"), (1, "a1 - 2"),
          (1, "-a1^-3 + 1"), (3, "3*a1^2*a3^-1 - a2 + 4"), (2, "-a1*a2^2 + a2^-1 - 12")]
 
 
+def read_literal(text, spec):
+    """The element literal `text` read by the token grammar alone."""
+    return parse_whole(text, lambda tokens: spec.read_element(tokens))
+
+
 def assert_fast_reader_agrees(literal, spec):
-    value = _read_canonical(literal, spec)
+    value = spec.read_canonical(literal)
     if value is not None:
-        assert value == parse_element(literal, spec), literal
+        assert value == read_literal(literal, spec), literal
+        if isinstance(spec, GroupSpec):
+            assert value == parse_element(literal, spec), literal
 
 
-def test_fuzzed_assignments_read_as_the_token_grammar_reads_them():
+def decline(self, text):
+    return None
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "stubbed to decline"])
+def test_fuzzed_assignments_read_as_the_token_grammar_reads_them(fast, monkeypatch):
+    # Stubbed to decline, every line goes to the token grammar: the fuzz
+    # then holds the rest of `parse_assignment` to the reference alone.
+    if not fast:
+        monkeypatch.setattr(GroupSpec, "read_canonical", decline)
+        monkeypatch.setattr(IteratedSpec, "read_canonical", decline)
     rng = random.Random(20251)
     for spec, text in golden_texts(".asg"):
         for _ in range(150):
             mutant = mutate(text, rng)
             assert outcome(parse_assignment, mutant, spec) == outcome(
                 reference_parse_assignment, mutant, spec), mutant
-            if isinstance(spec, GroupSpec):
+            if fast:
                 for line in mutant.splitlines():
                     assert_fast_reader_agrees(line.partition(" := ")[2], spec)
 
@@ -254,15 +273,57 @@ def assert_every_line_is_read_fast(assignment, spec):
     text = serialize_assignment(assignment)
     for line in text.splitlines():
         name, _, literal = line.partition(" := ")
-        assert _read_canonical(literal, spec) == assignment[name], line
+        assert spec.read_canonical(literal) == assignment[name], line
     assert parse_assignment(text, spec) == assignment
 
 
-@pytest.mark.parametrize("stem", ["product_1-1", "product_2-3", "negative_2-1"])
-def test_every_line_of_the_flat_goldens_is_read_fast(stem):
+@pytest.mark.parametrize("stem", ["product_1-1", "product_2-3", "negative_2-1", "product_1-1-1",
+                                  "product_1-2-1-1", "linear_1-1-1-1-1-1-1-1"])
+def test_every_line_of_the_goldens_is_read_fast(stem):
     spec = spec_for_ranks(tuple(int(r) for r in stem.split("_")[1].split("-")))
-    assignment = reference_parse_assignment(
-        (GOLDEN / f"{stem}.asg").read_text(encoding="utf-8"), spec)
+    text = (GOLDEN / f"{stem}.asg").read_text(encoding="utf-8")
+    assignment = reference_parse_assignment(text, spec)
+    assert serialize_assignment(assignment) == text
+    assert_every_line_is_read_fast(assignment, spec)
+
+
+@pytest.mark.parametrize("literal, fast", [
+    ("{ active: { active: (1); }; }", True),
+    ("{ active: { active: (0); b1: a1^2 - 3 }; }", True),
+    ("{ active: { active: (1); b1: a1 }; [ { active: (0); } -> (1) ] }", False),
+    ("{ active: { active: { active: (1); }; }; }", False), ("{ active: (1); }", False),
+    ("{ active: { active: (1); } }", False), ("{ active: { active: (1); };  }", False),
+    ("{ active: { active: (1) }; }", False), ("{ active: { active: (1,2); }; }", False),
+    ("{ active: { active: (1); b2: a1 }; }", False), ("{ active: { active: (1); b1: +a1 }; }", False),
+    ("{ active: { active: (1); b1: a1 }; } # comment", False),
+    ("{ active: {active: (1); }; }", False), ("{ active: ; }", False),
+    ("{ active: { active: ", False),
+])
+def test_the_nested_fast_reader_declines_what_it_is_not_certain_of(literal, fast):
+    spec = IteratedSpec((1, 1, 1))
+    value = spec.read_canonical(literal)
+    if fast:
+        assert value == read_literal(literal, spec)
+    else:
+        assert value is None
+    text = f"x := {literal}\n"
+    assert outcome(parse_assignment, text, spec) == outcome(reference_parse_assignment, text, spec)
+
+
+@st.composite
+def embedded_flat_elements(draw):
+    """Flat elements embedded over three to eight ranks of 1 or 2."""
+    flat = draw(flat_elements())
+    outer = draw(st.lists(st.integers(1, 2), min_size=1, max_size=6))
+    spec = IteratedSpec(tuple(outer) + (flat.spec.n, flat.spec.m))
+    return spec.embed(flat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(embedded_flat_elements(), min_size=1, max_size=3))
+def test_every_embedded_line_the_program_writes_is_read_fast(elements):
+    spec = elements[0].spec
+    assignment = {f"x{i}": g for i, g in enumerate(elements) if g.spec == spec}
     assert_every_line_is_read_fast(assignment, spec)
 
 
