@@ -379,16 +379,29 @@ def flatten(word, fresh=None):
 
 
 def normalize_word(word):
-    """Drop one-part concatenations and trivial powers; semantics unchanged."""
+    """Drop one-part concatenations and trivial powers; semantics unchanged.
+
+    A node whose parts all come back as themselves is returned as it is, so
+    a word already in normal form is walked once and nothing is rebuilt:
+    O(size of the word), with new nodes only along changed paths.  Tuples
+    of parts compare by identity first, so an unchanged tuple costs one
+    pointer comparison per part.
+    """
     if isinstance(word, Concat):
-        parts = tuple(normalize_word(p) for p in word.parts)
+        parts = tuple(map(normalize_word, word.parts))
         if len(parts) == 1:
             return parts[0]
-        return Concat(parts)
+        return word if parts == word.parts else Concat(parts)
     if isinstance(word, Commutator):
-        return Commutator(normalize_word(word.word), *map(normalize_word, word.factors))
+        head = normalize_word(word.word)
+        factors = tuple(map(normalize_word, word.factors))
+        if head is word.word and factors == word.factors:
+            return word
+        return Commutator(head, *factors)
     if isinstance(word, Power):
-        return power(normalize_word(word.body), word.exponent)
+        body = normalize_word(word.body)
+        normal = power(body, word.exponent)
+        return word if type(normal) is Power and body is word.body else normal
     return word
 
 

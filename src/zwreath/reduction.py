@@ -10,11 +10,10 @@ coordinate
 and requires y to lie in the (d+1)-st augmentation-ideal power -- which holds
 exactly when f(z) = 0.  Since e_f lies in Z[a1^{+-1}], one ideal-power block
 says so: y = [q, a1, ..., a1] with d+1 copies of a1 and q in the base
-subgroup.  A `Reduction` holds f and the group.  The chains
-and y are written once, as ordered `(name, word)` definitions, each chain
-one left-normed commutator: its `system` emits each as the equation
-`name = word`, and its `witness` builds the assignment from an integer root
-by evaluating the same words in order.  Its
+subgroup.  A `Reduction` holds f and the group.  The chains are written
+once, each one left-normed commutator: its `system` equates y with their
+product, and its `witness` builds the assignment from an integer root by
+evaluating that same product.  Its
 `extract_solution` reads a root back out of any satisfying assignment, and
 `oracle_ef` evaluates the membership polynomial directly as an independent
 check on the group-equation route.  `compile`, `witness` and
@@ -150,53 +149,51 @@ class Reduction:
         return self.spec
 
     @cached_property
-    def _term_definitions(self):
-        """The system's definitions of its term chains and of y, in order;
-        built once per reduction.
+    def _chains(self):
+        """The commutator chain of each support term, in order; built once
+        per reduction.
 
-        Per support term alpha (degree-lex descending), y_<tag> is the
-        left-normed commutator [b1^{t_alpha}, a1, ..., a1, x_1, ..., x_s] of
-        b1^{t_alpha} with a1 (d-|alpha| times), then with x_i (alpha_i times,
-        i ascending); a term with no factors defines y_<tag> = b1^{t_alpha}.
-        Last comes y = prod_alpha y_<tag>.  O(t * d) word nodes for t terms.
+        Per support term alpha (degree-lex descending), the left-normed
+        commutator [b1^{t_alpha}, a1, ..., a1, x_1, ..., x_s] of b1^{t_alpha}
+        with a1 (d-|alpha| times), then with x_i (alpha_i times, i
+        ascending); a term with no factors is b1^{t_alpha} itself.  Their
+        product is y.  O(t * d) word nodes for t terms.
         """
         spec = self._flat_spec()
         f = self.poly
         d = f.degree()
         a1 = Constant(spec.generator(1, 1))
         xs = [Literal(x) for x in self.solution_vars]
-        definitions = []
-        y_names = []
+        chains = []
         for alpha in f.support():
-            tag = "_".join(map(str, alpha)) or "const"
-            y_name = f"y_{tag}"
-            y_names.append(y_name)
             base = Constant(spec.generator(2, 1, f._terms[alpha]))
             factors = [a1] * (d - sum(alpha)) + [
                 x for x, reps in zip(xs, alpha) for _ in range(reps)]
-            definitions.append((y_name, Commutator(base, *factors) if factors else base))
-        definitions.append(("y", concat(*[Literal(name) for name in y_names])))
-        return definitions
+            chains.append(Commutator(base, *factors) if factors else base)
+        return tuple(chains)
 
     @cached_property
     def system(self):
         """A group-equation system solvable iff f has an integer root.
 
         Zero f compiles to the empty system (every tuple is a root).  Otherwise
-        the system consists of a cyclic-subgroup gadget per variable, one
-        equation `name = word` per term definition (`_term_definitions`: the
-        commutator chain of each support term, then the product y), and one
-        ideal-power block for y at degree k = d+1, in this order:
+        the system consists of a cyclic-subgroup gadget per variable, then
+        three equations at degree k = d+1, in this order:
 
-            y = dp_x_1,   [dp_y_1, b1] = 1,   dp_x_1 = [dp_y_1, a1, ..., a1]
+            y = [chain_1] ... [chain_t],   [dp_y_1, b1] = 1,
+            y = [dp_y_1, a1, ..., a1]
 
-        with k copies of a1.  The second equation puts dp_y_1 in the base
-        subgroup, the centralizer of b1, so the others make each base
-        coordinate of y (a1-1)^k times that of dp_y_1.  This is the block
-        beta = (k, 0, ..., 0) of `gadgets.gadget_delta_power`, and at m = 1
-        the whole gadget.  One block suffices for every m: the cyclic gadgets
-        put each x_i in <a1>, and every chain uses only b1, a1 and the x_i,
-        so y's coordinate e_f lies in Z[a1^{+-1}].  The retraction
+        with the support terms' chains (`_chains`) in order and k copies of
+        a1; the first and the last are printed as `word y^-1 = 1`.  The
+        first defines y, whose base coordinate is e_f once each x_i is
+        a1^{z_i}.  The second puts dp_y_1 in the base subgroup, the
+        centralizer of b1, so the third makes each base coordinate of y
+        (a1-1)^k times that of dp_y_1.  This is the block
+        beta = (k, 0, ..., 0) of `gadgets.gadget_delta_power`, with y in
+        place of its x_beta, and at m = 1 the whole gadget.  One block
+        suffices for every m: the cyclic gadgets put each x_i in <a1>, and
+        every chain uses only b1, a1 and the x_i, so e_f lies in
+        Z[a1^{+-1}].  The retraction
         phi: a_j -> 1 (j >= 2) of Z[A] maps the k-th augmentation-ideal power
         Delta^k onto (a1-1)^k Z[a1^{+-1}] and fixes Z[a1^{+-1}], so a p in
         Z[a1^{+-1}] lies in Delta^k exactly when (a1-1)^k divides it there.
@@ -204,13 +201,20 @@ class Reduction:
         f(z) = 0.  Completeness: a root puts e_f in Delta^k, so e_f = phi(e_f)
         is (a1-1)^k times some q in Z[a1^{+-1}], and b1^q solves dp_y_1.
 
-        Size, for s variables, t support terms and degree d, whatever the
-        active rank m: 3s equations and 2s variables from the cyclic gadgets;
-        t + 1 term definitions, each one equation and one variable: a chain
-        of d factors per term, then the product y of t factors; and 3
-        equations and 2 variables from the ideal-power block, whose chain has
-        d + 1 factors.  That is 3s + t + 4 equations and 2s + t + 3 variables,
-        built in time linear in their size.
+        The argument is the one for the layout with a variable y_<tag> = chain
+        per support term, y = prod y_<tag> and a copy dp_x_1 = y.  Each of
+        those auxiliaries is defined by a word, and this system substitutes
+        the word for it, so its solutions are exactly that layout's solutions
+        restricted to the names that remain.  Every remaining variable stays
+        pinned by the x_i: y by its product of chains, and dp_y_1 by y,
+        since (a1-1)^k is not a zero divisor of Z[A].
+
+        Size, for s variables and degree d, whatever the number t of
+        support terms and the active rank m: 3s equations and 2s variables
+        from the cyclic gadgets, and 3 equations and 2 variables, y and
+        dp_y_1, from the rest, whose words hold t chains of at most d
+        factors and one chain of d + 1.  That is 3s + 3 equations and
+        2s + 2 variables, built in time linear in their size.
         """
         spec = self._flat_spec()
         if self.poly.is_zero():
@@ -218,25 +222,21 @@ class Reduction:
         xs = self.solution_vars
         parts = [System((), xs)] + [
             gadget_cyclic(x, spec, z_name=f"cyc_z_{i}") for i, x in enumerate(xs, start=1)]
-        definitions = self._term_definitions
-        parts.append(System(tuple(equation(Literal(name), word) for name, word in definitions),
-                            xs + tuple(name for name, _ in definitions)))
         a1 = Constant(spec.generator(1, 1))
-        q, x = Literal("dp_y_1"), Literal("dp_x_1")
-        parts.append(System((equation(Literal("y"), x),
+        y, q = Literal("y"), Literal("dp_y_1")
+        parts.append(System((equation(concat(*self._chains), y),
                              equation(Commutator(q, Constant(spec.generator(2, 1)))),
-                             equation(x, Commutator(q, *[a1] * (self.poly.degree() + 1)))),
-                            ("y", "dp_x_1", "dp_y_1")))
+                             equation(Commutator(q, *[a1] * (self.poly.degree() + 1)), y)),
+                            xs + ("y", "dp_y_1")))
         return merge_systems(*parts)
 
     def witness(self, z):
         """Satisfying assignment for `system` from an integer root z; builds no system.
 
-        Each x_i and its cyclic auxiliary come from `witness_cyclic`; every
-        other term auxiliary comes from evaluating the system's own term
-        definitions in order, one closed-form commutator per chain factor,
-        each O(n * terms).  The ideal-power block takes dp_x_1 = y, and
-        dp_y_1 the quotients of y's coordinates by (a1-1)^(d+1) from
+        Each x_i and its cyclic auxiliary come from `witness_cyclic`.  y is
+        the product of the system's own chains, evaluated once: one
+        closed-form commutator per chain factor, each O(n * terms).  dp_y_1
+        takes the quotients of y's coordinates by (a1-1)^(d+1) from
         `delta_decompose`: O(m * T + d * E) additions on a coordinate of T
         terms and a1-span E, free of a2..am.
         """
@@ -254,14 +254,12 @@ class Reduction:
         asg = {}
         for i, (x, zi) in enumerate(zip(self.solution_vars, z), start=1):
             asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
-        for name, word in self._term_definitions:
-            asg[name] = evaluate(word, asg, spec)
+        y = asg["y"] = evaluate(concat(*self._chains), asg, spec)
         k = f.degree() + 1
         beta = (k,) + (0,) * (spec.m - 1)
         asg["dp_y_1"] = spec.element(base={
-            j: delta_decompose(p, k)[beta] for j, p in enumerate(asg["y"].base, start=1)
+            j: delta_decompose(p, k)[beta] for j, p in enumerate(y.base, start=1)
             if not p.is_zero()})
-        asg["dp_x_1"] = asg["y"]
         return asg
 
     def extract_solution(self, assignment):

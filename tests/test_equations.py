@@ -5,7 +5,7 @@ import pytest
 from zwreath.equations import (Commutator, Concat, Constant,
                                Literal, Power, System, check_system, concat,
                                equation, evaluate, flatten, free_vars, merge_systems,
-                               inverse_word, parse_assignment, parse_system,
+                               inverse_word, normalize_word, parse_assignment, parse_system,
                                power, serialize_assignment, serialize_system,
                                serialize_word, system_of)
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
@@ -306,6 +306,45 @@ def test_serialize_word_edge_cases():
     assert serialize_word(Literal("x", -1)) == "x^-1"
     assert serialize_word(Power(Concat((Literal("x"), Literal("y"))), 3)) == "(x y)^3"
     assert serialize_word(power(Literal("x"), -1)) == "x^-1"
+
+
+def rebuilt_normal_form(word):
+    """`normalize_word` as it was first written, rebuilding every inner node."""
+    if isinstance(word, Concat):
+        parts = tuple(rebuilt_normal_form(p) for p in word.parts)
+        return parts[0] if len(parts) == 1 else Concat(parts)
+    if isinstance(word, Commutator):
+        return Commutator(rebuilt_normal_form(word.word), *map(rebuilt_normal_form, word.factors))
+    if isinstance(word, Power):
+        return power(rebuilt_normal_form(word.body), word.exponent)
+    return word
+
+
+def test_normalize_word_returns_a_normal_word_itself():
+    # Every equation of a compiled or lifted system, and every word once
+    # normalized, is normal: it comes back as the same object.
+    systems = [compile(parse_intpoly("z1*z2 - 6"), S22).system,
+               compile_iterated(parse_intpoly("z1^2 + 3*z1 + 2"), IteratedSpec((1,) * 5)).system]
+    for word in [w for system in systems for w in system.equations]:
+        assert normalize_word(word) is word
+    rng = random.Random(37)
+    changed = 0
+    for _ in range(300):
+        word = rand_word(rng, S22, ["x", "y", "z"], depth=4)
+        normal = normalize_word(word)
+        # A word that is not normal normalizes as before.
+        assert normal == rebuilt_normal_form(word)
+        assert normalize_word(normal) is normal
+        changed += normal != word
+    assert changed > 50
+    # Only the path to a change is rebuilt: a normal part is kept as it is.
+    chain = systems[0].equations[-1]
+    wrapped = normalize_word(Commutator(Concat((Literal("x"),)), chain, Power(chain, 1)))
+    assert wrapped == Commutator(Literal("x"), chain, chain)
+    assert wrapped.factors[0] is chain and wrapped.factors[1] is chain
+    assert normalize_word(Concat((chain,))) is chain
+    assert normalize_word(Power(Literal("x"), -1)) == Literal("x", -1)
+    assert normalize_word(Concat((Power(Literal("x"), 0),))) == Concat(())
 
 
 def test_a_system_prints_each_shared_constant_once(monkeypatch):

@@ -86,9 +86,13 @@ def test_witness_and_extract_build_no_system(monkeypatch, capsys, stem, poly, ra
 # `legacy/blocks/` holds the one golden pair over an active rank above 1 as
 # printed before the reduction constrained y with one ideal-power block, when
 # y was the product of all C(d+m, m-1) blocks of `gadget_delta_power`.
+# `legacy/terms/` holds every golden pair as printed before y became the
+# product of the chains themselves, when each support term's chain had its
+# own variable `y_<tag>` and the ideal-power chain defined `dp_x_1 = y`.
 LEGACY = GOLDEN / "legacy"
 CHAINS = LEGACY / "chains"
 BLOCKS = LEGACY / "blocks"
+TERMS = LEGACY / "terms"
 # The depth-8 pair was first written with generator words and has no literal text.
 LEGACY_CASES = GOLDEN_CASES[:5]
 
@@ -113,9 +117,9 @@ def test_legacy_literal_systems_parse_to_the_same_system(tmp_path, capsys, stem,
 
 def unchained(stem, spec):
     """The system and witness that replaced the chain-link texts of `stem`:
-    the golden pair, or the one under `legacy/blocks/` where the ideal-power
-    layout has changed since."""
-    folder = BLOCKS if (BLOCKS / f"{stem}.eqs").exists() else GOLDEN
+    the pair under `legacy/blocks/` where there is one, else the one under
+    `legacy/terms/`."""
+    folder = BLOCKS if (BLOCKS / f"{stem}.eqs").exists() else TERMS
     return (parse_system((folder / f"{stem}.eqs").read_text(encoding="utf-8"), spec),
             parse_assignment((folder / f"{stem}.asg").read_text(encoding="utf-8"), spec))
 
@@ -166,9 +170,11 @@ def test_flattening_gives_one_definition_per_former_chain_link(stem, poly, ranks
 
 def test_one_block_and_all_block_systems_accept_their_witnesses(capsys):
     # `legacy/blocks/` constrains y with the B = C(3+2, 2) = 10 blocks of
-    # `gadget_delta_power`, the golden system with the one block (3, 0, 0):
-    # 3s + t + 2 + 2B and 3s + t + 4 equations for s = 2 variables and t = 2 terms.
-    for folder, count in ((BLOCKS, 3 * 2 + 2 + 2 + 2 * 10), (GOLDEN, 3 * 2 + 2 + 4)):
+    # `gadget_delta_power`, `legacy/terms/` and the golden system with the
+    # one block (3, 0, 0): 3s + t + 2 + 2B, 3s + t + 4 and 3s + 3 equations
+    # for s = 2 variables and t = 2 terms.
+    for folder, count in ((BLOCKS, 3 * 2 + 2 + 2 + 2 * 10), (TERMS, 3 * 2 + 2 + 4),
+                          (GOLDEN, 3 * 2 + 3)):
         system, witness = folder / "product_2-3.eqs", folder / "product_2-3.asg"
         code, out, err = run(capsys, "verify", "--ranks", "2,3", "--system", str(system),
                              "--assignment", str(witness))
@@ -176,6 +182,39 @@ def test_one_block_and_all_block_systems_accept_their_witnesses(capsys):
             0, f"satisfied: all {count} equations hold", "")
         assert run(capsys, "extract", "--poly", "z1*z2 - 6", "--ranks", "2,3",
                    "--assignment", str(witness)) == (0, "2,3\n", "")
+
+
+@pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
+def test_term_variable_layout_keeps_its_verdicts(tmp_path, capsys, stem, poly, ranks, root):
+    # The golden system is the one under `legacy/terms/` with its defined
+    # auxiliaries y_<tag> and dp_x_1 replaced by their words.  Each layout
+    # accepts its own witness, rejects it with x1 moved by a1, and gives the
+    # same root; the former witness without those values is the golden one.
+    spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
+    s, t = len(root.split(",")), len(parse_intpoly(poly).terms)
+    extracted = []
+    for folder, count in ((TERMS, 3 * s + t + 4), (GOLDEN, 3 * s + 3)):
+        system, witness = folder / f"{stem}.eqs", folder / f"{stem}.asg"
+        values = parse_assignment(witness.read_text(encoding="utf-8"), spec)
+        values["x1"] = values["x1"] * spec.generator(1, 1)
+        mutated = tmp_path / f"{folder.name}.asg"
+        mutated.write_text(serialize_assignment(values), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--ranks", ranks, "--system", str(system),
+                             "--assignment", str(witness))
+        assert (code, out.splitlines()[-1], err) == (
+            0, f"satisfied: all {count} equations hold", "")
+        assert run(capsys, "verify", "--ranks", ranks, "--system", str(system),
+                   "--assignment", str(mutated))[0] == 1
+        extracted.append(run(capsys, "extract", "--poly", poly, "--ranks", ranks,
+                             "--assignment", str(witness)))
+    assert extracted == [(0, root + "\n", "")] * 2
+    old_system = parse_system((TERMS / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
+    old_witness = parse_assignment((TERMS / f"{stem}.asg").read_text(encoding="utf-8"), spec)
+    system = parse_system((GOLDEN / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
+    witness = parse_assignment((GOLDEN / f"{stem}.asg").read_text(encoding="utf-8"), spec)
+    removed = set(old_system.declared_vars) - set(system.declared_vars)
+    assert removed and all(name.startswith("y_") or name == "dp_x_1" for name in removed)
+    assert {name: old_witness[name] for name in system.declared_vars} == witness
 
 
 # -- every ParseError carries the true line and column ------------------------------

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from zwreath import reduction
-from zwreath.equations import (System, check_system, evaluate, free_vars, merge_systems,
-                               parse_system, serialize_system)
+from zwreath.equations import (Commutator, Constant, Literal, System, check_system, concat,
+                               equation, evaluate, free_vars, merge_systems, parse_system,
+                               serialize_system)
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.gadgets import (delta_blocks, gadget_delta_power, witness_cyclic,
                              witness_delta_power)
@@ -90,25 +91,21 @@ def test_compile_linear_example_shape():
     out = compile(f, S11)
     assert out.solution_vars == ("x1",)
     assert f.degree() == 1
-    assert out.system.declared_vars == (
-        "x1", "cyc_z_1", "y_1", "y_0", "y", "dp_x_1", "dp_y_1")
-    # 3 cyclic + 2 chains + product + 3 ideal-power equations
-    assert len(out.system.equations) == 9
+    assert out.system.declared_vars == ("x1", "cyc_z_1", "y", "dp_y_1")
+    # 3 cyclic equations, y as the product of the 2 chains, 2 ideal-power equations
+    assert len(out.system.equations) == 6
 
 
 def test_compile_golden_text():
     out = compile(parse_intpoly("z1 - 2"), S11)
     expected = "\n".join([
-        "# vars: x1 cyc_z_1 y_1 y_0 y dp_x_1 dp_y_1",
+        "# vars: x1 cyc_z_1 y dp_y_1",
         "[x1, @a1] = 1",
         "[cyc_z_1, @b1] = 1",
         "[@b1, x1] [@a1, cyc_z_1] = 1",
-        "y_1 [x1, @b1] = 1",
-        "y_0 [@a1, @b1^-2] = 1",
-        "y y_0^-1 y_1^-1 = 1",
-        "y dp_x_1^-1 = 1",
+        "[@b1, x1] [@b1^-2, @a1] y^-1 = 1",
         "[dp_y_1, @b1] = 1",
-        "dp_x_1 [@a1, [dp_y_1, @a1]] = 1",
+        "[dp_y_1, @a1, @a1] y^-1 = 1",
     ]) + "\n"
     assert serialize_system(out.system) == expected
 
@@ -218,10 +215,10 @@ def test_witness_matches_oracle_coordinate():
 
 def reference_witness(f, z, spec):
     """The witness built link by link with module actions, independently of
-    the system's definitions: each chain link multiplies the previous
-    coordinates by a1 - 1, a1^{z_i} - 1 or a generator's a_i - 1, and only
-    a chain's last link is a variable.  The ideal-power block's dp_x_1 is
-    its quotient dp_y_1 acted on by a1 - 1, d + 1 times."""
+    the system's chains: each chain link multiplies the previous
+    coordinates by a1 - 1, a1^{z_i} - 1 or a generator's a_i - 1, and y is
+    the product of the chains' values.  dp_y_1 acted on by a1 - 1, d + 1
+    times, must give y back."""
     asg = {}
     for i, zi in enumerate(z, start=1):
         asg.update(witness_cyclic(zi, spec, x_name=f"x{i}", z_name=f"cyc_z_{i}"))
@@ -229,7 +226,6 @@ def reference_witness(f, z, spec):
     one = LaurentPoly.one(spec.m)
     y = spec.identity()
     for alpha in f.support():
-        tag = "_".join(map(str, alpha)) or "const"
         multipliers = [LaurentPoly.variable(spec.m, 1) - one] * (d - sum(alpha))
         for zi, reps in zip(z, alpha):
             expo = (zi,) + (0,) * (spec.m - 1)
@@ -237,7 +233,6 @@ def reference_witness(f, z, spec):
         cur = spec.base_gen(1, power=f.terms[alpha])
         for p in multipliers:
             cur = module_action(cur, p)
-        asg[f"y_{tag}"] = cur
         y = y * cur
     asg["y"] = y
     k = d + 1
@@ -247,7 +242,7 @@ def reference_witness(f, z, spec):
     asg["dp_y_1"] = cur
     for _ in range(k):
         cur = module_action(cur, LaurentPoly.variable(spec.m, 1) - one)
-    asg["dp_x_1"] = cur
+    assert cur == y
     return asg
 
 
@@ -301,10 +296,10 @@ def test_witness_matches_module_action_reference():
                     == list(reference_delta_power(g, k).items()))
 
 
-def test_term_definitions_are_built_once_per_reduction(monkeypatch):
+def test_chains_are_built_once_per_reduction(monkeypatch):
     # `compile` builds the chain words for the system, one per support term,
-    # and two for the ideal-power block; the witness of the same reduction
-    # evaluates the chains and builds none.
+    # and two for the ideal-power constraint; the witness of the same
+    # reduction evaluates the chains and builds none.
     built = []
     real = reduction.Commutator
 
@@ -321,17 +316,21 @@ def test_term_definitions_are_built_once_per_reduction(monkeypatch):
 
 
 def test_every_variable_of_a_wide_flat_solution_is_pinned():
-    # Over Z^2 wr Z^3 the root has one solution: multiplication by
-    # (a1-1)^3 is injective on Z[A], so y fixes dp_y_1.  Moving any declared
-    # variable by b1 or a1 breaks an equation that names it.
+    # Over Z^2 wr Z^3 the root has one solution: the x_i fix y through its
+    # product of chains, and multiplication by (a1-1)^3 is injective on Z[A],
+    # so y fixes dp_y_1.  Moving any declared variable, y and dp_y_1
+    # included, by any generator breaks an equation that names it.
     f = parse_intpoly("z1*z2 - 6")
     spec = GroupSpec(3, 2)
     out = compile(f, spec)
     asg = witness(f, (2, 3), spec)
     assert check_system(out.system, asg, spec).ok
     assert extract_solution(out, asg) == (2, 3)
+    assert out.system.declared_vars[-2:] == ("y", "dp_y_1")
+    generators = ([spec.base_gen(j) for j in range(1, spec.n + 1)]
+                  + [spec.active_gen(i) for i in range(1, spec.m + 1)])
     for name in out.system.declared_vars:
-        for g in (spec.base_gen(1), spec.active_gen(1)):
+        for g in generators:
             report = check_system(out.system, {**asg, name: asg[name] * g}, spec)
             assert not report.ok, (name, g)
             for idx in report.failures:
@@ -339,8 +338,9 @@ def test_every_variable_of_a_wide_flat_solution_is_pinned():
 
 
 def test_system_size_is_closed_form_for_every_active_rank():
-    # 3s + t + 4 equations and 2s + t + 3 variables: the cyclic gadgets, the
-    # term definitions and y, and one ideal-power block, whatever m is.
+    # 3s + 3 equations and 2s + 2 variables: the cyclic gadgets, y as the
+    # product of the chains, and one ideal-power block, whatever the number
+    # of support terms and m are.
     rng = random.Random(67)
     for m in range(1, 7):
         for _ in range(8):
@@ -348,16 +348,17 @@ def test_system_size_is_closed_form_for_every_active_rank():
             if f.is_zero():
                 continue
             system = compile(f, GroupSpec(m, rng.randint(1, 2))).system
-            s, t = f.num_vars, len(f.terms)
-            assert len(system.equations) == 3 * s + t + 4
-            assert len(system.declared_vars) == 2 * s + t + 3
-    assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(6, 1)).system.equations) == 9
+            s = f.num_vars
+            assert len(system.equations) == 3 * s + 3
+            assert len(system.declared_vars) == 2 * s + 2
+    assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(6, 1)).system.equations) == 6
 
 
 def all_blocks_system(r):
-    """The system `r.system` replaced: its cyclic gadgets and term
-    definitions, then `gadget_delta_power` for y with all C(d+m, m-1) blocks."""
-    common = r.system.equations[:-3], r.system.declared_vars[:-2]
+    """`r.system` with all C(d+m, m-1) blocks of `gadget_delta_power` for y
+    in place of its one ideal-power block: the cyclic gadgets and y's
+    product of chains, then the gadget."""
+    common = r.system.equations[:-2], r.system.declared_vars[:-1]
     return merge_systems(System(*common),
                          gadget_delta_power("y", r.poly.degree() + 1, r.spec))
 
@@ -377,8 +378,7 @@ def test_one_block_and_all_blocks_accept_the_same_roots(m, n, case):
     asg = {}
     for i, (x, zi) in enumerate(zip(r.solution_vars, z), start=1):
         asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
-    for name, word in r._term_definitions:
-        asg[name] = evaluate(word, asg, spec)
+    asg["y"] = evaluate(concat(*r._chains), asg, spec)
     k = f.degree() + 1
     beta = (k,) + (0,) * (m - 1)
     try:
@@ -393,13 +393,86 @@ def test_one_block_and_all_blocks_accept_the_same_roots(m, n, case):
     assert one_block == (all_blocks is not None) == (f.evaluate(z) == 0)
     head = all_blocks_system(r)
     if m == 1:
-        assert head == r.system
+        # One block, y = dp_x_1, [dp_y_1, b1] = 1 and dp_x_1 = [dp_y_1, a1, ..., a1]:
+        # with dp_x_1 replaced by y, the last is the reduction's last equation.
+        chain = Commutator(Literal("dp_y_1"), *[Constant(spec.generator(1, 1))] * k)
+        assert head.equations[-3:] == (equation(Literal("y"), Literal("dp_x_1")),
+                                       r.system.equations[-2],
+                                       equation(Literal("dp_x_1"), chain))
+        assert r.system.equations[-1] == equation(chain, Literal("y"))
     if not one_block:
         return
     new = r.witness(z)
     assert check_system(r.system, new, spec).ok
     assert check_system(head, {**new, **all_blocks}, spec).ok
     assert extract_solution(r, new) == extract_solution(r, {**new, **all_blocks}) == z
+
+
+def candidate_witness(r, z):
+    """What `r.witness` builds from z, a root or not: the cyclic values, y
+    the product of the chains, and dp_y_1 the quotient by (a1-1)^(d+1) of
+    e_f - f(z) (a1-1)^d, which is y's own coordinate at a root."""
+    spec, f = r.spec, r.poly
+    asg = {}
+    for i, (x, zi) in enumerate(zip(r.solution_vars, z), start=1):
+        asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
+    y = asg["y"] = evaluate(concat(*r._chains), asg, spec)
+    d = f.degree()
+    shifted = y.base[0] - LaurentPoly.constant(spec.m, f.evaluate(z)) * (
+        LaurentPoly.variable(spec.m, 1) - LaurentPoly.one(spec.m)) ** d
+    quotient = delta_decompose(shifted, d + 1).get((d + 1,) + (0,) * (spec.m - 1))
+    asg["dp_y_1"] = spec.element(base={1: quotient} if quotient else {})
+    return asg
+
+
+def terms_layout(r, asg):
+    """The system and the extended assignment of the layout `r.system`
+    replaced: one variable y_<tag> per support term defined by its chain, y
+    their product, y = dp_x_1 and dp_x_1 = [dp_y_1, a1, ..., a1]."""
+    spec = r.spec
+    tags = [f"y_{'_'.join(map(str, alpha)) or 'const'}" for alpha in r.poly.support()]
+    a1 = Constant(spec.generator(1, 1))
+    q, x, y = Literal("dp_y_1"), Literal("dp_x_1"), Literal("y")
+    equations = [*r.system.equations[:-3]]
+    equations += [equation(Literal(tag), chain) for tag, chain in zip(tags, r._chains)]
+    equations += [equation(y, concat(*map(Literal, tags))), equation(y, x),
+                  equation(Commutator(q, Constant(spec.generator(2, 1)))),
+                  equation(x, Commutator(q, *[a1] * (r.poly.degree() + 1)))]
+    declared = r.system.declared_vars[:-2] + tuple(tags) + ("y", "dp_x_1", "dp_y_1")
+    values = {**asg, "dp_x_1": asg["y"]}
+    values.update((tag, evaluate(chain, asg, spec)) for tag, chain in zip(tags, r._chains))
+    return System(tuple(equations), declared), values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(1, 2).flatmap(lambda s: st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * s), st.integers(-3, 3), max_size=3),
+    st.tuples(*[st.integers(-3, 3)] * s), st.booleans())))
+def test_product_layout_agrees_with_the_term_variable_layout(m, n, case):
+    # The system is the term-variable layout with y_<tag> and dp_x_1
+    # replaced by their words: the witness satisfies it exactly at a root,
+    # and the former witness without those values is the witness.
+    terms, z, plant = case
+    spec = GroupSpec(m, n)
+    f = IntPolynomial(len(z), terms)
+    if plant:
+        f = IntPolynomial(len(z), list(terms.items()) + [((0,) * len(z), -f.evaluate(z))])
+    assume(not f.is_zero())
+    r = Reduction(f, spec)
+    is_root = f.evaluate(z) == 0
+    asg = candidate_witness(r, z)
+    assert len(r.system.equations) == 3 * len(z) + 3
+    assert check_system(r.system, asg, spec).ok == is_root
+    old_system, old_asg = terms_layout(r, asg)
+    assert len(old_system.equations) == 3 * len(z) + len(f.terms) + 4
+    assert check_system(old_system, old_asg, spec).ok == is_root
+    if not is_root:
+        with pytest.raises(PreconditionError, match="not a root"):
+            r.witness(z)
+        return
+    assert r.witness(z) == asg
+    assert {name: old_asg[name] for name in r.system.declared_vars} == asg
+    assert extract_solution(r, asg) == extract_solution(r, old_asg) == z
 
 
 # -- extraction ----------------------------------------------------------------------
