@@ -18,7 +18,6 @@ from .interp import IteratedReduction, compile_iterated, spec_for_ranks
 from .laurent import INFINITY, aug_valuation
 from .lexer import TokenStream, is_int
 from .reduction import _membership_poly, parse_intpoly
-from .selftest import run_all
 from .wreath import lcs_rank
 
 EXIT_OK = 0
@@ -169,6 +168,9 @@ def _cmd_lcs_rank(args):
 
 
 def _cmd_selftest(args):
+    # Imported here, so that no other subcommand pays for loading the suites.
+    from .selftest import run_all
+
     ok = run_all(samples=args.samples, seed=args.seed)
     return EXIT_OK if ok else EXIT_UNSATISFIED
 

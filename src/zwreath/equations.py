@@ -159,9 +159,12 @@ def free_vars(word):
 def evaluate(word, assignment, spec):
     """Evaluate a word under an assignment; commutator nodes stay structural.
 
-    Costs one group operation per word node and one commutator per factor of
-    a commutator chain, folded left (a power by square-and-multiply costs
-    O(log |exponent|)), each of them O(n * terms) in the flat group.
+    Costs one group operation per word node (a power by square-and-multiply
+    costs O(log |exponent|)), each O(n * terms) in the flat group.  A
+    commutator chain [w, f1, ..., fk] is one variadic `commutator` call: in
+    the flat group one first bracket plus, per coordinate, O(k * cells) on
+    dense rows along one variable, else O(k * T) dict updates
+    (`WreathElement.commutator`).
     """
     if isinstance(word, Literal):
         try:
@@ -183,10 +186,8 @@ def evaluate(word, assignment, spec):
             acc = acc * evaluate(p, assignment, spec)
         return acc
     if isinstance(word, Commutator):
-        acc = evaluate(word.word, assignment, spec)
-        for f in word.factors:
-            acc = acc.commutator(evaluate(f, assignment, spec))
-        return acc
+        return evaluate(word.word, assignment, spec).commutator(
+            *[evaluate(f, assignment, spec) for f in word.factors])
     if isinstance(word, Power):
         return evaluate(word.body, assignment, spec) ** word.exponent
     raise PreconditionError(f"not a word node: {word!r}")

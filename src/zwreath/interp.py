@@ -344,8 +344,11 @@ class NestedElement:
         _shift_add(support, self.base, ai, -1)
         return NestedElement._unchecked(self.spec, ai, support)
 
-    def commutator(self, other):
+    def commutator(self, other, *more):
         """[g, h] = g^-1 h^-1 g h in closed form, with no intermediate elements.
+
+        With more factors, the left-normed [g, h, h2, ..., hk], folded
+        pairwise: [[g, h], h2], and so on.
 
         For g = (alpha, p) and h = (beta, q), with (alpha, p)(beta, q) =
         (alpha beta, p.beta + q) and (alpha, p)^-1 = (alpha^-1, -p.alpha^-1),
@@ -370,6 +373,11 @@ class NestedElement:
         pure active operands take one commutator of their cores, at the
         higher core's level (`_cores`), embedded once.
         """
+        if more:
+            acc = self.commutator(other)
+            for h in more:
+                acc = acc.commutator(h)
+            return acc
         self._check(other)
         if self._trivial or other._trivial:
             return self.spec._identity

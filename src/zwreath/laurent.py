@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from operator import add
+from operator import add, itemgetter, sub
 from types import MappingProxyType
 
 from .errors import PreconditionError, SpecMismatchError
@@ -121,15 +121,130 @@ def _add_shifted(out, terms, sign, shift=None):
                 del out[mono]
 
 
+def _fibre_rows(terms, v, lo, cap=None, extra=0):
+    """Nonzero `terms` laid out as dense rows along a_v, one row per a_v fibre.
+
+    A fibre is the set of terms whose exponents agree off a_v; it is keyed
+    by the exponents before and after a_v, `(mono[:v], mono[v + 1:])`, and
+    its row holds at index e - lo the coefficient of its monomial of
+    a_v-exponent e, up to the fibre's largest e.  `lo` is at most every
+    a_v-exponent.  With a `cap`, returns None instead once the rows, each
+    counted `extra` cells longer, would hold more than `cap` cells, before
+    any longer row is allocated.  One pass over the terms, O(T + cells) for
+    T terms; at rank 1 the one row is read off the terms by C-level
+    lookups, one per cell.
+    """
+    # At rank 1 the general loop's two tuple slices per term cost about what
+    # the rows save in `_times_differences` (measured on roots-large, Z wr Z).
+    if len(next(iter(terms))) == 1:
+        hi = max(terms)[0]
+        if cap is not None and hi - lo + 1 + extra > cap:
+            return None
+        return {((), ()): list(map(terms.get, zip(range(lo, hi + 1)), itertools.repeat(0)))}
+    rows = {}
+    cells = 0
+    for mono, c in terms.items():
+        key = (mono[:v], mono[v + 1:])
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = []
+            cells += extra
+        i = mono[v] - lo
+        if len(row) <= i:
+            cells += i + 1 - len(row)
+            if cap is not None and cells > cap:
+                return None
+            row.extend([0] * (i + 1 - len(row)))
+        row[i] = c
+    return rows
+
+
+def _row_terms(rows, lo):
+    """The term dict of `_fibre_rows` rows whose index 0 is a_v-exponent
+    `lo`, zero cells dropped: one comprehension over the cells, and at
+    rank 1 one C-level filter of (exponent, coefficient) pairs."""
+    if len(rows) == 1 and ((), ()) in rows:
+        return dict(filter(itemgetter(1), zip(zip(itertools.count(lo)), rows[(), ()])))
+    return {pre + (e,) + post: c for (pre, post), row in rows.items()
+            for e, c in enumerate(row, lo) if c}
+
+
+# Laying a coordinate out as rows and reading it back costs about two dict
+# passes over its terms, and a factor on rows about a fifth of the two passes
+# it takes on dicts.  So rows pay from two factors on, once the terms are
+# enough to outweigh the rows' fixed cost of some twenty dict operations.
+_ROW_MIN_TERMS = 32
+
+
+def _times_differences(terms, shifts, sign=1):
+    """A fresh term dict of sign * terms * prod_j (a^shifts[j] - 1).
+
+    `shifts` holds k >= 1 exponent vectors and `sign` is 1 or -1; a zero
+    shift makes the product zero.  With k >= 2 factors and at least
+    `_ROW_MIN_TERMS` terms, `_differences_on_rows` takes the product on
+    dense rows where they are at least half full: O(k * cells), so O(k * T)
+    for T terms.  Otherwise each factor is a shifted copy and one
+    accumulation loop over the current terms: O(k * T') dict updates for T'
+    the largest intermediate term count.  A sparse operand such as
+    a1^100000000 + 1 takes the dict path and never allocates a long row.
+    """
+    if len(shifts) > 1 and len(terms) >= _ROW_MIN_TERMS:
+        out = _differences_on_rows(terms, shifts, sign)
+        if out is not None:
+            return out
+    out = terms
+    for shift in shifts:
+        nxt = _shifted(out, shift, sign)
+        _add_shifted(nxt, out, -sign)
+        out, sign = nxt, 1
+    return out
+
+
+def _differences_on_rows(terms, shifts, sign):
+    """`_times_differences` on `_fibre_rows` rows, or None.
+
+    None unless every nonzero shift moves one and the same variable a_v
+    and the rows, each grown by the cells the shifts add, are at least half
+    full: at most 2 * T cells for T terms, checked before any row is
+    allocated.  Then each factor a_v^s - 1 is one `map(sub, ...)` over each
+    row (a zero shift zeroes them), and the rows are read back once:
+    O(k * cells).
+    """
+    axes = {i for shift in shifts for i, e in enumerate(shift) if e}
+    if len(axes) != 1:
+        return None
+    (v,) = axes
+    steps = [shift[v] for shift in shifts]
+    lo = min(terms)[0] if v == 0 else min(mono[v] for mono in terms)
+    rows = _fibre_rows(terms, v, lo, 2 * len(terms), sum(map(abs, steps)))
+    if rows is None:
+        return None
+    for step in steps:
+        pad = [0] * abs(step)
+        # a_v^s P - P: for s > 0 the copy P moves up; for s < 0 it moves
+        # down and the rows start |s| lower.  The first step swaps its
+        # operands to take the sign.
+        for key, row in rows.items():
+            shifted, kept = (pad + row, row + pad) if step > 0 else (row + pad, pad + row)
+            if sign < 0:
+                shifted, kept = kept, shifted
+            rows[key] = list(map(sub, shifted, kept))
+        if step < 0:
+            lo += step
+        sign = 1
+    return _row_terms(rows, lo)
+
+
 class LaurentPoly:
     """A finitely supported integer combination of monomials a^gamma.
 
     Instances are immutable; `terms` maps exponent vectors of length `rank`
     to nonzero int coefficients.  Two polynomials are equal iff they have the
-    same rank and the same term mapping.
+    same rank and the same term mapping.  The hash is computed on first use
+    and kept.
     """
 
-    __slots__ = ("rank", "_terms")
+    __slots__ = ("rank", "_terms", "_hash")
 
     def __init__(self, rank, terms=None):
         _check_rank(rank)
@@ -265,7 +380,13 @@ class LaurentPoly:
         return self.rank == other.rank and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self._terms.items())))
+        """O(T) on the first call, then O(1): the value is kept in `_hash`."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rank, frozenset(self._terms.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __bool__(self):
         return bool(self._terms)
@@ -370,11 +491,15 @@ def delta_decompose(p, k):
     * q_beta, exactly.  Requires p to lie in the k-th ideal power; raises
     PreconditionError otherwise, naming the valuation found.
 
-    Algorithm: clear the denominator monomial (a unit, multiplied back onto
-    every q_beta at the end) and split by exact synthetic division along the
-    last variable a_v.  With D_v P = (P - P|_{a_v=1}) / (a_v - 1), which on
-    each a_v fibre (the terms that agree off a_v) is the suffix sum of the
-    fibre's coefficients,
+    Algorithm: clear the denominator monomial a^mins, the componentwise
+    least exponents, and split by exact synthetic division along the last
+    variable a_v.  The clearing costs nothing: each split lays its terms out
+    as `_fibre_rows` rows whose index 0 is a_v^mins_v, and each quotient
+    is emitted with the unit a^mins multiplied back on, in the
+    comprehension that builds it (`_row_terms`).  With
+    D_v P = (P - P|_{a_v=1}) / (a_v - 1), which on each a_v fibre (the
+    terms that agree off a_v) is the suffix sum of the fibre's
+    coefficients,
 
         P = sum_{j<r} (a_v - 1)^j (D_v^j P)|_{a_v=1} + (a_v - 1)^r D_v^r P
 
@@ -406,30 +531,25 @@ def delta_decompose(p, k):
         raise PreconditionError(f"ideal power must be a positive int, got {k!r}")
     if p.is_zero():
         return {}
-    terms, mins = _cleared_terms(p)
     rank = p.rank
+    mins = [min(p._terms)[0]] + [min(mono[i] for mono in p._terms) for i in range(1, rank)]
     out = {}
-    # Each pending split: (terms free of a_{v+1}..a_m, v, degree r to place,
-    # beta_{v+1}..beta_m already fixed).
-    pending = [(terms, rank - 1, k, ())]
+    # Each pending split: (terms whose a_{v+1}..a_m exponents are the
+    # minima, v, degree r to place, beta_{v+1}..beta_m already fixed).
+    pending = [(p._terms, rank - 1, k, ())]
     while pending:
         terms, v, r, beta_tail = pending.pop()
-        fibres = {}
-        for mono, c in terms.items():
-            row = fibres.setdefault(mono[:v] + (0,) + mono[v + 1:], [])
-            e = mono[v]
-            if len(row) <= e:
-                row.extend([0] * (e + 1 - len(row)))
-            row[e] = c
+        lo = mins[v]
+        fibres = _fibre_rows(terms, v, lo)
         for j in range(r):
             restriction = {}
             shifted = {}
-            for rest, row in fibres.items():
+            for (pre, post), row in fibres.items():
                 sums = list(itertools.accumulate(reversed(row)))
                 if sums[-1]:
-                    restriction[rest] = sums[-1]
+                    restriction[pre + (lo,) + post] = sums[-1]
                 if len(sums) > 1:
-                    shifted[rest] = sums[-2::-1]
+                    shifted[pre, post] = sums[-2::-1]
             fibres = shifted
             if not restriction:
                 continue
@@ -438,12 +558,10 @@ def delta_decompose(p, k):
                     f"polynomial has augmentation valuation {aug_valuation(p)}, "
                     f"not in ideal power {k}")
             pending.append((restriction, v - 1, r - j, (j,) + beta_tail))
-        quotient = {rest[:v] + (e,) + rest[v + 1:]: c
-                    for rest, row in fibres.items() for e, c in enumerate(row) if c}
+        quotient = _row_terms(fibres, lo)
         if quotient:
             out[(0,) * v + (r,) + beta_tail] = quotient
-    return {beta: LaurentPoly._unchecked(rank, _shifted(out[beta], mins))
-            for beta in sorted(out)}
+    return {beta: LaurentPoly._unchecked(rank, out[beta]) for beta in sorted(out)}
 
 
 def geom_series(gamma, rank=1):

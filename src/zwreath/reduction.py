@@ -235,7 +235,8 @@ class Reduction:
 
         Each x_i and its cyclic auxiliary come from `witness_cyclic`.  y is
         the product of the system's own chains, evaluated once: one
-        closed-form commutator per chain factor, each O(n * terms).  dp_y_1
+        closed-form commutator per chain, O(k * T) dict updates for k
+        factors (`WreathElement.commutator`).  dp_y_1
         takes the quotients of y's coordinates by (a1-1)^(d+1) from
         `delta_decompose`: O(m * T + d * E) additions on a coordinate of T
         terms and a1-span E, free of a2..am.

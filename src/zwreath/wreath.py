@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import PreconditionError, SpecMismatchError
-from .laurent import (LaurentPoly, _add_shifted, _canonical_terms, _shifted, binary_power,
-                      delta_membership, read_poly)
+from .laurent import (LaurentPoly, _add_shifted, _canonical_terms, _shifted, _times_differences,
+                      binary_power, delta_membership, read_poly)
 from .lexer import is_name, parse_whole
 
 
@@ -192,8 +192,8 @@ class WreathElement:
         base = tuple(LaurentPoly._unchecked(m, _shifted(p._terms, neg, -1)) for p in self.base)
         return WreathElement._unchecked(self.spec, neg, base)
 
-    def commutator(self, other):
-        """[g, h] in closed form, in O(n * terms) with no intermediate elements.
+    def commutator(self, other, *more):
+        """The left-normed [g, h1, ..., hk] = [...[[g, h1], h2]..., hk] in closed form.
 
         For g = (alpha, p) and h = (beta, q), with (alpha, p)(beta, q) =
         (alpha + beta, p*a^beta + q) and (alpha, p)^-1 = (-alpha, -p*a^-alpha):
@@ -203,25 +203,44 @@ class WreathElement:
             g^-1 h^-1 g h = (0, -p - q*a^alpha + p*a^beta + q)
 
         so [g, h] = (0, p*(a^beta - 1) - q*(a^alpha - 1)).  A zero alpha
-        (beta) drops both q (p) terms.  Each coordinate starts as the fresh
-        copy p*a^beta, one `_shifted` comprehension over p, and takes p off
-        in place, one accumulation loop; the q terms add one comprehension
-        and two accumulation loops over q.
+        (beta) drops both q (p) terms.  That bracket has a trivial active
+        part, so each later factor h_j = (beta_j, q_j) multiplies every
+        coordinate by a^beta_j - 1, and a later factor with beta_j = 0 makes
+        the whole chain the identity.  So each coordinate is the first
+        bracket times prod_{j>=2} (a^beta_j - 1), one
+        `laurent._times_differences` call; when only one side of the first
+        bracket moves, its a^beta - 1 (or -(a^alpha - 1)) joins the same
+        call.  No intermediate element or polynomial is built.
+
+        Cost per coordinate: when both sides move, the first bracket is two
+        shifted copies and three accumulation loops, O(terms).  Then the
+        k - 1 (or k) factors cost O(k * cells) on dense rows along one
+        variable, else O(k * T) dict updates for T the largest intermediate
+        term count (`_times_differences`).
         """
         self._check_spec(other)
+        later = []
+        for h in more:
+            self._check_spec(h)
+            later.append(h.active)
         spec = self.spec
         alpha, beta = self.active, other.active
         move_p, move_q = any(beta), any(alpha)
+        if not (move_p or move_q) or (later and not all(map(any, later))):
+            return spec._identity
         base = []
         for p, q in zip(self.base, other.base):
-            if move_p:
+            if move_p and move_q:
                 out = _shifted(p._terms, beta)
                 _add_shifted(out, p._terms, -1)
-            else:
-                out = {}
-            if move_q:
                 _add_shifted(out, q._terms, -1, alpha)
                 _add_shifted(out, q._terms, 1)
+                if later:
+                    out = _times_differences(out, later)
+            elif move_p:
+                out = _times_differences(p._terms, [beta] + later)
+            else:
+                out = _times_differences(q._terms, [alpha] + later, -1)
             base.append(LaurentPoly._unchecked(spec.m, out))
         return WreathElement._unchecked(spec, (0,) * spec.m, tuple(base))
 
@@ -255,14 +274,17 @@ class WreathElement:
 
 
 def left_normed_commutator(elements):
-    """[g1, ..., gr] folded left: [[g1, g2], g3], ..."""
+    """[g1, ..., gr] = [[g1, g2], g3], ...: one variadic `commutator` call.
+
+    For flat elements that is one first bracket plus O(r * cells) on dense
+    rows, else O(r * T) dict updates, per coordinate; a single element is
+    returned as it is.
+    """
     elements = list(elements)
     if not elements:
         raise PreconditionError("left-normed commutator needs at least one element")
-    acc = elements[0]
-    for g in elements[1:]:
-        acc = acc.commutator(g)
-    return acc
+    first, *rest = elements
+    return first.commutator(*rest) if rest else first
 
 
 def in_N(g):

@@ -261,6 +261,22 @@ def test_selftest_subcommand_quick(capsys):
     assert "FAIL" not in out
 
 
+def test_cli_loads_the_selftest_suites_only_for_selftest():
+    src = str(Path(zwreath.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    probe = ("import sys, zwreath.cli; "
+             "print('zwreath.selftest' in sys.modules); "
+             "zwreath.cli.main(['selftest', '--samples', '1', '--seed', '0']); "
+             "print('zwreath.selftest' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    lines = done.stdout.splitlines()
+    assert done.returncode == 0, done.stderr
+    assert (lines[0], lines[-1]) == ("False", "True")
+    assert "laurent-ring-axioms: PASS (1 samples)" in lines
+    assert not any("FAIL" in line for line in lines)
+
+
 def test_selftest_sample_count_is_non_negative(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--samples", "-3"])

@@ -1,6 +1,7 @@
 """The text formats as one language: golden CLI output, error positions,
 ASCII-only tokens, the separators every literal accepts, and round trips."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -57,6 +58,51 @@ def test_cli_output_matches_golden_files(capsys, stem, poly, ranks, root):
     spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
     assert serialize_system(parse_system(system_text, spec)) == system_text
     assert serialize_assignment(parse_assignment(witness_text, spec)) == witness_text
+
+
+def _long_hand_commutator(self, *factors):
+    """[g, h1, ..., hk] folded pairwise as g^-1 h^-1 g h: the reference for
+    the closed-form commutators of both element types."""
+    acc = self
+    for h in factors:
+        acc = acc.inverse() * h.inverse() * acc * h
+    return acc
+
+
+def _mutated_witnesses(text):
+    """The witness, then per line: its first exponent moved by +-1, and its
+    first polynomial given an extra term, each in a copy of the witness."""
+    lines = text.splitlines(keepends=True)
+    out = [text]
+    for i, line in enumerate(lines):
+        for delta in (1, -1):
+            moved = re.sub(r"active: \((-?[0-9]+)",
+                           lambda m: f"active: ({int(m.group(1)) + delta}", line, count=1)
+            out.append("".join(lines[:i] + [moved] + lines[i + 1:]))
+        head, sep, tail = line.partition("b1: ")
+        if sep:
+            extra = "3*a1^4 " if tail.startswith("-") else "3*a1^4 + "
+            out.append("".join(lines[:i] + [head + sep + extra + tail] + lines[i + 1:]))
+    return out
+
+
+@pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
+def test_verify_output_matches_the_long_hand_commutator(monkeypatch, capsys, tmp_path,
+                                                        stem, poly, ranks, root):
+    system = str(GOLDEN / f"{stem}.eqs")
+    witness = tmp_path / "wit.asg"
+    outputs = []
+    for text in _mutated_witnesses((GOLDEN / f"{stem}.asg").read_text(encoding="utf-8")):
+        witness.write_text(text, encoding="utf-8")
+        argv = ("verify", "--ranks", ranks, "--system", system, "--assignment", str(witness))
+        closed_form = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(WreathElement, "commutator", _long_hand_commutator)
+            patch.setattr(NestedElement, "commutator", _long_hand_commutator)
+            assert run(capsys, *argv) == closed_form
+        outputs.append(closed_form)
+    assert outputs[0][0] == 0
+    assert all(code == 1 for code, _, _ in outputs[1:])
 
 
 class CompileCalled(Exception):

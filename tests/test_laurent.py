@@ -7,7 +7,9 @@ import sympy
 from hypothesis import given, strategies as st
 
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
+from zwreath import laurent
 from zwreath.laurent import (INFINITY, LaurentPoly, _add_shifted, _deglex_terms_str, _shifted,
+                             _times_differences,
                              aug_valuation, delta_decompose,
                              delta_generator_product, delta_membership,
                              geom_series, parse_poly, terms_str)
@@ -473,3 +475,102 @@ def test_operations_neither_change_nor_return_their_operands_terms(p, q, shift):
     for r in results:
         assert r._terms is not p._terms and r._terms is not q._terms
     assert (p._terms, q._terms) == before
+
+
+# -- products of differences a^s - 1 ----------------------------------------------
+
+
+@st.composite
+def differences_case(draw):
+    """(rank, terms, shifts, sign) for `_times_differences`.
+
+    Ranks 1-3; terms a dense run along one variable in one to three
+    fibres (short, or long enough for rows), or a few random terms; one to
+    five shifts, all moving that variable alone (positive or negative), or
+    each of them that, any small vector, or zero.  The choices come from a
+    seeded `random.Random`, so that about a quarter of the cases take rows.
+    """
+    rank = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    v = rng.randrange(rank)
+    terms = {}
+    if rng.random() < 2 / 3:
+        start = rng.randint(-20, 20)
+        length = rng.randint(32, 80) if rng.random() < 2 / 3 else rng.randint(1, 10)
+        for _ in range(rng.randint(1, 3)):
+            rest = [rng.randint(-2, 2) for _ in range(rank)]
+            for e in range(start, start + length):
+                rest[v] = e
+                terms[tuple(rest)] = rng.randint(-5, 5) if rng.random() < 0.9 else 0
+    else:
+        terms = dict(draw(poly_strategy(rank))._terms)
+    terms = {mono: c for mono, c in terms.items() if c}
+    one_variable = rng.random() < 2 / 3
+
+    def shift():
+        kind = "v" if one_variable else rng.choice(("v", "any", "zero"))
+        if kind == "v":
+            return tuple(rng.choice((-3, -2, -1, 1, 2, 3)) if i == v else 0 for i in range(rank))
+        if kind == "zero":
+            return (0,) * rank
+        return tuple(rng.randint(-2, 2) for _ in range(rank))
+
+    shifts = [shift() for _ in range(rng.randint(1, 5))]
+    return rank, terms, shifts, rng.choice((1, -1))
+
+
+@given(differences_case())
+def test_times_differences_matches_the_ring_product(case):
+    rank, terms, shifts, sign = case
+    before = dict(terms)
+    expected = LaurentPoly(rank, terms) * sign
+    for shift in shifts:
+        expected = expected * (LaurentPoly.monomial(rank, shift) - 1)
+    out = _times_differences(terms, shifts, sign)
+    assert out == expected._terms and out is not terms
+    assert terms == before
+
+
+def test_times_differences_on_dense_rows_builds_no_shifted_copy(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dict path taken")
+
+    monkeypatch.setattr(laurent, "_shifted", refuse)
+    dense = {(e,): e % 7 - 3 for e in range(-50, 50) if e % 7 != 3}
+    product = P("1", 1)
+    for s in (1, 1, -2, 1):
+        product = product * (LaurentPoly.monomial(1, (s,)) - 1)
+    assert _times_differences(dense, [(1,), (1,), (-2,), (1,)], -1) == (
+        LaurentPoly(1, dense) * product * -1)._terms
+    fibres = {(e, f): 1 + e + f for e in range(4) for f in range(-30, 30)}
+    assert _times_differences(fibres, [(0, 2), (0, -1)]) == (
+        LaurentPoly(2, fibres) * P("a2^2 - 1", 2) * P("a2^-1 - 1", 2))._terms
+
+
+def test_times_differences_keeps_sparse_terms_off_rows(monkeypatch):
+    calls = []
+    rows = laurent._fibre_rows
+    monkeypatch.setattr(laurent, "_fibre_rows",
+                        lambda *args: calls.append(rows(*args)) or calls[-1])
+    sparse = {(i * 10**4,): 1 + i for i in range(40)}
+    assert _times_differences(sparse, [(1,), (1,)]) == (
+        LaurentPoly(1, sparse) * P("a1 - 1", 1) ** 2)._terms
+    wide = {(i * 10**4, i % 2): 2 for i in range(40)}
+    assert _times_differences(wide, [(-1, 0), (2, 0)]) == (
+        LaurentPoly(2, wide) * P("a1^-1 - 1", 2) * P("a1^2 - 1", 2))._terms
+    assert calls == [None, None]
+
+
+def test_hash_is_kept_and_equal_polynomials_hash_equal():
+    parsed = P("a1^2 - 3*a2 + 1", 2)
+    built = LaurentPoly(2, {(0, 1): -3, (2, 0): 1, (0, 0): 1})
+    summed = P("a1^2", 2) + P("1 - 3*a2", 2)
+    shifted = P("a1^3*a2^-1 - 3*a1 + a1*a2^-1", 2).times_monomial((-1, 1))
+    values = {hash(p) for p in (parsed, built, summed, shifted)}
+    assert len(values) == 1
+    assert hash(parsed) == hash(parsed) == parsed._hash
+    assert {parsed: 1}[summed] == 1
+    for name in ("rank", "_terms", "_hash"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(parsed, name, None)
+    assert hash(parsed) in values

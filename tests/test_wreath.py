@@ -395,3 +395,106 @@ def test_spec_constructors_reject_malformed_input(build, message):
     with pytest.raises(PreconditionError) as caught:
         build()
     assert caught.type is PreconditionError and str(caught.value) == message
+
+
+# -- the variadic commutator ---------------------------------------------------------
+
+
+@st.composite
+def commutator_chain(draw):
+    """(g, [h1, ..., hk]) over Z^n wr Z^m, m in 1..3, k in 1..5.
+
+    Coordinates are zero, dense runs along a1 (one or several a1 fibres),
+    sparse (exponents up to 10^9 apart), or a few small random terms.
+    Active parts are zero, a power of a1 (negative ones included), or any
+    small vector, so chains take both the row path and the dict path of
+    `laurent._times_differences`; sometimes a later factor is pure base.
+    """
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    spec = GroupSpec(m, n)
+    rng = draw(st.randoms(use_true_random=False))
+
+    def coordinate():
+        kind = rng.choice(("zero", "dense", "dense", "dense", "sparse", "small"))
+        terms = {}
+        if kind == "dense":
+            start, length = rng.randint(-40, 40), rng.randint(1, 90)
+            for _ in range(rng.randint(1, 3)):
+                rest = tuple(rng.randint(-2, 2) for _ in range(m - 1))
+                for e in range(start, start + length):
+                    if rng.random() < 0.9:
+                        terms[(e,) + rest] = rng.randint(-9, 9)
+        elif kind == "sparse":
+            for _ in range(rng.randint(1, 3)):
+                mono = tuple(rng.choice((-1, 1)) * rng.randint(0, 10**9) for _ in range(m))
+                terms[mono] = rng.randint(-9, 9)
+        elif kind == "small":
+            for _ in range(rng.randint(1, 4)):
+                terms[tuple(rng.randint(-2, 2) for _ in range(m))] = rng.randint(-9, 9)
+        return LaurentPoly(m, terms)
+
+    def active(kinds):
+        kind = rng.choice(kinds)
+        if kind == "zero":
+            return (0,) * m
+        if kind == "a1":
+            return (rng.choice((-1, 1)) * rng.randint(1, 4),) + (0,) * (m - 1)
+        return tuple(rng.randint(-3, 3) for _ in range(m))
+
+    def element(kinds):
+        return WreathElement(spec, active(kinds), tuple(coordinate() for _ in range(n)))
+
+    g = element(("zero", "zero", "a1", "any"))
+    hs = [element(("zero", "a1", "a1", "a1", "a1", "any")) for _ in range(rng.randint(1, 5))]
+    return g, hs
+
+
+@given(commutator_chain())
+def test_variadic_commutator_matches_the_pairwise_and_long_hand_folds(chain):
+    g, hs = chain
+    pairwise = long_hand = g
+    for h in hs:
+        pairwise = pairwise.commutator(h)
+        long_hand = long_hand.inverse() * h.inverse() * long_hand * h
+    value = g.commutator(*hs)
+    assert value == pairwise == long_hand
+    assert left_normed_commutator([g] + hs) == value
+    _assert_normal_element(value)
+
+
+def test_variadic_commutator_with_a_pure_base_later_factor_is_the_identity():
+    spec = GroupSpec(2, 1)
+    g = parse_element("{ active: (1,0); b1: a1^3 + 2*a2 }", spec)
+    h = parse_element("{ active: (0,-2); b1: 5*a1 }", spec)
+    base = parse_element("{ active: (0,0); b1: a1 - 7 }", spec)
+    assert not g.commutator(h).is_identity()
+    assert g.commutator(h, base).is_identity()
+    assert g.commutator(h, spec.active_gen(1), base, spec.active_gen(2)).is_identity()
+
+
+def test_variadic_commutator_checks_every_factor_spec():
+    with pytest.raises(SpecMismatchError):
+        S11.base_gen(1).commutator(S11.active_gen(1), S21.active_gen(1))
+
+
+def test_sparse_chain_allocates_no_long_row(tmp_path, capsys):
+    """`[x, @a1, @a1]` with the coordinate a1^10000000 + 1: a row along a1
+    would hold 10^7 cells (about 80 MB); the dict path touches 2 terms."""
+    import tracemalloc
+
+    from zwreath.cli import main
+
+    system = tmp_path / "sys.eqs"
+    assignment = tmp_path / "x.asg"
+    system.write_text("# vars: x\n[x, @a1, @a1] = 1\n", encoding="utf-8")
+    assignment.write_text("x := { active: (0); b1: a1^10000000 + 1 }\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--ranks", "1,1", "--system", str(system),
+                     "--assignment", str(assignment)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().out == "equation 1: FAIL\nunsatisfied: 1 of 1 equations fail\n"
+    assert peak < 4 * 2**20
