@@ -69,7 +69,21 @@ def _sample_count(text):
     return value
 
 
-def _write_output(text, path):
+def _write_output(render, path=None):
+    """Write the text `render()` to the file `path`, or to stdout.
+
+    The text is built whole before any of it is written.  `str()` refuses
+    an integer of more digits than `sys.get_int_max_str_digits()` (4300 by
+    default) with a ValueError, and the program's own readers refuse such an
+    integer too, so output that holds one is a PreconditionError: nothing is
+    written that `verify` or `extract` could not read back.
+    """
+    try:
+        text = render()
+    except ValueError:
+        raise PreconditionError(
+            f"the output holds an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the limit of the readers") from None
     if path is None:
         sys.stdout.write(text)
     else:
@@ -104,14 +118,14 @@ def _poly_and_spec(args):
 
 def _cmd_compile(args):
     system = compile_iterated(*_poly_and_spec(args)).system
-    _write_output(serialize_system(system), args.output)
+    _write_output(lambda: serialize_system(system), args.output)
     return EXIT_OK
 
 
 def _cmd_witness(args):
     # Witnessing needs no compiled system, so none is built.
     asg = IteratedReduction(*_poly_and_spec(args)).witness(_parse_solution(args.solution))
-    _write_output(serialize_assignment(asg), args.output)
+    _write_output(lambda: serialize_assignment(asg), args.output)
     return EXIT_OK
 
 
@@ -140,11 +154,8 @@ def _cmd_oracle(args):
     d = f.degree()
     val = aug_valuation(e_f)  # decides the verdict as `oracle_ef` does, computed once
     val_text = "INFINITY" if val == INFINITY else str(val)
-    print(f"e_f = {e_f}")
-    if val >= d + 1:
-        print(f"valuation {val_text} >= {d + 1}: solution")
-    else:
-        print(f"valuation {val_text} < {d + 1}: NOT a solution")
+    verdict = f">= {d + 1}: solution" if val >= d + 1 else f"< {d + 1}: NOT a solution"
+    _write_output(lambda: f"e_f = {e_f}\nvaluation {val_text} {verdict}\n")
     return EXIT_OK
 
 
@@ -163,7 +174,8 @@ def _cmd_lcs_rank(args):
         # an iterated rank list is well formed but has no formula here.
         error = ParseError if len(ranks) < 2 else PreconditionError
         raise error("lcs-rank is defined for exactly two ranks")
-    print(lcs_rank(args.i, spec_for_ranks(ranks)))
+    rank = lcs_rank(args.i, spec_for_ranks(ranks))
+    _write_output(lambda: f"{rank}\n")
     return EXIT_OK
 
 

@@ -556,9 +556,11 @@ def _read_word(tokens, pos, spec, stop, depth, memo):
     """Juxtaposed factors from token `pos` up to a token in `stop`: (word, next pos).
 
     `depth` counts the brackets and parentheses open around the word.  The
-    tokens are read by a local index, as `laurent.read_terms` reads them,
-    and each error names the position of its token: O(tokens of the word),
-    and a name or bare generator word read before costs one memo lookup.
+    word grammar alone of the token grammars reads by a local index, with
+    no method call per token: every system text goes through it, and no
+    second reader exists for systems.  Each error names the position of its
+    token.  O(tokens of the word), and a name or bare generator word read
+    before costs one memo lookup.
     """
     toks = tokens.tokens
     factors = []

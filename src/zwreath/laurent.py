@@ -18,7 +18,7 @@ from operator import add, itemgetter, sub
 from types import MappingProxyType
 
 from .errors import PreconditionError, SpecMismatchError
-from .lexer import parse_whole
+from .lexer import is_int, parse_whole
 
 # Exponent vectors are plain int tuples; the all-zero tuple is the identity
 # monomial.
@@ -742,71 +742,49 @@ def read_terms(tokens, letter, rank=None, negative_exponents=True, max_rank=None
     is the largest index used, and an index above `max_rank` is refused as
     it is read (PreconditionError), before any exponent tuple is built.
     Returns (rank, {exponent tuple: nonzero summed coefficient}) in
-    O(tokens).  The tokens are read by a local index, written back to
-    `tokens.pos` at the end, so no method call is made per token; each error
-    names the position of its token.
+    O(tokens).
     """
-    toks = tokens.tokens
-    pos = tokens.pos
     raw = []
     sign = 1
     while True:
-        token = toks[pos]
+        token = tokens.peek()
         if token == "+" or token == "-":
-            pos += 1
+            tokens.take()
             sign = -1 if token == "-" else 1
         elif raw:
             break
         coeff = sign
         expo = [0] * (rank or 0)
         while True:
-            token = toks[pos]
-            if "0" <= token[:1] <= "9":  # `lexer.is_int`, inlined
-                try:
-                    coeff *= int(token)
-                except ValueError:  # too many digits: `int_at` raises the ParseError
-                    coeff *= tokens.int_at(pos)
+            at = tokens.pos
+            token = tokens.take()
+            if is_int(token):
+                coeff *= tokens.int_at(at)
             elif token[:1] == letter and token[1:].isdigit():
                 # An index of more than 18 digits exceeds every rank; it is
                 # not converted, since int() refuses long enough digit strings.
                 index = int(token[1:]) if len(token) <= 19 else math.inf
                 if index < 1:
-                    raise tokens.error(f"variable indices start at {letter}1", pos)
+                    raise tokens.error(f"variable indices start at {letter}1", at)
                 if rank is not None:
                     if index > rank:
-                        raise tokens.error(f"variable {token} out of range for rank {rank}", pos)
+                        raise tokens.error(f"variable {token} out of range for rank {rank}", at)
                 elif max_rank is not None and index > max_rank:
                     raise PreconditionError(
                         f"variable {token} exceeds the limit of {max_rank} variables")
                 e = 1
-                if toks[pos + 1] == "^":
-                    pos += 2
-                    token = toks[pos]
-                    negative = False
-                    if negative_exponents and (token == "+" or token == "-"):
-                        negative = token == "-"
-                        pos += 1
-                        token = toks[pos]
-                    if not "0" <= token[:1] <= "9":
-                        raise tokens.expected("an integer" if negative_exponents
-                                              else "a non-negative exponent after '^'", pos)
-                    try:
-                        e = int(token)
-                    except ValueError:
-                        e = tokens.int_at(pos)
-                    if negative:
-                        e = -e
+                if tokens.accept("^"):
+                    if not negative_exponents and not is_int(tokens.peek()):
+                        raise tokens.expected("a non-negative exponent after '^'")
+                    e = tokens.signed_int()
                 if index > len(expo):
                     expo.extend([0] * (index - len(expo)))
                 expo[index - 1] += e
             else:
-                raise tokens.expected("coefficient or variable", pos)
-            pos += 1
-            if toks[pos] != "*":
+                raise tokens.expected("coefficient or variable", at)
+            if not tokens.accept("*"):
                 break
-            pos += 1
         raw.append((expo, coeff))
-    tokens.pos = pos
     width = rank if rank is not None else max(len(expo) for expo, _ in raw)
     total = {}
     for expo, coeff in raw:

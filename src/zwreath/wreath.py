@@ -446,38 +446,15 @@ def read_element(tokens, spec):
 
 
 def read_vector(tokens, length):
-    """`( int {, int} [,] )` with exactly `length` entries.
-
-    O(length).  The tokens are read by a local index, written back to
-    `tokens.pos` at the end, as `laurent.read_terms` reads them; each error
-    names the position of its token.
-    """
-    toks = tokens.tokens
-    pos = at = tokens.pos
-    if toks[pos] != "(":
-        raise tokens.expected("'('", pos)
-    pos += 1
+    """`( int {, int} [,] )` with exactly `length` entries; O(length)."""
+    at = tokens.pos
+    tokens.expect("(")
     values = []
-    while toks[pos] != ")":
-        token = toks[pos]
-        negative = token == "-"
-        if negative or token == "+":
-            pos += 1
-            token = toks[pos]
-        if not "0" <= token[:1] <= "9":  # `lexer.is_int`, inlined
-            raise tokens.expected("an integer", pos)
-        try:
-            value = int(token)
-        except ValueError:  # too many digits: `int_at` raises the ParseError
-            value = tokens.int_at(pos)
-        values.append(-value if negative else value)
-        pos += 1
-        if toks[pos] != ",":
+    while tokens.peek() != ")":
+        values.append(tokens.signed_int())
+        if not tokens.accept(","):
             break
-        pos += 1
-    if toks[pos] != ")":
-        raise tokens.expected("')'", pos)
-    tokens.pos = pos + 1
+    tokens.expect(")")
     if len(values) != length:
         raise tokens.error(f"vector has {len(values)} entries, expected {length}", at)
     return tuple(values)

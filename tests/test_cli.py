@@ -166,6 +166,30 @@ def test_overlong_integer_in_a_list_names_the_digit_limit(capsys):
         assert len(err) < 200
 
 
+def test_output_past_the_digit_limit_is_a_precondition_failure(tmp_path, capsys):
+    # `C*z1^60 - D`, with C the 4270-digit 99...9 and D = C*2^60, has the
+    # root 2, and its witness and membership polynomial hold coefficients of
+    # more digits than `str()` converts; so does the 20000th
+    # lower-central-series rank of Z^20000 wr Z.  D has 4289 digits, spelled
+    # as (2^60 - 1)*10^4270 + (10^4270 - 2^60).
+    poly = f"{'9' * 4270}*z1^60 - {2 ** 60 - 1}{10 ** 4270 - 2 ** 60}"
+    limit = sys.get_int_max_str_digits()
+    out_file = tmp_path / "wit.asg"
+    for argv in (["lcs-rank", "--ranks", "1,20000", "--i", "20000"],
+                 ["witness", "--poly", poly, "--ranks", "1,1", "--solution", "2"],
+                 ["witness", "--poly", poly, "--ranks", "1,1", "--solution", "2",
+                  "-o", str(out_file)],
+                 ["oracle", "--poly", poly, "--ranks", "1,1", "--solution", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (f"error: the output holds an integer of more than {limit} "
+                       "digits, the limit of the readers\n")
+    assert not out_file.exists()
+    # The system itself holds no such integer.
+    code, out, _ = run(capsys, "compile", "--poly", poly, "--ranks", "1,1")
+    assert code == 0 and out
+
+
 def test_malformed_integer_list_names_the_option(capsys):
     code, out, err = run(capsys, "witness", "--poly", "z1 - 2", "--ranks", "1,1",
                          "--solution", "2 3")

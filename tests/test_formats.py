@@ -318,6 +318,14 @@ MALFORMED = [
     (lambda: parse_element("{ active: (1 2); }", S11), 1, 14, "expected ')', found '2'"),
     (lambda: parse_element("{ active: (+,); }", S11), 1, 13, "expected an integer, found ','"),
     (lambda: parse_element("{ active: (1,,); }", S11), 1, 14, "expected an integer, found ','"),
+    (lambda: parse_element("{ active: (-); }", S11), 1, 13, "expected an integer, found ')'"),
+    (lambda: parse_element("{ active: (1; }", S11), 1, 13, "expected ')', found ';'"),
+    (lambda: parse_poly("a0", 1), 1, 1, "variable indices start at a1"),
+    (lambda: parse_poly("2 * * a1", 1), 1, 5, "expected coefficient or variable, found '*'"),
+    (lambda: parse_intpoly("z0 + 1"), 1, 1, "variable indices start at z1"),
+    (lambda: parse_intpoly("z1^"), 1, 4,
+     "expected a non-negative exponent after '^', found 'end of input'"),
+    (lambda: parse_intpoly("z1^+2"), 1, 4, "expected a non-negative exponent after '^', found '+'"),
 ]
 
 
