@@ -171,11 +171,11 @@ def evaluate(word, assignment, spec):
             value = assignment[word.name]
         except KeyError:
             raise PreconditionError(f"unbound variable {word.name!r}") from None
-        if value.spec != spec:
+        if value.spec is not spec and value.spec != spec:
             raise SpecMismatchError(f"value of {word.name!r} belongs to {value.spec}, not {spec}")
         return value if word.sign == 1 else value.inverse()
     if isinstance(word, Constant):
-        if word.value.spec != spec:
+        if word.value.spec is not spec and word.value.spec != spec:
             raise SpecMismatchError(f"constant belongs to {word.value.spec}, not {spec}")
         return word.value
     if isinstance(word, Concat):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class Error(Exception):
     """Base class for all package-specific errors."""
@@ -23,3 +25,17 @@ class PreconditionError(Error, ValueError):
 
 class SpecMismatchError(Error, ValueError):
     """Operands belong to different ambient groups or rings."""
+
+
+def shown(value):
+    """`str(value)` for an error message, or a note naming the digit limit.
+
+    `str()` refuses an int of more digits than `sys.get_int_max_str_digits()`
+    (4300 by default), and so every value that holds one, with a ValueError;
+    a message names the limit in its place and stays one line.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        return f"<not shown: it holds an integer of more than {limit} digits>"

@@ -41,7 +41,7 @@ from functools import cached_property
 
 from . import reduction as _reduction
 from .equations import Commutator, Constant, Concat, Power, System
-from .errors import ParseError, PreconditionError, SpecMismatchError
+from .errors import ParseError, PreconditionError, SpecMismatchError, shown
 from .lexer import parse_whole
 from .wreath import GroupSpec, group_power, power_word, read_vector
 
@@ -105,7 +105,6 @@ class IteratedSpec:
         object.__setattr__(self, "_inner", inner)
         object.__setattr__(self, "_below", below)
         object.__setattr__(self, "_identity", NestedElement._unchecked(self, inner.identity(), {}))
-        object.__setattr__(self, "_generators", {})
 
     def inner(self):
         """The group acted on: flat at depth 3, iterated beyond."""
@@ -115,15 +114,10 @@ class IteratedSpec:
         return self._identity
 
     def base_gen(self, j, power=1):
-        """Generator j of the outermost base copy at the inner identity."""
-        if not 1 <= j <= self.ranks[0]:
-            raise PreconditionError(f"base generator index {j} out of range 1..{self.ranks[0]}")
-        vec = tuple(power if v == j - 1 else 0 for v in range(self.ranks[0]))
-        if not isinstance(power, int):
-            raise PreconditionError(f"vector {vec!r} invalid for rank {self.ranks[0]}")
-        # One support point needs no sorting, so no checked constructor.
-        return NestedElement._unchecked(self, self._inner.identity(),
-                                        {self._inner.identity(): vec})
+        """Generator j of the outermost base copy at the inner identity.
+
+        One `generator(len(ranks), j, power)` call, O(m_k)."""
+        return self.generator(len(self.ranks), j, power)
 
     def embed(self, element):
         """Canonical embedding of the inner group, or of any group below it.
@@ -142,31 +136,30 @@ class IteratedSpec:
     def generator(self, level, j, power=1):
         """Generator j of `level` raised to `power`, embedded up to this group.
 
-        Levels count outward from the acting group (see
-        `wreath.read_generator`); this group's own base is level
-        `len(ranks)`.  A generator of a level below is built by the group
-        of that level and embedded under one wrapper, so building costs
-        O(1) in the depth.  A lifted system names every level's base
-        generator once per equation, so each level keeps the generators and
-        their inverses it built: a set bounded by the ranks, unlike the
-        other powers.
+        The one builder of a generator power, `base_gen` included.  Levels
+        count outward from the acting group (see `wreath.read_generator`);
+        this group's own base is level `len(ranks)`, and its generator is
+        one support point at the inner identity, O(m_k).  A generator of a
+        level below is built by the group of that level and embedded under
+        one wrapper, so building costs O(1) in the depth.
         """
-        key = (level, j, power)
-        g = self._generators.get(key)
-        if g is None:
-            depth = len(self.ranks)
-            if level == depth:
-                g = self.base_gen(j, power)
-            elif 1 <= level < depth:
-                # Levels 1 and 2 are both generated by the flat group.
-                below = max(level, 2)
-                g = NestedElement._embed(self, self._below[below - 2].generator(level, j, power),
-                                         depth - 1 - below)
-            else:
-                raise PreconditionError(f"generator level {level} out of range 1..{depth}")
-            if power == 1 or power == -1:
-                self._generators[key] = g
-        return g
+        depth = len(self.ranks)
+        if level == depth:
+            width = self.ranks[0]
+            if not 1 <= j <= width:
+                raise PreconditionError(f"base generator index {j} out of range 1..{width}")
+            vec = tuple(power if v == j - 1 else 0 for v in range(width))
+            if not isinstance(power, int):
+                raise PreconditionError(f"vector {vec!r} invalid for rank {width}")
+            # One support point needs no sorting, so no checked constructor.
+            identity = self._inner.identity()
+            return NestedElement._unchecked(self, identity, {identity: vec})
+        if not 1 <= level < depth:
+            raise PreconditionError(f"generator level {level} out of range 1..{depth}")
+        # Levels 1 and 2 are both generated by the flat group.
+        below = max(level, 2)
+        return NestedElement._embed(self, self._below[below - 2].generator(level, j, power),
+                                    depth - 1 - below)
 
     # Literal and generator-word bridge used by the system and assignment formats.
     def read_element(self, tokens):
@@ -252,7 +245,7 @@ class NestedElement:
             support[key] = vec
         if repeated:
             first = min(repeated, key=lambda key: key.sort_key())
-            raise PreconditionError(f"support point {first} is repeated")
+            raise PreconditionError(f"support point {shown(first)} is repeated")
         return cls._unchecked(spec, active, support)
 
     @classmethod
@@ -306,7 +299,8 @@ class NestedElement:
         return NestedElement._pure(self.spec._inner, self._part, self._skip - 1, self._trivial)
 
     def _check(self, other):
-        if not isinstance(other, NestedElement) or other.spec != self.spec:
+        if not isinstance(other, NestedElement) or (
+                other.spec is not self.spec and other.spec != self.spec):
             raise SpecMismatchError(f"cannot combine elements of different iterated groups")
 
     def __mul__(self, other):
@@ -510,7 +504,7 @@ def read_nested(tokens, spec):
         at = tokens.pos
         key = inner.read_element(tokens)
         if key in support:
-            raise tokens.error(f"repeated support point {key}", at)
+            raise tokens.error(f"repeated support point {shown(key)}", at)
         tokens.expect("->")
         support[key] = read_vector(tokens, spec.ranks[0])
         tokens.expect("]")

@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .equations import (Commutator, Constant, Literal, System, concat, equation,
                         evaluate, merge_systems)
-from .errors import PreconditionError, SpecMismatchError
+from .errors import PreconditionError, SpecMismatchError, shown
 from .gadgets import gadget_cyclic, witness_cyclic
 from .laurent import (LaurentPoly, _normal_terms, _ordered_monomials, delta_decompose,
                       delta_membership, read_terms, terms_str)
@@ -248,8 +248,8 @@ class Reduction:
             raise PreconditionError(f"expected {f.num_vars} solution values, got {len(z)}")
         value = f.evaluate(z)
         if value != 0:
-            point = ",".join(str(v) for v in z)
-            raise PreconditionError(f"not a root: f({point}) = {value}")
+            point = ",".join(map(shown, z))
+            raise PreconditionError(f"not a root: f({point}) = {shown(value)}")
         if f.is_zero():
             return {}
         asg = {}
@@ -286,7 +286,7 @@ class Reduction:
                     f"solution variable {name!r} belongs to {g.spec}, not {spec}")
             if not in_A(g) or any(g.active[1:]):
                 raise PreconditionError(
-                    f"solution variable {name!r} is not a pure power of a1: {g}")
+                    f"solution variable {name!r} is not a pure power of a1: {shown(g)}")
             values.append(g.active[0])
         return tuple(values) if self.solution_vars else (0,) * self.num_vars
 

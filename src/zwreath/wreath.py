@@ -35,7 +35,6 @@ class GroupSpec:
         if not (isinstance(self.n, int) and self.n >= 1):
             raise PreconditionError(f"base rank must be a positive int, got {self.n!r}")
         object.__setattr__(self, "_identity", self.element())
-        object.__setattr__(self, "_generators", {})
 
     def identity(self):
         return self._identity
@@ -46,16 +45,16 @@ class GroupSpec:
         return (self.n, self.m)
 
     def active_gen(self, i, power=1):
-        """The generator a_i of the acting group (1-based), optionally raised."""
-        if not 1 <= i <= self.m:
-            raise PreconditionError(f"active generator index {i} out of range 1..{self.m}")
-        return self.element(active=tuple(power if j == i - 1 else 0 for j in range(self.m)))
+        """The generator a_i of the acting group (1-based), optionally raised.
+
+        One `generator(1, i, power)` call, O(m + n)."""
+        return self.generator(1, i, power)
 
     def base_gen(self, j, power=1):
-        """The generator b_j of the base group (1-based), optionally raised."""
-        if not 1 <= j <= self.n:
-            raise PreconditionError(f"base generator index {j} out of range 1..{self.n}")
-        return self.element(base={j: LaurentPoly.constant(self.m, power)})
+        """The generator b_j of the base group (1-based), optionally raised.
+
+        One `generator(2, j, power)` call, O(m + n)."""
+        return self.generator(2, j, power)
 
     def element(self, active=None, base=None):
         """Build an element from an exponent vector and a {j: poly} mapping."""
@@ -70,32 +69,30 @@ class GroupSpec:
     def generator(self, level, j, power=1):
         """Generator j of `level` raised to `power`: level 1 is a_j, level 2 is b_j.
 
-        Every `@a1` or `@b1` a system names is this call, so the spec keeps
-        the generators and their inverses it built, a set bounded by the
-        ranks, as `interp.IteratedSpec.generator` does; other powers are
-        built each time, unchecked once the index is known to be in range,
-        in O(m + n).  An index out of range raises the error of `active_gen`
-        or `base_gen`.
+        The one builder of a generator power, `active_gen` and `base_gen`
+        included.  The index is checked against m or n; power 0 is the
+        shared identity, any other int power of an int index is built
+        unchecked in O(m + n), and anything else goes through the checked
+        `element`.
         """
-        key = (level, j, power)
-        g = self._generators.get(key)
-        if g is not None:
-            return g
         m = self.m
-        if type(power) is not int or type(j) is not int or not 1 <= j <= (
-                m if level == 1 else self.n):
-            return self.active_gen(j, power) if level == 1 else self.base_gen(j, power)
+        active = level == 1
+        rank = m if active else self.n
+        if not 1 <= j <= rank:
+            raise PreconditionError(
+                f"{'active' if active else 'base'} generator index {j} out of range 1..{rank}")
+        if type(power) is not int or type(j) is not int:
+            if active:
+                return self.element(active=tuple(power if v == j - 1 else 0 for v in range(m)))
+            return self.element(base={j: LaurentPoly.constant(m, power)})
         if not power:
             return self._identity
         zeros = self._identity.base
-        if level == 1:
-            g = WreathElement._unchecked(self, (0,) * (j - 1) + (power,) + (0,) * (m - j), zeros)
-        else:
-            coordinate = LaurentPoly._unchecked(m, {(0,) * m: power})
-            g = WreathElement._unchecked(self, (0,) * m, zeros[:j - 1] + (coordinate,) + zeros[j:])
-        if power == 1 or power == -1:
-            self._generators[key] = g
-        return g
+        if active:
+            vector = (0,) * (j - 1) + (power,) + (0,) * (m - j)
+            return WreathElement._unchecked(self, vector, zeros)
+        coordinate = LaurentPoly._unchecked(m, {(0,) * m: power})
+        return WreathElement._unchecked(self, (0,) * m, zeros[:j - 1] + (coordinate,) + zeros[j:])
 
     # Literal and generator-word bridge used by the system and assignment formats.
     def read_element(self, tokens):
@@ -169,7 +166,7 @@ class WreathElement:
     def _check_spec(self, other):
         if not isinstance(other, WreathElement):
             raise SpecMismatchError(f"cannot combine WreathElement with {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise SpecMismatchError(f"group mismatch: {self.spec} vs {other.spec}")
 
     def __mul__(self, other):

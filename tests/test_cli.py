@@ -190,6 +190,33 @@ def test_output_past_the_digit_limit_is_a_precondition_failure(tmp_path, capsys)
     assert code == 0 and out
 
 
+def test_error_messages_past_the_digit_limit_name_it(tmp_path, capsys):
+    # Each error message below formats a value read or computed from input
+    # that is within the digit limit token by token: a coordinate C*C*a1
+    # with C the 4300-digit 99...9, and f(N) = N^2 + 1 of about 8000 digits
+    # for the 4000-digit N.  The value is replaced by a note naming the limit.
+    c = "9" * 4300
+    n = "9" * 4000
+    note = f"<not shown: it holds an integer of more than {sys.get_int_max_str_digits()} digits>"
+    point = f"{{ active: (0); b1: {c}*{c}*a1 }}"
+    flat = tmp_path / "x1.asg"
+    flat.write_text(f"x1 := {point}\n")
+    system = tmp_path / "sys.eqs"
+    system.write_text("# vars: x\nx = 1\n")
+    nested = tmp_path / "x.asg"
+    nested.write_text(f"x := {{ active: {{ active: (0); }}; [ {point} -> (1) ], "
+                      f"[ {point} -> (1) ] }}\n")
+    col = len("x := { active: { active: (0); }; [ ") + len(point) + len(" -> (1) ], [ ") + 1
+    for argv, code, message in (
+            (["extract", "--poly", "z1 - 2", "--ranks", "1,1", "--assignment", str(flat)], 3,
+             f"solution variable 'x1' is not a pure power of a1: {note}"),
+            (["witness", "--poly", "z1^2 + 1", "--ranks", "1,1", "--solution", n], 3,
+             f"not a root: f({n}) = {note}"),
+            (["verify", "--ranks", "1,1,1", "--system", str(system), "--assignment", str(nested)],
+             2, f"line 1, col {col}: repeated support point {note}")):
+        assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
 def test_malformed_integer_list_names_the_option(capsys):
     code, out, err = run(capsys, "witness", "--poly", "z1 - 2", "--ranks", "1,1",
                          "--solution", "2 3")

@@ -69,6 +69,18 @@ def test_evaluate_rejects_foreign_constants():
         evaluate(word, {}, S22)
 
 
+def test_equal_specs_that_are_distinct_objects_still_combine():
+    # Spec checks test identity first; an equal spec built separately must
+    # still pass them, at both element types and in `evaluate`.
+    for spec, twin in ((S22, GroupSpec(2, 2)), (IteratedSpec((1, 2, 1)), IteratedSpec((1, 2, 1)))):
+        assert twin is not spec and twin == spec
+        b, a = spec.base_gen(1), spec.generator(1, 1)
+        b_twin, a_twin = twin.base_gen(1), twin.generator(1, 1)
+        assert b * a_twin == b * a and b.commutator(a_twin) == b.commutator(a)
+        word = Commutator(Literal("x"), Constant(a_twin))
+        assert evaluate(word, {"x": b_twin}, spec) == b.commutator(a)
+
+
 def test_inverse_word_inverts_evaluation():
     rng = random.Random(17)
     for _ in range(50):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,24 @@ def test_iterated_spec_needs_three_ranks():
             IteratedSpec(ranks)
     with pytest.raises(PreconditionError):
         IteratedSpec((1, 0, 1))
+
+
+I2111 = IteratedSpec((2, 1, 1, 1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: I111.generator(4, 1), "generator level 4 out of range 1..3"),
+    (lambda: I111.generator(0, 1), "generator level 0 out of range 1..3"),
+    (lambda: I111.generator(3, 2), "base generator index 2 out of range 1..1"),
+    (lambda: I111.base_gen(1, 1.5), "vector (1.5,) invalid for rank 1"),
+    (lambda: I111.generator(3, 1, 1.5), "vector (1.5,) invalid for rank 1"),
+    (lambda: I2111.generator(1, 2), "active generator index 2 out of range 1..1"),
+    (lambda: I2111.generator(4, 3), "base generator index 3 out of range 1..2"),
+])
+def test_generator_errors_keep_their_class_and_message(build, message):
+    with pytest.raises(PreconditionError) as caught:
+        build()
+    assert caught.type is PreconditionError and str(caught.value) == message
 
 
 def test_spec_for_ranks_is_flat_for_two_ranks():
@@ -244,6 +263,8 @@ def test_repeated_support_point_rejected_by_constructor():
 S12 = GroupSpec(1, 2)
 A1 = S11.active_gen(1)
 A1_2 = S11.active_gen(1, 2)
+# A point whose coefficient has more digits than `str()` converts.
+HUGE = S11.base_gen(1, 10 ** 8600)
 
 
 def test_checked_constructor_gives_the_unchecked_normal_form():
@@ -275,6 +296,9 @@ def test_checked_constructor_gives_the_unchecked_normal_form():
      "support point belongs to GroupSpec(m=1, n=2), not GroupSpec(m=1, n=1)"),
     (S11.identity(), [(A1_2, (1,)), (A1_2, (1,)), (A1, (1,)), (A1, (0,))], PreconditionError,
      "support point { active: (1); } is repeated"),
+    (S11.identity(), [(HUGE, (1,)), (HUGE, (1,))], PreconditionError,
+     "support point <not shown: it holds an integer of more than "
+     f"{sys.get_int_max_str_digits()} digits> is repeated"),
 ])
 def test_nested_constructor_errors_keep_their_class_message_and_order(active, base, error,
                                                                       message):

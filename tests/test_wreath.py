@@ -106,31 +106,22 @@ def test_spec_mismatch_rejected():
         S11.identity() * S21.identity()
 
 
-def test_generators_and_their_inverses_are_built_once_per_spec():
-    spec = GroupSpec(m=2, n=3)
-    for level, j, make in ((1, 2, spec.active_gen), (2, 3, spec.base_gen)):
-        for power in (1, -1):
-            assert spec.generator(level, j, power) is spec.generator(level, j, power)
-            assert spec.generator(level, j, power) == make(j, power)
-        assert spec.generator(level, j, 5) == make(j, 5)
-        assert spec.generator(level, j, 5) is not spec.generator(level, j, 5)
-    assert set(spec._generators) == {(1, 2, 1), (1, 2, -1), (2, 3, 1), (2, 3, -1)}
-    # The cache is no part of the spec's value.
-    assert spec == GroupSpec(m=2, n=3) and hash(spec) == hash(GroupSpec(m=2, n=3))
-    with pytest.raises(PreconditionError):
-        spec.generator(2, 4)
-
-
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3),
        st.data())
 def test_generator_powers_equal_the_checked_generators(m, n, power, data):
     spec = GroupSpec(m=m, n=n)
     i, j = data.draw(st.integers(1, m)), data.draw(st.integers(1, n))
-    for g, expected in ((spec.generator(1, i, power), spec.active_gen(i, power)),
-                        (spec.generator(2, j, power), spec.base_gen(j, power))):
+    active = tuple(power if v == i - 1 else 0 for v in range(m))
+    for g, expected in ((spec.generator(1, i, power), spec.element(active=active)),
+                        (spec.generator(2, j, power),
+                         spec.element(base={j: LaurentPoly.constant(m, power)}))):
         assert g == expected and hash(g) == hash(expected)
         assert g.is_identity() is (power == 0)
         assert all(c for p in g.base for c in p.terms.values())
+    assert spec.active_gen(i, power) == spec.generator(1, i, power)
+    assert spec.base_gen(j, power) == spec.generator(2, j, power)
+    # Building generators leaves the spec's value alone.
+    assert spec == GroupSpec(m=m, n=n) and hash(spec) == hash(GroupSpec(m=m, n=n))
     for level, bad, message in ((1, m + 1, "active generator index"),
                                 (2, n + 1, "base generator index"), (1, 0, "active generator index")):
         with pytest.raises(PreconditionError, match=f"{message} {bad} out of range"):
@@ -388,6 +379,9 @@ def test_public_constructor_rejects_malformed_input():
     (lambda: S21.active_gen(0, 5), "active generator index 0 out of range 1..2"),
     (lambda: S21.generator(1, 3, -1), "active generator index 3 out of range 1..2"),
     (lambda: S21.base_gen(2), "base generator index 2 out of range 1..1"),
+    (lambda: S21.generator(1, 1, 1.5), "active vector (1.5, 0) invalid for rank 2"),
+    (lambda: S21.generator(2, 1, 1.5), "coefficient 1.5 is not an int"),
+    (lambda: S21.generator(2, 0), "base generator index 0 out of range 1..1"),
     (lambda: S21.element(base={2: LaurentPoly.zero(2)}), "base coordinate b2 out of range 1..1"),
     (lambda: S21.element(base={0: LaurentPoly.zero(2)}), "base coordinate b0 out of range 1..1"),
 ])
