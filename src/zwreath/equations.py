@@ -163,7 +163,7 @@ def evaluate(word, assignment, spec):
     costs O(log |exponent|)), each O(n * terms) in the flat group.  A
     commutator chain [w, f1, ..., fk] is one variadic `commutator` call: in
     the flat group one first bracket plus, per coordinate, O(k * cells) on
-    dense rows along one variable, else O(k * T) dict updates
+    a dense row along a1, else O(k * T) dict updates
     (`WreathElement.commutator`).
     """
     if isinstance(word, Literal):

@@ -1,8 +1,10 @@
-"""Sparse exact-integer Laurent polynomials and augmentation-ideal tools.
+"""Exact-integer Laurent polynomials and augmentation-ideal tools.
 
 Polynomials live in Z[a1, a1^-1, ..., am, am^-1], the integer group ring of a
 free abelian group of rank m written multiplicatively.  Coefficients are plain
-Python ints, so every operation is exact.  The augmentation ideal -- the
+Python ints, so every operation is exact.  A polynomial is held as a dense
+coefficient row along a1 or as a term dict, by one density rule (see
+`_DENSE_MIN_TERMS`).  The augmentation ideal -- the
 kernel of the sum-of-coefficients map, generated by a1-1, ..., am-1 -- induces
 the valuation computed by :func:`aug_valuation`; membership in its k-th power
 is decided exactly by :func:`delta_membership` and witnessed constructively by
@@ -14,15 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from operator import add, itemgetter, sub
+from operator import add, indexOf, itemgetter, neg, sub
 from types import MappingProxyType
 
 from .errors import PreconditionError, SpecMismatchError
 from .lexer import is_int, parse_whole
-
-# Exponent vectors are plain int tuples; the all-zero tuple is the identity
-# monomial.
-Monomial = tuple
 
 #: Valuation of the zero polynomial (compares above every integer).
 INFINITY = math.inf
@@ -78,32 +76,22 @@ def _shifted(terms, shift, sign=1):
     """A fresh term dict of sign * a^shift * terms; `sign` is 1 or -1.
 
     Shifting is a bijection on monomials, so no terms merge or cancel and
-    the copy is built in one pass: one dict comprehension over the terms,
-    whose keys at rank 1 are `(e + s,)`.  A `shift` of None or all zeros
-    copies the terms unshifted.
+    the copy is built in one pass: one dict comprehension over the terms.
+    A `shift` of None or all zeros copies the terms unshifted.
     """
     if shift is None or not any(shift):
         return dict(terms) if sign > 0 else {mono: -c for mono, c in terms.items()}
-    if len(shift) == 1:
-        s = shift[0]
-        if sign > 0:
-            return {(mono[0] + s,): c for mono, c in terms.items()}
-        return {(mono[0] + s,): -c for mono, c in terms.items()}
     if sign > 0:
         return {tuple(map(add, mono, shift)): c for mono, c in terms.items()}
     return {tuple(map(add, mono, shift)): -c for mono, c in terms.items()}
 
 
-def _add_shifted(out, terms, sign, shift=None):
-    """out += sign * a^shift * terms in place, dropping zeros.
+def _add_terms(out, terms, sign):
+    """out += sign * terms in place, dropping zeros; `sign` is 1 or -1.
 
-    `sign` is 1 or -1; `shift` None adds the terms unshifted.  Cost: one
-    `_shifted` comprehension when a shift is given, then one accumulation
-    loop over the terms, split by sign so that no term pays for a
-    multiplication; `terms` itself is never changed.
+    One accumulation loop over the terms, split by sign so that no term
+    pays for a multiplication; `terms` itself is never changed.
     """
-    if shift is not None:
-        terms = _shifted(terms, shift)
     get = out.get
     if sign > 0:
         for mono, c in terms.items():
@@ -121,155 +109,207 @@ def _add_shifted(out, terms, sign, shift=None):
                 del out[mono]
 
 
-def _fibre_rows(terms, v, lo, cap=None, extra=0):
-    """Nonzero `terms` laid out as dense rows along a_v, one row per a_v fibre.
+# The layout: a polynomial whose monomials all share their exponents past a1
+# (the *tail*) is held as a dense coefficient row along a1 when it has at
+# least _DENSE_MIN_TERMS terms and the row would be at least half full, and
+# any other polynomial as a term dict.  The layout is a function of the value
+# alone, so equal polynomials are held alike.  A row costs 8 bytes a cell,
+# against about 120 a dict term, and a factor a1^s - 1 on it is one C-level
+# `map(sub)`.  The floor of 32 is measured: on n ones, as a row against as a
+# dict (Python 3.11, a shared 2-core Xeon, min of 25 repeats), the cyclic
+# gadget's one-factor chain [@a1, .] took 1.0-1.3 times the dict's time at
+# n = 8, 0.6-0.7 at 16 and 0.4-0.6 at 32, and `delta_decompose` 0.3-0.6
+# throughout.  A sum of two rows is the one kernel that does not gain, as
+# `map(add)` costs about what the dict loop does a cell and the row's fixed
+# costs come on top: 1.4-2.0 times at n = 8 to 24, 1.3 at 32, 1.0-1.2 at 64.
+# From 32 the chains, where the reduction spends its time, run in about half
+# the time, and a sum pays at most 1.3 times.
+_DENSE_MIN_TERMS = 32
 
-    A fibre is the set of terms whose exponents agree off a_v; it is keyed
-    by the exponents before and after a_v, `(mono[:v], mono[v + 1:])`, and
-    its row holds at index e - lo the coefficient of its monomial of
-    a_v-exponent e, up to the fibre's largest e.  `lo` is at most every
-    a_v-exponent.  With a `cap`, returns None instead once the rows, each
-    counted `extra` cells longer, would hold more than `cap` cells, before
-    any longer row is allocated.  One pass over the terms, O(T + cells) for
-    T terms; at rank 1 the one row is read off the terms by C-level
-    lookups, one per cell.
+
+def _dense_row(terms):
+    """`(lo, tail, coefficients)` of a normal-form term dict of at least
+    `_DENSE_MIN_TERMS` terms that the density rule holds as a row, else
+    None: the coefficient of a1^(lo + i) * a^tail is at index i.  One C-level
+    min and max, a set of the tails at rank > 1, and one lookup per cell:
+    O(T) for T terms.
     """
-    # At rank 1 the general loop's two tuple slices per term cost about what
-    # the rows save in `_times_differences` (measured on roots-large, Z wr Z).
-    if len(next(iter(terms))) == 1:
-        hi = max(terms)[0]
-        if cap is not None and hi - lo + 1 + extra > cap:
-            return None
-        return {((), ()): list(map(terms.get, zip(range(lo, hi + 1)), itertools.repeat(0)))}
-    rows = {}
-    cells = 0
-    for mono, c in terms.items():
-        key = (mono[:v], mono[v + 1:])
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = []
-            cells += extra
-        i = mono[v] - lo
-        if len(row) <= i:
-            cells += i + 1 - len(row)
-            if cap is not None and cells > cap:
-                return None
-            row.extend([0] * (i + 1 - len(row)))
-        row[i] = c
-    return rows
-
-
-def _row_terms(rows, lo):
-    """The term dict of `_fibre_rows` rows whose index 0 is a_v-exponent
-    `lo`, zero cells dropped: one comprehension over the cells, and at
-    rank 1 one C-level filter of (exponent, coefficient) pairs."""
-    if len(rows) == 1 and ((), ()) in rows:
-        return dict(filter(itemgetter(1), zip(zip(itertools.count(lo)), rows[(), ()])))
-    return {pre + (e,) + post: c for (pre, post), row in rows.items()
-            for e, c in enumerate(row, lo) if c}
-
-
-# Laying a coordinate out as rows and reading it back costs about two dict
-# passes over its terms, and a factor on rows about a fifth of the two passes
-# it takes on dicts.  So rows pay from two factors on, once the terms are
-# enough to outweigh the rows' fixed cost of some twenty dict operations.
-_ROW_MIN_TERMS = 32
-
-
-def _times_differences(terms, shifts, sign=1):
-    """A fresh term dict of sign * terms * prod_j (a^shifts[j] - 1).
-
-    `shifts` holds k >= 1 exponent vectors and `sign` is 1 or -1; a zero
-    shift makes the product zero.  With k >= 2 factors and at least
-    `_ROW_MIN_TERMS` terms, `_differences_on_rows` takes the product on
-    dense rows where they are at least half full: O(k * cells), so O(k * T)
-    for T terms.  Otherwise each factor is a shifted copy and one
-    accumulation loop over the current terms: O(k * T') dict updates for T'
-    the largest intermediate term count.  A sparse operand such as
-    a1^100000000 + 1 takes the dict path and never allocates a long row.
-    """
-    if len(shifts) > 1 and len(terms) >= _ROW_MIN_TERMS:
-        out = _differences_on_rows(terms, shifts, sign)
-        if out is not None:
-            return out
-    out = terms
-    for shift in shifts:
-        nxt = _shifted(out, shift, sign)
-        _add_shifted(nxt, out, -sign)
-        out, sign = nxt, 1
-    return out
-
-
-def _differences_on_rows(terms, shifts, sign):
-    """`_times_differences` on `_fibre_rows` rows, or None.
-
-    None unless every nonzero shift moves one and the same variable a_v
-    and the rows, each grown by the cells the shifts add, are at least half
-    full: at most 2 * T cells for T terms, checked before any row is
-    allocated.  Then each factor a_v^s - 1 is one `map(sub, ...)` over each
-    row (a zero shift zeroes them), and the rows are read back once:
-    O(k * cells).
-    """
-    axes = {i for shift in shifts for i, e in enumerate(shift) if e}
-    if len(axes) != 1:
+    (lo, *tail), hi = min(terms), max(terms)[0]
+    if hi - lo >= 2 * len(terms) or tail and len(
+            set(map(itemgetter(slice(1, None)), terms))) > 1:
         return None
-    (v,) = axes
-    steps = [shift[v] for shift in shifts]
-    lo = min(terms)[0] if v == 0 else min(mono[v] for mono in terms)
-    rows = _fibre_rows(terms, v, lo, 2 * len(terms), sum(map(abs, steps)))
-    if rows is None:
-        return None
-    for step in steps:
-        pad = [0] * abs(step)
-        # a_v^s P - P: for s > 0 the copy P moves up; for s < 0 it moves
-        # down and the rows start |s| lower.  The first step swaps its
-        # operands to take the sign.
-        for key, row in rows.items():
-            shifted, kept = (pad + row, row + pad) if step > 0 else (row + pad, pad + row)
-            if sign < 0:
-                shifted, kept = kept, shifted
-            rows[key] = list(map(sub, shifted, kept))
-        if step < 0:
-            lo += step
-        sign = 1
-    return _row_terms(rows, lo)
+    cells = zip(range(lo, hi + 1), *map(itertools.repeat, tail))
+    return lo, tuple(tail), list(map(terms.get, cells, itertools.repeat(0)))
+
+
+def _row_dict(lo, tail, coeffs):
+    """The term dict of the row `(lo, tail, coeffs)`, zero cells dropped.
+
+    C-level iterators pick the exponents and coefficients of the nonzero
+    cells, so a zero cell costs a test and no allocation: O(cells) tests and
+    O(terms) tuples."""
+    exponents = itertools.compress(itertools.count(lo), coeffs)
+    return dict(zip(zip(exponents, *map(itertools.repeat, tail)), filter(None, coeffs)))
+
+
+def _new(rank, terms, row, p=None):
+    """A polynomial held as the term dict `terms` or as `row`, the other
+    None; no checks.  `p`, if given, is the instance to fill."""
+    p = object.__new__(LaurentPoly) if p is None else p
+    _set_rank(p, rank)
+    _set_terms(p, terms)
+    _set_row(p, row)
+    return p
+
+
+def _from_row(rank, lo, tail, coeffs):
+    """The polynomial with coefficient coeffs[i] at a1^(lo + i) * a^tail, held by the density rule.
+
+    `coeffs` may hold zeros anywhere.  When the rule keeps a row, the row
+    is a trimmed copy of it.  One C-level count of the zeros, then the copy
+    or one `_row_dict`: O(cells).
+    """
+    n = len(coeffs) - coeffs.count(0)
+    if n >= _DENSE_MIN_TERMS:
+        start = coeffs.index(next(filter(None, coeffs)))
+        stop = len(coeffs) - indexOf(reversed(coeffs), next(filter(None, reversed(coeffs))))
+        if stop - start <= 2 * n:
+            return _new(rank, None, (lo + start, tail, coeffs[start:stop]))
+    return _new(rank, _row_dict(lo, tail, coeffs), None)
+
+
+def _terms_of(p):
+    """p's term dict: its own, never to be changed, or a fresh one built from its row."""
+    return p._terms if p._row is None else _row_dict(*p._row)
+
+
+def _shift(p, shift, sign=1):
+    """sign * a^shift * p; `sign` is 1 or -1, and a `shift` of None moves nothing.
+
+    A shift moves no term onto another, so the layout is kept.  A row moves
+    its `lo` and tail and shares its list, negated by one `map(neg)` for
+    sign -1: O(1), or O(cells).  A dict is one `_shifted` comprehension, O(T).
+    """
+    if p._row is None:
+        return _new(p.rank, _shifted(p._terms, shift, sign), None)
+    lo, tail, coeffs = p._row
+    if shift is not None:
+        lo, tail = lo + shift[0], tuple(map(add, tail, shift[1:]))
+    return _new(p.rank, None, (lo, tail, coeffs if sign > 0 else list(map(neg, coeffs))))
+
+
+def _sum(p, q, sign=1, shift=None):
+    """p + sign * a^shift * q; `sign` is 1 or -1, and a `shift` of None moves nothing.
+
+    A zero operand costs at most a `_shift`.  Two rows with one tail whose
+    spans overlap or meet are aligned and added by one `map(add)` or
+    `map(sub)`: O(cells), and no cell is made beyond the two rows' lengths.
+    Otherwise p's terms are accumulated into a moved copy of q's: one
+    comprehension and one loop, O(|p| + |q|) dict operations.  The result is
+    held by the density rule.
+    """
+    shift = shift if shift is not None and any(shift) else None
+    if q.is_zero():
+        return p
+    if p.is_zero():
+        return q if sign > 0 and shift is None else _shift(q, shift, sign)
+    pr, qr = p._row, q._row
+    if pr is not None and qr is not None:
+        if shift is not None:
+            qr = (qr[0] + shift[0], tuple(map(add, qr[1], shift[1:])), qr[2])
+        lo = min(pr[0], qr[0])
+        width = max(pr[0] + len(pr[2]), qr[0] + len(qr[2])) - lo
+        if pr[1] == qr[1] and width <= len(pr[2]) + len(qr[2]):
+            cells = map(add if sign > 0 else sub, _aligned(pr, lo, width), _aligned(qr, lo, width))
+            return _from_row(p.rank, lo, pr[1], list(cells))
+    out = _shifted(_terms_of(q), shift, sign)
+    _add_terms(out, _terms_of(p), 1)
+    return LaurentPoly._unchecked(p.rank, out)
+
+
+def _aligned(row, lo, width):
+    """The coefficients of `row` on the `width` cells from a1^lo, zeros around them."""
+    start, _, coeffs = row
+    return [0] * (start - lo) + coeffs + [0] * (lo + width - start - len(coeffs))
+
+
+def _times_differences(p, shifts, sign=1):
+    """sign * p * prod_j (a^shifts[j] - 1); `sign` is 1 or -1.
+
+    `shifts` holds k >= 1 exponent vectors; a zero shift makes the product
+    zero.  On a row, when every shift moves a1 alone and their sizes sum to
+    at most the row's length, each factor a1^s - 1 is one `map(sub)` of the
+    list against itself moved |s| cells: O(k * cells), with no term dict
+    built until the result, held by the density rule, is few enough terms
+    for one.  Otherwise each factor is a shifted copy and one accumulation
+    loop over the current terms: O(k * T') dict updates for T' the largest
+    intermediate term count.  A sparse polynomial such as a1^100000000 + 1
+    is a dict, so no long list is ever allocated for it.  On a row a sign of
+    -1 negates the result, O(terms) or O(cells) more; on a dict it is taken
+    by the first factor.
+    """
+    row = p._row
+    if p.is_zero():
+        return p
+    if (row is not None and not any(e for shift in shifts for e in shift[1:])
+            and sum(abs(shift[0]) for shift in shifts) <= len(row[2])):
+        lo, tail, coeffs = row
+        for s, *_ in shifts:
+            # a1^s P - P: for s > 0 the copy P moves up; for s < 0 it moves
+            # down and the row starts |s| lower.
+            pad = [0] * abs(s)
+            cells = map(sub, pad + coeffs, coeffs + pad) if s > 0 else map(
+                sub, coeffs + pad, pad + coeffs)
+            coeffs = list(cells)
+            lo += min(s, 0)
+        out = _from_row(p.rank, lo, tail, coeffs)
+    else:
+        terms = _terms_of(p)
+        for shift in shifts:
+            nxt = _shifted(terms, shift, sign)
+            _add_terms(nxt, terms, -sign)
+            terms, sign = nxt, 1
+        out = LaurentPoly._unchecked(p.rank, terms)
+    return out if sign > 0 else _shift(out, None, -1)
 
 
 class LaurentPoly:
     """A finitely supported integer combination of monomials a^gamma.
 
     Instances are immutable; `terms` maps exponent vectors of length `rank`
-    to nonzero int coefficients.  Two polynomials are equal iff they have the
-    same rank and the same term mapping.  The hash is computed on first use
-    and kept.
+    to nonzero int coefficients.  Internally the polynomial is `_terms`, a
+    term dict, or `_row`, a dense row `(lo, tail, coefficients)` along a1,
+    the other None, as the density rule picks (`_DENSE_MIN_TERMS`); no list
+    or dict is written once it is held.  Two polynomials are equal iff they
+    have the same rank and the same terms, and so the same layout.  The hash
+    is computed on first use and kept.
     """
 
-    __slots__ = ("rank", "_terms", "_hash")
+    __slots__ = ("rank", "_terms", "_row", "_hash")
 
     def __init__(self, rank, terms=None):
         _check_rank(rank)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_terms", _normal_terms(terms, rank, "rank {}"))
+        LaurentPoly._unchecked(rank, _normal_terms(terms, rank, "rank {}"), self)
 
     @classmethod
-    def _unchecked(cls, rank, terms):
+    def _unchecked(cls, rank, terms, p=None):
         """Results built from valid operands: no checks, no copy.
 
         `terms` must already be in normal form -- exponent tuples of length
-        `rank` mapped to nonzero ints -- and belongs to the new polynomial.
+        `rank` mapped to nonzero ints -- and belongs to the new polynomial,
+        which holds it, or its row, by the density rule.  `__init__` passes
+        its instance as `p`.
         """
-        p = object.__new__(cls)
-        object.__setattr__(p, "rank", rank)
-        object.__setattr__(p, "_terms", terms)
-        return p
+        row = _dense_row(terms) if len(terms) >= _DENSE_MIN_TERMS else None
+        return _new(rank, None if row else terms, row, p)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @property
     def terms(self):
-        """Read-only view of the term mapping."""
-        return MappingProxyType(self._terms)
+        """Read-only view of the term mapping; built afresh, O(cells), from a row."""
+        return MappingProxyType(_terms_of(self))
 
     # -- constructors ------------------------------------------------------
 
@@ -311,39 +351,38 @@ class LaurentPoly:
         return None
 
     def __add__(self, other):
-        """Sum in O(|p| + |q|) dict operations."""
+        """Sum by `_sum`: O(cells) on two rows, else O(|p| + |q|) dict operations."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        _add_shifted(out, other._terms, 1)
-        return LaurentPoly._unchecked(self.rank, out)
+        return _sum(self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._unchecked(self.rank, {m: -c for m, c in self._terms.items()})
+        return _shift(self, None, -1)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _sum(other, self, -1)
 
     def __mul__(self, other):
-        """Product in O(|p| * |q|) coefficient products."""
+        """Product in O(|p| * |q|) coefficient products, on the term dicts."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        right = _terms_of(other).items()
+        for m1, c1 in _terms_of(self).items():
+            for m2, c2 in right:
                 mono = tuple(map(add, m1, m2))
                 s = out.get(mono, 0) + c1 * c2
                 if s:
@@ -360,50 +399,65 @@ class LaurentPoly:
         return binary_power(self, exponent, LaurentPoly.one(self.rank))
 
     def times_monomial(self, exponents):
-        """Multiply by the unit monomial a^exponents, in O(terms)."""
+        """Multiply by the unit monomial a^exponents: O(1) on a row, O(terms) on a dict."""
         shift = tuple(exponents)
         if len(shift) != self.rank:
             raise SpecMismatchError(f"monomial shift {shift!r} invalid for rank {self.rank}")
         if not all(isinstance(e, int) for e in shift):
             raise PreconditionError(f"exponent vector {shift!r} invalid for rank {self.rank}")
-        return LaurentPoly._unchecked(self.rank, _shifted(self._terms, shift))
+        return _shift(self, shift)
 
     # -- comparisons / hashing --------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return not self._terms
-            return self._terms == {(0,) * self.rank: other}
+            return self.is_zero() if other == 0 else self._terms == {(0,) * self.rank: other}
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.rank == other.rank and self._terms == other._terms
+        return (self.rank == other.rank and self._terms == other._terms
+                and self._row == other._row)
 
     def __hash__(self):
         """O(T) on the first call, then O(1): the value is kept in `_hash`."""
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.rank, frozenset(self._terms.items())))
+            row = self._row
+            h = hash((self.rank, frozenset(self._terms.items()) if row is None
+                      else (row[0], row[1], tuple(row[2]))))
             object.__setattr__(self, "_hash", h)
             return h
 
     def __bool__(self):
-        return bool(self._terms)
+        return not self.is_zero()
 
     def is_zero(self):
-        return not self._terms
+        return not self._terms and self._row is None
 
     def sort_key(self):
         """Deterministic total-order key (deglex-descending term list)."""
-        return tuple((m, self._terms[m]) for m in _ordered_monomials(self._terms))
+        terms = _terms_of(self)
+        return tuple((m, terms[m]) for m in _ordered_monomials(terms))
 
     def __str__(self):
         """Canonical text form: terms in degree-lexicographic descending order."""
-        return terms_str(self._terms, "a")
+        if self._row is None or any(self._row[1]):
+            return terms_str(_terms_of(self), "a")
+        lo, _, coeffs = self._row
+        exponents = range(lo + len(coeffs) - 1, lo - 1, -1)
+        pairs = filter(itemgetter(1), zip(exponents, reversed(coeffs)))
+        # Written 4096 terms at a time, so that a long row never has the
+        # strings of all its terms alive at once (about 70 bytes a term).
+        blocks = iter(lambda: _power_terms_str(itertools.islice(pairs, 4096), "a1"), "")
+        return _signed(" ".join(blocks))
 
     def __repr__(self):
         return f"LaurentPoly({self.rank}, {str(self)!r})"
+
+
+# The slots' own setters, which `_new` calls past `__setattr__`.
+_set_rank, _set_terms, _set_row = (LaurentPoly.__dict__[name].__set__
+                                   for name in ("rank", "_terms", "_row"))
 
 
 # -- augmentation-ideal machinery -----------------------------------------
@@ -433,17 +487,6 @@ def _shift_variables(terms, delta):
     return out
 
 
-def _cleared_terms(p):
-    """Shift exponents so the componentwise minimum is zero.
-
-    Returns (terms, mins) with p = a^mins * terms; multiplying by the unit
-    a^-mins does not change membership in powers of the augmentation ideal.
-    """
-    mins = tuple(min(m[i] for m in p._terms) for i in range(p.rank))
-    terms = {tuple(e - lo for e, lo in zip(m, mins)): c for m, c in p._terms.items()}
-    return terms, mins
-
-
 def aug_valuation(p):
     """Largest k with p in the k-th power of the augmentation ideal.
 
@@ -459,9 +502,10 @@ def aug_valuation(p):
     """
     if p.is_zero():
         return INFINITY
-    terms, _ = _cleared_terms(p)
-    expanded = _shift_variables(terms, 1)
-    return min(sum(m) for m in expanded)
+    terms = _terms_of(p)
+    mins = [min(m[i] for m in terms) for i in range(p.rank)]
+    cleared = {tuple(map(sub, m, mins)): c for m, c in terms.items()}
+    return min(sum(m) for m in _shift_variables(cleared, 1))
 
 
 def delta_membership(p, k):
@@ -483,6 +527,53 @@ def delta_generator_product(beta, rank):
     return result
 
 
+def _fibre_segments(terms, v):
+    """`terms` as fibres along a_v, each a list of `(start, cells)` segments.
+
+    A fibre is the set of terms whose exponents agree off a_v, keyed by the
+    exponents before and after a_v, `(mono[:v], mono[v + 1:])`.  A fibre at
+    least half full over its a_v-span is one dense segment, as the density
+    rule would hold it; any other fibre is one single-cell segment per term,
+    in ascending order of a_v-exponent, so a sparse polynomial takes no more
+    cells than terms.  One pass, then per fibre one dense layout or one
+    sort: O(T log T) for T terms.
+    """
+    fibres = {}
+    for mono, c in terms.items():
+        fibres.setdefault((mono[:v], mono[v + 1:]), {})[mono[v]] = c
+    for key, cells in fibres.items():
+        lo, hi = min(cells), max(cells)
+        fibres[key] = ([(lo, list(map(cells.get, range(lo, hi + 1), itertools.repeat(0))))]
+                       if hi - lo < 2 * len(cells) else [(e, [cells[e]]) for e in sorted(cells)])
+    return fibres
+
+
+def _split_step(segments):
+    """One step D of the split on one fibre: (the fibre's coefficient sum, D P's segments).
+
+    D P holds at a_v^i the sum of P's coefficients at exponents above i.  So
+    on each segment it is the segment's suffix sums, shifted down one cell,
+    and across each gap up to the next segment it is the constant sum of
+    everything above the gap: a gap of nonzero sum is filled and joins its
+    two segments into one, and a gap of zero sum stays empty.  Below the
+    lowest segment it is the whole sum, left to the caller.  One C-level
+    `accumulate` per segment: O(cells + filled gaps).
+    """
+    runs = []  # [start, lists from the top down] of D P, from the top down
+    above = 0
+    for start, cells in reversed(segments):
+        sums = list(itertools.accumulate(reversed(cells), initial=above))
+        if above and runs:
+            runs[-1][1] += ([above] * (runs[-1][0] - start - len(cells)), sums[-2::-1])
+            runs[-1][0] = start
+        else:
+            runs.append([start, [sums[-2::-1]]])
+        above = sums[-1]
+    return above, [(start, parts[0] if len(parts) == 1 else
+                    list(itertools.chain.from_iterable(reversed(parts))))
+                   for start, parts in reversed(runs)]
+
+
 def delta_decompose(p, k):
     """Write p as a combination of degree-k generator products.
 
@@ -493,13 +584,13 @@ def delta_decompose(p, k):
 
     Algorithm: clear the denominator monomial a^mins, the componentwise
     least exponents, and split by exact synthetic division along the last
-    variable a_v.  The clearing costs nothing: each split lays its terms out
-    as `_fibre_rows` rows whose index 0 is a_v^mins_v, and each quotient
-    is emitted with the unit a^mins multiplied back on, in the
-    comprehension that builds it (`_row_terms`).  With
+    variable a_v.  The clearing costs nothing: each split holds its fibres
+    as segments of cells at their own exponents (`_fibre_segments`), places
+    each restriction at a_v^mins_v, and emits each quotient with the unit
+    a^mins multiplied back on.  With
     D_v P = (P - P|_{a_v=1}) / (a_v - 1), which on each a_v fibre (the
     terms that agree off a_v) is the suffix sum of the fibre's
-    coefficients,
+    coefficients (`_split_step`),
 
         P = sum_{j<r} (a_v - 1)^j (D_v^j P)|_{a_v=1} + (a_v - 1)^r D_v^r P
 
@@ -508,7 +599,10 @@ def delta_decompose(p, k):
     free of a_v, is split the same way along the earlier variables with
     r - j and beta_v = j.  On the first variable nothing is left to take the
     missing degree, so a nonzero restriction there proves p is not in the
-    k-th power: the split is its own membership test.
+    k-th power: the split is its own membership test.  A row is free of
+    a_2..a_m, so each split along them passes it on whole: its one split is
+    along a1, on its own list, and its quotient for (k, 0, ..., 0) is a row
+    again by the density rule.
 
     The split is the lexicographically least one.  In y_i = a_i - 1 the part
     of P of y_v-degree j < r is exactly y_v^j (D_v^j P)|_{y_v=0}, and the
@@ -517,51 +611,70 @@ def delta_decompose(p, k):
     (filled from the last variable) -- the split a full y-expansion bucketed
     by that beta gives -- without expanding anything.
 
-    Cost, in integer additions and no multiplications: a D_v step costs at
-    most E additions per fibre of a_v-span E, and a split takes at most k
-    steps.  A split's restrictions have at most one term per fibre, so no
-    split sees more terms, or a wider span, than the cleared p; and each
-    split ends in its own block (0, ..., 0, r, beta_{v+1}, ..., beta_m), so
-    at most C(k+m-1, m-1) splits run.  That bounds the work by
+    Cost, in integer additions and no multiplications: a D_v step costs one
+    addition per cell of the fibre's segments, and fills only the gaps
+    where D_v P is nonzero, so a step makes no more cells than its input and
+    its output hold; a split takes at most k steps.  On a row that is
+    O(k * E) C-level additions for a1-span E, with no term dict built; a
+    dict of T terms costs O(T log T) more to lay out.  A split's
+    restrictions have at most one term per fibre, so no split sees more
+    terms, or a wider span, than the cleared p; and each split ends in its
+    own block (0, ..., 0, r, beta_{v+1}, ..., beta_m), so at most
+    C(k+m-1, m-1) splits run.  That bounds the work by
     C(k+m-1, m-1) * k * T * (E + 1) additions for T terms of largest span E,
-    and by k * E at rank 1, where the y-expansion took about
-    prod_i (gamma_i + 1) binomial products per term.
+    where the y-expansion took about prod_i (gamma_i + 1) binomial products
+    per term.
     """
     if not isinstance(k, int) or k < 1:
         raise PreconditionError(f"ideal power must be a positive int, got {k!r}")
     if p.is_zero():
         return {}
     rank = p.rank
-    mins = [min(p._terms)[0]] + [min(mono[i] for mono in p._terms) for i in range(1, rank)]
+    if p._row is not None:
+        lo, tail, coeffs = p._row
+        mins, fibres, v = [lo], {((), tail): [(lo, coeffs)]}, 0
+    else:
+        terms = p._terms
+        mins = [min(terms)[0]] + [min(mono[i] for mono in terms) for i in range(1, rank)]
+        # Of one tail past a1, p would pass whole through the splits along
+        # a_m..a_2, as a row does: its one split is along a1.
+        v = 0 if len(set(map(itemgetter(slice(1, None)), terms))) == 1 else rank - 1
+        fibres = _fibre_segments(terms, v)
+    # Each pending split: (fibres along a_v of terms whose a_{v+1}..a_m
+    # exponents are the minima, v, degree r to place, beta_{v+1}..beta_m).
+    pending = [(fibres, v, k, (0,) * (rank - 1 - v))]
     out = {}
-    # Each pending split: (terms whose a_{v+1}..a_m exponents are the
-    # minima, v, degree r to place, beta_{v+1}..beta_m already fixed).
-    pending = [(p._terms, rank - 1, k, ())]
     while pending:
-        terms, v, r, beta_tail = pending.pop()
+        fibres, v, r, beta_tail = pending.pop()
         lo = mins[v]
-        fibres = _fibre_rows(terms, v, lo)
         for j in range(r):
-            restriction = {}
-            shifted = {}
-            for (pre, post), row in fibres.items():
-                sums = list(itertools.accumulate(reversed(row)))
-                if sums[-1]:
-                    restriction[pre + (lo,) + post] = sums[-1]
-                if len(sums) > 1:
-                    shifted[pre, post] = sums[-2::-1]
-            fibres = shifted
-            if not restriction:
-                continue
-            if v == 0:
-                raise PreconditionError(
-                    f"polynomial has augmentation valuation {aug_valuation(p)}, "
-                    f"not in ideal power {k}")
-            pending.append((restriction, v - 1, r - j, (j,) + beta_tail))
-        quotient = _row_terms(fibres, lo)
+            restriction, stepped = {}, {}
+            for (pre, post), segments in fibres.items():
+                total, segments = _split_step(segments)
+                if total:
+                    if v == 0:
+                        raise PreconditionError(
+                            f"polynomial has augmentation valuation {aug_valuation(p)}, "
+                            f"not in ideal power {k}")
+                    restriction[pre + (lo,) + post] = total
+                    start, cells = segments[0]
+                    segments[0] = (lo, [total] * (start - lo) + cells)
+                if any(any(cells) for _, cells in segments):
+                    stepped[pre, post] = segments
+            fibres = stepped
+            if restriction:
+                pending.append((_fibre_segments(restriction, v - 1), v - 1, r - j,
+                                (j,) + beta_tail))
+        if v == 0 and len(fibres) == 1 and len(next(iter(fibres.values()))) == 1:
+            (((), post), [(start, cells)]), = fibres.items()
+            quotient = _from_row(rank, start, post, cells)
+        else:
+            quotient = LaurentPoly._unchecked(rank, {
+                pre + (e,) + post: c for (pre, post), segments in fibres.items()
+                for start, cells in segments for e, c in enumerate(cells, start) if c})
         if quotient:
             out[(0,) * v + (r,) + beta_tail] = quotient
-    return {beta: LaurentPoly._unchecked(rank, out[beta]) for beta in sorted(out)}
+    return {beta: out[beta] for beta in sorted(out)}
 
 
 def geom_series(gamma, rank=1):
@@ -569,17 +682,14 @@ def geom_series(gamma, rank=1):
 
     Explicitly sum(a1^j for 0 <= j < gamma) for gamma > 0, zero for
     gamma = 0, and -sum(a1^-j for 1 <= j <= |gamma|) for gamma < 0: |gamma|
-    terms, built in O(|gamma|) time.
+    terms.  Full and free of a_2..a_m, s is a row by the density rule from
+    32 terms on, built as `[1] * gamma` (or `[-1] * |gamma|`) in O(|gamma|)
+    C-level time and 8 bytes a term; below that, a dict of |gamma| terms.
     """
     if not isinstance(gamma, int):
         raise PreconditionError(f"exponent must be an int, got {gamma!r}")
     _check_rank(rank)
-    tail = (0,) * (rank - 1)
-    if gamma > 0:
-        terms = {(j,) + tail: 1 for j in range(gamma)}
-    else:
-        terms = {(-j,) + tail: -1 for j in range(1, -gamma + 1)}
-    return LaurentPoly._unchecked(rank, terms)
+    return _from_row(rank, min(gamma, 0), (0,) * (rank - 1), [1 if gamma > 0 else -1] * abs(gamma))
 
 
 # -- text form -------------------------------------------------------------
@@ -603,23 +713,34 @@ def terms_str(terms, letter):
     rank = len(next(iter(terms)))
     rest = (0,) * (rank - 1)
     if rank == 1 or all(mono[1:] == rest for mono in terms):
-        var = f"{letter}1"
-        pieces = []
-        for mono in sorted(terms, reverse=True):
-            e, coeff = mono[0], terms[mono]
-            sign = "+"
-            if coeff < 0:
-                sign, coeff = "-", -coeff
-            if not e:
-                pieces.append(f"{sign} {coeff}")
-            elif coeff == 1:
-                pieces.append(f"{sign} {var}" if e == 1 else f"{sign} {var}^{e}")
-            else:
-                pieces.append(f"{sign} {coeff}*{var}" if e == 1 else f"{sign} {coeff}*{var}^{e}")
-        text = " ".join(pieces)
-        # The first term takes no `+ `, and its `- ` closes up to `-`.
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+        monos = sorted(terms, reverse=True)
+        pairs = zip(map(itemgetter(0), monos), map(terms.__getitem__, monos))
+        return _signed(_power_terms_str(pairs, f"{letter}1"))
     return _deglex_terms_str(terms, letter)
+
+
+def _power_terms_str(pairs, var):
+    """The terms of nonzero (exponent, coefficient) pairs of powers of `var`,
+    exponents descending, each with its `+ ` or `- `, joined by spaces: one
+    string per term, O(T)."""
+    pieces = []
+    for e, coeff in pairs:
+        sign = "+"
+        if coeff < 0:
+            sign, coeff = "-", -coeff
+        if not e:
+            pieces.append(f"{sign} {coeff}")
+        elif coeff == 1:
+            pieces.append(f"{sign} {var}" if e == 1 else f"{sign} {var}^{e}")
+        else:
+            pieces.append(f"{sign} {coeff}*{var}" if e == 1 else f"{sign} {coeff}*{var}^{e}")
+    return " ".join(pieces)
+
+
+def _signed(text):
+    """`_power_terms_str` text as `terms_str` writes it: the first term takes
+    no `+ `, and its `- ` closes up to `-`."""
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _deglex_terms_str(terms, letter):

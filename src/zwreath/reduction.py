@@ -238,8 +238,9 @@ class Reduction:
         closed-form commutator per chain, O(k * T) dict updates for k
         factors (`WreathElement.commutator`).  dp_y_1
         takes the quotients of y's coordinates by (a1-1)^(d+1) from
-        `delta_decompose`: O(m * T + d * E) additions on a coordinate of T
-        terms and a1-span E, free of a2..am.
+        `delta_decompose`: O(T log T + d * E) additions on a coordinate of
+        T terms and a1-span E, free of a2..am; the quotient is a dense row
+        along a1 once it has 32 terms or more.
         """
         spec = self._flat_spec()
         f = self.poly

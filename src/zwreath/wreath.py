@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import PreconditionError, SpecMismatchError
-from .laurent import (LaurentPoly, _add_shifted, _canonical_terms, _shifted, _times_differences,
+from .laurent import (LaurentPoly, _canonical_terms, _shift, _sum, _terms_of, _times_differences,
                       binary_power, delta_membership, read_poly)
 from .lexer import is_name, parse_whole
 
@@ -70,11 +70,14 @@ class GroupSpec:
         """Generator j of `level` raised to `power`: level 1 is a_j, level 2 is b_j.
 
         The one builder of a generator power, `active_gen` and `base_gen`
-        included.  The index is checked against m or n; power 0 is the
-        shared identity, any other int power of an int index is built
-        unchecked in O(m + n), and anything else goes through the checked
-        `element`.
+        included.  Any other level is refused, as `interp.IteratedSpec`
+        refuses one outside its levels.  The index is checked against m or
+        n; power 0 is the shared identity, any other int power of an int
+        index is built unchecked in O(m + n), and anything else goes through
+        the checked `element`.
         """
+        if level != 1 and level != 2:
+            raise PreconditionError(f"generator level {level} out of range 1..2")
         m = self.m
         active = level == 1
         rank = m if active else self.n
@@ -105,7 +108,7 @@ class GroupSpec:
     def generator_word(self, g):
         """`@a<i>^e` or `@b<j>^e` when g is a nonzero power of one generator, else None."""
         if not any(g.active):
-            nonzero = [(j, p._terms) for j, p in enumerate(g.base) if p._terms]
+            nonzero = [(j, _terms_of(p)) for j, p in enumerate(g.base) if p]
             if len(nonzero) == 1:
                 j, terms = nonzero[0]
                 c = terms.get((0,) * self.m)
@@ -170,23 +173,29 @@ class WreathElement:
             raise SpecMismatchError(f"group mismatch: {self.spec} vs {other.spec}")
 
     def __mul__(self, other):
-        """(alpha, p)(beta, q) = (alpha + beta, p*a^beta + q), in O(n * terms)."""
+        """(alpha, p)(beta, q) = (alpha + beta, p*a^beta + q): one `laurent._sum` per coordinate.
+
+        Two rows of one tail that overlap or meet, p's moved by beta, add by
+        one C-level `map(add)`, O(cells); any other pair takes O(|p| + |q|)
+        dict operations.  A coordinate is a row when it has at least 32 terms,
+        shares its exponents past a1 and fills at least half its a1-span
+        (`laurent._DENSE_MIN_TERMS`).
+        """
         self._check_spec(other)
-        m = self.spec.m
         shift = other.active
         active = tuple(map(add, self.active, shift))
-        base = []
-        for p, q in zip(self.base, other.base):
-            out = _shifted(p._terms, shift)
-            _add_shifted(out, q._terms, 1)
-            base.append(LaurentPoly._unchecked(m, out))
-        return WreathElement._unchecked(self.spec, active, tuple(base))
+        base = tuple(map(_sum, other.base, self.base, itertools.repeat(1),
+                         itertools.repeat(shift)))
+        return WreathElement._unchecked(self.spec, active, base)
 
     def inverse(self):
-        """(alpha, p)^-1 = (-alpha, -p*a^-alpha), in O(n * terms)."""
-        m = self.spec.m
+        """(alpha, p)^-1 = (-alpha, -p*a^-alpha): one `laurent._shift` per coordinate.
+
+        A row keeps its layout, moved and negated by one `map(neg)`, O(cells);
+        a dict is one comprehension over its terms, O(terms).
+        """
         neg = tuple(-x for x in self.active)
-        base = tuple(LaurentPoly._unchecked(m, _shifted(p._terms, neg, -1)) for p in self.base)
+        base = tuple(map(_shift, self.base, itertools.repeat(neg), itertools.repeat(-1)))
         return WreathElement._unchecked(self.spec, neg, base)
 
     def commutator(self, other, *more):
@@ -207,13 +216,15 @@ class WreathElement:
         bracket times prod_{j>=2} (a^beta_j - 1), one
         `laurent._times_differences` call; when only one side of the first
         bracket moves, its a^beta - 1 (or -(a^alpha - 1)) joins the same
-        call.  No intermediate element or polynomial is built.
+        call.  No intermediate element is built.
 
-        Cost per coordinate: when both sides move, the first bracket is two
-        shifted copies and three accumulation loops, O(terms).  Then the
-        k - 1 (or k) factors cost O(k * cells) on dense rows along one
-        variable, else O(k * T) dict updates for T the largest intermediate
-        term count (`_times_differences`).
+        Cost per coordinate, for k factors: on a row (at least 32 terms, one
+        tail past a1, at least half full) whose factors all move a1, each
+        factor is one C-level `map(sub)`, O(k * cells), and only the result,
+        if it has few terms, becomes a dict; on a dict, each factor is a
+        shifted copy and one accumulation loop, O(k * T) dict updates for T
+        the largest intermediate term count.  When both sides of the first
+        bracket move, it is two such factors and one `laurent._sum`.
         """
         self._check_spec(other)
         later = []
@@ -228,17 +239,14 @@ class WreathElement:
         base = []
         for p, q in zip(self.base, other.base):
             if move_p and move_q:
-                out = _shifted(p._terms, beta)
-                _add_shifted(out, p._terms, -1)
-                _add_shifted(out, q._terms, -1, alpha)
-                _add_shifted(out, q._terms, 1)
+                out = _sum(_times_differences(p, [beta]), _times_differences(q, [alpha]), -1)
                 if later:
                     out = _times_differences(out, later)
             elif move_p:
-                out = _times_differences(p._terms, [beta] + later)
+                out = _times_differences(p, [beta] + later)
             else:
-                out = _times_differences(q._terms, [alpha] + later, -1)
-            base.append(LaurentPoly._unchecked(spec.m, out))
+                out = _times_differences(q, [alpha] + later, -1)
+            base.append(out)
         return WreathElement._unchecked(spec, (0,) * spec.m, tuple(base))
 
     __pow__ = group_power

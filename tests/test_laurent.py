@@ -8,9 +8,8 @@ from hypothesis import given, strategies as st
 
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath import laurent
-from zwreath.laurent import (INFINITY, LaurentPoly, _add_shifted, _deglex_terms_str, _shifted,
-                             _times_differences,
-                             aug_valuation, delta_decompose,
+from zwreath.laurent import (INFINITY, LaurentPoly, _add_terms, _deglex_terms_str, _shifted,
+                             _times_differences, aug_valuation, delta_decompose,
                              delta_generator_product, delta_membership,
                              geom_series, parse_poly, terms_str)
 
@@ -419,7 +418,7 @@ def test_valuation_unit_invariance(p, shift):
 
 @st.composite
 def kernel_case(draw):
-    """(rank, out, terms, sign, shift) for `_shifted` and `_add_shifted`.
+    """(rank, out, terms, sign, shift) for `_shifted` and `_add_terms`.
 
     Ranks 1-4, with a rank-1 case of 300 terms; shifts None, all zero or
     not; signs 1 and -1.  `out` is empty, random, or exactly minus the
@@ -431,7 +430,7 @@ def kernel_case(draw):
         exponents = rng.sample(range(-1000, 1000), 300)
         terms = {(e,): rng.choice((-1, 1)) * rng.randint(1, 10**6) for e in exponents}
     else:
-        terms = draw(poly_strategy(rank))._terms
+        terms = dict(draw(poly_strategy(rank)).terms)
     shift = draw(st.one_of(st.none(), st.just((0,) * rank),
                            st.tuples(*([st.integers(-5, 5)] * rank))))
     sign = draw(st.sampled_from((1, -1)))
@@ -439,9 +438,9 @@ def kernel_case(draw):
     if kind == "empty":
         out = {}
     elif kind == "random":
-        out = dict(draw(poly_strategy(rank))._terms)
+        out = dict(draw(poly_strategy(rank)).terms)
     else:
-        out = _reference_shifted(rank, terms, shift, -sign)._terms
+        out = dict(_reference_shifted(rank, terms, shift, -sign).terms)
     return rank, out, terms, sign, shift
 
 
@@ -459,22 +458,35 @@ def test_kernels_match_the_per_term_reference(case):
     shifted = _reference_shifted(rank, terms, shift, sign)
 
     copy = _shifted(terms, shift, sign)
-    assert copy == shifted._terms
+    assert copy == shifted.terms
     assert copy is not terms
 
-    _add_shifted(out, terms, sign, shift)
-    assert out == (LaurentPoly(rank, out_before) + shifted)._terms
+    _add_terms(out, _shifted(terms, shift), sign)
+    assert out == (LaurentPoly(rank, out_before) + shifted).terms
     assert terms == terms_before
 
 
-@given(poly_strategy(2), poly_strategy(2), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
-def test_operations_neither_change_nor_return_their_operands_terms(p, q, shift):
-    before = (dict(p._terms), dict(q._terms))
+def _dense(lo, length, tail=()):
+    """A row-sized polynomial: `length` cells from a1^lo, times a^tail, every
+    seventh cell zero."""
+    return LaurentPoly(1 + len(tail), {(e,) + tail: e % 7 - 3 for e in range(lo, lo + length)})
+
+
+@given(poly_strategy(2), poly_strategy(2), st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       st.booleans())
+def test_operations_neither_change_nor_return_their_operands_terms(p, q, shift, row):
+    # Kernels fill only dicts they made: no result holds an operand's term
+    # dict unless it is that operand, and every operand keeps its terms.
+    # Rows are never written at all, so a result may share an operand's list.
+    if row:
+        p = p + _dense(-40, 50, (1,))
+    before = (dict(p.terms), dict(q.terms))
     results = [p + q, q + p, p - q, p + 0, p - 0, -p, p.times_monomial(shift),
-               p.times_monomial((0, 0))]
+               p.times_monomial((0, 0)), p * q]
     for r in results:
-        assert r._terms is not p._terms and r._terms is not q._terms
-    assert (p._terms, q._terms) == before
+        for operand in (p, q):
+            assert r is operand or r._terms is None or r._terms is not operand._terms
+    assert (dict(p.terms), dict(q.terms)) == before
 
 
 # -- products of differences a^s - 1 ----------------------------------------------
@@ -482,83 +494,79 @@ def test_operations_neither_change_nor_return_their_operands_terms(p, q, shift):
 
 @st.composite
 def differences_case(draw):
-    """(rank, terms, shifts, sign) for `_times_differences`.
+    """(p, shifts, sign) for `_times_differences`.
 
-    Ranks 1-3; terms a dense run along one variable in one to three
-    fibres (short, or long enough for rows), or a few random terms; one to
-    five shifts, all moving that variable alone (positive or negative), or
-    each of them that, any small vector, or zero.  The choices come from a
-    seeded `random.Random`, so that about a quarter of the cases take rows.
+    Ranks 1-3; p a dense run along a1 (short, or long enough to be a row)
+    with one tail past a1, the same run with a second tail (a dict), or a
+    few random terms; one to five shifts, all moving a1 alone (positive or
+    negative), or each of them that, any small vector, or zero.  The choices
+    come from a seeded `random.Random`, so that about a third of the cases
+    take rows.
     """
     rank = draw(st.integers(1, 3))
     rng = draw(st.randoms(use_true_random=False))
-    v = rng.randrange(rank)
     terms = {}
     if rng.random() < 2 / 3:
         start = rng.randint(-20, 20)
         length = rng.randint(32, 80) if rng.random() < 2 / 3 else rng.randint(1, 10)
-        for _ in range(rng.randint(1, 3)):
-            rest = [rng.randint(-2, 2) for _ in range(rank)]
+        for _ in range(rng.choice((1, 1, 2))):
+            rest = tuple(rng.randint(-2, 2) for _ in range(rank - 1))
             for e in range(start, start + length):
-                rest[v] = e
-                terms[tuple(rest)] = rng.randint(-5, 5) if rng.random() < 0.9 else 0
+                terms[(e,) + rest] = rng.randint(-5, 5) if rng.random() < 0.9 else 0
     else:
-        terms = dict(draw(poly_strategy(rank))._terms)
-    terms = {mono: c for mono, c in terms.items() if c}
+        terms = dict(draw(poly_strategy(rank)).terms)
     one_variable = rng.random() < 2 / 3
 
     def shift():
-        kind = "v" if one_variable else rng.choice(("v", "any", "zero"))
-        if kind == "v":
-            return tuple(rng.choice((-3, -2, -1, 1, 2, 3)) if i == v else 0 for i in range(rank))
+        kind = "a1" if one_variable else rng.choice(("a1", "any", "zero"))
+        if kind == "a1":
+            return (rng.choice((-3, -2, -1, 1, 2, 3)),) + (0,) * (rank - 1)
         if kind == "zero":
             return (0,) * rank
         return tuple(rng.randint(-2, 2) for _ in range(rank))
 
     shifts = [shift() for _ in range(rng.randint(1, 5))]
-    return rank, terms, shifts, rng.choice((1, -1))
+    return LaurentPoly(rank, terms), shifts, rng.choice((1, -1))
 
 
 @given(differences_case())
 def test_times_differences_matches_the_ring_product(case):
-    rank, terms, shifts, sign = case
-    before = dict(terms)
-    expected = LaurentPoly(rank, terms) * sign
+    p, shifts, sign = case
+    before = dict(p.terms)
+    expected = p * sign
     for shift in shifts:
-        expected = expected * (LaurentPoly.monomial(rank, shift) - 1)
-    out = _times_differences(terms, shifts, sign)
-    assert out == expected._terms and out is not terms
-    assert terms == before
+        expected = expected * (LaurentPoly.monomial(p.rank, shift) - 1)
+    out = _times_differences(p, shifts, sign)
+    assert out == expected and dict(out.terms) == dict(expected.terms)
+    assert str(out) == str(expected) and hash(out) == hash(expected)
+    assert dict(p.terms) == before
 
 
-def test_times_differences_on_dense_rows_builds_no_shifted_copy(monkeypatch):
+def test_times_differences_on_rows_builds_no_term_dict(monkeypatch):
     def refuse(*args):
         raise AssertionError("dict path taken")
 
-    monkeypatch.setattr(laurent, "_shifted", refuse)
-    dense = {(e,): e % 7 - 3 for e in range(-50, 50) if e % 7 != 3}
+    dense, tailed = _dense(-50, 100), _dense(-50, 100, (2, -1))
     product = P("1", 1)
     for s in (1, 1, -2, 1):
         product = product * (LaurentPoly.monomial(1, (s,)) - 1)
-    assert _times_differences(dense, [(1,), (1,), (-2,), (1,)], -1) == (
-        LaurentPoly(1, dense) * product * -1)._terms
-    fibres = {(e, f): 1 + e + f for e in range(4) for f in range(-30, 30)}
-    assert _times_differences(fibres, [(0, 2), (0, -1)]) == (
-        LaurentPoly(2, fibres) * P("a2^2 - 1", 2) * P("a2^-1 - 1", 2))._terms
+    expected = dense * product * -1, tailed * P("a1^2 - 1", 3) * P("a1^-3 - 1", 3)
+    monkeypatch.setattr(laurent, "_shifted", refuse)
+    monkeypatch.setattr(laurent, "_row_dict", refuse)
+    assert _times_differences(dense, [(1,), (1,), (-2,), (1,)], -1) == expected[0]
+    assert _times_differences(tailed, [(2, 0, 0), (-3, 0, 0)]) == expected[1]
+    assert all(p._row is not None for p in (dense, tailed) + expected)
 
 
-def test_times_differences_keeps_sparse_terms_off_rows(monkeypatch):
-    calls = []
-    rows = laurent._fibre_rows
-    monkeypatch.setattr(laurent, "_fibre_rows",
-                        lambda *args: calls.append(rows(*args)) or calls[-1])
-    sparse = {(i * 10**4,): 1 + i for i in range(40)}
-    assert _times_differences(sparse, [(1,), (1,)]) == (
-        LaurentPoly(1, sparse) * P("a1 - 1", 1) ** 2)._terms
-    wide = {(i * 10**4, i % 2): 2 for i in range(40)}
-    assert _times_differences(wide, [(-1, 0), (2, 0)]) == (
-        LaurentPoly(2, wide) * P("a1^-1 - 1", 2) * P("a1^2 - 1", 2))._terms
-    assert calls == [None, None]
+def test_times_differences_leaves_rows_when_a_factor_would_not_stay_on_them():
+    # A factor along a2, or shifts longer than the row, take the dict path
+    # and give the ring product all the same.
+    tailed = _dense(0, 40, (0,))
+    for shifts in ([(0, 1)], [(1, 1)], [(41, 0)], [(20, 0), (-21, 0)]):
+        expected = tailed
+        for shift in shifts:
+            expected = expected * (LaurentPoly.monomial(2, shift) - 1)
+        assert _times_differences(tailed, shifts) == expected
 
 
 def test_hash_is_kept_and_equal_polynomials_hash_equal():

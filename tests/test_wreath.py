@@ -382,6 +382,10 @@ def test_public_constructor_rejects_malformed_input():
     (lambda: S21.generator(1, 1, 1.5), "active vector (1.5, 0) invalid for rank 2"),
     (lambda: S21.generator(2, 1, 1.5), "coefficient 1.5 is not an int"),
     (lambda: S21.generator(2, 0), "base generator index 0 out of range 1..1"),
+    (lambda: GroupSpec(1, 1).generator(0, 1), "generator level 0 out of range 1..2"),
+    (lambda: GroupSpec(1, 1).generator(7, 1, 2), "generator level 7 out of range 1..2"),
+    (lambda: GroupSpec(1, 1).generator(3, 1), "generator level 3 out of range 1..2"),
+    (lambda: GroupSpec(1, 1).generator("x", 1), "generator level x out of range 1..2"),
     (lambda: S21.element(base={2: LaurentPoly.zero(2)}), "base coordinate b2 out of range 1..1"),
     (lambda: S21.element(base={0: LaurentPoly.zero(2)}), "base coordinate b0 out of range 1..1"),
 ])
