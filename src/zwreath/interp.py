@@ -43,7 +43,7 @@ from . import reduction as _reduction
 from .equations import Commutator, Constant, Concat, Power, System
 from .errors import ParseError, PreconditionError, SpecMismatchError, shown
 from .lexer import parse_whole
-from .wreath import GroupSpec, group_power, power_word, read_vector
+from .wreath import GroupSpec, _compares_with_int, group_power, power_word, read_vector
 
 
 # Longest rank list accepted.  Element literals nest once per rank and the
@@ -141,12 +141,13 @@ class IteratedSpec:
         this group's own base is level `len(ranks)`, and its generator is
         one support point at the inner identity, O(m_k).  A generator of a
         level below is built by the group of that level and embedded under
-        one wrapper, so building costs O(1) in the depth.
+        one wrapper, so building costs O(1) in the depth.  A level or index
+        that does not compare with ints is out of range.
         """
         depth = len(self.ranks)
         if level == depth:
             width = self.ranks[0]
-            if not 1 <= j <= width:
+            if not (_compares_with_int(j) and 1 <= j <= width):
                 raise PreconditionError(f"base generator index {j} out of range 1..{width}")
             vec = tuple(power if v == j - 1 else 0 for v in range(width))
             if not isinstance(power, int):
@@ -154,7 +155,7 @@ class IteratedSpec:
             # One support point needs no sorting, so no checked constructor.
             identity = self._inner.identity()
             return NestedElement._unchecked(self, identity, {identity: vec})
-        if not 1 <= level < depth:
+        if not (_compares_with_int(level) and 1 <= level < depth):
             raise PreconditionError(f"generator level {level} out of range 1..{depth}")
         # Levels 1 and 2 are both generated by the flat group.
         below = max(level, 2)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from operator import add, indexOf, itemgetter, neg, sub
+from operator import add, indexOf, itemgetter, sub
 from types import MappingProxyType
 
 from .errors import PreconditionError, SpecMismatchError
@@ -118,12 +118,13 @@ def _add_terms(out, terms, sign):
 # `map(sub)`.  The floor of 32 is measured: on n ones, as a row against as a
 # dict (Python 3.11, a shared 2-core Xeon, min of 25 repeats), the cyclic
 # gadget's one-factor chain [@a1, .] took 1.0-1.3 times the dict's time at
-# n = 8, 0.6-0.7 at 16 and 0.4-0.6 at 32, and `delta_decompose` 0.3-0.6
-# throughout.  A sum of two rows is the one kernel that does not gain, as
-# `map(add)` costs about what the dict loop does a cell and the row's fixed
-# costs come on top: 1.4-2.0 times at n = 8 to 24, 1.3 at 32, 1.0-1.2 at 64.
-# From 32 the chains, where the reduction spends its time, run in about half
-# the time, and a sum pays at most 1.3 times.
+# n = 8, 0.6-0.7 at 16 and 0.4-0.6 at 32; from 32 the chains, where the
+# reduction spends its time, run in about half the time.  Sums, shifts and
+# the input of `delta_decompose` read a row as its term dict.  A row sum by
+# `map(add)` cost about what the dict loop does a cell, with the row's fixed
+# costs on top (1.4-2.0 times the dict's time at n = 8 to 24, 1.3 at 32,
+# 1.0-1.2 at 64), so it gained nothing, and no workload sums or shifts a
+# row or decomposes one.
 _DENSE_MIN_TERMS = 32
 
 
@@ -186,51 +187,28 @@ def _terms_of(p):
 def _shift(p, shift, sign=1):
     """sign * a^shift * p; `sign` is 1 or -1, and a `shift` of None moves nothing.
 
-    A shift moves no term onto another, so the layout is kept.  A row moves
-    its `lo` and tail and shares its list, negated by one `map(neg)` for
-    sign -1: O(1), or O(cells).  A dict is one `_shifted` comprehension, O(T).
+    One `_shifted` comprehension over p's terms, O(T), or O(cells) from a
+    row, whose result is held by the density rule.
     """
-    if p._row is None:
-        return _new(p.rank, _shifted(p._terms, shift, sign), None)
-    lo, tail, coeffs = p._row
-    if shift is not None:
-        lo, tail = lo + shift[0], tuple(map(add, tail, shift[1:]))
-    return _new(p.rank, None, (lo, tail, coeffs if sign > 0 else list(map(neg, coeffs))))
+    return LaurentPoly._unchecked(p.rank, _shifted(_terms_of(p), shift, sign))
 
 
 def _sum(p, q, sign=1, shift=None):
     """p + sign * a^shift * q; `sign` is 1 or -1, and a `shift` of None moves nothing.
 
-    A zero operand costs at most a `_shift`.  Two rows with one tail whose
-    spans overlap or meet are aligned and added by one `map(add)` or
-    `map(sub)`: O(cells), and no cell is made beyond the two rows' lengths.
-    Otherwise p's terms are accumulated into a moved copy of q's: one
-    comprehension and one loop, O(|p| + |q|) dict operations.  The result is
-    held by the density rule.
+    A zero operand costs at most a `_shift`.  Otherwise p's terms are
+    accumulated into a moved copy of q's: one comprehension and one loop,
+    O(|p| + |q|) dict operations, each row read as its term dict first.
+    The result is held by the density rule.
     """
     shift = shift if shift is not None and any(shift) else None
     if q.is_zero():
         return p
     if p.is_zero():
         return q if sign > 0 and shift is None else _shift(q, shift, sign)
-    pr, qr = p._row, q._row
-    if pr is not None and qr is not None:
-        if shift is not None:
-            qr = (qr[0] + shift[0], tuple(map(add, qr[1], shift[1:])), qr[2])
-        lo = min(pr[0], qr[0])
-        width = max(pr[0] + len(pr[2]), qr[0] + len(qr[2])) - lo
-        if pr[1] == qr[1] and width <= len(pr[2]) + len(qr[2]):
-            cells = map(add if sign > 0 else sub, _aligned(pr, lo, width), _aligned(qr, lo, width))
-            return _from_row(p.rank, lo, pr[1], list(cells))
     out = _shifted(_terms_of(q), shift, sign)
     _add_terms(out, _terms_of(p), 1)
     return LaurentPoly._unchecked(p.rank, out)
-
-
-def _aligned(row, lo, width):
-    """The coefficients of `row` on the `width` cells from a1^lo, zeros around them."""
-    start, _, coeffs = row
-    return [0] * (start - lo) + coeffs + [0] * (lo + width - start - len(coeffs))
 
 
 def _times_differences(p, shifts, sign=1):
@@ -244,9 +222,8 @@ def _times_differences(p, shifts, sign=1):
     for one.  Otherwise each factor is a shifted copy and one accumulation
     loop over the current terms: O(k * T') dict updates for T' the largest
     intermediate term count.  A sparse polynomial such as a1^100000000 + 1
-    is a dict, so no long list is ever allocated for it.  On a row a sign of
-    -1 negates the result, O(terms) or O(cells) more; on a dict it is taken
-    by the first factor.
+    is a dict, so no long list is ever allocated for it.  On either layout
+    the first factor takes the sign, at no extra cost.
     """
     row = p._row
     if p.is_zero():
@@ -255,22 +232,19 @@ def _times_differences(p, shifts, sign=1):
             and sum(abs(shift[0]) for shift in shifts) <= len(row[2])):
         lo, tail, coeffs = row
         for s, *_ in shifts:
-            # a1^s P - P: for s > 0 the copy P moves up; for s < 0 it moves
-            # down and the row starts |s| lower.
+            # sign * (a1^s P - P): for s > 0 the copy a1^s P moves up; for
+            # s < 0 it moves down and the row starts |s| lower.
             pad = [0] * abs(s)
-            cells = map(sub, pad + coeffs, coeffs + pad) if s > 0 else map(
-                sub, coeffs + pad, pad + coeffs)
-            coeffs = list(cells)
-            lo += min(s, 0)
-        out = _from_row(p.rank, lo, tail, coeffs)
-    else:
-        terms = _terms_of(p)
-        for shift in shifts:
-            nxt = _shifted(terms, shift, sign)
-            _add_terms(nxt, terms, -sign)
-            terms, sign = nxt, 1
-        out = LaurentPoly._unchecked(p.rank, terms)
-    return out if sign > 0 else _shift(out, None, -1)
+            moved, kept = (pad + coeffs, coeffs + pad) if s > 0 else (coeffs + pad, pad + coeffs)
+            coeffs = list(map(sub, moved, kept) if sign > 0 else map(sub, kept, moved))
+            lo, sign = lo + min(s, 0), 1
+        return _from_row(p.rank, lo, tail, coeffs)
+    terms = _terms_of(p)
+    for shift in shifts:
+        nxt = _shifted(terms, shift, sign)
+        _add_terms(nxt, terms, -sign)
+        terms, sign = nxt, 1
+    return LaurentPoly._unchecked(p.rank, terms)
 
 
 class LaurentPoly:
@@ -351,7 +325,7 @@ class LaurentPoly:
         return None
 
     def __add__(self, other):
-        """Sum by `_sum`: O(cells) on two rows, else O(|p| + |q|) dict operations."""
+        """Sum by `_sum`: O(|p| + |q|) dict operations."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -399,7 +373,7 @@ class LaurentPoly:
         return binary_power(self, exponent, LaurentPoly.one(self.rank))
 
     def times_monomial(self, exponents):
-        """Multiply by the unit monomial a^exponents: O(1) on a row, O(terms) on a dict."""
+        """Multiply by the unit monomial a^exponents: one `_shift`, O(terms)."""
         shift = tuple(exponents)
         if len(shift) != self.rank:
             raise SpecMismatchError(f"monomial shift {shift!r} invalid for rank {self.rank}")
@@ -599,10 +573,10 @@ def delta_decompose(p, k):
     free of a_v, is split the same way along the earlier variables with
     r - j and beta_v = j.  On the first variable nothing is left to take the
     missing degree, so a nonzero restriction there proves p is not in the
-    k-th power: the split is its own membership test.  A row is free of
-    a_2..a_m, so each split along them passes it on whole: its one split is
-    along a1, on its own list, and its quotient for (k, 0, ..., 0) is a row
-    again by the density rule.
+    k-th power: the split is its own membership test.  A polynomial of one
+    tail past a1, a row among them, passes whole through the splits along
+    a_m..a_2, so its one split is along a1, and its quotient for
+    (k, 0, ..., 0) is a row when the density rule holds it as one.
 
     The split is the lexicographically least one.  In y_i = a_i - 1 the part
     of P of y_v-degree j < r is exactly y_v^j (D_v^j P)|_{y_v=0}, and the
@@ -614,9 +588,9 @@ def delta_decompose(p, k):
     Cost, in integer additions and no multiplications: a D_v step costs one
     addition per cell of the fibre's segments, and fills only the gaps
     where D_v P is nonzero, so a step makes no more cells than its input and
-    its output hold; a split takes at most k steps.  On a row that is
-    O(k * E) C-level additions for a1-span E, with no term dict built; a
-    dict of T terms costs O(T log T) more to lay out.  A split's
+    its output hold; a split takes at most k steps.  On a dense fibre of
+    a1-span E that is O(k * E) C-level additions; laying out T terms costs
+    O(T log T) more, and O(T) for a row.  A split's
     restrictions have at most one term per fibre, so no split sees more
     terms, or a wider span, than the cleared p; and each split ends in its
     own block (0, ..., 0, r, beta_{v+1}, ..., beta_m), so at most
@@ -630,16 +604,12 @@ def delta_decompose(p, k):
     if p.is_zero():
         return {}
     rank = p.rank
-    if p._row is not None:
-        lo, tail, coeffs = p._row
-        mins, fibres, v = [lo], {((), tail): [(lo, coeffs)]}, 0
-    else:
-        terms = p._terms
-        mins = [min(terms)[0]] + [min(mono[i] for mono in terms) for i in range(1, rank)]
-        # Of one tail past a1, p would pass whole through the splits along
-        # a_m..a_2, as a row does: its one split is along a1.
-        v = 0 if len(set(map(itemgetter(slice(1, None)), terms))) == 1 else rank - 1
-        fibres = _fibre_segments(terms, v)
+    terms = _terms_of(p)
+    mins = [min(terms)[0]] + [min(mono[i] for mono in terms) for i in range(1, rank)]
+    # Of one tail past a1, p would pass whole through the splits along
+    # a_m..a_2: its one split is along a1.
+    v = 0 if len(set(map(itemgetter(slice(1, None)), terms))) == 1 else rank - 1
+    fibres = _fibre_segments(terms, v)
     # Each pending split: (fibres along a_v of terms whose a_{v+1}..a_m
     # exponents are the minima, v, degree r to place, beta_{v+1}..beta_m).
     pending = [(fibres, v, k, (0,) * (rank - 1 - v))]
@@ -764,32 +734,33 @@ def _deglex_terms_str(terms, letter):
     return " ".join(pieces)
 
 
-# The terms of `terms_str`'s text over `a`, one match each: the first term's
-# glued `-` or a single-spaced ` + `/` - `, then an optional
-# `<coefficient>*` and either a power of `a1` alone, whose exponent has its
-# own group, or any `*`-product of variable powers; or a coefficient alone.
-# Any other character is a match of the last group, which makes the text not
-# canonical.  `[0-9]` matches the ASCII digits alone, as the token grammar does.
+# The terms of `terms_str`'s text over `a` when every monomial is a power of
+# `a1` alone, one match each: the first term's glued `-` or a single-spaced
+# ` + `/` - `, then an optional `<coefficient>*` and a power of `a1`, whose
+# exponent has its own group, or a coefficient alone.  Any other character,
+# another variable among them, is a match of the last group, which makes the
+# text not canonical here.  `[0-9]` matches the ASCII digits alone, as the
+# token grammar does.
 _CANONICAL_TERMS = re.compile(r"""
     (\A-?|\ [+-]\ )
-    (?: (?:([0-9]+)\*)?
-        (?: a1(?:\^(-?[0-9]+))?(?![*^0-9])
-          | (a[0-9]+(?:\^-?[0-9]+)?(?:\*a[0-9]+(?:\^-?[0-9]+)?)*) )
+    (?: (?:([0-9]+)\*)? a1(?:\^(-?[0-9]+))?(?![*^0-9])
       | ([0-9]+) )
   | (.)
 """, re.VERBOSE | re.DOTALL)
 
 
 def _canonical_terms(text, rank):
-    """The terms of `text` if it is a rank-`rank` polynomial as `terms_str` writes it, else None.
+    """The terms of `text` if it is a rank-`rank` polynomial in a1 alone as
+    `terms_str` writes it, else None.
 
     A second reader of the text `str(LaurentPoly)` writes, for the
-    assignment fast path.  It returns None, leaving the text to `read_poly`,
-    wherever it is not certain of the same value: other spacing, a leading
-    `+`, a zero coefficient, a repeated monomial, a variable repeated or out
-    of order within a term or out of range, and an integer too long for
-    `int()`.  Cost: one C-level `findall` pass over the text, then one tuple
-    of strings per term, O(len(text)), with no per-token work.
+    assignment fast path; every coordinate of a witness is a polynomial in
+    a1 alone.  It returns None, leaving the text to `read_poly`, wherever
+    it is not certain of the same value: other spacing, a leading `+`, a
+    zero coefficient, a repeated monomial, any variable but a1, and an
+    integer too long for `int()`.  Cost: one C-level `findall` pass over the
+    text, then one tuple of strings per term, O(len(text)), with no
+    per-token work.
     """
     found = _CANONICAL_TERMS.findall(text)
     if not found or found[0][0][:1] == " ":  # the first term must start the text
@@ -798,40 +769,20 @@ def _canonical_terms(text, rank):
     tail = zero[1:]
     terms = {}
     try:
-        for sign, coeff, expo, powers, constant, other in found:
+        for sign, coeff, expo, constant, other in found:
             if other:
                 return None
             if constant:
                 coeff, key = int(constant), zero
             else:
                 coeff = int(coeff) if coeff else 1
-                if powers:
-                    key = _canonical_monomial(powers, rank)
-                    if key is None:
-                        return None
-                else:
-                    key = (int(expo) if expo else 1,) + tail
+                key = (int(expo) if expo else 1,) + tail
             if not coeff or key in terms:
                 return None
             terms[key] = -coeff if "-" in sign else coeff
     except ValueError:  # an integer of more digits than `int()` converts
         return None
     return terms
-
-
-def _canonical_monomial(powers, rank):
-    """The exponent vector of the product `a<i>^<e>*...` of `powers`, or None
-    unless the indices increase and stay within `rank`."""
-    vector = [0] * rank
-    last = 0
-    for power in powers.split("*"):
-        index, _, expo = power[1:].partition("^")
-        index = int(index)
-        if not last < index <= rank:
-            return None
-        vector[index - 1] = int(expo) if expo else 1
-        last = index
-    return tuple(vector)
 
 
 def parse_poly(text, rank):

@@ -22,6 +22,16 @@ from .laurent import (LaurentPoly, _canonical_terms, _shift, _sum, _terms_of, _t
 from .lexer import is_name, parse_whole
 
 
+def _compares_with_int(value):
+    """True unless ordering `value` against an int raises TypeError, as a
+    str or None does; such a level or index is out of every range."""
+    try:
+        value < 0
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Ambient group Z^n wr Z^m: `m` active generators, `n` base generators."""
@@ -72,16 +82,17 @@ class GroupSpec:
         The one builder of a generator power, `active_gen` and `base_gen`
         included.  Any other level is refused, as `interp.IteratedSpec`
         refuses one outside its levels.  The index is checked against m or
-        n; power 0 is the shared identity, any other int power of an int
-        index is built unchecked in O(m + n), and anything else goes through
-        the checked `element`.
+        n, and one that does not compare with ints is out of range; power 0
+        is the shared identity, any other int power of an int index is built
+        unchecked in O(m + n), and anything else goes through the checked
+        `element`.
         """
         if level != 1 and level != 2:
             raise PreconditionError(f"generator level {level} out of range 1..2")
         m = self.m
         active = level == 1
         rank = m if active else self.n
-        if not 1 <= j <= rank:
+        if not (_compares_with_int(j) and 1 <= j <= rank):
             raise PreconditionError(
                 f"{'active' if active else 'base'} generator index {j} out of range 1..{rank}")
         if type(power) is not int or type(j) is not int:
@@ -175,10 +186,8 @@ class WreathElement:
     def __mul__(self, other):
         """(alpha, p)(beta, q) = (alpha + beta, p*a^beta + q): one `laurent._sum` per coordinate.
 
-        Two rows of one tail that overlap or meet, p's moved by beta, add by
-        one C-level `map(add)`, O(cells); any other pair takes O(|p| + |q|)
-        dict operations.  A coordinate is a row when it has at least 32 terms,
-        shares its exponents past a1 and fills at least half its a1-span
+        Each pair of coordinates takes O(|p| + |q|) dict operations, a row
+        read as its term dict; the sum is held by the density rule
         (`laurent._DENSE_MIN_TERMS`).
         """
         self._check_spec(other)
@@ -191,8 +200,8 @@ class WreathElement:
     def inverse(self):
         """(alpha, p)^-1 = (-alpha, -p*a^-alpha): one `laurent._shift` per coordinate.
 
-        A row keeps its layout, moved and negated by one `map(neg)`, O(cells);
-        a dict is one comprehension over its terms, O(terms).
+        Each coordinate is one comprehension over its terms, O(terms), a row
+        read as its term dict; the result is held by the density rule.
         """
         neg = tuple(-x for x in self.active)
         base = tuple(map(_shift, self.base, itertools.repeat(neg), itertools.repeat(-1)))
@@ -224,7 +233,8 @@ class WreathElement:
         if it has few terms, becomes a dict; on a dict, each factor is a
         shifted copy and one accumulation loop, O(k * T) dict updates for T
         the largest intermediate term count.  When both sides of the first
-        bracket move, it is two such factors and one `laurent._sum`.
+        bracket move, it is two such factors and one `laurent._sum`, which
+        works on term dicts, O(|p| + |q|).
         """
         self._check_spec(other)
         later = []

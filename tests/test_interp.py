@@ -75,6 +75,12 @@ I2111 = IteratedSpec((2, 1, 1, 1))
     (lambda: I111.generator(3, 1, 1.5), "vector (1.5,) invalid for rank 1"),
     (lambda: I2111.generator(1, 2), "active generator index 2 out of range 1..1"),
     (lambda: I2111.generator(4, 3), "base generator index 3 out of range 1..2"),
+    # A level or index that does not compare with ints is out of range.
+    (lambda: I111.generator("x", 1), "generator level x out of range 1..3"),
+    (lambda: I111.generator(None, 1), "generator level None out of range 1..3"),
+    (lambda: I111.generator(3, "x"), "base generator index x out of range 1..1"),
+    (lambda: I111.generator(1, "x"), "active generator index x out of range 1..1"),
+    (lambda: I2111.generator(2, None), "base generator index None out of range 1..1"),
 ])
 def test_generator_errors_keep_their_class_and_message(build, message):
     with pytest.raises(PreconditionError) as caught:

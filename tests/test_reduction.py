@@ -5,8 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from zwreath import reduction
 from zwreath.equations import (Commutator, Constant, Literal, System, check_system, concat,
-                               equation, evaluate, free_vars, merge_systems, parse_system,
-                               serialize_system)
+                               equation, evaluate, free_vars, merge_systems, parse_assignment,
+                               parse_system, serialize_assignment, serialize_system)
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.gadgets import (delta_blocks, gadget_delta_power, witness_cyclic,
                              witness_delta_power)
@@ -482,6 +482,21 @@ def test_extract_round_trip():
     f = parse_intpoly("z1 - 2")
     out = compile(f, S11)
     assert extract_solution(out, witness(f, (2,), S11)) == (2,)
+
+
+@pytest.mark.parametrize("spec", [S11, S21])
+def test_high_degree_root_round_trip_holds_its_long_coordinates_as_rows(spec):
+    # z1^300 - 2^300 at z = 2: y (451 terms) and dp_y_1 (300 terms) are dense
+    # coordinates in a1 alone, so rows, and the products, inverses and
+    # decomposition that build them take rows as operands.
+    f = parse_intpoly(f"z1^300 - {2 ** 300}")
+    out = compile(f, spec)
+    asg = witness(f, (2,), spec)
+    assert check_system(out.system, asg, spec).ok
+    assert all(asg[name].base[0]._row is not None for name in ("y", "dp_y_1"))
+    back = parse_assignment(serialize_assignment(asg), spec)
+    assert back == asg
+    assert extract_solution(out, back) == (2,)
 
 
 def test_extract_identity_is_zero():

@@ -386,6 +386,8 @@ def test_public_constructor_rejects_malformed_input():
     (lambda: GroupSpec(1, 1).generator(7, 1, 2), "generator level 7 out of range 1..2"),
     (lambda: GroupSpec(1, 1).generator(3, 1), "generator level 3 out of range 1..2"),
     (lambda: GroupSpec(1, 1).generator("x", 1), "generator level x out of range 1..2"),
+    (lambda: GroupSpec(1, 1).generator(1, "x"), "active generator index x out of range 1..1"),
+    (lambda: GroupSpec(1, 1).generator(2, None), "base generator index None out of range 1..1"),
     (lambda: S21.element(base={2: LaurentPoly.zero(2)}), "base coordinate b2 out of range 1..1"),
     (lambda: S21.element(base={0: LaurentPoly.zero(2)}), "base coordinate b0 out of range 1..1"),
 ])
