@@ -43,7 +43,7 @@ from . import reduction as _reduction
 from .equations import Commutator, Constant, Concat, Power, System
 from .errors import ParseError, PreconditionError, SpecMismatchError, shown
 from .lexer import parse_whole
-from .wreath import GroupSpec, _compares_with_int, group_power, power_word, read_vector
+from .wreath import GroupSpec, group_power, power_word, read_vector
 
 
 # Longest rank list accepted.  Element literals nest once per rank and the
@@ -138,25 +138,26 @@ class IteratedSpec:
 
         The one builder of a generator power, `base_gen` included.  Levels
         count outward from the acting group (see `wreath.read_generator`);
-        this group's own base is level `len(ranks)`, and its generator is
-        one support point at the inner identity, O(m_k).  A generator of a
-        level below is built by the group of that level and embedded under
-        one wrapper, so building costs O(1) in the depth.  A level or index
-        that does not compare with ints is out of range.
+        `level`, `j` and `power` must each be an int (a bool is not), and
+        the level is checked before it picks a group.  This group's own
+        base is level `len(ranks)`, and its generator is one support point
+        at the inner identity, O(m_k).  A generator of a level below is
+        built by the group of that level and embedded under one wrapper, so
+        building costs O(1) in the depth.
         """
         depth = len(self.ranks)
+        if type(level) is not int or not 1 <= level <= depth:
+            raise PreconditionError(f"generator level {level} out of range 1..{depth}")
         if level == depth:
             width = self.ranks[0]
-            if not (_compares_with_int(j) and 1 <= j <= width):
+            if type(j) is not int or not 1 <= j <= width:
                 raise PreconditionError(f"base generator index {j} out of range 1..{width}")
-            vec = tuple(power if v == j - 1 else 0 for v in range(width))
-            if not isinstance(power, int):
+            vec = (0,) * (j - 1) + (power,) + (0,) * (width - j)
+            if type(power) is not int:
                 raise PreconditionError(f"vector {vec!r} invalid for rank {width}")
             # One support point needs no sorting, so no checked constructor.
             identity = self._inner.identity()
             return NestedElement._unchecked(self, identity, {identity: vec})
-        if not (_compares_with_int(level) and 1 <= level < depth):
-            raise PreconditionError(f"generator level {level} out of range 1..{depth}")
         # Levels 1 and 2 are both generated by the flat group.
         below = max(level, 2)
         return NestedElement._embed(self, self._below[below - 2].generator(level, j, power),
@@ -225,9 +226,10 @@ class NestedElement:
     def __new__(cls, spec, active, base):
         """Check the parts, then take the normal form from `_unchecked`.
 
-        `base` maps support points to vectors, or lists (point, vector)
-        pairs.  Every part is checked before a repetition is reported; of
-        several repeated points the least in canonical order is named.
+        `base` maps support points to vectors of `ranks[0]` ints (a bool is
+        not one), or lists (point, vector) pairs.  Every part is checked
+        before a repetition is reported; of several repeated points the
+        least in canonical order is named.
         """
         inner = spec.inner()
         if active.spec != inner:
@@ -239,7 +241,7 @@ class NestedElement:
             vec = tuple(vec)
             if key.spec != inner:
                 raise SpecMismatchError(f"support point belongs to {key.spec}, not {inner}")
-            if len(vec) != width or not all(isinstance(e, int) for e in vec):
+            if len(vec) != width or not all(type(e) is int for e in vec):
                 raise PreconditionError(f"vector {vec!r} invalid for rank {width}")
             if key in support:
                 repeated.append(key)
@@ -262,32 +264,15 @@ class NestedElement:
             return cls._embed(spec, active, 0)
         if len(entries) > 1:
             entries.sort(key=lambda entry: entry[0].sort_key())
-        g = object.__new__(cls)
-        object.__setattr__(g, "spec", spec)
-        object.__setattr__(g, "base", tuple(entries))
-        object.__setattr__(g, "_part", active)
-        object.__setattr__(g, "_skip", 0)
-        object.__setattr__(g, "_trivial", False)
-        return g
+        return _new_nested(spec, active, 0, False, tuple(entries))
 
     @classmethod
     def _embed(cls, spec, element, skip):
         """`element`, of the group `skip` levels below the inner group of
         `spec`, embedded as a pure active element of `spec`: O(1)."""
         if type(element) is cls and not element.base:
-            return cls._pure(spec, element._part, skip + element._skip + 1, element._trivial)
-        return cls._pure(spec, element, skip, element.is_identity())
-
-    @classmethod
-    def _pure(cls, spec, core, skip, trivial):
-        """The pure active element of `spec` with this core and `_skip`."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "spec", spec)
-        object.__setattr__(g, "base", ())
-        object.__setattr__(g, "_part", core)
-        object.__setattr__(g, "_skip", skip)
-        object.__setattr__(g, "_trivial", trivial)
-        return g
+            return _new_nested(spec, element._part, skip + element._skip + 1, element._trivial)
+        return _new_nested(spec, element, skip, element.is_identity())
 
     def __setattr__(self, name, value):
         raise AttributeError("NestedElement is immutable")
@@ -297,7 +282,7 @@ class NestedElement:
         """The inner-group part; built in O(1) when the element skips levels."""
         if not self._skip:
             return self._part
-        return NestedElement._pure(self.spec._inner, self._part, self._skip - 1, self._trivial)
+        return _new_nested(self.spec._inner, self._part, self._skip - 1, self._trivial)
 
     def _check(self, other):
         if not isinstance(other, NestedElement) or (
@@ -332,8 +317,7 @@ class NestedElement:
         active element inverts its core, whose inverse is a core again.
         """
         if not self.base:
-            return NestedElement._pure(self.spec, self._part.inverse(), self._skip,
-                                       self._trivial)
+            return _new_nested(self.spec, self._part.inverse(), self._skip, self._trivial)
         ai = self._part.inverse()
         support = {}
         _shift_add(support, self.base, ai, -1)
@@ -444,6 +428,23 @@ class NestedElement:
         return f"NestedElement({str(self)!r})"
 
 
+# The slots' own setters, which `_new_nested` calls past `__setattr__`.
+_set_spec, _set_base, _set_part, _set_skip, _set_trivial = (
+    NestedElement.__dict__[name].__set__ for name in NestedElement.__slots__)
+
+
+def _new_nested(spec, part, skip, trivial, base=()):
+    """The `NestedElement` of `spec` with these slots, pure active when `base`
+    is empty; no checks.  The one function that fills the slots."""
+    g = object.__new__(NestedElement)
+    _set_spec(g, spec)
+    _set_base(g, base)
+    _set_part(g, part)
+    _set_skip(g, skip)
+    _set_trivial(g, trivial)
+    return g
+
+
 def _cores(g, h):
     """The cores of two pure active elements of one group, brought to the
     higher core's level, and the levels that lie between it and the
@@ -451,11 +452,11 @@ def _cores(g, h):
     one wrapper."""
     g_core, h_core, g_skip, h_skip = g._part, h._part, g._skip, h._skip
     if g_skip > h_skip:
-        return (NestedElement._pure(h_core.spec, g_core, g_skip - h_skip - 1, g._trivial),
+        return (_new_nested(h_core.spec, g_core, g_skip - h_skip - 1, g._trivial),
                 h_core, h_skip)
     if h_skip > g_skip:
         return (g_core,
-                NestedElement._pure(g_core.spec, h_core, h_skip - g_skip - 1, h._trivial),
+                _new_nested(g_core.spec, h_core, h_skip - g_skip - 1, h._trivial),
                 g_skip)
     return g_core, h_core, g_skip
 

@@ -306,8 +306,8 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, rank, index):
-        """The generator a_index (1-based)."""
-        if not 1 <= index <= rank:
+        """The generator a_index (1-based); `index` must be an int in 1..rank, not a bool."""
+        if type(index) is not int or not 1 <= index <= rank:
             raise PreconditionError(f"variable index {index} out of range 1..{rank}")
         expo = tuple(1 if i == index - 1 else 0 for i in range(rank))
         return cls(rank, {expo: 1})

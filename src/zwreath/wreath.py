@@ -22,16 +22,6 @@ from .laurent import (LaurentPoly, _canonical_terms, _shift, _sum, _terms_of, _t
 from .lexer import is_name, parse_whole
 
 
-def _compares_with_int(value):
-    """True unless ordering `value` against an int raises TypeError, as a
-    str or None does; such a level or index is out of every range."""
-    try:
-        value < 0
-    except TypeError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """Ambient group Z^n wr Z^m: `m` active generators, `n` base generators."""
@@ -71,7 +61,7 @@ class GroupSpec:
         act = tuple(active) if active is not None else (0,) * self.m
         coords = [LaurentPoly.zero(self.m)] * self.n
         for j, poly in (base or {}).items():
-            if not 1 <= j <= self.n:
+            if type(j) is not int or not 1 <= j <= self.n:
                 raise PreconditionError(f"base coordinate b{j} out of range 1..{self.n}")
             coords[j - 1] = poly
         return WreathElement(self, act, tuple(coords))
@@ -80,31 +70,29 @@ class GroupSpec:
         """Generator j of `level` raised to `power`: level 1 is a_j, level 2 is b_j.
 
         The one builder of a generator power, `active_gen` and `base_gen`
-        included.  Any other level is refused, as `interp.IteratedSpec`
-        refuses one outside its levels.  The index is checked against m or
-        n, and one that does not compare with ints is out of range; power 0
-        is the shared identity, any other int power of an int index is built
-        unchecked in O(m + n), and anything else goes through the checked
-        `element`.
+        included.  `level`, `j` and `power` must each be an int (a bool is
+        not), the level 1 or 2 as `interp.IteratedSpec` refuses one outside
+        its levels, and the index in 1..m or 1..n.  Power 0 is the shared
+        identity; any other power is built unchecked in O(m + n).
         """
-        if level != 1 and level != 2:
+        if type(level) is not int or not 1 <= level <= 2:
             raise PreconditionError(f"generator level {level} out of range 1..2")
         m = self.m
         active = level == 1
         rank = m if active else self.n
-        if not (_compares_with_int(j) and 1 <= j <= rank):
+        if type(j) is not int or not 1 <= j <= rank:
             raise PreconditionError(
                 f"{'active' if active else 'base'} generator index {j} out of range 1..{rank}")
-        if type(power) is not int or type(j) is not int:
-            if active:
-                return self.element(active=tuple(power if v == j - 1 else 0 for v in range(m)))
-            return self.element(base={j: LaurentPoly.constant(m, power)})
-        if not power:
-            return self._identity
         zeros = self._identity.base
         if active:
             vector = (0,) * (j - 1) + (power,) + (0,) * (m - j)
-            return WreathElement._unchecked(self, vector, zeros)
+            if type(power) is not int:
+                raise PreconditionError(f"active vector {vector!r} invalid for rank {m}")
+            return WreathElement._unchecked(self, vector, zeros) if power else self._identity
+        if type(power) is not int:
+            raise PreconditionError(f"coefficient {power!r} is not an int")
+        if not power:
+            return self._identity
         coordinate = LaurentPoly._unchecked(m, {(0,) * m: power})
         return WreathElement._unchecked(self, (0,) * m, zeros[:j - 1] + (coordinate,) + zeros[j:])
 
@@ -143,35 +131,38 @@ def group_power(g, exponent):
 
 
 class WreathElement:
-    """Normal form a * f: active exponent vector plus base coordinates."""
+    """Normal form a * f: active exponent vector plus base coordinates.
+
+    The constructor checks its arguments: `active` holds `spec.m` ints (a
+    bool is not one) and `base` holds `spec.n` polynomials of rank `spec.m`.
+    """
 
     __slots__ = ("spec", "active", "base")
 
-    def __init__(self, spec, active, base):
+    def __new__(cls, spec, active, base):
         active = tuple(active)
         base = tuple(base)
-        if len(active) != spec.m or not all(isinstance(e, int) for e in active):
+        if len(active) != spec.m or not all(type(e) is int for e in active):
             raise PreconditionError(f"active vector {active!r} invalid for rank {spec.m}")
         if len(base) != spec.n:
             raise PreconditionError(f"expected {spec.n} base coordinates, got {len(base)}")
         for poly in base:
             if not isinstance(poly, LaurentPoly) or poly.rank != spec.m:
                 raise PreconditionError(f"base coordinate {poly!r} must have rank {spec.m}")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "active", active)
-        object.__setattr__(self, "base", base)
+        return cls._unchecked(spec, active, base)
 
     @classmethod
     def _unchecked(cls, spec, active, base):
         """Results built from valid operands: no checks.
 
         `active` is an int tuple of length `spec.m` and `base` a tuple of
-        `spec.n` rank-`spec.m` polynomials.
+        `spec.n` rank-`spec.m` polynomials.  The one function that fills
+        the slots, through their own setters (`_set_spec` and the rest).
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "spec", spec)
-        object.__setattr__(g, "active", active)
-        object.__setattr__(g, "base", base)
+        _set_spec(g, spec)
+        _set_active(g, active)
+        _set_base(g, base)
         return g
 
     def __setattr__(self, name, value):
@@ -286,6 +277,11 @@ class WreathElement:
 
     def __repr__(self):
         return f"WreathElement({str(self)!r})"
+
+
+# The slots' own setters, which `WreathElement._unchecked` calls past `__setattr__`.
+_set_spec, _set_active, _set_base = (WreathElement.__dict__[name].__set__
+                                     for name in WreathElement.__slots__)
 
 
 def left_normed_commutator(elements):

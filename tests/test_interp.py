@@ -16,7 +16,8 @@ from zwreath.interp import (IteratedSpec, NestedElement, compile_iterated,
 from zwreath.reduction import compile as compile_flat
 from zwreath.reduction import parse_intpoly, witness as witness_flat
 from zwreath.selftest import _planted_root_poly, check_lift, rand_nested, run_suite
-from zwreath.wreath import GroupSpec
+from zwreath.laurent import LaurentPoly
+from zwreath.wreath import GroupSpec, WreathElement, parse_element
 
 S11 = GroupSpec(1, 1)
 I111 = IteratedSpec((1, 1, 1))
@@ -81,11 +82,43 @@ I2111 = IteratedSpec((2, 1, 1, 1))
     (lambda: I111.generator(3, "x"), "base generator index x out of range 1..1"),
     (lambda: I111.generator(1, "x"), "active generator index x out of range 1..1"),
     (lambda: I2111.generator(2, None), "base generator index None out of range 1..1"),
+    # So is a float or a bool that compares in range.
+    (lambda: I111.generator(2.0, 1), "generator level 2.0 out of range 1..3"),
+    (lambda: I111.generator(2.5, 1), "generator level 2.5 out of range 1..3"),
+    (lambda: I111.generator(3, 1, True), "vector (True,) invalid for rank 1"),
+    (lambda: NestedElement(I111, S11.identity(), {S11.identity(): (True,)}),
+     "vector (True,) invalid for rank 1"),
 ])
 def test_generator_errors_keep_their_class_and_message(build, message):
     with pytest.raises(PreconditionError) as caught:
         build()
     assert caught.type is PreconditionError and str(caught.value) == message
+
+
+# Anything a caller may pass: ints near the ranges, floats, bools, text and None.
+_ARGUMENTS = st.one_of(st.integers(-2, 4), st.floats(), st.booleans(), st.text(max_size=3),
+                       st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((S11, GroupSpec(2, 1), I111, I2111)),
+       st.sampled_from(("generator", "element")),
+       _ARGUMENTS, _ARGUMENTS, _ARGUMENTS, st.lists(_ARGUMENTS, max_size=3))
+def test_builders_refuse_or_build_a_readable_element(spec, builder, level, j, power, entries):
+    # A builder either raises PreconditionError or returns an element
+    # whose literal reads back equal.
+    try:
+        if builder == "generator":
+            g = spec.generator(level, j, power)
+        elif isinstance(spec, GroupSpec):
+            g = WreathElement(spec, entries, (LaurentPoly.zero(spec.m),) * spec.n)
+        else:
+            point = spec.inner().identity()
+            g = NestedElement(spec, point, {point: entries})
+    except PreconditionError:
+        return
+    read = parse_element if isinstance(spec, GroupSpec) else parse_nested
+    assert read(str(g), spec) == g
 
 
 def test_spec_for_ranks_is_flat_for_two_ranks():

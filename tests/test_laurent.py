@@ -312,6 +312,21 @@ def test_public_constructor_rejects_malformed_input():
         P("a1", 1).times_monomial((0.5,))
 
 
+@pytest.mark.parametrize("index, message", [
+    (0, "variable index 0 out of range 1..2"),
+    (3, "variable index 3 out of range 1..2"),
+    (1.5, "variable index 1.5 out of range 1..2"),
+    (1.0, "variable index 1.0 out of range 1..2"),
+    (True, "variable index True out of range 1..2"),
+    ("x", "variable index x out of range 1..2"),
+    (None, "variable index None out of range 1..2"),
+])
+def test_variable_refuses_an_index_that_is_not_an_int_in_range(index, message):
+    with pytest.raises(PreconditionError) as caught:
+        LaurentPoly.variable(2, index)
+    assert caught.type is PreconditionError and str(caught.value) == message
+
+
 def test_public_constructor_sums_repeated_exponents_and_drops_zero_sums():
     assert LaurentPoly(1, [((-1,), 2), ((-1,), -2)]).is_zero()
     p = LaurentPoly(2, [((1, -1), 2), ((0, 0), 0), ((1, -1), -2), ((1, -1), 5), ((0, 1), 1)])

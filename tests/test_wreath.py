@@ -390,6 +390,19 @@ def test_public_constructor_rejects_malformed_input():
     (lambda: GroupSpec(1, 1).generator(2, None), "base generator index None out of range 1..1"),
     (lambda: S21.element(base={2: LaurentPoly.zero(2)}), "base coordinate b2 out of range 1..1"),
     (lambda: S21.element(base={0: LaurentPoly.zero(2)}), "base coordinate b0 out of range 1..1"),
+    # Levels, indices, powers and vector entries are ints; a float or a
+    # bool that compares in range is refused as well.
+    (lambda: S11.generator(1.0, 1), "generator level 1.0 out of range 1..2"),
+    (lambda: S11.generator(True, 1), "generator level True out of range 1..2"),
+    (lambda: S11.generator(1, 1.0), "active generator index 1.0 out of range 1..1"),
+    (lambda: S11.generator(1, 1, True), "active vector (True,) invalid for rank 1"),
+    (lambda: S11.generator(2, 1, True), "coefficient True is not an int"),
+    (lambda: WreathElement(S11, (True,), (LaurentPoly(1),)),
+     "active vector (True,) invalid for rank 1"),
+    (lambda: S11.element(base={1.0: LaurentPoly.one(1)}), "base coordinate b1.0 out of range 1..1"),
+    (lambda: S11.element(base={"x": LaurentPoly.one(1)}), "base coordinate bx out of range 1..1"),
+    (lambda: S11.element(base={None: LaurentPoly.one(1)}),
+     "base coordinate bNone out of range 1..1"),
 ])
 def test_spec_constructors_reject_malformed_input(build, message):
     with pytest.raises(PreconditionError) as caught:
