@@ -12,11 +12,10 @@ generator as a word such as `@b1^-6`, and any other constant as a literal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError, SpecMismatchError
 from .lexer import TokenStream, is_generator, is_int, is_name
-from .wreath import read_generator
+from .wreath import Frozen, GroupSpec, read_generator
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -33,44 +32,46 @@ MAX_NESTING = 256
 # -- word AST ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Frozen):
     """A variable occurrence, possibly inverted."""
 
-    name: str
-    sign: int = 1
+    __slots__ = _fields = ("name", "sign")
 
-    def __post_init__(self):
-        if not NAME_RE.match(self.name):
-            raise PreconditionError(f"invalid variable name {self.name!r}")
-        if self.sign not in (1, -1):
-            raise PreconditionError(f"literal sign must be +-1, got {self.sign!r}")
+    def __init__(self, name, sign=1):
+        if not NAME_RE.match(name):
+            raise PreconditionError(f"invalid variable name {name!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise PreconditionError(f"literal sign must be +-1, got {sign!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Frozen):
     """An element of the ambient group, embedded in a word."""
 
-    value: object
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Concat:
+class Concat(Frozen):
     """Juxtaposition of factors; the empty concatenation is the identity."""
 
-    parts: tuple = ()
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts=()):
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True, init=False)
-class Commutator:
+class Commutator(Frozen):
     """The left-normed commutator [w, f1, ..., fk] = [...[[w, f1], f2]..., fk].
 
     `Commutator(w, f1, ..., fk)` takes k >= 1 factors, so `Commutator(x, y)`
     is the plain [x, y] = x^-1 y^-1 x y.
     """
 
-    word: object
-    factors: tuple
+    __slots__ = _fields = ("word", "factors")
 
     def __init__(self, word, *factors):
         if not factors:
@@ -79,10 +80,12 @@ class Commutator:
         object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Power:
-    body: object
-    exponent: int
+class Power(Frozen):
+    __slots__ = _fields = ("body", "exponent")
+
+    def __init__(self, body, exponent):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "exponent", exponent)
 
 
 IDENTITY_WORD = Concat(())
@@ -207,22 +210,26 @@ def equation(lhs, rhs=None):
     return concat(lhs, inverse_word(rhs))
 
 
-@dataclass(frozen=True)
-class System:
+class System(Frozen):
     """Ordered equations, each a word `w` read as `w = 1`, plus the declared
     variable list.
 
-    The constructor is the one boundary check: every declared name is valid
-    and declared once, and every equation uses only declared variables, in
-    O(size of the system).  Systems built from systems already checked
-    (`merge_systems`, `interp.lift_system`) or declaring exactly their free
-    variables (`system_of`) come from `_unchecked` and are not walked again.
+    The constructor is the one boundary check (`_check`): every declared
+    name is valid and declared once, and every equation uses only declared
+    variables, in O(size of the system).  Systems built from systems
+    already checked (`merge_systems`, `interp.lift_system`) or declaring
+    exactly their free variables (`system_of`) come from `_unchecked` and
+    are not walked again.
     """
 
-    equations: tuple = ()
-    declared_vars: tuple = ()
+    __slots__ = _fields = ("equations", "declared_vars")
 
-    def __post_init__(self):
+    def __init__(self, equations=(), declared_vars=()):
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "declared_vars", declared_vars)
+        self._check()
+
+    def _check(self):
         seen = set()
         for name in self.declared_vars:
             if not NAME_RE.match(name):
@@ -277,27 +284,52 @@ def merge_systems(*systems):
     return System._unchecked(tuple(equations), tuple(declared))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     """Outcome of checking a system; `failures` lists 0-based equation indices."""
 
-    ok: bool
-    failures: tuple = ()
+    __slots__ = _fields = ("ok", "failures")
+
+    def __init__(self, ok, failures=()):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failures", failures)
 
 
 def check_system(system, assignment, spec):
     """Evaluate every equation; true iff all evaluate to the identity.
 
-    Costs one `evaluate` per equation.
+    Costs one `evaluate` per equation, less the last expansion of a
+    top-level power or flat commutator chain (`_holds`).
     """
     missing = [name for name in system.declared_vars if name not in assignment]
     if missing:
         raise PreconditionError(f"assignment missing declared variables: {', '.join(missing)}")
     failures = []
     for idx, word in enumerate(system.equations):
-        if not evaluate(word, assignment, spec).is_identity():
+        if not _holds(word, assignment, spec):
             failures.append(idx)
     return CheckReport(not failures, tuple(failures))
+
+
+def _holds(word, assignment, spec):
+    """`evaluate(word, assignment, spec).is_identity()`, with a top-level
+    power or flat chain decided from its parts.
+
+    Every group here is torsion-free, so w^N = 1 iff N = 0 or w = 1.  In a
+    flat group each factor after the first of [w, f1, ..., fk] multiplies
+    every coordinate of [w, f1] by a^beta - 1, beta its active part, and
+    Z[A] has no zero divisors, so the chain is 1 iff some later factor has
+    beta = 0 or [w, f1] = 1.  Sub-words are evaluated in `evaluate`'s order,
+    so its errors are unchanged; what is skipped is the power, or the
+    chain's products past its first bracket, which can hold exponentially
+    many terms.
+    """
+    if isinstance(word, Power) and type(word.exponent) is int:
+        return _holds(word.body, assignment, spec) or not word.exponent
+    if isinstance(word, Commutator) and len(word.factors) > 1 and isinstance(spec, GroupSpec):
+        g = evaluate(word.word, assignment, spec)
+        h, *later = [evaluate(f, assignment, spec) for f in word.factors]
+        return not all(any(x.active) for x in later) or g.commutator(h).is_identity()
+    return evaluate(word, assignment, spec).is_identity()
 
 
 # -- fresh names and flattening ----------------------------------------------

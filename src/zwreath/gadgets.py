@@ -15,12 +15,12 @@ alone, with no variable per chain link.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .equations import (Commutator, Constant, Literal, System, concat,
                         equation, evaluate)
 from .errors import PreconditionError
 from .laurent import aug_valuation, delta_decompose, geom_series
+from .wreath import Frozen
 
 
 def gadget_in_N(x, spec):
@@ -66,13 +66,15 @@ def witness_cyclic(gamma, spec, x_name="x", z_name="cyc_z_1"):
 # -- membership in powers of the augmentation ideal ---------------------------
 
 
-@dataclass(frozen=True)
-class DeltaBlock:
+class DeltaBlock(Frozen):
     """One generator-product block of the ideal-power gadget."""
 
-    beta: tuple
-    y_name: str
-    x_name: str
+    __slots__ = _fields = ("beta", "y_name", "x_name")
+
+    def __init__(self, beta, y_name, x_name):
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "y_name", y_name)
+        object.__setattr__(self, "x_name", x_name)
 
 
 def delta_blocks(spec, k):

@@ -36,14 +36,13 @@ system's text grows linearly in its depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import reduction as _reduction
 from .equations import Commutator, Constant, Concat, Power, System
 from .errors import ParseError, PreconditionError, SpecMismatchError, shown
 from .lexer import parse_whole
-from .wreath import GroupSpec, group_power, power_word, read_vector
+from .wreath import Frozen, GroupSpec, group_power, power_word, read_vector
 
 
 # Longest rank list accepted.  Element literals nest once per rank and the
@@ -69,16 +68,19 @@ def spec_for_ranks(ranks):
     return IteratedSpec(ranks)
 
 
-@dataclass(frozen=True)
-class IteratedSpec:
-    """Rank list (m_k, ..., m_1) with 3 <= k <= MAX_RANKS, outermost base copy first."""
+class IteratedSpec(Frozen):
+    """Rank list (m_k, ..., m_1) with 3 <= k <= MAX_RANKS, outermost base copy first.
 
-    ranks: tuple
+    Each rank must be a positive int (a bool is not one).  As for
+    `GroupSpec`, `==` tests identity first and `hash` is computed once.
+    """
 
-    def __post_init__(self):
-        ranks = tuple(self.ranks)
-        object.__setattr__(self, "ranks", ranks)
-        if not all(isinstance(r, int) and r >= 1 for r in ranks):
+    __slots__ = ("ranks", "_hash", "_inner", "_below", "_identity")
+    _fields = ("ranks",)
+
+    def __init__(self, ranks):
+        ranks = tuple(ranks)
+        if not all(type(r) is int and r >= 1 for r in ranks):
             raise PreconditionError(f"ranks must be positive ints, got {ranks!r}")
         if len(ranks) < 3:
             raise PreconditionError(
@@ -93,18 +95,29 @@ class IteratedSpec:
         below = (inner,)
         for start in range(len(ranks) - 3, 0, -1):
             spec = object.__new__(IteratedSpec)
-            object.__setattr__(spec, "ranks", ranks[start:])
-            spec._build(inner, below)
+            spec._build(ranks[start:], inner, below)
             inner, below = spec, below + (spec,)
-        self._build(inner, below)
+        self._build(ranks, inner, below)
 
-    def _build(self, inner, below):
+    def _build(self, ranks, inner, below):
         # Every element construction compares against the inner group, and
         # embedding finds the group of an element's level in `_below`, the
         # groups below this one, flat first: `_below[k - 2]` is level k.
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "_hash", hash((ranks,)))
         object.__setattr__(self, "_inner", inner)
         object.__setattr__(self, "_below", below)
         object.__setattr__(self, "_identity", NestedElement._unchecked(self, inner.identity(), {}))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ranks == other.ranks
+
+    def __hash__(self):
+        return self._hash
 
     def inner(self):
         """The group acted on: flat at depth 3, iterated beyond."""

@@ -41,7 +41,7 @@ def binary_power(x, exponent, one):
 
 
 def _check_rank(rank):
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise PreconditionError(f"polynomial rank must be a positive int, got {rank!r}")
 
 
@@ -50,20 +50,20 @@ def _normal_terms(terms, width, where, nonnegative=False):
 
     Repeated exponent vectors are summed and zero sums dropped.  Every
     vector must hold `width` ints, non-negative ones if `nonnegative`, and
-    every coefficient must be an int, else PreconditionError; `where` is the
-    message's "invalid for ..." format, filled with `width`.  This is the
-    checked constructor of `LaurentPoly` and of `reduction.IntPolynomial`.
-    O(terms * width).
+    every coefficient must be an int (a bool is not one), else
+    PreconditionError; `where` is the message's "invalid for ..." format,
+    filled with `width`.  This is the checked constructor of `LaurentPoly`
+    and of `reduction.IntPolynomial`.  O(terms * width).
     """
     items = terms.items() if hasattr(terms, "items") else (terms or ())
     clean = {}
     for mono, coeff in items:
         mono = tuple(mono)
         if len(mono) != width or not all(
-                isinstance(e, int) and (not nonnegative or e >= 0) for e in mono):
+                type(e) is int and (not nonnegative or e >= 0) for e in mono):
             raise PreconditionError(
                 f"exponent vector {mono!r} invalid for {where.format(width)}")
-        if not isinstance(coeff, int):
+        if type(coeff) is not int:
             raise PreconditionError(f"coefficient {coeff!r} is not an int")
         if coeff:
             clean[mono] = clean.get(mono, 0) + coeff

@@ -22,7 +22,6 @@ check on the group-equation route.  `compile`, `witness` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .equations import (Commutator, Constant, Literal, System, concat, equation,
@@ -32,7 +31,7 @@ from .gadgets import gadget_cyclic, witness_cyclic
 from .laurent import (LaurentPoly, _normal_terms, _ordered_monomials, delta_decompose,
                       delta_membership, read_terms, terms_str)
 from .lexer import parse_whole
-from .wreath import GroupSpec, in_A
+from .wreath import Frozen, GroupSpec, in_A
 
 
 # Largest variable count `parse_intpoly` infers from text.  Every term stores
@@ -51,7 +50,7 @@ class IntPolynomial:
     __slots__ = ("num_vars", "_terms")
 
     def __init__(self, num_vars, terms=None):
-        if not isinstance(num_vars, int) or num_vars < 0:
+        if type(num_vars) is not int or num_vars < 0:
             raise PreconditionError(f"variable count must be a non-negative int, got {num_vars!r}")
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "_terms",
@@ -117,8 +116,7 @@ def parse_intpoly(text, num_vars=None):
 # -- the reduction ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(Frozen):
     """The reduction of the integer polynomial `poly` over the flat group `spec`.
 
     `system` is compiled on first access and kept; `witness` and
@@ -126,10 +124,14 @@ class Reduction:
     reads the system never compiles it.  Any spec other than a `GroupSpec` is
     a PreconditionError here: an iterated group is
     `interp.IteratedReduction`, which overrides exactly these three members.
+    A reduction has a `__dict__`, where `cached_property` keeps what it builds.
     """
 
-    poly: IntPolynomial
-    spec: object
+    _fields = ("poly", "spec")
+
+    def __init__(self, poly, spec):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "spec", spec)
 
     @cached_property
     def solution_vars(self):

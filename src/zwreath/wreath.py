@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from operator import add
 
 from .errors import PreconditionError, SpecMismatchError
@@ -22,19 +21,75 @@ from .laurent import (LaurentPoly, _canonical_terms, _shift, _sum, _terms_of, _t
 from .lexer import is_name, parse_whole
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Ambient group Z^n wr Z^m: `m` active generators, `n` base generators."""
+class Frozen:
+    """Base of the package's immutable value types, driven by `_fields`.
 
-    m: int
-    n: int
+    A subclass names its fields in `_fields`, holds them in its own
+    `__slots__` (or, declaring none, in its `__dict__`) and fills them in
+    `__init__` through `object.__setattr__`.
+    Two values are equal when they are of one class and their fields are
+    equal, a value hashes as the tuple of its fields, its repr is
+    `Name(field=value, ...)`, and assigning or deleting an attribute
+    raises AttributeError.  Each method costs one attribute read per field.
+    """
 
-    def __post_init__(self):
-        if not (isinstance(self.m, int) and self.m >= 1):
-            raise PreconditionError(f"active rank must be a positive int, got {self.m!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise PreconditionError(f"base rank must be a positive int, got {self.n!r}")
+    __slots__ = ()
+    _fields = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroupSpec(Frozen):
+    """Ambient group Z^n wr Z^m: `m` active generators, `n` base generators.
+
+    Each rank must be a positive int (a bool is not one).  Every element
+    operation compares specs, so `==` tests identity first and `hash` is
+    computed once, when the spec is built.
+    """
+
+    __slots__ = ("m", "n", "_hash", "_identity")
+    _fields = ("m", "n")
+
+    def __init__(self, m, n):
+        if not (type(m) is int and m >= 1):
+            raise PreconditionError(f"active rank must be a positive int, got {m!r}")
+        if not (type(n) is int and n >= 1):
+            raise PreconditionError(f"base rank must be a positive int, got {n!r}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_hash", hash((m, n)))
         object.__setattr__(self, "_identity", self.element())
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.n == other.n
+
+    def __hash__(self):
+        return self._hash
 
     def identity(self):
         return self._identity
@@ -334,16 +389,16 @@ def in_delta_power(g, k):
 # -- lower central series ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LcsBasisElement:
+class LcsBasisElement(Frozen):
     """Basis commutator [b_k, a_j1, ..., a_j(i-1)] with j1 <= ... <= j(i-1)."""
 
-    k: int
-    js: tuple
+    __slots__ = _fields = ("k", "js")
 
-    def __post_init__(self):
-        if list(self.js) != sorted(self.js):
-            raise PreconditionError(f"conjugator indices {self.js!r} must be non-decreasing")
+    def __init__(self, k, js):
+        if list(js) != sorted(js):
+            raise PreconditionError(f"conjugator indices {js!r} must be non-decreasing")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "js", js)
 
     def as_element(self, spec):
         parts = [spec.base_gen(self.k)] + [spec.active_gen(j) for j in self.js]

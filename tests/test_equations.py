@@ -1,19 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from zwreath.equations import (Commutator, Concat, Constant,
+from zwreath.equations import (CheckReport, Commutator, Concat, Constant,
                                Literal, Power, System, check_system, concat,
                                equation, evaluate, flatten, free_vars, merge_systems,
                                inverse_word, normalize_word, parse_assignment, parse_system,
                                power, serialize_assignment, serialize_system,
                                serialize_word, system_of)
-from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
-from zwreath.interp import IteratedSpec, compile_iterated, lift_system, spec_for_ranks
+from zwreath.errors import Error, ParseError, PreconditionError, SpecMismatchError
+from zwreath.gadgets import DeltaBlock
+from zwreath.interp import (IteratedReduction, IteratedSpec, compile_iterated, lift_system,
+                            spec_for_ranks)
 from zwreath.laurent import LaurentPoly, parse_poly
-from zwreath.reduction import compile, parse_intpoly
-from zwreath.selftest import _solve_definitions, rand_element, rand_word
-from zwreath.wreath import GroupSpec
+from zwreath.reduction import Reduction, compile, parse_intpoly
+from zwreath.selftest import (_solve_definitions, rand_active_element, rand_base_element,
+                              rand_element, rand_nested, rand_word)
+from zwreath.wreath import GroupSpec, LcsBasisElement
 
 S11 = GroupSpec(1, 1)
 S12 = GroupSpec(1, 2)
@@ -127,6 +131,95 @@ def test_system_rejects_names_declared_twice_or_invalid():
         System((), ("1x",))
     with pytest.raises(PreconditionError, match="not a word node: 'x'"):
         System(("x",), ())
+
+
+def outcome(call):
+    """What `call` returns, or its error as class and message."""
+    try:
+        return call()
+    except Error as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from([S11, S22, IteratedSpec((1, 1, 1))]))
+def test_check_decides_top_level_powers_and_chains_as_full_evaluation(rng, spec):
+    """A top-level power (N = 0 among the exponents) or left-normed chain,
+    flat or nested, whose later factors have zero or non-zero active parts,
+    and at times a foreign constant: `check_system` gives the verdict, or
+    the error, of evaluating the whole word."""
+    if isinstance(spec, GroupSpec):
+        foreign = Constant(S12.generator(1, 1))
+        kinds = [lambda: rand_element(rng, spec, exp_bound=2, max_terms=2),
+                 lambda: rand_base_element(rng, spec, exp_bound=2, max_terms=2),
+                 lambda: rand_active_element(rng, spec, exp_bound=1)]
+    else:
+        foreign = Constant(S11.generator(1, 1))
+        kinds = [lambda: rand_nested(rng, spec), lambda: spec.embed(rand_nested(rng, spec.inner()))]
+    asg = {name: rng.choice(kinds + [spec.identity])() for name in "xyz"}
+    factors = [Literal(name, rng.choice((1, -1))) for name in "xyz"]
+    factors += [Constant(spec.generator(1, 1)), Concat((Literal("x"), Literal("y")))]
+    if rng.random() < 0.1:
+        factors.append(foreign)
+
+    def chain():
+        return Commutator(*rng.choices(factors, k=rng.randint(2, 5)))
+
+    word = chain()
+    if rng.random() < 0.5:
+        word = Power(rng.choice([word, chain(), rng.choice(factors)]), rng.randint(-2, 3))
+    system = System((word,), ("x", "y", "z"))
+    assert outcome(lambda: check_system(system, asg, spec).ok) == outcome(
+        lambda: evaluate(word, asg, spec).is_identity())
+
+
+S11_A1 = S11.generator(1, 1)
+F = parse_intpoly("z1 - 2")
+
+
+@pytest.mark.parametrize("value, twin, other, foreign, text", [
+    (GroupSpec(1, 2), GroupSpec(m=1, n=2), GroupSpec(2, 1), (1, 2), "GroupSpec(m=1, n=2)"),
+    (IteratedSpec((1, 2, 3)), IteratedSpec([1, 2, 3]), IteratedSpec((1, 1, 1)), ((1, 2, 3),),
+     "IteratedSpec(ranks=(1, 2, 3))"),
+    (LcsBasisElement(1, (1, 2)), LcsBasisElement(k=1, js=(1, 2)), LcsBasisElement(1, (2, 2)),
+     (1, (1, 2)), "LcsBasisElement(k=1, js=(1, 2))"),
+    (Literal("x"), Literal("x", 1), Literal("x", -1), ("x", 1), "Literal(name='x', sign=1)"),
+    (Constant(S11_A1), Constant(value=S11.generator(1, 1)), Constant(S11.identity()), S11_A1,
+     "Constant(value=WreathElement('{ active: (1); }'))"),
+    (Concat(), Concat(parts=()), Concat((Literal("x"),)), Constant(()), "Concat(parts=())"),
+    (Commutator(Literal("x"), Literal("y")), Commutator(Literal("x"), Literal("y")),
+     Commutator(Literal("y"), Literal("x")), Power(Literal("x"), (Literal("y"),)),
+     "Commutator(word=Literal(name='x', sign=1), factors=(Literal(name='y', sign=1),))"),
+    (Power(Literal("x"), 2), Power(body=Literal("x"), exponent=2), Power(Literal("x"), -2),
+     Commutator(Literal("x"), 2), "Power(body=Literal(name='x', sign=1), exponent=2)"),
+    (System((Literal("x"),), ("x",)), system_of([Literal("x")]), System((), ("x",)),
+     ((Literal("x"),), ("x",)), "System(equations=(Literal(name='x', sign=1),), declared_vars=('x',))"),
+    (CheckReport(True), CheckReport(ok=True, failures=()), CheckReport(False, (0,)), (True, ()),
+     "CheckReport(ok=True, failures=())"),
+    (DeltaBlock((1, 0), "dp_y_1", "dp_x_1"), DeltaBlock(beta=(1, 0), y_name="dp_y_1", x_name="dp_x_1"),
+     DeltaBlock((0, 1), "dp_y_1", "dp_x_1"), ((1, 0), "dp_y_1", "dp_x_1"),
+     "DeltaBlock(beta=(1, 0), y_name='dp_y_1', x_name='dp_x_1')"),
+    (Reduction(F, S11), Reduction(poly=parse_intpoly("z1 - 2"), spec=GroupSpec(1, 1)),
+     Reduction(F, S22), IteratedReduction(F, S11),
+     "Reduction(poly=IntPolynomial(1, 'z1 - 2'), spec=GroupSpec(m=1, n=1))"),
+    (IteratedReduction(F, S11), IteratedReduction(F, GroupSpec(1, 1)), IteratedReduction(F, S22),
+     Reduction(F, S11), "IteratedReduction(poly=IntPolynomial(1, 'z1 - 2'), spec=GroupSpec(m=1, n=1))"),
+])
+def test_value_types_compare_hash_print_and_refuse_assignment(value, twin, other, foreign, text):
+    """Each immutable value type: its repr, `==` and `hash` by class and
+    fields (a value of another class is never equal, even with equal
+    fields), and an AttributeError on assignment or deletion."""
+    fields = tuple(getattr(value, name) for name in value._fields)
+    assert repr(value) == text
+    assert twin is not value and twin == value and not twin != value
+    assert hash(twin) == hash(value) == hash(fields)
+    assert other != value and not other == value
+    assert foreign != value and value != foreign and value.__eq__(foreign) is NotImplemented
+    for name in value._fields + ("unknown",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, value._fields[0])
+    assert tuple(getattr(value, name) for name in value._fields) == fields
 
 
 # The golden CLI shapes: (polynomial, ranks).

@@ -302,8 +302,14 @@ def test_public_constructor_rejects_malformed_input():
         LaurentPoly(2, {(1, 1.5): 1})
     with pytest.raises(PreconditionError, match="coefficient 2.0 is not an int"):
         LaurentPoly(1, {(1,): 2.0})
+    with pytest.raises(PreconditionError, match=r"exponent vector \(True,\) invalid for rank 1"):
+        LaurentPoly(1, {(True,): 1})
+    with pytest.raises(PreconditionError, match="coefficient False is not an int"):
+        LaurentPoly(1, [((1,), False)])
     with pytest.raises(PreconditionError, match="rank must be a positive int"):
         LaurentPoly(0)
+    with pytest.raises(PreconditionError, match="rank must be a positive int, got True"):
+        LaurentPoly(True)
     with pytest.raises(PreconditionError, match="rank must be a positive int"):
         geom_series(3, rank=0)
     with pytest.raises(SpecMismatchError, match="monomial shift"):

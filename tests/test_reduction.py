@@ -61,6 +61,9 @@ def test_intpoly_round_trip():
     (lambda: IntPolynomial(1, {(0.5,): 1}), "exponent vector (0.5,) invalid for 1 variables"),
     (lambda: IntPolynomial(1, {(-1,): 2.0}), "exponent vector (-1,) invalid for 1 variables"),
     (lambda: IntPolynomial(1, {(1,): 2.0}), "coefficient 2.0 is not an int"),
+    (lambda: IntPolynomial(1, {(True,): 1}), "exponent vector (True,) invalid for 1 variables"),
+    (lambda: IntPolynomial(1, {(1,): True}), "coefficient True is not an int"),
+    (lambda: IntPolynomial(True), "variable count must be a non-negative int, got True"),
 ])
 def test_intpolynomial_rejects_malformed_input(build, message):
     with pytest.raises(PreconditionError) as caught:

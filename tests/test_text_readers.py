@@ -372,7 +372,7 @@ def test_a_declared_system_is_not_walked_again(monkeypatch):
     def refuse(self):
         raise AssertionError("the parsed system was checked again")
 
-    monkeypatch.setattr(System, "__post_init__", refuse)
+    monkeypatch.setattr(System, "_check", refuse)
     assert parse_system(text, spec) == expected
 
 

@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from zwreath.equations import Literal
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
+from zwreath.interp import IteratedSpec
 from zwreath.laurent import LaurentPoly, parse_poly
 from zwreath.wreath import (GroupSpec, LcsBasisElement, WreathElement,
                             in_A, in_N, in_delta_power,
@@ -403,6 +405,15 @@ def test_public_constructor_rejects_malformed_input():
     (lambda: S11.element(base={"x": LaurentPoly.one(1)}), "base coordinate bx out of range 1..1"),
     (lambda: S11.element(base={None: LaurentPoly.one(1)}),
      "base coordinate bNone out of range 1..1"),
+    # Ranks and a literal's sign are ints as well, with the same rule.
+    (lambda: GroupSpec(True, 1), "active rank must be a positive int, got True"),
+    (lambda: GroupSpec(1, True), "base rank must be a positive int, got True"),
+    (lambda: GroupSpec(True, True), "active rank must be a positive int, got True"),
+    (lambda: IteratedSpec((True, 1, 1)), "ranks must be positive ints, got (True, 1, 1)"),
+    (lambda: IteratedSpec((1, 1, 1.0)), "ranks must be positive ints, got (1, 1, 1.0)"),
+    (lambda: Literal("x", True), "literal sign must be +-1, got True"),
+    (lambda: Literal("x", 1.0), "literal sign must be +-1, got 1.0"),
+    (lambda: Literal("x", 2), "literal sign must be +-1, got 2"),
 ])
 def test_spec_constructors_reject_malformed_input(build, message):
     with pytest.raises(PreconditionError) as caught:
