@@ -81,9 +81,13 @@ class Commutator(Frozen):
 
 
 class Power(Frozen):
+    """The word `body` raised to the int `exponent` (a bool is not one)."""
+
     __slots__ = _fields = ("body", "exponent")
 
     def __init__(self, body, exponent):
+        if type(exponent) is not int:
+            raise PreconditionError(f"group power must be an int, got {exponent!r}")
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "exponent", exponent)
 
@@ -323,7 +327,7 @@ def _holds(word, assignment, spec):
     chain's products past its first bracket, which can hold exponentially
     many terms.
     """
-    if isinstance(word, Power) and type(word.exponent) is int:
+    if isinstance(word, Power):
         return _holds(word.body, assignment, spec) or not word.exponent
     if isinstance(word, Commutator) and len(word.factors) > 1 and isinstance(spec, GroupSpec):
         g = evaluate(word.word, assignment, spec)

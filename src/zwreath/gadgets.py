@@ -87,7 +87,7 @@ def delta_blocks(spec, k):
     names x_beta and y_beta, with the prefix `dp`, so the layout costs
     O(C(k+m-1, m-1) * m) time and O(C(k+m-1, m-1)) names.
     """
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise PreconditionError(f"ideal power must be a positive int, got {k!r}")
     blocks = []
     slots = k + spec.m - 1

@@ -2,22 +2,26 @@
 
 Given f = sum_alpha t_alpha z^alpha of total degree d, the compiled system
 over Z^n wr Z^m constrains each solution variable x_i to the cyclic subgroup
-of a1, defines per-term commutator chains whose product y carries the base
+of a1, writes per-term commutator chains whose product carries the base
 coordinate
 
     e_f = sum_alpha t_alpha (a1-1)^(d-|alpha|) prod_i (a1^{z_i} - 1)^{alpha_i},
 
-and requires y to lie in the (d+1)-st augmentation-ideal power -- which holds
-exactly when f(z) = 0.  Since e_f lies in Z[a1^{+-1}], one ideal-power block
-says so: y = [q, a1, ..., a1] with d+1 copies of a1 and q in the base
-subgroup.  A `Reduction` holds f and the group.  The chains are written
-once, each one left-normed commutator: its `system` equates y with their
-product, and its `witness` builds the assignment from an integer root by
-evaluating that same product.  Its
-`extract_solution` reads a root back out of any satisfying assignment, and
-`oracle_ef` evaluates the membership polynomial directly as an independent
-check on the group-equation route.  `compile`, `witness` and
-`extract_solution` are the module-level entry points to the same pipeline.
+and requires that product to lie in the (d+1)-st augmentation-ideal power --
+which holds exactly when f(z) = 0.  Since e_f lies in Z[a1^{+-1}], one
+ideal-power block says so: the product is [y, a1, ..., a1] with d+1 copies
+of a1 and y in the base subgroup.  The system writes this as one equation,
+the chains followed by [a1, y, a1, ..., a1]: [a1, y] = [y, a1]^-1 lies in
+the base, and a chain is linear in a base head, so that last commutator is
+[y, a1, ..., a1]^-1.  A `Reduction` holds f and the group.  The chains are
+written once, each one left-normed commutator: its `system` equates their
+product with the ideal-power chain, and its `witness` builds the assignment
+from an integer root by evaluating that same product and dividing it by
+(a1-1)^(d+1).  Its `extract_solution` reads a root back out of any
+satisfying assignment, and `oracle_ef` evaluates the membership polynomial
+directly as an independent check on the group-equation route.  `compile`,
+`witness` and `extract_solution` are the module-level entry points to the
+same pipeline.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ class Reduction(Frozen):
         commutator [b1^{t_alpha}, a1, ..., a1, x_1, ..., x_s] of b1^{t_alpha}
         with a1 (d-|alpha| times), then with x_i (alpha_i times, i
         ascending); a term with no factors is b1^{t_alpha} itself.  Their
-        product is y.  O(t * d) word nodes for t terms.
+        product carries e_f.  O(t * d) word nodes for t terms.
         """
         spec = self._flat_spec()
         f = self.poly
@@ -180,43 +184,39 @@ class Reduction(Frozen):
 
         Zero f compiles to the empty system (every tuple is a root).  Otherwise
         the system consists of a cyclic-subgroup gadget per variable, then
-        three equations at degree k = d+1, in this order:
+        two equations at degree k = d+1, in this order:
 
-            y = [chain_1] ... [chain_t],   [dp_y_1, b1] = 1,
-            y = [dp_y_1, a1, ..., a1]
+            [y, b1] = 1,   [chain_1] ... [chain_t] [a1, y, a1, ..., a1] = 1
 
         with the support terms' chains (`_chains`) in order and k copies of
-        a1; the first and the last are printed as `word y^-1 = 1`.  The
-        first defines y, whose base coordinate is e_f once each x_i is
-        a1^{z_i}.  The second puts dp_y_1 in the base subgroup, the
-        centralizer of b1, so the third makes each base coordinate of y
-        (a1-1)^k times that of dp_y_1.  This is the block
-        beta = (k, 0, ..., 0) of `gadgets.gadget_delta_power`, with y in
-        place of its x_beta, and at m = 1 the whole gadget.  One block
-        suffices for every m: the cyclic gadgets put each x_i in <a1>, and
-        every chain uses only b1, a1 and the x_i, so e_f lies in
+        a1 in the last commutator, one before y and d after it.  The first
+        puts y in the base subgroup, the centralizer of b1.  The base is
+        abelian and normal, so on it u -> [u, a1] is a homomorphism: it
+        multiplies each base coordinate by a1 - 1, and a chain is linear in
+        a base head.  With [a1, y] = [y, a1]^-1 the last commutator is
+        [y, a1, ..., a1]^-1 (k copies), so the second equation says that
+        the product of the chains, whose base coordinate is e_f once each
+        x_i is a1^{z_i}, has each base coordinate (a1-1)^k times that of y.
+        This is the block beta = (k, 0, ..., 0) of
+        `gadgets.gadget_delta_power`, with the product in place of its x_beta
+        and y in place of its y_beta, and at m = 1 the whole gadget.  One
+        block suffices for every m: the cyclic gadgets put each x_i in <a1>,
+        and every chain uses only b1, a1 and the x_i, so e_f lies in
         Z[a1^{+-1}].  The retraction
         phi: a_j -> 1 (j >= 2) of Z[A] maps the k-th augmentation-ideal power
         Delta^k onto (a1-1)^k Z[a1^{+-1}] and fixes Z[a1^{+-1}], so a p in
         Z[a1^{+-1}] lies in Delta^k exactly when (a1-1)^k divides it there.
         Soundness: a solution has e_f in (a1-1)^k Z[A], inside Delta^k, so
         f(z) = 0.  Completeness: a root puts e_f in Delta^k, so e_f = phi(e_f)
-        is (a1-1)^k times some q in Z[a1^{+-1}], and b1^q solves dp_y_1.
-
-        The argument is the one for the layout with a variable y_<tag> = chain
-        per support term, y = prod y_<tag> and a copy dp_x_1 = y.  Each of
-        those auxiliaries is defined by a word, and this system substitutes
-        the word for it, so its solutions are exactly that layout's solutions
-        restricted to the names that remain.  Every remaining variable stays
-        pinned by the x_i: y by its product of chains, and dp_y_1 by y,
-        since (a1-1)^k is not a zero divisor of Z[A].
+        is (a1-1)^k times some q in Z[a1^{+-1}], and y = b1^q.  The x_i pin
+        y, since (a1-1)^k is not a zero divisor of Z[A].
 
         Size, for s variables and degree d, whatever the number t of
         support terms and the active rank m: 3s equations and 2s variables
-        from the cyclic gadgets, and 3 equations and 2 variables, y and
-        dp_y_1, from the rest, whose words hold t chains of at most d
-        factors and one chain of d + 1.  That is 3s + 3 equations and
-        2s + 2 variables, built in time linear in their size.
+        from the cyclic gadgets, and 2 equations and the one variable y from
+        the rest, whose words hold t chains of at most d factors and one
+        chain of d + 1.  That is 3s + 2 equations and 2s + 1 variables,
+        built in time linear in their size.
         """
         spec = self._flat_spec()
         if self.poly.is_zero():
@@ -224,25 +224,23 @@ class Reduction(Frozen):
         xs = self.solution_vars
         parts = [System((), xs)] + [
             gadget_cyclic(x, spec, z_name=f"cyc_z_{i}") for i, x in enumerate(xs, start=1)]
-        a1 = Constant(spec.generator(1, 1))
-        y, q = Literal("y"), Literal("dp_y_1")
-        parts.append(System((equation(concat(*self._chains), y),
-                             equation(Commutator(q, Constant(spec.generator(2, 1)))),
-                             equation(Commutator(q, *[a1] * (self.poly.degree() + 1)), y)),
-                            xs + ("y", "dp_y_1")))
+        a1, y = Constant(spec.generator(1, 1)), Literal("y")
+        ideal_power = Commutator(a1, y, *[a1] * self.poly.degree())
+        parts.append(System((equation(Commutator(y, Constant(spec.generator(2, 1)))),
+                             equation(concat(*self._chains, ideal_power))),
+                            xs + ("y",)))
         return merge_systems(*parts)
 
     def witness(self, z):
         """Satisfying assignment for `system` from an integer root z; builds no system.
 
-        Each x_i and its cyclic auxiliary come from `witness_cyclic`.  y is
-        the product of the system's own chains, evaluated once: one
+        Each x_i and its cyclic auxiliary come from `witness_cyclic`.  The
+        product of the system's own chains is evaluated once: one
         closed-form commutator per chain, O(k * T) dict updates for k
-        factors (`WreathElement.commutator`).  dp_y_1
-        takes the quotients of y's coordinates by (a1-1)^(d+1) from
-        `delta_decompose`: O(T log T + d * E) additions on a coordinate of
-        T terms and a1-span E, free of a2..am; the quotient is a dense row
-        along a1 once it has 32 terms or more.
+        factors (`WreathElement.commutator`).  y takes the quotients of its
+        coordinates by (a1-1)^(d+1) from `delta_decompose`: O(T log T + d * E)
+        additions on a coordinate of T terms and a1-span E, free of a2..am;
+        the quotient is a dense row along a1 once it has 32 terms or more.
         """
         spec = self._flat_spec()
         f = self.poly
@@ -258,11 +256,11 @@ class Reduction(Frozen):
         asg = {}
         for i, (x, zi) in enumerate(zip(self.solution_vars, z), start=1):
             asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
-        y = asg["y"] = evaluate(concat(*self._chains), asg, spec)
+        product = evaluate(concat(*self._chains), asg, spec)
         k = f.degree() + 1
         beta = (k,) + (0,) * (spec.m - 1)
-        asg["dp_y_1"] = spec.element(base={
-            j: delta_decompose(p, k)[beta] for j, p in enumerate(y.base, start=1)
+        asg["y"] = spec.element(base={
+            j: delta_decompose(p, k)[beta] for j, p in enumerate(product.base, start=1)
             if not p.is_zero()})
         return asg
 

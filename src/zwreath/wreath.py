@@ -177,8 +177,8 @@ class GroupSpec(Frozen):
 
 
 def group_power(g, exponent):
-    """g ** exponent for any int exponent, by square-and-multiply."""
-    if not isinstance(exponent, int):
+    """g ** exponent for any int exponent (a bool is not one), by square-and-multiply."""
+    if type(exponent) is not int:
         raise PreconditionError(f"group power must be an int, got {exponent!r}")
     if exponent < 0:
         g, exponent = g.inverse(), -exponent
@@ -407,7 +407,7 @@ class LcsBasisElement(Frozen):
 
 def lcs_basis(i, spec):
     """Free basis of the i-th versus (i+1)-st lower-central-series quotient."""
-    if not isinstance(i, int) or i < 2:
+    if type(i) is not int or i < 2:
         raise PreconditionError(f"lower-central-series index must be an int >= 2, got {i!r}")
     out = []
     for k in range(1, spec.n + 1):
@@ -418,7 +418,7 @@ def lcs_basis(i, spec):
 
 def lcs_rank(i, spec):
     """Rank of the i-th lower-central-series quotient: n * C(i+m-2, m-1)."""
-    if not isinstance(i, int) or i < 2:
+    if type(i) is not int or i < 2:
         raise PreconditionError(f"lower-central-series index must be an int >= 2, got {i!r}")
     return spec.n * math.comb(i + spec.m - 2, spec.m - 1)
 

@@ -30,8 +30,8 @@ def test_compile_witness_verify_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--ranks", "1,1",
                        "--system", str(system), "--assignment", str(assignment))
     assert code == 0
-    assert "satisfied: all 6 equations hold" in out
-    assert out.count(": ok") == 6
+    assert "satisfied: all 5 equations hold" in out
+    assert out.count(": ok") == 5
 
 
 def test_verify_reports_failures(tmp_path, capsys):
@@ -168,16 +168,21 @@ def test_overlong_integer_in_a_list_names_the_digit_limit(capsys):
 
 def test_output_past_the_digit_limit_is_a_precondition_failure(tmp_path, capsys):
     # `C*z1^60 - D`, with C the 4270-digit 99...9 and D = C*2^60, has the
-    # root 2, and its witness and membership polynomial hold coefficients of
-    # more digits than `str()` converts; so does the 20000th
-    # lower-central-series rank of Z^20000 wr Z.  D has 4289 digits, spelled
-    # as (2^60 - 1)*10^4270 + (10^4270 - 2^60).
+    # root 2, and its membership polynomial holds coefficients of more
+    # digits than `str()` converts; so does the 20000th lower-central-series
+    # rank of Z^20000 wr Z.  D has 4289 digits, spelled as
+    # (2^60 - 1)*10^4270 + (10^4270 - 2^60).  The witness writes y, the
+    # quotient of the membership polynomial by (a1-1)^61, whose coefficients
+    # are partial sums of f(1 + a1) and stay below |D|.  `M*z1^2 - 1000*M*z1`,
+    # with M the 4296-digit 99...9, has the root 1000, and its y holds
+    # coefficients up to about M*1000^2/2, of 4302 digits.
     poly = f"{'9' * 4270}*z1^60 - {2 ** 60 - 1}{10 ** 4270 - 2 ** 60}"
+    wide = f"{'9' * 4296}*z1^2 - {'9' * 4296}000*z1"
     limit = sys.get_int_max_str_digits()
     out_file = tmp_path / "wit.asg"
     for argv in (["lcs-rank", "--ranks", "1,20000", "--i", "20000"],
-                 ["witness", "--poly", poly, "--ranks", "1,1", "--solution", "2"],
-                 ["witness", "--poly", poly, "--ranks", "1,1", "--solution", "2",
+                 ["witness", "--poly", wide, "--ranks", "1,1", "--solution", "1000"],
+                 ["witness", "--poly", wide, "--ranks", "1,1", "--solution", "1000",
                   "-o", str(out_file)],
                  ["oracle", "--poly", poly, "--ranks", "1,1", "--solution", "2"]):
         code, out, err = run(capsys, *argv)
@@ -185,9 +190,20 @@ def test_output_past_the_digit_limit_is_a_precondition_failure(tmp_path, capsys)
         assert err == (f"error: the output holds an integer of more than {limit} "
                        "digits, the limit of the readers\n")
     assert not out_file.exists()
-    # The system itself holds no such integer.
-    code, out, _ = run(capsys, "compile", "--poly", poly, "--ranks", "1,1")
-    assert code == 0 and out
+    # The systems hold no such integer, nor does the witness of `C*z1^60 - D`,
+    # which verifies and gives its root back.
+    for text in (poly, wide):
+        code, out, _ = run(capsys, "compile", "--poly", text, "--ranks", "1,1")
+        assert code == 0 and out
+    system = tmp_path / "sys.eqs"
+    assert run(capsys, "compile", "--poly", poly, "--ranks", "1,1", "-o", str(system))[0] == 0
+    assert run(capsys, "witness", "--poly", poly, "--ranks", "1,1", "--solution", "2",
+               "-o", str(out_file))[0] == 0
+    code, out, _ = run(capsys, "verify", "--ranks", "1,1", "--system", str(system),
+                       "--assignment", str(out_file))
+    assert (code, out.splitlines()[-1]) == (0, "satisfied: all 5 equations hold")
+    assert run(capsys, "extract", "--poly", poly, "--ranks", "1,1",
+               "--assignment", str(out_file)) == (0, "2\n", "")
 
 
 def test_error_messages_past_the_digit_limit_name_it(tmp_path, capsys):
@@ -268,7 +284,7 @@ def test_utf8_files_read_with_universal_newlines(tmp_path, capsys):
         path.write_bytes("".join(line + next(ends) for line in lines).encode())
     code, out, err = run(capsys, "verify", "--ranks", "1,1", "--system", str(system),
                          "--assignment", str(assignment))
-    assert (code, out.splitlines()[-1], err) == (0, "satisfied: all 6 equations hold", "")
+    assert (code, out.splitlines()[-1], err) == (0, "satisfied: all 5 equations hold", "")
     assert run(capsys, "extract", "--poly", "z1 - 2", "--ranks", "1,1",
                "--assignment", str(assignment)) == (0, "2\n", "")
 
@@ -381,7 +397,7 @@ def test_longest_rank_list_compiles(capsys):
                        "--ranks", ",".join(["1"] * MAX_RANKS))
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 7  # the declaration line and the flat system's 6 equations
+    assert len(lines) == 6  # the declaration line and the flat system's 5 equations
     # One left-normed commutator adds every level's generator to [x1, @a1].
     levels = "".join(f", @b1_{k}" for k in range(3, MAX_RANKS + 1))
     assert lines[1] == f"[x1, @a1{levels}] = 1"
@@ -400,7 +416,7 @@ def test_longest_rank_list_text_is_linear_and_round_trips(tmp_path, capsys):
                "-o", str(assignment))[0] == 0
     code, out, _ = run(capsys, "verify", "--ranks", ranks, "--system", str(system),
                        "--assignment", str(assignment))
-    assert (code, out.splitlines()[-1]) == (0, "satisfied: all 6 equations hold")
+    assert (code, out.splitlines()[-1]) == (0, "satisfied: all 5 equations hold")
     assert run(capsys, "extract", "--poly", "z1 - 2", "--ranks", ranks,
                "--assignment", str(assignment)) == (0, "2\n", "")
 
@@ -423,8 +439,9 @@ def test_nesting_does_not_grow_with_the_degree(tmp_path, capsys, ranks):
     # system nests as deep as the degree-1 one.  Its witness has no value per
     # chain link, nor per support term: at the root 1 the two terms of
     # z1^300 - 1 give +-(a1 - 1)^300, of 301 coefficients up to C(300, 150),
-    # and only their product y, the identity, is assigned.  That is about
-    # 3 KB over 64 ranks, where the two term values took about 45 KB over 1,1.
+    # and only y, the quotient of their product (the identity) by
+    # (a1 - 1)^301, is assigned.  That is about 3 KB over 64 ranks, where the
+    # two term values took about 45 KB over 1,1.
     system, assignment = tmp_path / "sys.eqs", tmp_path / "wit.asg"
     assert run(capsys, "compile", "--poly", "z1^300 - 1", "--ranks", ranks,
                "-o", str(system))[0] == 0
@@ -436,7 +453,7 @@ def test_nesting_does_not_grow_with_the_degree(tmp_path, capsys, ranks):
     assert len(assignment.read_bytes()) < 4 * 1024
     code, out, _ = run(capsys, "verify", "--ranks", ranks, "--system", str(system),
                        "--assignment", str(assignment))
-    assert (code, out.splitlines()[-1]) == (0, "satisfied: all 6 equations hold")
+    assert (code, out.splitlines()[-1]) == (0, "satisfied: all 5 equations hold")
     assert run(capsys, "extract", "--poly", "z1^300 - 1", "--ranks", ranks,
                "--assignment", str(assignment)) == (0, "1\n", "")
 

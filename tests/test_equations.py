@@ -187,7 +187,7 @@ F = parse_intpoly("z1 - 2")
      "Constant(value=WreathElement('{ active: (1); }'))"),
     (Concat(), Concat(parts=()), Concat((Literal("x"),)), Constant(()), "Concat(parts=())"),
     (Commutator(Literal("x"), Literal("y")), Commutator(Literal("x"), Literal("y")),
-     Commutator(Literal("y"), Literal("x")), Power(Literal("x"), (Literal("y"),)),
+     Commutator(Literal("y"), Literal("x")), CheckReport(Literal("x"), (Literal("y"),)),
      "Commutator(word=Literal(name='x', sign=1), factors=(Literal(name='y', sign=1),))"),
     (Power(Literal("x"), 2), Power(body=Literal("x"), exponent=2), Power(Literal("x"), -2),
      Commutator(Literal("x"), 2), "Power(body=Literal(name='x', sign=1), exponent=2)"),

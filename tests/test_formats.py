@@ -135,10 +135,14 @@ def test_witness_and_extract_build_no_system(monkeypatch, capsys, stem, poly, ra
 # `legacy/terms/` holds every golden pair as printed before y became the
 # product of the chains themselves, when each support term's chain had its
 # own variable `y_<tag>` and the ideal-power chain defined `dp_x_1 = y`.
+# `legacy/product/` holds every golden pair as printed before the product
+# of the chains joined the ideal-power equation, when y was that product
+# and `dp_y_1` its quotient by (a1-1)^(d+1), the value y holds now.
 LEGACY = GOLDEN / "legacy"
 CHAINS = LEGACY / "chains"
 BLOCKS = LEGACY / "blocks"
 TERMS = LEGACY / "terms"
+PRODUCT = LEGACY / "product"
 # The depth-8 pair was first written with generator words and has no literal text.
 LEGACY_CASES = GOLDEN_CASES[:5]
 
@@ -216,11 +220,11 @@ def test_flattening_gives_one_definition_per_former_chain_link(stem, poly, ranks
 
 def test_one_block_and_all_block_systems_accept_their_witnesses(capsys):
     # `legacy/blocks/` constrains y with the B = C(3+2, 2) = 10 blocks of
-    # `gadget_delta_power`, `legacy/terms/` and the golden system with the
-    # one block (3, 0, 0): 3s + t + 2 + 2B, 3s + t + 4 and 3s + 3 equations
-    # for s = 2 variables and t = 2 terms.
+    # `gadget_delta_power`, `legacy/terms/`, `legacy/product/` and the golden
+    # system with the one block (3, 0, 0): 3s + t + 2 + 2B, 3s + t + 4,
+    # 3s + 3 and 3s + 2 equations for s = 2 variables and t = 2 terms.
     for folder, count in ((BLOCKS, 3 * 2 + 2 + 2 + 2 * 10), (TERMS, 3 * 2 + 2 + 4),
-                          (GOLDEN, 3 * 2 + 3)):
+                          (PRODUCT, 3 * 2 + 3), (GOLDEN, 3 * 2 + 2)):
         system, witness = folder / "product_2-3.eqs", folder / "product_2-3.asg"
         code, out, err = run(capsys, "verify", "--ranks", "2,3", "--system", str(system),
                              "--assignment", str(witness))
@@ -230,37 +234,70 @@ def test_one_block_and_all_block_systems_accept_their_witnesses(capsys):
                    "--assignment", str(witness)) == (0, "2,3\n", "")
 
 
+def _own_verdicts(capsys, tmp_path, folder, stem, poly, ranks, root, count):
+    """The pair under `folder` verifies through the CLI with all `count`
+    equations holding, fails with x1 moved by a1, and extracts `root`."""
+    spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
+    system, witness = folder / f"{stem}.eqs", folder / f"{stem}.asg"
+    values = parse_assignment(witness.read_text(encoding="utf-8"), spec)
+    values["x1"] = values["x1"] * spec.generator(1, 1)
+    mutated = tmp_path / f"{folder.name}.asg"
+    mutated.write_text(serialize_assignment(values), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--ranks", ranks, "--system", str(system),
+                         "--assignment", str(witness))
+    assert (code, out.splitlines()[-1], err) == (
+        0, f"satisfied: all {count} equations hold", "")
+    assert run(capsys, "verify", "--ranks", ranks, "--system", str(system),
+               "--assignment", str(mutated))[0] == 1
+    assert run(capsys, "extract", "--poly", poly, "--ranks", ranks,
+               "--assignment", str(witness)) == (0, root + "\n", "")
+
+
 @pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
 def test_term_variable_layout_keeps_its_verdicts(tmp_path, capsys, stem, poly, ranks, root):
-    # The golden system is the one under `legacy/terms/` with its defined
-    # auxiliaries y_<tag> and dp_x_1 replaced by their words.  Each layout
-    # accepts its own witness, rejects it with x1 moved by a1, and gives the
-    # same root; the former witness without those values is the golden one.
+    # The `legacy/product/` system is the one under `legacy/terms/` with its
+    # defined auxiliaries y_<tag> and dp_x_1 replaced by their words.  Each
+    # layout accepts its own witness, rejects it with x1 moved by a1, and
+    # gives the same root; the former witness without those values is the
+    # later one.
     spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
     s, t = len(root.split(",")), len(parse_intpoly(poly).terms)
-    extracted = []
-    for folder, count in ((TERMS, 3 * s + t + 4), (GOLDEN, 3 * s + 3)):
-        system, witness = folder / f"{stem}.eqs", folder / f"{stem}.asg"
-        values = parse_assignment(witness.read_text(encoding="utf-8"), spec)
-        values["x1"] = values["x1"] * spec.generator(1, 1)
-        mutated = tmp_path / f"{folder.name}.asg"
-        mutated.write_text(serialize_assignment(values), encoding="utf-8")
-        code, out, err = run(capsys, "verify", "--ranks", ranks, "--system", str(system),
-                             "--assignment", str(witness))
-        assert (code, out.splitlines()[-1], err) == (
-            0, f"satisfied: all {count} equations hold", "")
-        assert run(capsys, "verify", "--ranks", ranks, "--system", str(system),
-                   "--assignment", str(mutated))[0] == 1
-        extracted.append(run(capsys, "extract", "--poly", poly, "--ranks", ranks,
-                             "--assignment", str(witness)))
-    assert extracted == [(0, root + "\n", "")] * 2
+    for folder, count in ((TERMS, 3 * s + t + 4), (PRODUCT, 3 * s + 3)):
+        _own_verdicts(capsys, tmp_path, folder, stem, poly, ranks, root, count)
     old_system = parse_system((TERMS / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
     old_witness = parse_assignment((TERMS / f"{stem}.asg").read_text(encoding="utf-8"), spec)
-    system = parse_system((GOLDEN / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
-    witness = parse_assignment((GOLDEN / f"{stem}.asg").read_text(encoding="utf-8"), spec)
+    system = parse_system((PRODUCT / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
+    witness = parse_assignment((PRODUCT / f"{stem}.asg").read_text(encoding="utf-8"), spec)
     removed = set(old_system.declared_vars) - set(system.declared_vars)
     assert removed and all(name.startswith("y_") or name == "dp_x_1" for name in removed)
     assert {name: old_witness[name] for name in system.declared_vars} == witness
+
+
+def _merged_witness_text(text):
+    """A `legacy/product/` witness text as the merged layout writes it: its
+    line for y, the product, deleted and dp_y_1 renamed y."""
+    return "".join("y" + line[len("dp_y_1"):] if line.startswith("dp_y_1 := ") else line
+                   for line in text.splitlines(keepends=True) if not line.startswith("y := "))
+
+
+@pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
+def test_product_layout_keeps_its_verdicts(tmp_path, capsys, stem, poly, ranks, root):
+    # The golden system is the one under `legacy/product/` with y replaced
+    # by its product of chains and dp_y_1 renamed y: 3s + 3 equations
+    # became 3s + 2.  Each layout accepts its own witness, rejects it with
+    # x1 moved by a1, and gives the same root; the former witness text with
+    # its y line deleted and dp_y_1 renamed y is the golden one, byte for byte.
+    spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
+    s = len(root.split(","))
+    for folder, count in ((PRODUCT, 3 * s + 3), (GOLDEN, 3 * s + 2)):
+        _own_verdicts(capsys, tmp_path, folder, stem, poly, ranks, root, count)
+    old_system = parse_system((PRODUCT / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
+    system = parse_system((GOLDEN / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
+    assert old_system.declared_vars[-2:] == ("y", "dp_y_1")
+    assert system.declared_vars == old_system.declared_vars[:-1]
+    assert old_system.equations[:-3] == system.equations[:-2]
+    old_text = (PRODUCT / f"{stem}.asg").read_text(encoding="utf-8")
+    assert _merged_witness_text(old_text) == (GOLDEN / f"{stem}.asg").read_text(encoding="utf-8")
 
 
 # -- every ParseError carries the true line and column ------------------------------

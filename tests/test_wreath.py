@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from zwreath.equations import Literal
+from zwreath.equations import Literal, Power
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
+from zwreath.gadgets import delta_blocks
 from zwreath.interp import IteratedSpec
 from zwreath.laurent import LaurentPoly, parse_poly
 from zwreath.wreath import (GroupSpec, LcsBasisElement, WreathElement,
@@ -419,6 +420,40 @@ def test_spec_constructors_reject_malformed_input(build, message):
     with pytest.raises(PreconditionError) as caught:
         build()
     assert caught.type is PreconditionError and str(caught.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    # A bool is an int to isinstance, and True compares equal to 1; an
+    # exponent, an ideal power or a lower-central-series index refuses it
+    # as it refuses a float.
+    (lambda: S11.active_gen(1) ** True, "group power must be an int, got True"),
+    (lambda: S11.active_gen(1) ** False, "group power must be an int, got False"),
+    (lambda: S11.active_gen(1) ** 2.0, "group power must be an int, got 2.0"),
+    (lambda: Power(Literal("x"), 1.5), "group power must be an int, got 1.5"),
+    (lambda: Power(Literal("x"), True), "group power must be an int, got True"),
+    (lambda: Power(Literal("x"), False), "group power must be an int, got False"),
+    (lambda: delta_blocks(S11, True), "ideal power must be a positive int, got True"),
+    (lambda: delta_blocks(S11, False), "ideal power must be a positive int, got False"),
+    (lambda: delta_blocks(S11, 1.0), "ideal power must be a positive int, got 1.0"),
+    (lambda: lcs_basis(True, S11), "lower-central-series index must be an int >= 2, got True"),
+    (lambda: lcs_basis(False, S11),
+     "lower-central-series index must be an int >= 2, got False"),
+    (lambda: lcs_rank(True, S11), "lower-central-series index must be an int >= 2, got True"),
+    (lambda: lcs_rank(False, S11), "lower-central-series index must be an int >= 2, got False"),
+    (lambda: lcs_rank(2.0, S11), "lower-central-series index must be an int >= 2, got 2.0"),
+])
+def test_int_arguments_reject_bools_and_floats(build, message):
+    with pytest.raises(PreconditionError) as caught:
+        build()
+    assert caught.type is PreconditionError and str(caught.value) == message
+
+
+def test_int_arguments_accept_ints():
+    a1 = S11.active_gen(1)
+    assert a1 ** 1 == a1 and (a1 ** 0).is_identity()
+    assert Power(Literal("x"), 2).exponent == 2
+    assert len(delta_blocks(S11, 1)) == 1
+    assert lcs_rank(2, S11) == len(lcs_basis(2, S11)) == 1
 
 
 # -- the variadic commutator ---------------------------------------------------------
