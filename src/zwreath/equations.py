@@ -15,7 +15,8 @@ import re
 
 from .errors import ParseError, PreconditionError, SpecMismatchError
 from .lexer import TokenStream, is_generator, is_int, is_name
-from .wreath import Frozen, GroupSpec, read_generator
+from .laurent import Frozen
+from .wreath import GroupSpec, read_generator
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -109,7 +110,9 @@ def concat(*parts):
 
 
 def power(word, exponent):
-    """Raise a word to an integer power, normalizing trivial exponents."""
+    """Raise a word to an int power (a bool is not one), normalizing trivial exponents."""
+    if type(exponent) is not int:
+        raise PreconditionError(f"group power must be an int, got {exponent!r}")
     if exponent == 0:
         return IDENTITY_WORD
     if exponent == 1:

@@ -19,8 +19,7 @@ import itertools
 from .equations import (Commutator, Constant, Literal, System, concat,
                         equation, evaluate)
 from .errors import PreconditionError
-from .laurent import aug_valuation, delta_decompose, geom_series
-from .wreath import Frozen
+from .laurent import Frozen, delta_decompose, geom_series
 
 
 def gadget_in_N(x, spec):
@@ -146,10 +145,8 @@ def witness_delta_power(g, k):
     for j, p in enumerate(g.base):
         try:
             decomposed.append(delta_decompose(p, k))
-        except PreconditionError:
-            raise PreconditionError(
-                f"{failure}: coordinate b{j + 1} has valuation {aug_valuation(p)} < {k}"
-            ) from None
+        except PreconditionError as refusal:
+            raise PreconditionError(f"{failure}: coordinate b{j + 1}: {refusal}") from None
     fragment = {}
     for bl in blocks:
         fragment[bl.y_name] = spec.element(base={

@@ -22,6 +22,54 @@ from types import MappingProxyType
 from .errors import PreconditionError, SpecMismatchError
 from .lexer import is_int, parse_whole
 
+
+class Frozen:
+    """Base of the package's immutable value types, driven by `_fields`.
+
+    A subclass names its fields in `_fields`, holds them in its own
+    `__slots__` (or, declaring none, in its `__dict__`) and fills them
+    through `object.__setattr__` or its slots' own setters.
+    Two values are equal when they are of one class and their fields are
+    equal, a value hashes as the tuple of its fields, its repr is
+    `Name(field=value, ...)`, and assigning or deleting any attribute
+    raises AttributeError.  Each method costs one attribute read per field.
+
+    Four subclasses keep their own `==` and `hash` (and repr), and take only
+    the refusals from here.  The group elements, `wreath.WreathElement` and
+    `interp.NestedElement`: with the generic field loop, iterated-depth,
+    where elements are compared and hashed most, ran 5-10% slower (in
+    process, 200 instances, Python 3.11 on a 2-core shared host).
+    `LaurentPoly`: its `==` also compares with ints, and reads the row or
+    dict layout.  `reduction.IntPolynomial`: its term dict does not hash.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
 #: Valuation of the zero polynomial (compares above every integer).
 INFINITY = math.inf
 
@@ -247,7 +295,7 @@ def _times_differences(p, shifts, sign=1):
     return LaurentPoly._unchecked(p.rank, terms)
 
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """A finitely supported integer combination of monomials a^gamma.
 
     Instances are immutable; `terms` maps exponent vectors of length `rank`
@@ -276,9 +324,6 @@ class LaurentPoly:
         """
         row = _dense_row(terms) if len(terms) >= _DENSE_MIN_TERMS else None
         return _new(rank, None if row else terms, row, p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     @property
     def terms(self):
@@ -368,7 +413,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise PreconditionError(f"polynomial power must be a non-negative int, got {exponent!r}")
         return binary_power(self, exponent, LaurentPoly.one(self.rank))
 
@@ -377,12 +422,13 @@ class LaurentPoly:
         shift = tuple(exponents)
         if len(shift) != self.rank:
             raise SpecMismatchError(f"monomial shift {shift!r} invalid for rank {self.rank}")
-        if not all(isinstance(e, int) for e in shift):
+        if not all(type(e) is int for e in shift):
             raise PreconditionError(f"exponent vector {shift!r} invalid for rank {self.rank}")
         return _shift(self, shift)
 
     # -- comparisons / hashing --------------------------------------------
 
+    # Its own `==` and `hash`: `==` also compares with ints, and reads the layout.
     def __eq__(self, other):
         if isinstance(other, int):
             return self.is_zero() if other == 0 else self._terms == {(0,) * self.rank: other}
@@ -429,7 +475,7 @@ class LaurentPoly:
         return f"LaurentPoly({self.rank}, {str(self)!r})"
 
 
-# The slots' own setters, which `_new` calls past `__setattr__`.
+# The slots' own setters, which `_new` calls past `Frozen.__setattr__`.
 _set_rank, _set_terms, _set_row = (LaurentPoly.__dict__[name].__set__
                                    for name in ("rank", "_terms", "_row"))
 
@@ -487,7 +533,7 @@ def delta_membership(p, k):
 
     One `aug_valuation`, at its full cost whatever k is.
     """
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise PreconditionError(f"ideal power must be a non-negative int, got {k!r}")
     return aug_valuation(p) >= k
 
@@ -573,7 +619,11 @@ def delta_decompose(p, k):
     free of a_v, is split the same way along the earlier variables with
     r - j and beta_v = j.  On the first variable nothing is left to take the
     missing degree, so a nonzero restriction there proves p is not in the
-    k-th power: the split is its own membership test.  A polynomial of one
+    k-th power: the split is its own membership test.  That restriction is
+    the part of P of y-degree exactly k - r + j (see below), and every part
+    of y-degree below k is one of them, so the least such degree over the
+    whole split is the augmentation valuation that the refusal names, with
+    no y-expansion.  A polynomial of one
     tail past a1, a row among them, passes whole through the splits along
     a_m..a_2, so its one split is along a1, and its quotient for
     (k, 0, ..., 0) is a row when the density rule holds it as one.
@@ -597,9 +647,11 @@ def delta_decompose(p, k):
     C(k+m-1, m-1) splits run.  That bounds the work by
     C(k+m-1, m-1) * k * T * (E + 1) additions for T terms of largest span E,
     where the y-expansion took about prod_i (gamma_i + 1) binomial products
-    per term.
+    per term.  A refusal runs the same split to its end, so it costs what
+    an accepted p of the same shape does: `a1^8000 + 1` at k = 1 is one
+    step over 8000 cells, where `aug_valuation` of it takes seconds.
     """
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise PreconditionError(f"ideal power must be a positive int, got {k!r}")
     if p.is_zero():
         return {}
@@ -614,6 +666,7 @@ def delta_decompose(p, k):
     # exponents are the minima, v, degree r to place, beta_{v+1}..beta_m).
     pending = [(fibres, v, k, (0,) * (rank - 1 - v))]
     out = {}
+    valuation = k  # the least y-degree of a nonzero remainder at a_1, if below k
     while pending:
         fibres, v, r, beta_tail = pending.pop()
         lo = mins[v]
@@ -623,10 +676,9 @@ def delta_decompose(p, k):
                 total, segments = _split_step(segments)
                 if total:
                     if v == 0:
-                        raise PreconditionError(
-                            f"polynomial has augmentation valuation {aug_valuation(p)}, "
-                            f"not in ideal power {k}")
-                    restriction[pre + (lo,) + post] = total
+                        valuation = min(valuation, k - r + j)
+                    else:
+                        restriction[pre + (lo,) + post] = total
                     start, cells = segments[0]
                     segments[0] = (lo, [total] * (start - lo) + cells)
                 if any(any(cells) for _, cells in segments):
@@ -644,6 +696,9 @@ def delta_decompose(p, k):
                 for start, cells in segments for e, c in enumerate(cells, start) if c})
         if quotient:
             out[(0,) * v + (r,) + beta_tail] = quotient
+    if valuation < k:
+        raise PreconditionError(
+            f"polynomial has augmentation valuation {valuation}, not in ideal power {k}")
     return {beta: out[beta] for beta in sorted(out)}
 
 
@@ -656,7 +711,7 @@ def geom_series(gamma, rank=1):
     32 terms on, built as `[1] * gamma` (or `[-1] * |gamma|`) in O(|gamma|)
     C-level time and 8 bytes a term; below that, a dict of |gamma| terms.
     """
-    if not isinstance(gamma, int):
+    if type(gamma) is not int:
         raise PreconditionError(f"exponent must be an int, got {gamma!r}")
     _check_rank(rank)
     return _from_row(rank, min(gamma, 0), (0,) * (rank - 1), [1 if gamma > 0 else -1] * abs(gamma))

@@ -32,10 +32,10 @@ from .equations import (Commutator, Constant, Literal, System, concat, equation,
                         evaluate, merge_systems)
 from .errors import PreconditionError, SpecMismatchError, shown
 from .gadgets import gadget_cyclic, witness_cyclic
-from .laurent import (LaurentPoly, _normal_terms, _ordered_monomials, delta_decompose,
+from .laurent import (Frozen, LaurentPoly, _normal_terms, _ordered_monomials, delta_decompose,
                       delta_membership, read_terms, terms_str)
 from .lexer import parse_whole
-from .wreath import Frozen, GroupSpec, in_A
+from .wreath import GroupSpec, in_A
 
 
 # Largest variable count `parse_intpoly` infers from text.  Every term stores
@@ -48,7 +48,7 @@ from .wreath import Frozen, GroupSpec, in_A
 MAX_VARIABLES = 256
 
 
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Sparse integer polynomial in variables z1..zs with non-negative exponents."""
 
     __slots__ = ("num_vars", "_terms")
@@ -59,9 +59,6 @@ class IntPolynomial:
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "_terms",
                            _normal_terms(terms, num_vars, "{} variables", nonnegative=True))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
 
     @property
     def terms(self):
@@ -91,6 +88,7 @@ class IntPolynomial:
         """Exponent vectors in degree-lexicographic descending order."""
         return _ordered_monomials(self._terms)
 
+    # Its own `==` and `hash`: `Frozen`'s hash of the fields fails on the term dict.
     def __eq__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented

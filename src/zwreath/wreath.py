@@ -16,59 +16,19 @@ import re
 from operator import add
 
 from .errors import PreconditionError, SpecMismatchError
-from .laurent import (LaurentPoly, _canonical_terms, _shift, _sum, _terms_of, _times_differences,
-                      binary_power, delta_membership, read_poly)
+from .laurent import (Frozen, LaurentPoly, _canonical_terms, _shift, _sum, _terms_of,
+                      _times_differences, binary_power, delta_membership, read_poly)
 from .lexer import is_name, parse_whole
-
-
-class Frozen:
-    """Base of the package's immutable value types, driven by `_fields`.
-
-    A subclass names its fields in `_fields`, holds them in its own
-    `__slots__` (or, declaring none, in its `__dict__`) and fills them in
-    `__init__` through `object.__setattr__`.
-    Two values are equal when they are of one class and their fields are
-    equal, a value hashes as the tuple of its fields, its repr is
-    `Name(field=value, ...)`, and assigning or deleting an attribute
-    raises AttributeError.  Each method costs one attribute read per field.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        for name in self._fields:
-            if getattr(self, name) != getattr(other, name):
-                return False
-        return True
-
-    def __hash__(self):
-        return hash(tuple([getattr(self, name) for name in self._fields]))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class GroupSpec(Frozen):
     """Ambient group Z^n wr Z^m: `m` active generators, `n` base generators.
 
     Each rank must be a positive int (a bool is not one).  Every element
-    operation compares specs, so `==` tests identity first and `hash` is
-    computed once, when the spec is built.
+    operation compares specs; `Frozen`'s `==` tests identity first.
     """
 
-    __slots__ = ("m", "n", "_hash", "_identity")
+    __slots__ = ("m", "n", "_identity")
     _fields = ("m", "n")
 
     def __init__(self, m, n):
@@ -78,18 +38,7 @@ class GroupSpec(Frozen):
             raise PreconditionError(f"base rank must be a positive int, got {n!r}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_hash", hash((m, n)))
         object.__setattr__(self, "_identity", self.element())
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.m == other.m and self.n == other.n
-
-    def __hash__(self):
-        return self._hash
 
     def identity(self):
         return self._identity
@@ -185,7 +134,7 @@ def group_power(g, exponent):
     return binary_power(g, exponent, g.spec.identity())
 
 
-class WreathElement:
+class WreathElement(Frozen):
     """Normal form a * f: active exponent vector plus base coordinates.
 
     The constructor checks its arguments: `active` holds `spec.m` ints (a
@@ -219,9 +168,6 @@ class WreathElement:
         _set_active(g, active)
         _set_base(g, base)
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WreathElement is immutable")
 
     def _check_spec(self, other):
         if not isinstance(other, WreathElement):
@@ -310,6 +256,7 @@ class WreathElement:
     def is_identity(self):
         return not any(self.active) and all(p.is_zero() for p in self.base)
 
+    # Its own `==` and `hash`: `Frozen`'s field loop ran iterated-depth 5-10% slower.
     def __eq__(self, other):
         if not isinstance(other, WreathElement):
             return NotImplemented
@@ -317,7 +264,8 @@ class WreathElement:
                 and self.base == other.base)
 
     def __hash__(self):
-        return hash((self.spec, self.active, self.base))
+        """The hash of the parts; the spec is left out, since equal elements share one."""
+        return hash((self.active, self.base))
 
     def sort_key(self):
         return (self.active,) + tuple(p.sort_key() for p in self.base)
@@ -334,7 +282,7 @@ class WreathElement:
         return f"WreathElement({str(self)!r})"
 
 
-# The slots' own setters, which `WreathElement._unchecked` calls past `__setattr__`.
+# The slots' own setters, which `WreathElement._unchecked` calls past `Frozen.__setattr__`.
 _set_spec, _set_active, _set_base = (WreathElement.__dict__[name].__set__
                                      for name in WreathElement.__slots__)
 

@@ -169,6 +169,20 @@ def test_delta_witness_requires_membership():
         witness_delta_power(g, 1)
 
 
+def test_delta_witness_names_the_coordinate_and_its_valuation():
+    # The refusal is delta_decompose's, prefixed with the coordinate; a
+    # sparse coordinate of valuation 0 is refused without a y-expansion.
+    g = S12.element(base={1: parse_poly("a1^2 - 2*a1 + 1", 1), 2: parse_poly("a1^8000 + 1", 1)})
+    with pytest.raises(PreconditionError) as caught:
+        witness_delta_power(g, 1)
+    assert str(caught.value) == (
+        "element is not in the ideal-power-1 base subgroup: coordinate b2: "
+        "polynomial has augmentation valuation 0, not in ideal power 1")
+    with pytest.raises(PreconditionError, match="coordinate b1: polynomial has augmentation "
+                                                "valuation 2, not in ideal power 3$"):
+        witness_delta_power(g, 3)
+
+
 def test_delta_witness_rejects_active_part():
     with pytest.raises(PreconditionError, match="active part"):
         witness_delta_power(S11.active_gen(1), 1)

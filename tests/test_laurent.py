@@ -169,6 +169,11 @@ def test_decompose_recomposes():
 def test_decompose_rejects_nonmembers():
     with pytest.raises(PreconditionError, match="valuation 1"):
         delta_decompose(P("a1 - 1", 1), 2)
+    # Valuation 0 is read off the first split step over the 8000 cells,
+    # where a full y-expansion of a1^8000 takes seconds.
+    with pytest.raises(PreconditionError,
+                       match="^polynomial has augmentation valuation 0, not in ideal power 1$"):
+        delta_decompose(P("a1^8000 + 1", 1), 1)
 
 
 def test_decompose_large_univariate_root():
@@ -269,6 +274,31 @@ def test_decompose_nonmembers_name_reference_valuation():
         with pytest.raises(PreconditionError, match=f"valuation {valuation}, "):
             delta_decompose(p, k)
     assert rejected >= 100
+
+
+@st.composite
+def non_member(draw):
+    """(p, k) with p outside the k-th ideal power: a random polynomial of
+    rank 1..3 times up to three factors a_v - 1, and k above its valuation."""
+    rank = draw(st.integers(1, 3))
+    monomials = st.tuples(*[st.integers(-6, 6)] * rank)
+    terms = draw(st.dictionaries(monomials, st.integers(-9, 9).filter(bool),
+                                 min_size=1, max_size=5))
+    p = LaurentPoly(rank, terms)
+    for v in draw(st.lists(st.integers(1, rank), max_size=3)):
+        p = p * (LaurentPoly.variable(rank, v) - 1)
+    return p, aug_valuation(p) + draw(st.integers(1, 3))
+
+
+@given(non_member())
+def test_decompose_refusal_names_the_augmentation_valuation(case):
+    # The refusal reads the valuation off the split's remainders at a1;
+    # it must be the one the full y-expansion finds.
+    p, k = case
+    with pytest.raises(PreconditionError) as caught:
+        delta_decompose(p, k)
+    assert str(caught.value) == (
+        f"polynomial has augmentation valuation {aug_valuation(p)}, not in ideal power {k}")
 
 
 # -- geometric series ----------------------------------------------------------

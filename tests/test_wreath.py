@@ -1,14 +1,17 @@
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from zwreath.equations import Literal, Power
+from zwreath.equations import IDENTITY_WORD, Literal, Power, power
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.gadgets import delta_blocks
-from zwreath.interp import IteratedSpec
-from zwreath.laurent import LaurentPoly, parse_poly
+from zwreath.interp import IteratedSpec, NestedElement
+from zwreath.laurent import (LaurentPoly, delta_decompose, delta_membership, geom_series,
+                             parse_poly)
+from zwreath.reduction import parse_intpoly
 from zwreath.wreath import (GroupSpec, LcsBasisElement, WreathElement,
                             in_A, in_N, in_delta_power,
                             lcs_basis, lcs_rank, left_normed_commutator,
@@ -441,6 +444,25 @@ def test_spec_constructors_reject_malformed_input(build, message):
     (lambda: lcs_rank(True, S11), "lower-central-series index must be an int >= 2, got True"),
     (lambda: lcs_rank(False, S11), "lower-central-series index must be an int >= 2, got False"),
     (lambda: lcs_rank(2.0, S11), "lower-central-series index must be an int >= 2, got 2.0"),
+    # The normalizing word builder refuses before its 0 and +-1 shortcuts.
+    (lambda: power(Literal("x"), True), "group power must be an int, got True"),
+    (lambda: power(Literal("x"), False), "group power must be an int, got False"),
+    (lambda: power(Literal("x"), 1.0), "group power must be an int, got 1.0"),
+    (lambda: power(Literal("x"), 0.0), "group power must be an int, got 0.0"),
+    (lambda: power(Literal("x"), -1.0), "group power must be an int, got -1.0"),
+    # The polynomial layer's int arguments.
+    (lambda: parse_poly("a1", 1) ** True, "polynomial power must be a non-negative int, got True"),
+    (lambda: parse_poly("a1", 1) ** 2.0, "polynomial power must be a non-negative int, got 2.0"),
+    (lambda: parse_poly("a1", 2).times_monomial((True, 0)),
+     "exponent vector (True, 0) invalid for rank 2"),
+    (lambda: delta_membership(parse_poly("a1 - 1", 1), True),
+     "ideal power must be a non-negative int, got True"),
+    (lambda: delta_decompose(parse_poly("a1 - 1", 1), True),
+     "ideal power must be a positive int, got True"),
+    (lambda: delta_decompose(parse_poly("a1 - 1", 1), 1.0),
+     "ideal power must be a positive int, got 1.0"),
+    (lambda: geom_series(True), "exponent must be an int, got True"),
+    (lambda: geom_series(2.0), "exponent must be an int, got 2.0"),
 ])
 def test_int_arguments_reject_bools_and_floats(build, message):
     with pytest.raises(PreconditionError) as caught:
@@ -454,6 +476,47 @@ def test_int_arguments_accept_ints():
     assert Power(Literal("x"), 2).exponent == 2
     assert len(delta_blocks(S11, 1)) == 1
     assert lcs_rank(2, S11) == len(lcs_basis(2, S11)) == 1
+    x = Literal("x")
+    assert power(x, 1) == x and power(x, 0) == IDENTITY_WORD and power(x, -1) == Literal("x", -1)
+    assert power(x, 2) == Power(x, 2)
+    a1 = parse_poly("a1", 1)
+    assert a1 ** 2 == parse_poly("a1^2", 1) and a1.times_monomial((1,)) == a1 ** 2
+    assert delta_membership(a1 - 1, 1) and delta_decompose(a1 - 1, 1) == {(1,): 1}
+    assert geom_series(2) == parse_poly("a1 + 1", 1)
+
+
+S111 = IteratedSpec((1, 1, 1))
+
+
+@pytest.mark.parametrize("value", [
+    S21.element(active=(1, -2), base={1: parse_poly("a1 - 3*a2", 2)}),
+    S111.embed(S11.active_gen(1)),
+    S111.base_gen(1) * S111.embed(S11.base_gen(1)),
+    parse_poly("a1^2 - 3*a2 + 1", 2),
+    LaurentPoly(1, {(e,): 1 for e in range(40)}),
+    parse_intpoly("z1*z2 - 6"),
+], ids=["WreathElement", "NestedElement-pure-active", "NestedElement-with-support",
+        "LaurentPoly-dict", "LaurentPoly-row", "IntPolynomial"])
+def test_values_refuse_assignment_and_deletion(value):
+    # Every value type is a `Frozen` subclass: setting or deleting a slot,
+    # or any other name, raises and leaves every slot as it was.
+    names = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+    text, key = str(value), hash(value)
+    slots = [getattr(value, name, None) for name in names]
+    for name in names + ["unknown"]:
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable"):
+            delattr(value, name)
+    assert all(map(operator.is_, [getattr(value, name, None) for name in names], slots))
+    assert (str(value), hash(value)) == (text, key)
+
+
+def test_immutability_cases_cover_both_layouts_and_both_element_shapes():
+    pure, supported = S111.embed(S11.active_gen(1)), S111.base_gen(1) * S111.embed(S11.base_gen(1))
+    assert type(pure) is type(supported) is NestedElement and not pure.base and supported.base
+    assert parse_poly("a1^2 - 3*a2 + 1", 2)._row is None
+    assert LaurentPoly(1, {(e,): 1 for e in range(40)})._row is not None
 
 
 # -- the variadic commutator ---------------------------------------------------------
