@@ -7,9 +7,10 @@ Witness builders return assignment fragments that satisfy the corresponding
 gadget exactly.  An auxiliary that a gadget defines by an equation
 `name = word` gets its value by evaluating that word; only those no equation
 defines have a dedicated builder: the cyclic gadget's geometric series and
-the ideal-power blocks' quotients y_beta.  Each ideal-power block's
-commutator chain is one left-normed commutator, so the block defines x_beta
-alone, with no variable per chain link.
+the ideal-power blocks' quotients y_beta.  The cyclic gadget needs its
+auxiliary only at m >= 2: at m = 1 the centralizer of a1 is <a1>.  Each
+ideal-power block's commutator chain is one left-normed commutator, so the
+block defines x_beta alone, with no variable per chain link.
 """
 
 from __future__ import annotations
@@ -35,11 +36,19 @@ def gadget_in_A(x, spec):
 def gadget_cyclic(x, spec, z_name="cyc_z_1"):
     """Membership in the cyclic subgroup generated by a1.
 
-    The system [x,a1] = 1, [z,b1] = 1, [b1,x] = [z,a1] is solvable exactly
-    when x is a power of a1; the witness for x = a1^gamma sets z to b1 acted
-    on by the geometric series with sum times (a1 - 1) equal to a1^gamma - 1.
-    Declares (x, z); three equations of O(1) size.
+    At m = 1 this is `gadget_in_A`, the one equation [x,a1] = 1: x = (alpha,
+    p) commutes with a1 exactly when p (a1 - 1) = 0, and Z[a1^{+-1}] has no
+    zero divisors, so p = 0 and the centralizer of a1 is <a1> itself.
+    Declares x alone; one equation of O(1) size.
+
+    At m >= 2 the centralizer of a1 is all of A, and the system [x,a1] = 1,
+    [z,b1] = 1, [b1,x] = [z,a1] is solvable exactly when x is a power of a1:
+    the witness for x = a1^gamma sets z to b1 acted on by the geometric
+    series with sum times (a1 - 1) equal to a1^gamma - 1.  Declares (x, z);
+    three equations of O(1) size.
     """
+    if spec.m == 1:
+        return gadget_in_A(x, spec)
     a1 = Constant(spec.generator(1, 1))
     b1 = Constant(spec.generator(2, 1))
     eqs = (
@@ -51,15 +60,17 @@ def gadget_cyclic(x, spec, z_name="cyc_z_1"):
 
 
 def witness_cyclic(gamma, spec, x_name="x", z_name="cyc_z_1"):
-    """Satisfying fragment {x: a1^gamma, z: b1^s} for the geometric series s.
+    """Satisfying fragment for `gadget_cyclic`: {x: a1^gamma}, and at m >= 2
+    also z: b1^s for the geometric series s.
 
-    z is the base element whose b1 coordinate is s, built without a ring
-    product.  s has |gamma| terms, so this costs O(|gamma|) time and output.
+    At m = 1 that is one generator, O(1).  At m >= 2 z is the base element
+    whose b1 coordinate is s, built without a ring product; s has |gamma|
+    terms, so this costs O(|gamma|) time and output.
     """
-    return {
-        x_name: spec.generator(1, 1, gamma),
-        z_name: spec.element(base={1: geom_series(gamma, spec.m)}),
-    }
+    x = spec.generator(1, 1, gamma)
+    if spec.m == 1:
+        return {x_name: x}
+    return {x_name: x, z_name: spec.element(base={1: geom_series(gamma, spec.m)})}
 
 
 # -- membership in powers of the augmentation ideal ---------------------------

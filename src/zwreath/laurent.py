@@ -438,13 +438,19 @@ class LaurentPoly(Frozen):
                 and self._row == other._row)
 
     def __hash__(self):
-        """O(T) on the first call, then O(1): the value is kept in `_hash`."""
+        """O(T) on the first call, then O(1): the value is kept in `_hash`.
+
+        A constant, zero included, equals its int (`__eq__`) and so hashes as it.
+        """
         try:
             return self._hash
         except AttributeError:
-            row = self._row
-            h = hash((self.rank, frozenset(self._terms.items()) if row is None
-                      else (row[0], row[1], tuple(row[2]))))
+            row, terms, zero = self._row, self._terms, (0,) * self.rank
+            if row is None and terms.keys() <= {zero}:
+                h = hash(terms.get(zero, 0))
+            else:
+                h = hash((self.rank, frozenset(terms.items()) if row is None
+                          else (row[0], row[1], tuple(row[2]))))
             object.__setattr__(self, "_hash", h)
             return h
 

@@ -2,7 +2,8 @@
 
 Given f = sum_alpha t_alpha z^alpha of total degree d, the compiled system
 over Z^n wr Z^m constrains each solution variable x_i to the cyclic subgroup
-of a1, writes per-term commutator chains whose product carries the base
+of a1 (at m = 1 by [x_i, a1] = 1 alone, since the centralizer of a1 is then
+<a1>), writes per-term commutator chains whose product carries the base
 coordinate
 
     e_f = sum_alpha t_alpha (a1-1)^(d-|alpha|) prod_i (a1^{z_i} - 1)^{alpha_i},
@@ -181,8 +182,10 @@ class Reduction(Frozen):
         """A group-equation system solvable iff f has an integer root.
 
         Zero f compiles to the empty system (every tuple is a root).  Otherwise
-        the system consists of a cyclic-subgroup gadget per variable, then
-        two equations at degree k = d+1, in this order:
+        the system consists of a cyclic-subgroup gadget per variable
+        (`gadgets.gadget_cyclic`: [x_i, a1] = 1 alone at m = 1, three
+        equations and the auxiliary cyc_z_i at m >= 2), then two equations
+        at degree k = d+1, in this order:
 
             [y, b1] = 1,   [chain_1] ... [chain_t] [a1, y, a1, ..., a1] = 1
 
@@ -200,7 +203,9 @@ class Reduction(Frozen):
         and y in place of its y_beta, and at m = 1 the whole gadget.  One
         block suffices for every m: the cyclic gadgets put each x_i in <a1>,
         and every chain uses only b1, a1 and the x_i, so e_f lies in
-        Z[a1^{+-1}].  The retraction
+        Z[a1^{+-1}].  At m = 1, [x_i, a1] = 1 does so alone: x_i = (alpha, p)
+        commutes with a1 iff p (a1 - 1) = 0, and Z[a1^{+-1}] has no zero
+        divisors, so p = 0.  The retraction
         phi: a_j -> 1 (j >= 2) of Z[A] maps the k-th augmentation-ideal power
         Delta^k onto (a1-1)^k Z[a1^{+-1}] and fixes Z[a1^{+-1}], so a p in
         Z[a1^{+-1}] lies in Delta^k exactly when (a1-1)^k divides it there.
@@ -210,11 +215,12 @@ class Reduction(Frozen):
         y, since (a1-1)^k is not a zero divisor of Z[A].
 
         Size, for s variables and degree d, whatever the number t of
-        support terms and the active rank m: 3s equations and 2s variables
-        from the cyclic gadgets, and 2 equations and the one variable y from
-        the rest, whose words hold t chains of at most d factors and one
-        chain of d + 1.  That is 3s + 2 equations and 2s + 1 variables,
-        built in time linear in their size.
+        support terms: the cyclic gadgets give s equations and s variables
+        at m = 1, 3s and 2s at m >= 2, and the rest gives 2 equations and
+        the one variable y, whose words hold t chains of at most d factors
+        and one chain of d + 1.  That is s + 2 equations and s + 1
+        variables at m = 1, 3s + 2 and 2s + 1 at m >= 2, built in time
+        linear in their size.
         """
         spec = self._flat_spec()
         if self.poly.is_zero():
@@ -232,13 +238,14 @@ class Reduction(Frozen):
     def witness(self, z):
         """Satisfying assignment for `system` from an integer root z; builds no system.
 
-        Each x_i and its cyclic auxiliary come from `witness_cyclic`.  The
-        product of the system's own chains is evaluated once: one
-        closed-form commutator per chain, O(k * T) dict updates for k
-        factors (`WreathElement.commutator`).  y takes the quotients of its
-        coordinates by (a1-1)^(d+1) from `delta_decompose`: O(T log T + d * E)
-        additions on a coordinate of T terms and a1-span E, free of a2..am;
-        the quotient is a dense row along a1 once it has 32 terms or more.
+        Each x_i, and at m >= 2 its cyclic auxiliary, come from
+        `witness_cyclic`.  The product of the system's own chains is
+        evaluated once: one closed-form commutator per chain, O(k * T) dict
+        updates for k factors (`WreathElement.commutator`).  y takes the
+        quotients of its coordinates by (a1-1)^(d+1) from `delta_decompose`:
+        O(T log T + d * E) additions on a coordinate of T terms and a1-span
+        E, free of a2..am; the quotient is a dense row along a1 once it has
+        32 terms or more.
         """
         spec = self._flat_spec()
         f = self.poly

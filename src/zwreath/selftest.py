@@ -349,14 +349,29 @@ def check_concat_homomorphism(rng, samples):
 
 
 def check_gadget_cyclic(rng, samples, gamma_bound=20):
+    """Over m = 1 and m = 2: the witness of a1^gamma satisfies the cyclic
+    gadget; a1^gamma with a base part does not, nor, at m = 2, a1^gamma
+    times a nonzero power of a2, with cyc_z_1 the witness's or a random
+    element."""
     failures = []
-    spec = GroupSpec(2, 2)
-    system = gadget_cyclic("x", spec)
     for i in range(samples):
+        spec = GroupSpec(rng.randint(1, 2), rng.randint(1, 2))
+        system = gadget_cyclic("x", spec)
         gamma = rng.randint(-gamma_bound, gamma_bound)
         asg = witness_cyclic(gamma, spec)
         if not check_system(system, asg, spec).ok:
-            failures.append(f"gamma={gamma}: cyclic witness rejected")
+            failures.append(f"sample {i}, m={spec.m}: a1^{gamma} rejected")
+        base_part = spec.element(base={rng.randint(1, spec.n): rand_nonzero_poly(
+            rng, spec.m, max_terms=2, exp_bound=2)})
+        outsiders = [asg["x"] * base_part]
+        if spec.m >= 2:
+            outsiders.append(asg["x"] * spec.generator(1, 2, rng.choice((-2, -1, 1, 3))))
+        for x in outsiders:
+            values = {**asg, "x": x}
+            if spec.m >= 2 and rng.random() < 0.5:
+                values["cyc_z_1"] = rand_element(rng, spec, exp_bound=2, max_terms=2)
+            if check_system(system, values, spec).ok:
+                failures.append(f"sample {i}, m={spec.m}: {x} accepted")
     return failures
 
 

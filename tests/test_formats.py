@@ -138,11 +138,15 @@ def test_witness_and_extract_build_no_system(monkeypatch, capsys, stem, poly, ra
 # `legacy/product/` holds every golden pair as printed before the product
 # of the chains joined the ideal-power equation, when y was that product
 # and `dp_y_1` its quotient by (a1-1)^(d+1), the value y holds now.
+# `legacy/cyclic/` holds every golden pair over an innermost active rank of 1
+# as printed before [x_i, a1] = 1 alone pinned x_i there, when each x_i had
+# the cyclic gadget's three equations and its auxiliary `cyc_z_i`.
 LEGACY = GOLDEN / "legacy"
 CHAINS = LEGACY / "chains"
 BLOCKS = LEGACY / "blocks"
 TERMS = LEGACY / "terms"
 PRODUCT = LEGACY / "product"
+CYCLIC = LEGACY / "cyclic"
 # The depth-8 pair was first written with generator words and has no literal text.
 LEGACY_CASES = GOLDEN_CASES[:5]
 
@@ -280,24 +284,71 @@ def _merged_witness_text(text):
                    for line in text.splitlines(keepends=True) if not line.startswith("y := "))
 
 
+def _cyclic_folder(stem):
+    """Where the pair of `stem` with the three-equation cyclic gadgets is:
+    `legacy/cyclic/` over an innermost active rank of 1, else the golden one."""
+    return CYCLIC if (CYCLIC / f"{stem}.eqs").exists() else GOLDEN
+
+
 @pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
 def test_product_layout_keeps_its_verdicts(tmp_path, capsys, stem, poly, ranks, root):
-    # The golden system is the one under `legacy/product/` with y replaced
+    # The merged system is the one under `legacy/product/` with y replaced
     # by its product of chains and dp_y_1 renamed y: 3s + 3 equations
     # became 3s + 2.  Each layout accepts its own witness, rejects it with
     # x1 moved by a1, and gives the same root; the former witness text with
-    # its y line deleted and dp_y_1 renamed y is the golden one, byte for byte.
+    # its y line deleted and dp_y_1 renamed y is the merged one, byte for byte.
     spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
     s = len(root.split(","))
-    for folder, count in ((PRODUCT, 3 * s + 3), (GOLDEN, 3 * s + 2)):
+    merged = _cyclic_folder(stem)
+    for folder, count in ((PRODUCT, 3 * s + 3), (merged, 3 * s + 2)):
         _own_verdicts(capsys, tmp_path, folder, stem, poly, ranks, root, count)
     old_system = parse_system((PRODUCT / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
-    system = parse_system((GOLDEN / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
+    system = parse_system((merged / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
     assert old_system.declared_vars[-2:] == ("y", "dp_y_1")
     assert system.declared_vars == old_system.declared_vars[:-1]
     assert old_system.equations[:-3] == system.equations[:-2]
     old_text = (PRODUCT / f"{stem}.asg").read_text(encoding="utf-8")
-    assert _merged_witness_text(old_text) == (GOLDEN / f"{stem}.asg").read_text(encoding="utf-8")
+    assert _merged_witness_text(old_text) == (merged / f"{stem}.asg").read_text(encoding="utf-8")
+
+
+def _without_cyclic_auxiliaries(text):
+    """A `legacy/cyclic/` text as written with [x_i, a1] = 1 alone: every line
+    naming a `cyc_z_i` deleted, and those names dropped from the declaration."""
+    lines = []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("# vars:"):
+            line = " ".join(w for w in line.split(" ") if not w.startswith("cyc_z_"))
+        elif "cyc_z_" in line:
+            continue
+        lines.append(line)
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
+def test_cyclic_auxiliary_layout_keeps_its_verdicts(tmp_path, capsys, stem, poly, ranks, root):
+    # Over an innermost active rank of 1 the golden pair is the one under
+    # `legacy/cyclic/` with the lines of every cyc_z_i deleted: 3s + 2
+    # equations became s + 2.  Each layout accepts its own witness, rejects
+    # it with x1 moved by a1, and gives the same root.  Over a higher active
+    # rank the cyclic gadget keeps its three equations and no legacy pair
+    # exists.
+    s = len(root.split(","))
+    if _cyclic_folder(stem) is GOLDEN:
+        assert int(ranks.split(",")[-1]) >= 2
+        assert "cyc_z_1" in (GOLDEN / f"{stem}.eqs").read_text(encoding="utf-8")
+        return
+    assert int(ranks.split(",")[-1]) == 1
+    for folder, count in ((CYCLIC, 3 * s + 2), (GOLDEN, s + 2)):
+        _own_verdicts(capsys, tmp_path, folder, stem, poly, ranks, root, count)
+    for suffix in ("eqs", "asg"):
+        old_text = (CYCLIC / f"{stem}.{suffix}").read_text(encoding="utf-8")
+        assert old_text.count("cyc_z_") >= (3 * s if suffix == "eqs" else s)
+        assert _without_cyclic_auxiliaries(old_text) == (
+            GOLDEN / f"{stem}.{suffix}").read_text(encoding="utf-8")
+    # The parent's witness, cyc_z_i values and all, still solves the system.
+    code, out, _ = run(capsys, "verify", "--ranks", ranks, "--system",
+                       str(GOLDEN / f"{stem}.eqs"), "--assignment", str(CYCLIC / f"{stem}.asg"))
+    assert (code, out.splitlines()[-1]) == (0, f"satisfied: all {s + 2} equations hold")
 
 
 # -- every ParseError carries the true line and column ------------------------------

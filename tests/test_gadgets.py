@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zwreath.equations import System, check_system
 from zwreath.errors import PreconditionError
@@ -10,7 +11,8 @@ from zwreath.gadgets import (delta_blocks, gadget_cyclic, gadget_delta_power,
                              gadget_in_A, gadget_in_N, witness_cyclic,
                              witness_delta_power)
 from zwreath.laurent import LaurentPoly, delta_generator_product, parse_poly
-from zwreath.selftest import rand_base_element
+from zwreath import selftest
+from zwreath.selftest import check_gadget_cyclic, rand_base_element, run_suite
 from zwreath.wreath import GroupSpec, in_delta_power, module_action
 
 S11 = GroupSpec(1, 1)
@@ -48,40 +50,98 @@ def test_in_A_violated_by_base_generator():
 
 
 def test_cyclic_gadget_structure():
+    # At m = 1 the gadget is [x, a1] = 1 alone; at m >= 2 it has three
+    # equations and the auxiliary cyc_z_1.
     system = gadget_cyclic("x", S11)
+    assert system == gadget_in_A("x", S11)
+    assert system.declared_vars == ("x",)
+    assert len(system.equations) == 1
+    system = gadget_cyclic("x", S21)
     assert system.declared_vars == ("x", "cyc_z_1")
     assert len(system.equations) == 3
 
 
 def test_cyclic_witness_positive_power():
-    system = gadget_cyclic("x", S11)
     asg = witness_cyclic(3, S11)
-    assert asg["x"] == S11.element(active=(3,))
-    assert asg["cyc_z_1"] == S11.element(base={1: parse_poly("1 + a1 + a1^2", 1)})
-    assert check_system(system, asg, S11).ok
+    assert asg == {"x": S11.element(active=(3,))}
+    assert check_system(gadget_cyclic("x", S11), asg, S11).ok
+    system = gadget_cyclic("x", S21)
+    asg = witness_cyclic(3, S21)
+    assert asg["x"] == S21.element(active=(3, 0))
+    assert asg["cyc_z_1"] == S21.element(base={1: parse_poly("1 + a1 + a1^2", 2)})
+    assert check_system(system, asg, S21).ok
 
 
 def test_cyclic_witness_identity():
-    system = gadget_cyclic("x", S11)
-    asg = witness_cyclic(0, S11)
-    assert asg["x"].is_identity() and asg["cyc_z_1"].is_identity()
-    assert check_system(system, asg, S11).ok
+    for spec in (S11, S21):
+        asg = witness_cyclic(0, spec)
+        assert all(value.is_identity() for value in asg.values())
+        assert check_system(gadget_cyclic("x", spec), asg, spec).ok
 
 
 def test_cyclic_witness_gamma_one():
-    asg = witness_cyclic(1, S11)
-    assert asg["cyc_z_1"] == S11.base_gen(1)
+    assert witness_cyclic(1, S11) == {"x": S11.active_gen(1)}
+    assert witness_cyclic(1, S21)["cyc_z_1"] == S21.base_gen(1)
 
 
 def test_cyclic_witness_negative_power():
-    system = gadget_cyclic("x", S11)
-    asg = witness_cyclic(-2, S11)
-    assert asg["cyc_z_1"] == S11.element(base={1: parse_poly("-a1^-1 - a1^-2", 1)})
-    assert check_system(system, asg, S11).ok
+    assert witness_cyclic(-2, S11) == {"x": S11.active_gen(1, -2)}
+    system = gadget_cyclic("x", S21)
+    asg = witness_cyclic(-2, S21)
+    assert asg["cyc_z_1"] == S21.element(base={1: parse_poly("-a1^-1 - a1^-2", 2)})
+    assert check_system(system, asg, S21).ok
     # direct evaluation of the defining equality [b1, x] = [z, a1]
-    lhs = S11.base_gen(1).commutator(asg["x"])
-    rhs = asg["cyc_z_1"].commutator(S11.active_gen(1))
+    lhs = S21.base_gen(1).commutator(asg["x"])
+    rhs = asg["cyc_z_1"].commutator(S21.active_gen(1))
     assert lhs == rhs
+
+
+def test_cyclic_witness_at_m1_is_one_generator_whatever_gamma():
+    # No geometric series: the fragment for a1^(10^6) is the one generator.
+    asg = witness_cyclic(10 ** 6, S12, x_name="x3", z_name="cyc_z_3")
+    assert asg == {"x3": S12.element(active=(10 ** 6,))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(-5, 5),
+    st.dictionaries(st.integers(1, n), st.dictionaries(
+        st.integers(-4, 4), st.integers(-3, 3).filter(bool), max_size=3), max_size=n))))
+def test_at_m1_commuting_with_a1_means_no_base_part(case):
+    # Over Z^n wr Z, x = (alpha, p) commutes with a1 iff p (a1 - 1) = 0, and
+    # Z[a1^+-1] has no zero divisors: [x, a1] = 1 holds iff p = 0.
+    n, alpha, coords = case
+    spec = GroupSpec(1, n)
+    x = spec.element(active=(alpha,), base={
+        j: LaurentPoly(1, {(e,): c for e, c in terms.items()}) for j, terms in coords.items()})
+    holds = check_system(gadget_cyclic("x", spec), {"x": x}, spec).ok
+    assert holds == all(p.is_zero() for p in x.base)
+    assert holds == (x == spec.active_gen(1, alpha))
+
+
+def _nonzero_at_a1_equal_1(p):
+    """Whether p(a1 := 1) is nonzero, that is, a1 - 1 does not divide p."""
+    restricted = {}
+    for expo, coeff in p.terms.items():
+        restricted[expo[1:]] = restricted.get(expo[1:], 0) + coeff
+    return any(restricted.values())
+
+
+def test_at_m2_commuting_with_a1_is_not_enough():
+    # Over Z wr Z^2 the centralizer of a1 is all of A: x = a2 and x = a1 a2
+    # satisfy [x, a1] = 1, but not the three-equation gadget.  Its third
+    # equation [b1, x] = [z, a1] asks, for z in the base, that the b1
+    # coordinate of [b1, x] be (a1 - 1) times z's; that coordinate is
+    # a nonzero multiple of a2 - 1 at a1 = 1, so no z exists.
+    system = gadget_cyclic("x", S21)
+    rng = random.Random(3)
+    candidates = [S21.identity(), S21.base_gen(1), S21.active_gen(1)] + [
+        rand_base_element(rng, S21) for _ in range(20)]
+    for x in (S21.active_gen(2), S21.active_gen(1) * S21.active_gen(2)):
+        assert check_system(gadget_in_A("x", S21), {"x": x}, S21).ok
+        assert _nonzero_at_a1_equal_1(S21.base_gen(1).commutator(x).base[0])
+        for z_val in candidates:
+            assert not check_system(system, {"x": x, "cyc_z_1": z_val}, S21).ok
 
 
 def test_cyclic_witnesses_over_a_range():
@@ -108,6 +168,19 @@ def test_cyclic_gadget_rejects_non_powers():
     for z_val in [S21.identity(), S21.base_gen(1), rand_base_element(random.Random(1), S21)]:
         asg = {"x": S21.active_gen(2), "cyc_z_1": z_val}
         assert not check_system(system, asg, S21).ok
+
+
+def test_selftest_cyclic_suite_catches_a_weak_gadget_at_either_rank(monkeypatch):
+    # The suite samples m = 1 and m = 2 and tries outsiders on each.  With
+    # [x, a1] = 1 alone at m = 2 too, a power of a2 times a1^gamma gets
+    # through; with no equation at m = 1, an element with a base part does.
+    assert run_suite("gadget-cyclic", check_gadget_cyclic, 60) == []
+    for weak_at, weak in ((2, gadget_in_A), (1, lambda x, spec: System((), (x,)))):
+        monkeypatch.setattr(selftest, "gadget_cyclic", lambda x, spec, weak_at=weak_at, weak=weak:
+                            weak(x, spec) if spec.m == weak_at else gadget_cyclic(x, spec))
+        failures = run_suite("gadget-cyclic", check_gadget_cyclic, 60)
+        assert failures and all(f"m={weak_at}: " in failure and failure.endswith(" accepted")
+                                for failure in failures)
 
 
 # -- ideal-power gadget --------------------------------------------------------------

@@ -633,3 +633,17 @@ def test_hash_is_kept_and_equal_polynomials_hash_equal():
         with pytest.raises(AttributeError, match="immutable"):
             setattr(parsed, name, None)
     assert hash(parsed) in values
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, -7, 3 ** 200, -(2 ** 100), True, False])
+def test_constant_polynomials_hash_as_the_ints_they_equal(value):
+    # `==` takes a constant, zero included, for its int, so `hash` must agree,
+    # also for a constant left when a dense row cancels.
+    for rank in (1, 3):
+        dense = P(" + ".join(f"a1^{i}" for i in range(1, 41)), rank)
+        constant = LaurentPoly.constant(rank, int(value))
+        for p in (constant, P(str(int(value)), rank), (dense + constant) - dense):
+            assert p == value and value == p
+            assert hash(p) == hash(value)
+            assert len({p, value}) == 1
+            assert {value: "int"}[p] == "int"

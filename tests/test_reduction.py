@@ -11,7 +11,8 @@ from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
 from zwreath.gadgets import (delta_blocks, gadget_delta_power, witness_cyclic,
                              witness_delta_power)
 from zwreath.laurent import (INFINITY, LaurentPoly, _ordered_monomials, aug_valuation,
-                             delta_decompose, delta_generator_product, parse_poly)
+                             delta_decompose, delta_generator_product, geom_series,
+                             parse_poly)
 from zwreath.interp import IteratedSpec
 from zwreath.reduction import (IntPolynomial, Reduction, compile, extract_solution,
                                oracle_ef, parse_intpoly, witness)
@@ -94,18 +95,17 @@ def test_compile_linear_example_shape():
     out = compile(f, S11)
     assert out.solution_vars == ("x1",)
     assert f.degree() == 1
-    assert out.system.declared_vars == ("x1", "cyc_z_1", "y")
-    # 3 cyclic equations, y in the base, the 2 chains equal to y's ideal-power chain
-    assert len(out.system.equations) == 5
+    assert out.system.declared_vars == ("x1", "y")
+    # x1 in the centralizer of a1, y in the base, the 2 chains equal to y's
+    # ideal-power chain
+    assert len(out.system.equations) == 3
 
 
 def test_compile_golden_text():
     out = compile(parse_intpoly("z1 - 2"), S11)
     expected = "\n".join([
-        "# vars: x1 cyc_z_1 y",
+        "# vars: x1 y",
         "[x1, @a1] = 1",
-        "[cyc_z_1, @b1] = 1",
-        "[@b1, x1] [@a1, cyc_z_1] = 1",
         "[y, @b1] = 1",
         "[@b1, x1] [@b1^-2, @a1] [@a1, y, @a1] = 1",
     ]) + "\n"
@@ -349,9 +349,11 @@ def test_every_variable_of_a_wide_flat_solution_is_pinned():
 
 
 def test_system_size_is_closed_form_for_every_active_rank():
-    # 3s + 2 equations and 2s + 1 variables: the cyclic gadgets and one
-    # ideal-power block holding the product of the chains, whatever the
-    # number of support terms and m are.
+    # The cyclic gadgets and one ideal-power block holding the product of
+    # the chains, whatever the number of support terms is: s + 2 equations
+    # and s + 1 variables at m = 1, where [x_i, a1] = 1 alone pins x_i, and
+    # 3s + 2 equations and 2s + 1 variables at m >= 2, where each x_i also
+    # has its cyc_z_i and two more equations.
     rng = random.Random(67)
     for m in range(1, 7):
         for _ in range(8):
@@ -360,9 +362,14 @@ def test_system_size_is_closed_form_for_every_active_rank():
                 continue
             system = compile(f, GroupSpec(m, rng.randint(1, 2))).system
             s = f.num_vars
-            assert len(system.equations) == 3 * s + 2
-            assert len(system.declared_vars) == 2 * s + 1
+            if m == 1:
+                assert len(system.equations) == s + 2
+                assert len(system.declared_vars) == s + 1
+            else:
+                assert len(system.equations) == 3 * s + 2
+                assert len(system.declared_vars) == 2 * s + 1
     assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(6, 1)).system.equations) == 5
+    assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(1, 6)).system.equations) == 3
 
 
 def all_blocks_system(r):
@@ -480,11 +487,13 @@ def test_merged_layout_agrees_with_the_product_layout(m, n, case):
     r = Reduction(f, spec)
     is_root = f.evaluate(z) == 0
     asg = candidate_witness(r, z)
-    assert len(r.system.equations) == 3 * len(z) + 2
-    assert len(r.system.declared_vars) == 2 * len(z) + 1
+    # Per solution variable, the cyclic gadget's equations and variables.
+    per_variable, declared = (1, 1) if m == 1 else (3, 2)
+    assert len(r.system.equations) == per_variable * len(z) + 2
+    assert len(r.system.declared_vars) == declared * len(z) + 1
     assert check_system(r.system, asg, spec).ok == is_root
     old_system, old_asg = product_layout(r, asg)
-    assert len(old_system.equations) == 3 * len(z) + 3
+    assert len(old_system.equations) == per_variable * len(z) + 3
     assert check_system(old_system, old_asg, spec).ok == is_root
     if not is_root:
         with pytest.raises(PreconditionError, match="not a root"):
@@ -535,6 +544,39 @@ def test_extract_identity_is_zero():
     out = compile(parse_intpoly("z1 - 2"), S11)
     asg = {"x1": S11.identity()}
     assert extract_solution(out, asg) == (0,)
+
+
+def test_any_satisfying_assignment_over_1_1_extracts_a_root():
+    # Over Z wr Z nothing but [x_i, a1] = 1 pins x_i.  Try every x_i = a1^c
+    # times a base part, with y the quotient of the product of the chains by
+    # (a1-1)^(d+1) wherever one exists: an assignment satisfies the system
+    # exactly when the x_i carry no base part and c is a root, and it then
+    # extracts that root, whatever stale or unrelated values ride along.
+    f = parse_intpoly("z1^2*z2 - 4*z2")
+    r = compile(f, S11)
+    k = f.degree() + 1
+    noise = [S11.identity(), S11.base_gen(1), S11.element(base={1: parse_poly("a1^-2 - 3", 1)})]
+    satisfied = []
+    for c1 in range(-3, 4):
+        for c2 in (-1, 2):
+            for part in noise:
+                asg = {"x1": S11.active_gen(1, c1) * part, "x2": S11.active_gen(1, c2)}
+                product = evaluate(concat(*r._chains), asg, S11)
+                try:
+                    asg["y"] = S11.element(base={
+                        j: delta_decompose(p, k)[(k,)]
+                        for j, p in enumerate(product.base, start=1) if not p.is_zero()})
+                except (PreconditionError, KeyError):
+                    asg["y"] = S11.identity()
+                # What the three-equation cyclic gadget assigned to cyc_z_1.
+                asg["cyc_z_1"] = S11.element(base={1: geom_series(c1, 1)})
+                asg["t"] = S11.base_gen(1, 7)
+                if check_system(r.system, asg, S11).ok:
+                    satisfied.append((c1, c2))
+                    assert part.is_identity()
+                    assert extract_solution(r, asg) == (c1, c2)
+                    assert f.evaluate((c1, c2)) == 0
+    assert satisfied == [(-2, -1), (-2, 2), (2, -1), (2, 2)]
 
 
 def test_extract_rejects_foreign_generators():
