@@ -223,10 +223,9 @@ class System(Frozen):
 
     The constructor is the one boundary check (`_check`): every declared
     name is valid and declared once, and every equation uses only declared
-    variables, in O(size of the system).  Systems built from systems
-    already checked (`merge_systems`, `interp.lift_system`) or declaring
-    exactly their free variables (`system_of`) come from `_unchecked` and
-    are not walked again.
+    variables, in O(size of the system).  Systems built from a system
+    already checked (`interp.lift_system`) or declaring exactly their free
+    variables (`system_of`) come from `_unchecked` and are not walked again.
     """
 
     __slots__ = _fields = ("equations", "declared_vars")
@@ -275,20 +274,6 @@ def system_of(equations):
     for word in equations:
         names.update(dict.fromkeys(free_vars(word)))
     return System._unchecked(equations, tuple(names))
-
-
-def merge_systems(*systems):
-    """Concatenate equations; declarations merge keeping first occurrence.
-
-    Every input is a `System`, so each equation's variables are declared in
-    the merged list: O(size of the systems), with no re-validation.
-    """
-    equations = []
-    declared = {}
-    for s in systems:
-        equations.extend(s.equations)
-        declared.update(dict.fromkeys(s.declared_vars))
-    return System._unchecked(tuple(equations), tuple(declared))
 
 
 class CheckReport(Frozen):

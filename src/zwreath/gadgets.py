@@ -10,7 +10,8 @@ defines have a dedicated builder: the cyclic gadget's geometric series and
 the ideal-power blocks' quotients y_beta.  The cyclic gadget needs its
 auxiliary only at m >= 2: at m = 1 the centralizer of a1 is <a1>.  Each
 ideal-power block's commutator chain is one left-normed commutator, so the
-block defines x_beta alone, with no variable per chain link.
+block defines x_beta alone, with no variable per chain link.  Every builder
+that reads the active rank refuses a spec other than a flat `GroupSpec`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,16 @@ from .equations import (Commutator, Constant, Literal, System, concat,
                         equation, evaluate)
 from .errors import PreconditionError
 from .laurent import Frozen, delta_decompose, geom_series
+from .wreath import GroupSpec
+
+
+def _flat_spec(spec, builder):
+    """`spec`, which must be flat: `builder` reads the active rank m of Z^n wr Z^m."""
+    if not isinstance(spec, GroupSpec):
+        raise PreconditionError(
+            f"{builder} needs a GroupSpec, got {spec!r}; "
+            "the gadgets are defined over a flat wreath product only")
+    return spec
 
 
 def gadget_in_N(x, spec):
@@ -47,7 +58,7 @@ def gadget_cyclic(x, spec, z_name="cyc_z_1"):
     series with sum times (a1 - 1) equal to a1^gamma - 1.  Declares (x, z);
     three equations of O(1) size.
     """
-    if spec.m == 1:
+    if _flat_spec(spec, "gadget_cyclic").m == 1:
         return gadget_in_A(x, spec)
     a1 = Constant(spec.generator(1, 1))
     b1 = Constant(spec.generator(2, 1))
@@ -67,7 +78,7 @@ def witness_cyclic(gamma, spec, x_name="x", z_name="cyc_z_1"):
     whose b1 coordinate is s, built without a ring product; s has |gamma|
     terms, so this costs O(|gamma|) time and output.
     """
-    x = spec.generator(1, 1, gamma)
+    x = _flat_spec(spec, "witness_cyclic").generator(1, 1, gamma)
     if spec.m == 1:
         return {x_name: x}
     return {x_name: x, z_name: spec.element(base={1: geom_series(gamma, spec.m)})}
@@ -100,7 +111,7 @@ def delta_blocks(spec, k):
     if type(k) is not int or k < 1:
         raise PreconditionError(f"ideal power must be a positive int, got {k!r}")
     blocks = []
-    slots = k + spec.m - 1
+    slots = k + _flat_spec(spec, "delta_blocks").m - 1
     betas = (tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
              for bars in itertools.combinations(range(slots), spec.m - 1))
     for idx, beta in enumerate(betas, start=1):
@@ -124,7 +135,7 @@ def gadget_delta_power(x, k, spec):
     per block x_beta and y_beta.  With B = C(k+m-1, m-1) blocks that is
     1 + 2B equations and variables; each definition is a chain of k factors.
     """
-    blocks = delta_blocks(spec, k)
+    blocks = delta_blocks(_flat_spec(spec, "gadget_delta_power"), k)
     b1 = Constant(spec.generator(2, 1))
     eqs = [equation(Literal(x), concat(*[Literal(bl.x_name) for bl in blocks]))]
     declared = [x]
@@ -145,7 +156,7 @@ def witness_delta_power(g, k):
     of O(n * terms) each.  Raises PreconditionError if some coordinate is
     outside the k-th ideal power.
     """
-    spec = g.spec
+    spec = _flat_spec(g.spec, "witness_delta_power")
     failure = f"element is not in the ideal-power-{k} base subgroup"
     if any(g.active):
         raise PreconditionError(f"{failure}: active part {g.active} is nontrivial")

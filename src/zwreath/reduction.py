@@ -1,20 +1,22 @@
 """Compiler from integer polynomial equations to group-equation systems.
 
 Given f = sum_alpha t_alpha z^alpha of total degree d, the compiled system
-over Z^n wr Z^m constrains each solution variable x_i to the cyclic subgroup
-of a1 (at m = 1 by [x_i, a1] = 1 alone, since the centralizer of a1 is then
-<a1>), writes per-term commutator chains whose product carries the base
-coordinate
+over Z^n wr Z^m constrains each solution variable x_i to the acting subgroup
+A by [x_i, a1] = 1, writes per-term commutator chains whose product carries
+the base coordinate
 
     e_f = sum_alpha t_alpha (a1-1)^(d-|alpha|) prod_i (a1^{z_i} - 1)^{alpha_i},
 
 and requires that product to lie in the (d+1)-st augmentation-ideal power --
-which holds exactly when f(z) = 0.  Since e_f lies in Z[a1^{+-1}], one
-ideal-power block says so: the product is [y, a1, ..., a1] with d+1 copies
-of a1 and y in the base subgroup.  The system writes this as one equation,
-the chains followed by [a1, y, a1, ..., a1]: [a1, y] = [y, a1]^-1 lies in
-the base, and a chain is linear in a base head, so that last commutator is
-[y, a1, ..., a1]^-1.  A `Reduction` holds f and the group.  The chains are
+which holds exactly when f(z) = 0.  One ideal-power block says so: the
+product is [y, a1, ..., a1] with d+1 copies of a1 and y in the base
+subgroup.  The system writes this as one equation, the chains followed by
+[a1, y, a1, ..., a1]: [a1, y] = [y, a1]^-1 lies in the base, and a chain is
+linear in a base head, so that last commutator is [y, a1, ..., a1]^-1.  The
+system is the same s + 2 equations over every Z^n wr Z^m: an x_i with
+a2..am exponents is no spurious solution, since the retraction
+a_j -> 1 (j >= 2) maps its product to e_f at the x_i's a1 exponents (see
+`Reduction.system`).  A `Reduction` holds f and the group.  The chains are
 written once, each one left-normed commutator: its `system` equates their
 product with the ideal-power chain, and its `witness` builds the assignment
 from an integer root by evaluating that same product and dividing it by
@@ -29,10 +31,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .equations import (Commutator, Constant, Literal, System, concat, equation,
-                        evaluate, merge_systems)
+from .equations import Commutator, Constant, Literal, System, concat, equation, evaluate
 from .errors import PreconditionError, SpecMismatchError, shown
-from .gadgets import gadget_cyclic, witness_cyclic
 from .laurent import (Frozen, LaurentPoly, _normal_terms, _ordered_monomials, delta_decompose,
                       delta_membership, read_terms, terms_str)
 from .lexer import parse_whole
@@ -40,9 +40,9 @@ from .wreath import GroupSpec, in_A
 
 
 # Largest variable count `parse_intpoly` infers from text.  Every term stores
-# one exponent per variable and `compile` builds one gadget per variable, so
+# one exponent per variable and `compile` writes one equation per variable, so
 # without a cap `z1000000 + z1 - 2` would cost millions of tuple entries and
-# gadgets before any check ran; an index above the cap is refused as it is
+# equations before any check ran; an index above the cap is refused as it is
 # read.  The cap keeps every accepted input small (`z256 + z1 - 2` compiles
 # over Z wr Z to a 26 KB system) and refuses nothing in use: the tests, the
 # README and the benchmark have at most three variables.
@@ -181,71 +181,65 @@ class Reduction(Frozen):
     def system(self):
         """A group-equation system solvable iff f has an integer root.
 
-        Zero f compiles to the empty system (every tuple is a root).  Otherwise
-        the system consists of a cyclic-subgroup gadget per variable
-        (`gadgets.gadget_cyclic`: [x_i, a1] = 1 alone at m = 1, three
-        equations and the auxiliary cyc_z_i at m >= 2), then two equations
-        at degree k = d+1, in this order:
+        Zero f compiles to the empty system (every tuple is a root).
+        Otherwise, whatever the active rank m, the system is, in this order,
 
-            [y, b1] = 1,   [chain_1] ... [chain_t] [a1, y, a1, ..., a1] = 1
+            [x_1, a1] = 1, ..., [x_s, a1] = 1,   [y, b1] = 1,
+            [chain_1] ... [chain_t] [a1, y, a1, ..., a1] = 1
 
-        with the support terms' chains (`_chains`) in order and k copies of
-        a1 in the last commutator, one before y and d after it.  The first
-        puts y in the base subgroup, the centralizer of b1.  The base is
-        abelian and normal, so on it u -> [u, a1] is a homomorphism: it
-        multiplies each base coordinate by a1 - 1, and a chain is linear in
-        a base head.  With [a1, y] = [y, a1]^-1 the last commutator is
-        [y, a1, ..., a1]^-1 (k copies), so the second equation says that
-        the product of the chains, whose base coordinate is e_f once each
-        x_i is a1^{z_i}, has each base coordinate (a1-1)^k times that of y.
-        This is the block beta = (k, 0, ..., 0) of
-        `gadgets.gadget_delta_power`, with the product in place of its x_beta
-        and y in place of its y_beta, and at m = 1 the whole gadget.  One
-        block suffices for every m: the cyclic gadgets put each x_i in <a1>,
-        and every chain uses only b1, a1 and the x_i, so e_f lies in
-        Z[a1^{+-1}].  At m = 1, [x_i, a1] = 1 does so alone: x_i = (alpha, p)
-        commutes with a1 iff p (a1 - 1) = 0, and Z[a1^{+-1}] has no zero
-        divisors, so p = 0.  The retraction
-        phi: a_j -> 1 (j >= 2) of Z[A] maps the k-th augmentation-ideal power
-        Delta^k onto (a1-1)^k Z[a1^{+-1}] and fixes Z[a1^{+-1}], so a p in
-        Z[a1^{+-1}] lies in Delta^k exactly when (a1-1)^k divides it there.
-        Soundness: a solution has e_f in (a1-1)^k Z[A], inside Delta^k, so
-        f(z) = 0.  Completeness: a root puts e_f in Delta^k, so e_f = phi(e_f)
-        is (a1-1)^k times some q in Z[a1^{+-1}], and y = b1^q.  The x_i pin
-        y, since (a1-1)^k is not a zero divisor of Z[A].
+        with the support terms' chains (`_chains`) in order and k = d+1
+        copies of a1 in the last commutator, one before y and d after it.
+        An x = (gamma, p) commutes with a1 iff p (a1 - 1) = 0, and Z[A] has
+        no zero divisors, so [x_i, a1] = 1 puts x_i in the acting subgroup:
+        x_i = a^{gamma_i}.  [y, b1] = 1 puts y in the base subgroup, the
+        centralizer of b1.  The base is abelian and normal, so on it
+        u -> [u, a1] is a homomorphism: it multiplies each base coordinate
+        by a1 - 1, and a chain is linear in a base head.  With
+        [a1, y] = [y, a1]^-1 the last commutator is [y, a1, ..., a1]^-1 (k
+        copies), so the last equation says that the product of the chains
+        has each base coordinate (a1-1)^k times that of y.  That product has
+        only a b1 coordinate, e_f(gamma), which is the module docstring's
+        e_f with each a1^{z_i} replaced by a^{gamma_i}.  This is the block
+        beta = (k, 0, ..., 0) of `gadgets.gadget_delta_power`, with the
+        product in place of its x_beta and y in place of its y_beta.
 
-        Size, for s variables and degree d, whatever the number t of
-        support terms: the cyclic gadgets give s equations and s variables
-        at m = 1, 3s and 2s at m >= 2, and the rest gives 2 equations and
-        the one variable y, whose words hold t chains of at most d factors
-        and one chain of d + 1.  That is s + 2 equations and s + 1
-        variables at m = 1, 3s + 2 and 2s + 1 at m >= 2, built in time
-        linear in their size.
+        The retraction phi: a_j -> 1 (j >= 2) is a ring map of Z[A] onto
+        Z[a1^{+-1}] that fixes Z[a1^{+-1}].  It maps e_f(gamma) to e_f(z),
+        where z_i is the a1 exponent of gamma_i, and (a1-1)^k q to
+        (a1-1)^k phi(q).  Soundness: a solution has e_f(gamma) = (a1-1)^k q,
+        so (a1-1)^k divides e_f(z) in Z[a1^{+-1}], where Delta^k is
+        (a1-1)^k Z[a1^{+-1}]; so f(z) = 0.  Completeness: a root z with
+        x_i = a1^{z_i} puts e_f(z) in Z[a1^{+-1}] and in Delta^k, whose image
+        under phi is (a1-1)^k Z[a1^{+-1}]; so e_f(z) = phi(e_f(z)) is
+        (a1-1)^k q for some q in Z[a1^{+-1}], and y = b1^q.  The x_i pin y,
+        since (a1-1)^k is not a zero divisor of Z[A].
+
+        Size, for s variables and degree d, whatever m and the number t of
+        support terms: s + 2 equations and s + 1 variables, whose words hold
+        t chains of at most d factors and one chain of d + 1, built in time
+        linear in their size.  The text does not depend on (n, m).
         """
         spec = self._flat_spec()
         if self.poly.is_zero():
             return System()
         xs = self.solution_vars
-        parts = [System((), xs)] + [
-            gadget_cyclic(x, spec, z_name=f"cyc_z_{i}") for i, x in enumerate(xs, start=1)]
         a1, y = Constant(spec.generator(1, 1)), Literal("y")
         ideal_power = Commutator(a1, y, *[a1] * self.poly.degree())
-        parts.append(System((equation(Commutator(y, Constant(spec.generator(2, 1)))),
-                             equation(concat(*self._chains, ideal_power))),
-                            xs + ("y",)))
-        return merge_systems(*parts)
+        return System((*[equation(Commutator(Literal(x), a1)) for x in xs],
+                       equation(Commutator(y, Constant(spec.generator(2, 1)))),
+                       equation(concat(*self._chains, ideal_power))),
+                      xs + ("y",))
 
     def witness(self, z):
         """Satisfying assignment for `system` from an integer root z; builds no system.
 
-        Each x_i, and at m >= 2 its cyclic auxiliary, come from
-        `witness_cyclic`.  The product of the system's own chains is
-        evaluated once: one closed-form commutator per chain, O(k * T) dict
-        updates for k factors (`WreathElement.commutator`).  y takes the
-        quotients of its coordinates by (a1-1)^(d+1) from `delta_decompose`:
-        O(T log T + d * E) additions on a coordinate of T terms and a1-span
-        E, free of a2..am; the quotient is a dense row along a1 once it has
-        32 terms or more.
+        Each x_i is a1^{z_i}, one generator.  The product of the system's own
+        chains is evaluated once: one closed-form commutator per chain,
+        O(k * T) dict updates for k factors (`WreathElement.commutator`).  y
+        takes the quotients of its coordinates by (a1-1)^(d+1) from
+        `delta_decompose`: O(T log T + d * E) additions on a coordinate of T
+        terms and a1-span E, free of a2..am; the quotient is a dense row along
+        a1 once it has 32 terms or more.
         """
         spec = self._flat_spec()
         f = self.poly
@@ -258,9 +252,7 @@ class Reduction(Frozen):
             raise PreconditionError(f"not a root: f({point}) = {shown(value)}")
         if f.is_zero():
             return {}
-        asg = {}
-        for i, (x, zi) in enumerate(zip(self.solution_vars, z), start=1):
-            asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
+        asg = {x: spec.generator(1, 1, zi) for x, zi in zip(self.solution_vars, z)}
         product = evaluate(concat(*self._chains), asg, spec)
         k = f.degree() + 1
         beta = (k,) + (0,) * (spec.m - 1)
@@ -273,12 +265,14 @@ class Reduction(Frozen):
         """Read the integer root (z1..zs) off a satisfying assignment.
 
         Each solution variable must be assigned an element of `spec`
-        (SpecMismatchError otherwise) that is a pure power of a1; anything
-        else signals an assignment outside the reduction's image and raises
-        PreconditionError.  Variables absent from the system (zero
-        polynomial) extract as 0.  One lookup and one O(n + m) check per
-        solution variable: O(s * (n + m)) for s variables, whatever the size
-        of the system.
+        (SpecMismatchError otherwise) in the acting subgroup, as
+        [x_i, a1] = 1 requires; a value with a base part is outside the
+        reduction's image and raises PreconditionError.  z_i is the a1
+        exponent of x_i, whatever its a2..am exponents: by the retraction of
+        `system`'s proof, z is a root whenever the assignment satisfies the
+        system.  Variables absent from the system (zero polynomial) extract
+        as 0.  One lookup and one O(n + m) check per solution variable:
+        O(s * (n + m)) for s variables, whatever the size of the system.
         """
         spec = self._flat_spec()
         values = []
@@ -290,9 +284,9 @@ class Reduction(Frozen):
             if g.spec != spec:
                 raise SpecMismatchError(
                     f"solution variable {name!r} belongs to {g.spec}, not {spec}")
-            if not in_A(g) or any(g.active[1:]):
+            if not in_A(g):
                 raise PreconditionError(
-                    f"solution variable {name!r} is not a pure power of a1: {shown(g)}")
+                    f"solution variable {name!r} is not in the acting subgroup: {shown(g)}")
             values.append(g.active[0])
         return tuple(values) if self.solution_vars else (0,) * self.num_vars
 

@@ -448,9 +448,14 @@ def _planted_root_poly(rng, z_bound=5):
 
 
 def check_reduction_roundtrip(rng, samples):
+    """Over Z^n wr Z^m, n in {1, 2} and m in {1, 2, 3}: the witness of a
+    planted root verifies, extracts the root, and its y times (a1-1)^(d+1)
+    is the oracle's e_f.  Then one x_i moved by a random a2..am tail: if the
+    system still holds, the point extracted must still be the root z, read
+    off the a1 exponents."""
     failures = []
-    spec = GroupSpec(1, 1)
     for i in range(samples):
+        spec = GroupSpec(rng.randint(1, 3), rng.randint(1, 2))
         f, z = _planted_root_poly(rng)
         out = compile(f, spec)
         asg = witness(f, z, spec)
@@ -468,6 +473,11 @@ def check_reduction_roundtrip(rng, samples):
         if (y_value.base[0] * delta != e_f
                 or not all(p.is_zero() for p in y_value.base[1:])):
             failures.append(f"sample {i}: group route disagrees with direct polynomial")
+        name = rng.choice(out.solution_vars)
+        tail = spec.element(active=(0,) + tuple(rng.randint(-3, 3) for _ in range(spec.m - 1)))
+        moved = {**asg, name: asg[name] * tail}
+        if check_system(out.system, moved, spec).ok and extract_solution(out, moved) != z:
+            failures.append(f"sample {i}: {name} moved by {tail} extracted as another point")
     return failures
 
 

@@ -225,7 +225,7 @@ def test_error_messages_past_the_digit_limit_name_it(tmp_path, capsys):
     col = len("x := { active: { active: (0); }; [ ") + len(point) + len(" -> (1) ], [ ") + 1
     for argv, code, message in (
             (["extract", "--poly", "z1 - 2", "--ranks", "1,1", "--assignment", str(flat)], 3,
-             f"solution variable 'x1' is not a pure power of a1: {note}"),
+             f"solution variable 'x1' is not in the acting subgroup: {note}"),
             (["witness", "--poly", "z1^2 + 1", "--ranks", "1,1", "--solution", n], 3,
              f"not a root: f({n}) = {note}"),
             (["verify", "--ranks", "1,1,1", "--system", str(system), "--assignment", str(nested)],

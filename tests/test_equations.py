@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from zwreath.equations import (CheckReport, Commutator, Concat, Constant,
                                Literal, Power, System, check_system, concat,
-                               equation, evaluate, flatten, free_vars, merge_systems,
+                               equation, evaluate, flatten, free_vars,
                                inverse_word, normalize_word, parse_assignment, parse_system,
                                power, serialize_assignment, serialize_system,
                                serialize_word, system_of)
@@ -230,16 +230,15 @@ GOLDEN_SHAPES = [("z1*z2 - 6", (1, 1)), ("z1*z2 - 6", (2, 3)), ("z1*z2 - 6", (1,
 
 @pytest.mark.parametrize("poly, ranks", GOLDEN_SHAPES)
 def test_systems_built_without_a_second_check_pass_it(poly, ranks):
-    # merge_systems, system_of, lift_system and parse_system (without a
-    # `# vars:` line) skip the constructor's check; each result must equal
-    # its rebuild through the checking constructor.
+    # system_of, lift_system and parse_system (without a `# vars:` line)
+    # skip the constructor's check; each result must equal its rebuild
+    # through the checking constructor.
     f = parse_intpoly(poly)
     spec = spec_for_ranks(ranks)
     reduction = compile_iterated(f, spec)
     flat = compile(f, spec_for_ranks(ranks[-2:])).system
     text = serialize_system(reduction.system)
     systems = [reduction.system, flat,
-               merge_systems(flat, system_of([equation(Literal("spare"))]), flat),
                system_of(reduction.system.equations),
                parse_system(text, spec),
                parse_system(text.partition("\n")[2], spec)]
@@ -254,8 +253,7 @@ def test_systems_built_without_a_second_check_pass_it(poly, ranks):
     for system in systems:
         assert type(system.equations) is tuple and type(system.declared_vars) is tuple
         assert system == System(system.equations, system.declared_vars)
-    assert systems[2].declared_vars == flat.declared_vars + ("spare",)
-    assert systems[3].declared_vars == systems[5].declared_vars
+    assert systems[2].declared_vars == systems[4].declared_vars
 
 
 def test_equation_normalizes_rhs():

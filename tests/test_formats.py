@@ -138,9 +138,10 @@ def test_witness_and_extract_build_no_system(monkeypatch, capsys, stem, poly, ra
 # `legacy/product/` holds every golden pair as printed before the product
 # of the chains joined the ideal-power equation, when y was that product
 # and `dp_y_1` its quotient by (a1-1)^(d+1), the value y holds now.
-# `legacy/cyclic/` holds every golden pair over an innermost active rank of 1
-# as printed before [x_i, a1] = 1 alone pinned x_i there, when each x_i had
-# the cyclic gadget's three equations and its auxiliary `cyc_z_i`.
+# `legacy/cyclic/` holds every golden pair as printed before [x_i, a1] = 1
+# alone pinned x_i, when each x_i had the cyclic gadget's three equations and
+# its auxiliary `cyc_z_i`: over an innermost active rank of 1 that layout was
+# dropped first, and over a higher rank later.
 LEGACY = GOLDEN / "legacy"
 CHAINS = LEGACY / "chains"
 BLOCKS = LEGACY / "blocks"
@@ -224,11 +225,12 @@ def test_flattening_gives_one_definition_per_former_chain_link(stem, poly, ranks
 
 def test_one_block_and_all_block_systems_accept_their_witnesses(capsys):
     # `legacy/blocks/` constrains y with the B = C(3+2, 2) = 10 blocks of
-    # `gadget_delta_power`, `legacy/terms/`, `legacy/product/` and the golden
-    # system with the one block (3, 0, 0): 3s + t + 2 + 2B, 3s + t + 4,
-    # 3s + 3 and 3s + 2 equations for s = 2 variables and t = 2 terms.
+    # `gadget_delta_power`, `legacy/terms/`, `legacy/product/`,
+    # `legacy/cyclic/` and the golden system with the one block (3, 0, 0):
+    # 3s + t + 2 + 2B, 3s + t + 4, 3s + 3, 3s + 2 and s + 2 equations for
+    # s = 2 variables and t = 2 terms.
     for folder, count in ((BLOCKS, 3 * 2 + 2 + 2 + 2 * 10), (TERMS, 3 * 2 + 2 + 4),
-                          (PRODUCT, 3 * 2 + 3), (GOLDEN, 3 * 2 + 2)):
+                          (PRODUCT, 3 * 2 + 3), (CYCLIC, 3 * 2 + 2), (GOLDEN, 2 + 2)):
         system, witness = folder / "product_2-3.eqs", folder / "product_2-3.asg"
         code, out, err = run(capsys, "verify", "--ranks", "2,3", "--system", str(system),
                              "--assignment", str(witness))
@@ -284,31 +286,25 @@ def _merged_witness_text(text):
                    for line in text.splitlines(keepends=True) if not line.startswith("y := "))
 
 
-def _cyclic_folder(stem):
-    """Where the pair of `stem` with the three-equation cyclic gadgets is:
-    `legacy/cyclic/` over an innermost active rank of 1, else the golden one."""
-    return CYCLIC if (CYCLIC / f"{stem}.eqs").exists() else GOLDEN
-
-
 @pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
 def test_product_layout_keeps_its_verdicts(tmp_path, capsys, stem, poly, ranks, root):
-    # The merged system is the one under `legacy/product/` with y replaced
-    # by its product of chains and dp_y_1 renamed y: 3s + 3 equations
-    # became 3s + 2.  Each layout accepts its own witness, rejects it with
-    # x1 moved by a1, and gives the same root; the former witness text with
-    # its y line deleted and dp_y_1 renamed y is the merged one, byte for byte.
+    # The merged system, under `legacy/cyclic/`, is the one under
+    # `legacy/product/` with y replaced by its product of chains and dp_y_1
+    # renamed y: 3s + 3 equations became 3s + 2.  Each layout accepts its
+    # own witness, rejects it with x1 moved by a1, and gives the same root;
+    # the former witness text with its y line deleted and dp_y_1 renamed y
+    # is the merged one, byte for byte.
     spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
     s = len(root.split(","))
-    merged = _cyclic_folder(stem)
-    for folder, count in ((PRODUCT, 3 * s + 3), (merged, 3 * s + 2)):
+    for folder, count in ((PRODUCT, 3 * s + 3), (CYCLIC, 3 * s + 2)):
         _own_verdicts(capsys, tmp_path, folder, stem, poly, ranks, root, count)
     old_system = parse_system((PRODUCT / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
-    system = parse_system((merged / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
+    system = parse_system((CYCLIC / f"{stem}.eqs").read_text(encoding="utf-8"), spec)
     assert old_system.declared_vars[-2:] == ("y", "dp_y_1")
     assert system.declared_vars == old_system.declared_vars[:-1]
     assert old_system.equations[:-3] == system.equations[:-2]
     old_text = (PRODUCT / f"{stem}.asg").read_text(encoding="utf-8")
-    assert _merged_witness_text(old_text) == (merged / f"{stem}.asg").read_text(encoding="utf-8")
+    assert _merged_witness_text(old_text) == (CYCLIC / f"{stem}.asg").read_text(encoding="utf-8")
 
 
 def _without_cyclic_auxiliaries(text):
@@ -326,18 +322,11 @@ def _without_cyclic_auxiliaries(text):
 
 @pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
 def test_cyclic_auxiliary_layout_keeps_its_verdicts(tmp_path, capsys, stem, poly, ranks, root):
-    # Over an innermost active rank of 1 the golden pair is the one under
+    # Over every innermost active rank the golden pair is the one under
     # `legacy/cyclic/` with the lines of every cyc_z_i deleted: 3s + 2
     # equations became s + 2.  Each layout accepts its own witness, rejects
-    # it with x1 moved by a1, and gives the same root.  Over a higher active
-    # rank the cyclic gadget keeps its three equations and no legacy pair
-    # exists.
+    # it with x1 moved by a1, and gives the same root.
     s = len(root.split(","))
-    if _cyclic_folder(stem) is GOLDEN:
-        assert int(ranks.split(",")[-1]) >= 2
-        assert "cyc_z_1" in (GOLDEN / f"{stem}.eqs").read_text(encoding="utf-8")
-        return
-    assert int(ranks.split(",")[-1]) == 1
     for folder, count in ((CYCLIC, 3 * s + 2), (GOLDEN, s + 2)):
         _own_verdicts(capsys, tmp_path, folder, stem, poly, ranks, root, count)
     for suffix in ("eqs", "asg"):

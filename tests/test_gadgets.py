@@ -10,6 +10,7 @@ from zwreath.errors import PreconditionError
 from zwreath.gadgets import (delta_blocks, gadget_cyclic, gadget_delta_power,
                              gadget_in_A, gadget_in_N, witness_cyclic,
                              witness_delta_power)
+from zwreath.interp import IteratedSpec
 from zwreath.laurent import LaurentPoly, delta_generator_product, parse_poly
 from zwreath import selftest
 from zwreath.selftest import check_gadget_cyclic, rand_base_element, run_suite
@@ -306,3 +307,21 @@ def test_gadget_builders_return_systems_led_by_the_interface(build):
         assert isinstance(system, System)
         assert system.declared_vars[0] == "w"
         assert "w" not in system.declared_vars[1:]
+
+
+# Each builder that reads the active rank of a flat Z^n wr Z^m, called over a tower.
+ITERATED_CALLS = {
+    "delta_blocks": lambda tower: delta_blocks(tower, 2),
+    "gadget_delta_power": lambda tower: gadget_delta_power("x", 2, tower),
+    "gadget_cyclic": lambda tower: gadget_cyclic("x", tower),
+    "witness_cyclic": lambda tower: witness_cyclic(2, tower),
+    "witness_delta_power": lambda tower: witness_delta_power(tower.generator(2, 1), 1),
+}
+
+
+@pytest.mark.parametrize("name", ITERATED_CALLS)
+def test_gadgets_refuse_an_iterated_spec(name):
+    # An iterated spec has no active rank m; it is refused by name, not by
+    # an AttributeError.
+    with pytest.raises(PreconditionError, match=rf"^{name} needs a GroupSpec, got IteratedSpec"):
+        ITERATED_CALLS[name](IteratedSpec((1, 1, 1)))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,11 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from zwreath import reduction
 from zwreath.equations import (Commutator, Constant, Literal, System, check_system, concat,
-                               equation, evaluate, free_vars, merge_systems, parse_assignment,
-                               parse_system, serialize_assignment, serialize_system)
+                               equation, evaluate, free_vars, parse_assignment, parse_system,
+                               serialize_assignment, serialize_system)
 from zwreath.errors import ParseError, PreconditionError, SpecMismatchError
-from zwreath.gadgets import (delta_blocks, gadget_delta_power, witness_cyclic,
-                             witness_delta_power)
+from zwreath.gadgets import delta_blocks, gadget_delta_power, witness_delta_power
 from zwreath.laurent import (INFINITY, LaurentPoly, _ordered_monomials, aug_valuation,
                              delta_decompose, delta_generator_product, geom_series,
                              parse_poly)
@@ -231,9 +231,7 @@ def reference_witness(f, z, spec):
     coordinates by a1 - 1, a1^{z_i} - 1 or a generator's a_i - 1, and y is
     the quotient of the product of the chains' values by (a1-1)^(d+1).  y
     acted on by a1 - 1, d + 1 times, must give the product back."""
-    asg = {}
-    for i, zi in enumerate(z, start=1):
-        asg.update(witness_cyclic(zi, spec, x_name=f"x{i}", z_name=f"cyc_z_{i}"))
+    asg = {f"x{i}": spec.active_gen(1, zi) for i, zi in enumerate(z, start=1)}
     d = f.degree()
     one = LaurentPoly.one(spec.m)
     product = spec.identity()
@@ -308,9 +306,10 @@ def test_witness_matches_module_action_reference():
 
 
 def test_chains_are_built_once_per_reduction(monkeypatch):
-    # `compile` builds the chain words for the system, one per support term,
-    # and two for the ideal-power constraint; the witness of the same
-    # reduction evaluates the chains and builds none.
+    # `compile` builds one commutator [x_i, a1] per solution variable, the
+    # chain words for the system, one per support term, and two for the
+    # ideal-power constraint; the witness of the same reduction evaluates
+    # the chains and builds none.
     built = []
     real = reduction.Commutator
 
@@ -321,9 +320,9 @@ def test_chains_are_built_once_per_reduction(monkeypatch):
     monkeypatch.setattr(reduction, "Commutator", counting)
     f = parse_intpoly("z1^2*z2 - 4*z1")
     r = compile(f, S21)
-    assert len(built) == 4
+    assert len(built) == 2 + 2 + 2
     assert check_system(r.system, r.witness((2, 2)), S21).ok
-    assert len(built) == 4
+    assert len(built) == 2 + 2 + 2
 
 
 def test_every_variable_of_a_wide_flat_solution_is_pinned():
@@ -349,11 +348,10 @@ def test_every_variable_of_a_wide_flat_solution_is_pinned():
 
 
 def test_system_size_is_closed_form_for_every_active_rank():
-    # The cyclic gadgets and one ideal-power block holding the product of
-    # the chains, whatever the number of support terms is: s + 2 equations
-    # and s + 1 variables at m = 1, where [x_i, a1] = 1 alone pins x_i, and
-    # 3s + 2 equations and 2s + 1 variables at m >= 2, where each x_i also
-    # has its cyc_z_i and two more equations.
+    # [x_i, a1] = 1 per solution variable and one ideal-power block holding
+    # the product of the chains, whatever the number of support terms and
+    # the ranks are: s + 2 equations and s + 1 variables, in a text that is
+    # the same over every Z^n wr Z^m.
     rng = random.Random(67)
     for m in range(1, 7):
         for _ in range(8):
@@ -361,26 +359,20 @@ def test_system_size_is_closed_form_for_every_active_rank():
             if f.is_zero():
                 continue
             system = compile(f, GroupSpec(m, rng.randint(1, 2))).system
-            s = f.num_vars
-            if m == 1:
-                assert len(system.equations) == s + 2
-                assert len(system.declared_vars) == s + 1
-            else:
-                assert len(system.equations) == 3 * s + 2
-                assert len(system.declared_vars) == 2 * s + 1
-    assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(6, 1)).system.equations) == 5
+            assert len(system.equations) == f.num_vars + 2
+            assert len(system.declared_vars) == f.num_vars + 1
+            assert serialize_system(system) == serialize_system(compile(f, S11).system)
+    assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(6, 1)).system.equations) == 3
     assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(1, 6)).system.equations) == 3
 
 
 def all_blocks_system(r):
-    """The cyclic gadgets of `r.system`, `prod` defined as the product of
-    the chains, and all C(d+m, m-1) blocks of `gadget_delta_power` for
-    `prod` in place of the one ideal-power block."""
-    cyclic = System(r.system.equations[:-2], r.system.declared_vars[:-1])
-    product = System((equation(concat(*r._chains), Literal("prod")),),
-                     r.solution_vars + ("prod",))
-    return merge_systems(cyclic, product,
-                         gadget_delta_power("prod", r.poly.degree() + 1, r.spec))
+    """The equations [x_i, a1] = 1 of `r.system`, `prod` defined as the
+    product of the chains, and all C(d+m, m-1) blocks of
+    `gadget_delta_power` for `prod` in place of the one ideal-power block."""
+    blocks = gadget_delta_power("prod", r.poly.degree() + 1, r.spec)
+    return System((*r.system.equations[:-2], equation(concat(*r._chains), Literal("prod")),
+                   *blocks.equations), r.solution_vars + blocks.declared_vars)
 
 
 @settings(max_examples=60, deadline=None)
@@ -395,9 +387,7 @@ def test_one_block_and_all_blocks_accept_the_same_roots(m, n, case):
         f = IntPolynomial(len(z), list(terms.items()) + [((0,) * len(z), -f.evaluate(z))])
     assume(not f.is_zero())
     r = Reduction(f, spec)
-    asg = {}
-    for i, (x, zi) in enumerate(zip(r.solution_vars, z), start=1):
-        asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
+    asg = {x: spec.active_gen(1, zi) for x, zi in zip(r.solution_vars, z)}
     product = asg["prod"] = evaluate(concat(*r._chains), asg, spec)
     k = f.degree() + 1
     beta = (k,) + (0,) * (m - 1)
@@ -435,13 +425,11 @@ def test_one_block_and_all_blocks_accept_the_same_roots(m, n, case):
 
 
 def candidate_witness(r, z):
-    """What `r.witness` builds from z, a root or not: the cyclic values and
-    y the quotient by (a1-1)^(d+1) of e_f - f(z) (a1-1)^d, which is the
+    """What `r.witness` builds from z, a root or not: each x_i = a1^{z_i}
+    and y the quotient by (a1-1)^(d+1) of e_f - f(z) (a1-1)^d, which is the
     product of the chains itself at a root."""
     spec, f = r.spec, r.poly
-    asg = {}
-    for i, (x, zi) in enumerate(zip(r.solution_vars, z), start=1):
-        asg.update(witness_cyclic(zi, spec, x_name=x, z_name=f"cyc_z_{i}"))
+    asg = {x: spec.active_gen(1, zi) for x, zi in zip(r.solution_vars, z)}
     product = evaluate(concat(*r._chains), asg, spec)
     d = f.degree()
     shifted = product.base[0] - LaurentPoly.constant(spec.m, f.evaluate(z)) * (
@@ -487,13 +475,12 @@ def test_merged_layout_agrees_with_the_product_layout(m, n, case):
     r = Reduction(f, spec)
     is_root = f.evaluate(z) == 0
     asg = candidate_witness(r, z)
-    # Per solution variable, the cyclic gadget's equations and variables.
-    per_variable, declared = (1, 1) if m == 1 else (3, 2)
-    assert len(r.system.equations) == per_variable * len(z) + 2
-    assert len(r.system.declared_vars) == declared * len(z) + 1
+    # Per solution variable, the one equation [x_i, a1] = 1.
+    assert len(r.system.equations) == len(z) + 2
+    assert len(r.system.declared_vars) == len(z) + 1
     assert check_system(r.system, asg, spec).ok == is_root
     old_system, old_asg = product_layout(r, asg)
-    assert len(old_system.equations) == per_variable * len(z) + 3
+    assert len(old_system.equations) == len(z) + 3
     assert check_system(old_system, old_asg, spec).ok == is_root
     if not is_root:
         with pytest.raises(PreconditionError, match="not a root"):
@@ -579,11 +566,91 @@ def test_any_satisfying_assignment_over_1_1_extracts_a_root():
     assert satisfied == [(-2, -1), (-2, 2), (2, -1), (2, 2)]
 
 
-def test_extract_rejects_foreign_generators():
+def a1_quotient(p, k):
+    """p / (a1-1)^k in Z[A], or None where (a1-1)^k does not divide p.
+
+    `delta_decompose` splits along the last variable first, and a multiple
+    of (a_v - 1)^k has every restriction of that split zero; so with a1
+    moved last, p is such a multiple iff its decomposition is the one block
+    (0, ..., 0, k), whose part is the quotient."""
+    m = p.rank
+    try:
+        parts = delta_decompose(LaurentPoly(m, {e[1:] + e[:1]: c for e, c in p.terms.items()}), k)
+    except PreconditionError:
+        return None
+    top = (0,) * (m - 1) + (k,)
+    if set(parts) - {top}:
+        return None
+    quotient = parts.get(top, LaurentPoly.zero(m))
+    return LaurentPoly(m, {e[-1:] + e[:-1]: c for e, c in quotient.terms.items()})
+
+
+def with_quotient_y(r, asg):
+    """`asg` with y the quotient of the product of `r`'s chains at its x_i
+    by (a1-1)^(d+1), coordinate by coordinate, where every coordinate has
+    one, else with y the identity."""
+    product = evaluate(concat(*r._chains), asg, r.spec)
+    quotients = {j: a1_quotient(p, r.poly.degree() + 1)
+                 for j, p in enumerate(product.base, start=1)}
+    if None in quotients.values():
+        return {**asg, "y": r.spec.identity()}
+    return {**asg, "y": r.spec.element(base=quotients)}
+
+
+def test_a1_quotient_divides_exactly():
+    q = parse_poly("a2^-1 + 3*a1*a2^2 - 5*a1^-2", 2)
+    cube = (LaurentPoly.variable(2, 1) - LaurentPoly.one(2)) ** 3
+    assert a1_quotient(q * cube, 3) == q
+    assert a1_quotient(q * cube, 4) is None
+    assert a1_quotient(q * cube * (LaurentPoly.variable(2, 2) - LaurentPoly.one(2)), 3) is not None
+    assert a1_quotient(LaurentPoly.variable(2, 2) - LaurentPoly.one(2), 1) is None
+
+
+@pytest.mark.parametrize("spec", [S21, GroupSpec(3, 2)], ids=["2-1", "3-2"])
+def test_any_satisfying_assignment_with_tails_extracts_a_root(spec):
+    # Over m >= 2, [x_i, a1] = 1 leaves each x_i = a^gamma_i free in
+    # a2..am.  Try every a1 exponent c_i in -3..3, each x_i with no tail or
+    # the assignment's random nonzero tail, times a base part one time in
+    # four, with y the quotient of the product of the chains by (a1-1)^(d+1)
+    # wherever one exists: every assignment that satisfies the system has
+    # no base part and extracts a root, and some have nonzero tails.
+    rng = random.Random(spec.m)
+    with_tails = 0
+    for text in ("z1*z2", "z1*z2 - 6", "z1^2*z2 - 4*z2", "z1^2 - z2^2", "z1 - 2",
+                 "z1^2 + 3*z1 + 2", "z1*z2 + z2", "z1^3 - z2^3"):
+        f = parse_intpoly(text)
+        r = compile(f, spec)
+        for c in itertools.product(range(-3, 4), repeat=f.num_vars):
+            tail = tuple(rng.choice([v for v in range(-5, 6) if v]) for _ in range(spec.m - 1))
+            tails = [rng.choice(((0,) * (spec.m - 1), tail)) for _ in c]
+            parts = [spec.identity()] * len(c)
+            if rng.random() < 0.25:
+                parts[rng.randrange(len(c))] = spec.element(
+                    base={spec.n: parse_poly("a1 - 3", spec.m)})
+            asg = with_quotient_y(r, {x: spec.element(active=(ci,) + ti) * part for x, ci, ti, part
+                                      in zip(r.solution_vars, c, tails, parts)})
+            if check_system(r.system, asg, spec).ok:
+                assert all(part.is_identity() for part in parts)
+                assert extract_solution(r, asg) == c and f.evaluate(c) == 0
+                with_tails += any(tails)
+    assert with_tails > 0
+    # z1*z2 at x1 = a1^-2 a2^5 and x2 = 1: the chain [b1, x1, x2] is 1, so y
+    # = 1 solves the system, and the tail of x1 is read past.
+    f = parse_intpoly("z1*z2")
+    r = compile(f, spec)
+    asg = {"x1": spec.element(active=(-2, 5) + (0,) * (spec.m - 2)), "x2": spec.identity(),
+           "y": spec.identity()}
+    assert check_system(r.system, asg, spec).ok
+    assert extract_solution(r, asg) == (-2, 0)
+
+
+def test_extract_reads_a1_and_rejects_a_base_part():
+    # z_i is the a1 exponent of x_i, whatever its a2..am exponents; a value
+    # with a base part is no solution of [x_i, a1] = 1.
     out = compile(parse_intpoly("z1 - 2"), S21)
-    with pytest.raises(PreconditionError, match="x1"):
-        extract_solution(out, {"x1": S21.active_gen(2)})
-    with pytest.raises(PreconditionError, match="x1"):
+    assert extract_solution(out, {"x1": S21.active_gen(2)}) == (0,)
+    assert extract_solution(out, {"x1": S21.element(active=(-4, 7))}) == (-4,)
+    with pytest.raises(PreconditionError, match="x1.*not in the acting subgroup"):
         extract_solution(out, {"x1": S21.base_gen(1)})
 
 
