@@ -43,7 +43,7 @@ from .equations import Commutator, Constant, Concat, Power, System
 from .errors import ParseError, PreconditionError, SpecMismatchError, shown
 from .lexer import parse_whole
 from .laurent import Frozen
-from .wreath import GroupSpec, group_power, power_word, read_vector
+from .wreath import GroupSpec, check_ranks, group_power, power_word, read_vector
 
 
 # Longest rank list accepted.  Element literals nest once per rank and the
@@ -72,8 +72,9 @@ def spec_for_ranks(ranks):
 class IteratedSpec(Frozen):
     """Rank list (m_k, ..., m_1) with 3 <= k <= MAX_RANKS, outermost base copy first.
 
-    Each rank must be a positive int (a bool is not one).  As for
-    `GroupSpec`, `Frozen`'s `==` tests identity first.
+    Each rank must be a positive int (a bool is not one) of at most
+    `wreath.MAX_RANK`.  As for `GroupSpec`, `Frozen`'s `==` tests identity
+    first.
     """
 
     __slots__ = ("ranks", "_inner", "_below", "_identity")
@@ -90,6 +91,7 @@ class IteratedSpec(Frozen):
         if len(ranks) > MAX_RANKS:
             raise PreconditionError(
                 f"at most {MAX_RANKS} ranks are supported, got {len(ranks)}")
+        check_ranks(ranks)
         # The groups below are built once, from the flat pair outward, with
         # no second check of their ranks: O(depth) specs.
         inner = GroupSpec(m=ranks[-1], n=ranks[-2])

@@ -1,9 +1,8 @@
 """Compiler from integer polynomial equations to group-equation systems.
 
 Given f = sum_alpha t_alpha z^alpha of total degree d, the compiled system
-over Z^n wr Z^m constrains each solution variable x_i to the acting subgroup
-A by [x_i, a1] = 1, writes per-term commutator chains whose product carries
-the base coordinate
+over Z^n wr Z^m writes per-term commutator chains in the solution variables
+x_i whose product carries the base coordinate
 
     e_f = sum_alpha t_alpha (a1-1)^(d-|alpha|) prod_i (a1^{z_i} - 1)^{alpha_i},
 
@@ -13,18 +12,18 @@ product is [y, a1, ..., a1] with d+1 copies of a1 and y in the base
 subgroup.  The system writes this as one equation, the chains followed by
 [a1, y, a1, ..., a1]: [a1, y] = [y, a1]^-1 lies in the base, and a chain is
 linear in a base head, so that last commutator is [y, a1, ..., a1]^-1.  The
-system is the same s + 2 equations over every Z^n wr Z^m: an x_i with
-a2..am exponents is no spurious solution, since the retraction
-a_j -> 1 (j >= 2) maps its product to e_f at the x_i's a1 exponents (see
-`Reduction.system`).  A `Reduction` holds f and the group.  The chains are
-written once, each one left-normed commutator: its `system` equates their
-product with the ideal-power chain, and its `witness` builds the assignment
-from an integer root by evaluating that same product and dividing it by
-(a1-1)^(d+1).  Its `extract_solution` reads a root back out of any
-satisfying assignment, and `oracle_ef` evaluates the membership polynomial
-directly as an independent check on the group-equation route.  `compile`,
-`witness` and `extract_solution` are the module-level entry points to the
-same pipeline.
+system is the same 2 equations over every Z^n wr Z^m, and no equation pins
+an x_i: every chain starts at a base element, so it reads only the active
+part of an x_i, and the retraction a_j -> 1 (j >= 2) maps the product to
+e_f at the x_i's a1 exponents (see `Reduction.system`).  A `Reduction`
+holds f and the group.  The chains are written once, each one left-normed
+commutator: its `system` equates their product with the ideal-power chain,
+and its `witness` builds the assignment from an integer root by evaluating
+that same product and dividing it by (a1-1)^(d+1).  Its `extract_solution`
+reads a root back out of any satisfying assignment, and `oracle_ef`
+evaluates the membership polynomial directly as an independent check on the
+group-equation route.  `compile`, `witness` and `extract_solution` are the
+module-level entry points to the same pipeline.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import PreconditionError, SpecMismatchError, shown
 from .laurent import (Frozen, LaurentPoly, _normal_terms, _ordered_monomials, delta_decompose,
                       delta_membership, read_terms, terms_str)
 from .lexer import parse_whole
-from .wreath import GroupSpec, in_A
+from .wreath import GroupSpec
 
 
 # Largest variable count `parse_intpoly` infers from text.  Every term stores
@@ -184,24 +183,26 @@ class Reduction(Frozen):
         Zero f compiles to the empty system (every tuple is a root).
         Otherwise, whatever the active rank m, the system is, in this order,
 
-            [x_1, a1] = 1, ..., [x_s, a1] = 1,   [y, b1] = 1,
+            [y, b1] = 1,
             [chain_1] ... [chain_t] [a1, y, a1, ..., a1] = 1
 
-        with the support terms' chains (`_chains`) in order and k = d+1
-        copies of a1 in the last commutator, one before y and d after it.
-        An x = (gamma, p) commutes with a1 iff p (a1 - 1) = 0, and Z[A] has
-        no zero divisors, so [x_i, a1] = 1 puts x_i in the acting subgroup:
-        x_i = a^{gamma_i}.  [y, b1] = 1 puts y in the base subgroup, the
-        centralizer of b1.  The base is abelian and normal, so on it
-        u -> [u, a1] is a homomorphism: it multiplies each base coordinate
-        by a1 - 1, and a chain is linear in a base head.  With
+        over x_1, ..., x_s and y, with the support terms' chains (`_chains`)
+        in order and k = d+1 copies of a1 in the last commutator, one before
+        y and d after it.  [y, b1] = 1 puts y in the base subgroup B, the
+        centralizer of b1.  B is abelian and normal, so for u in B the
+        commutator [u, g] depends only on the active part of g, and
+        u -> [u, g] is a homomorphism of B: it multiplies each base
+        coordinate by a^gamma - 1 for g = a^gamma c.  Every chain starts at
+        a base element, so it reads only the active part a^{gamma_i} of each
+        x_i and never its base part, and it is linear in its head.  With
         [a1, y] = [y, a1]^-1 the last commutator is [y, a1, ..., a1]^-1 (k
-        copies), so the last equation says that the product of the chains
-        has each base coordinate (a1-1)^k times that of y.  That product has
-        only a b1 coordinate, e_f(gamma), which is the module docstring's
-        e_f with each a1^{z_i} replaced by a^{gamma_i}.  This is the block
-        beta = (k, 0, ..., 0) of `gadgets.gadget_delta_power`, with the
-        product in place of its x_beta and y in place of its y_beta.
+        copies), which reads only y's base part, so the last equation says
+        that the product of the chains has each base coordinate (a1-1)^k
+        times that of y.  That product has only a b1 coordinate, e_f(gamma),
+        which is the module docstring's e_f with each a1^{z_i} replaced by
+        a^{gamma_i}.  This is the block beta = (k, 0, ..., 0) of
+        `gadgets.gadget_delta_power`, with the product in place of its
+        x_beta and y in place of its y_beta.
 
         The retraction phi: a_j -> 1 (j >= 2) is a ring map of Z[A] onto
         Z[a1^{+-1}] that fixes Z[a1^{+-1}].  It maps e_f(gamma) to e_f(z),
@@ -211,24 +212,23 @@ class Reduction(Frozen):
         (a1-1)^k Z[a1^{+-1}]; so f(z) = 0.  Completeness: a root z with
         x_i = a1^{z_i} puts e_f(z) in Z[a1^{+-1}] and in Delta^k, whose image
         under phi is (a1-1)^k Z[a1^{+-1}]; so e_f(z) = phi(e_f(z)) is
-        (a1-1)^k q for some q in Z[a1^{+-1}], and y = b1^q.  The x_i pin y,
-        since (a1-1)^k is not a zero divisor of Z[A].
+        (a1-1)^k q for some q in Z[a1^{+-1}], and y = b1^q.  The active
+        parts of the x_i pin y, since (a1-1)^k is not a zero divisor of
+        Z[A]; their base parts are free, and no equation reads them.
 
         Size, for s variables and degree d, whatever m and the number t of
-        support terms: s + 2 equations and s + 1 variables, whose words hold
-        t chains of at most d factors and one chain of d + 1, built in time
+        support terms: 2 equations and s + 1 variables, whose words hold t
+        chains of at most d factors and one chain of d + 1, built in time
         linear in their size.  The text does not depend on (n, m).
         """
         spec = self._flat_spec()
         if self.poly.is_zero():
             return System()
-        xs = self.solution_vars
         a1, y = Constant(spec.generator(1, 1)), Literal("y")
         ideal_power = Commutator(a1, y, *[a1] * self.poly.degree())
-        return System((*[equation(Commutator(Literal(x), a1)) for x in xs],
-                       equation(Commutator(y, Constant(spec.generator(2, 1)))),
+        return System((equation(Commutator(y, Constant(spec.generator(2, 1)))),
                        equation(concat(*self._chains, ideal_power))),
-                      xs + ("y",))
+                      self.solution_vars + ("y",))
 
     def witness(self, z):
         """Satisfying assignment for `system` from an integer root z; builds no system.
@@ -265,14 +265,13 @@ class Reduction(Frozen):
         """Read the integer root (z1..zs) off a satisfying assignment.
 
         Each solution variable must be assigned an element of `spec`
-        (SpecMismatchError otherwise) in the acting subgroup, as
-        [x_i, a1] = 1 requires; a value with a base part is outside the
-        reduction's image and raises PreconditionError.  z_i is the a1
-        exponent of x_i, whatever its a2..am exponents: by the retraction of
-        `system`'s proof, z is a root whenever the assignment satisfies the
-        system.  Variables absent from the system (zero polynomial) extract
-        as 0.  One lookup and one O(n + m) check per solution variable:
-        O(s * (n + m)) for s variables, whatever the size of the system.
+        (SpecMismatchError otherwise).  z_i is the a1 exponent of x_i,
+        whatever its a2..am exponents and its base part, which no equation
+        reads: by the retraction of `system`'s proof, z is a root whenever
+        the assignment satisfies the system.  Variables absent from the
+        system (zero polynomial) extract as 0.  One lookup and one spec
+        comparison per solution variable: O(s) for s variables, whatever the
+        size of the system or of the values.
         """
         spec = self._flat_spec()
         values = []
@@ -284,9 +283,6 @@ class Reduction(Frozen):
             if g.spec != spec:
                 raise SpecMismatchError(
                     f"solution variable {name!r} belongs to {g.spec}, not {spec}")
-            if not in_A(g):
-                raise PreconditionError(
-                    f"solution variable {name!r} is not in the acting subgroup: {shown(g)}")
             values.append(g.active[0])
         return tuple(values) if self.solution_vars else (0,) * self.num_vars
 

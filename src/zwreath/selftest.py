@@ -452,7 +452,9 @@ def check_reduction_roundtrip(rng, samples):
     planted root verifies, extracts the root, and its y times (a1-1)^(d+1)
     is the oracle's e_f.  Then one x_i moved by a random a2..am tail: if the
     system still holds, the point extracted must still be the root z, read
-    off the a1 exponents."""
+    off the a1 exponents.  And one x_i moved by a random base element, on
+    either side: no equation reads an x_i's base part, so the system must
+    still hold and give back z."""
     failures = []
     for i in range(samples):
         spec = GroupSpec(rng.randint(1, 3), rng.randint(1, 2))
@@ -478,6 +480,12 @@ def check_reduction_roundtrip(rng, samples):
         moved = {**asg, name: asg[name] * tail}
         if check_system(out.system, moved, spec).ok and extract_solution(out, moved) != z:
             failures.append(f"sample {i}: {name} moved by {tail} extracted as another point")
+        part = rand_base_element(rng, spec)
+        value = asg[name] * part if rng.random() < 0.5 else part * asg[name]
+        moved = {**asg, name: value}
+        if not check_system(out.system, moved, spec).ok or extract_solution(out, moved) != z:
+            failures.append(f"sample {i}: {name} moved by the base element {part} "
+                            "lost the root")
     return failures
 
 

@@ -15,17 +15,34 @@ import math
 import re
 from operator import add
 
-from .errors import PreconditionError, SpecMismatchError
+from .errors import PreconditionError, SpecMismatchError, shown
 from .laurent import (Frozen, LaurentPoly, _canonical_terms, _shift, _sum, _terms_of,
                       _times_differences, binary_power, delta_membership, read_poly)
 from .lexer import is_name, parse_whole
 
 
+# Largest rank entry accepted, in a `GroupSpec` or an `interp.IteratedSpec`.
+# An element holds an exponent vector of m entries and n coordinates of rank
+# m, so an entry of 10^20 ended in an OverflowError and one of 10^8 in a
+# MemoryError as the identity was built.  Group operations cost O(n * m) at
+# worst (a `z1*z2 - 6` witness over 20000,20000 verifies in about 4 s on a
+# 2-core host); the cap admits the largest entry in use, the `lcs-rank
+# --ranks 1,20000 --i 20000` probe, which the digit limit refuses.
+MAX_RANK = 20000
+
+
+def check_ranks(ranks):
+    """Refuse a list of int ranks with an entry above `MAX_RANK` (PreconditionError)."""
+    if max(ranks) > MAX_RANK:
+        raise PreconditionError(f"each rank must be at most {MAX_RANK}, got {shown(max(ranks))}")
+
+
 class GroupSpec(Frozen):
     """Ambient group Z^n wr Z^m: `m` active generators, `n` base generators.
 
-    Each rank must be a positive int (a bool is not one).  Every element
-    operation compares specs; `Frozen`'s `==` tests identity first.
+    Each rank must be a positive int (a bool is not one) of at most
+    `MAX_RANK`.  Every element operation compares specs; `Frozen`'s `==`
+    tests identity first.
     """
 
     __slots__ = ("m", "n", "_identity")
@@ -36,6 +53,7 @@ class GroupSpec(Frozen):
             raise PreconditionError(f"active rank must be a positive int, got {m!r}")
         if not (type(n) is int and n >= 1):
             raise PreconditionError(f"base rank must be a positive int, got {n!r}")
+        check_ranks((m, n))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_identity", self.element())

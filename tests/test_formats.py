@@ -141,13 +141,17 @@ def test_witness_and_extract_build_no_system(monkeypatch, capsys, stem, poly, ra
 # `legacy/cyclic/` holds every golden pair as printed before [x_i, a1] = 1
 # alone pinned x_i, when each x_i had the cyclic gadget's three equations and
 # its auxiliary `cyc_z_i`: over an innermost active rank of 1 that layout was
-# dropped first, and over a higher rank later.
+# dropped first, and over a higher rank later.  `legacy/acting/` holds every
+# golden pair as printed before the [x_i, a1] = 1 were dropped, when they put
+# each x_i in the acting subgroup; the witnesses are the golden ones, byte
+# for byte.
 LEGACY = GOLDEN / "legacy"
 CHAINS = LEGACY / "chains"
 BLOCKS = LEGACY / "blocks"
 TERMS = LEGACY / "terms"
 PRODUCT = LEGACY / "product"
 CYCLIC = LEGACY / "cyclic"
+ACTING = LEGACY / "acting"
 # The depth-8 pair was first written with generator words and has no literal text.
 LEGACY_CASES = GOLDEN_CASES[:5]
 
@@ -226,11 +230,12 @@ def test_flattening_gives_one_definition_per_former_chain_link(stem, poly, ranks
 def test_one_block_and_all_block_systems_accept_their_witnesses(capsys):
     # `legacy/blocks/` constrains y with the B = C(3+2, 2) = 10 blocks of
     # `gadget_delta_power`, `legacy/terms/`, `legacy/product/`,
-    # `legacy/cyclic/` and the golden system with the one block (3, 0, 0):
-    # 3s + t + 2 + 2B, 3s + t + 4, 3s + 3, 3s + 2 and s + 2 equations for
-    # s = 2 variables and t = 2 terms.
+    # `legacy/cyclic/`, `legacy/acting/` and the golden system with the one
+    # block (3, 0, 0): 3s + t + 2 + 2B, 3s + t + 4, 3s + 3, 3s + 2, s + 2
+    # and 2 equations for s = 2 variables and t = 2 terms.
     for folder, count in ((BLOCKS, 3 * 2 + 2 + 2 + 2 * 10), (TERMS, 3 * 2 + 2 + 4),
-                          (PRODUCT, 3 * 2 + 3), (CYCLIC, 3 * 2 + 2), (GOLDEN, 2 + 2)):
+                          (PRODUCT, 3 * 2 + 3), (CYCLIC, 3 * 2 + 2), (ACTING, 2 + 2),
+                          (GOLDEN, 2)):
         system, witness = folder / "product_2-3.eqs", folder / "product_2-3.asg"
         code, out, err = run(capsys, "verify", "--ranks", "2,3", "--system", str(system),
                              "--assignment", str(witness))
@@ -322,22 +327,56 @@ def _without_cyclic_auxiliaries(text):
 
 @pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
 def test_cyclic_auxiliary_layout_keeps_its_verdicts(tmp_path, capsys, stem, poly, ranks, root):
-    # Over every innermost active rank the golden pair is the one under
-    # `legacy/cyclic/` with the lines of every cyc_z_i deleted: 3s + 2
+    # Over every innermost active rank the `legacy/acting/` pair is the one
+    # under `legacy/cyclic/` with the lines of every cyc_z_i deleted: 3s + 2
     # equations became s + 2.  Each layout accepts its own witness, rejects
     # it with x1 moved by a1, and gives the same root.
     s = len(root.split(","))
-    for folder, count in ((CYCLIC, 3 * s + 2), (GOLDEN, s + 2)):
+    for folder, count in ((CYCLIC, 3 * s + 2), (ACTING, s + 2)):
         _own_verdicts(capsys, tmp_path, folder, stem, poly, ranks, root, count)
     for suffix in ("eqs", "asg"):
         old_text = (CYCLIC / f"{stem}.{suffix}").read_text(encoding="utf-8")
         assert old_text.count("cyc_z_") >= (3 * s if suffix == "eqs" else s)
         assert _without_cyclic_auxiliaries(old_text) == (
-            GOLDEN / f"{stem}.{suffix}").read_text(encoding="utf-8")
-    # The parent's witness, cyc_z_i values and all, still solves the system.
-    code, out, _ = run(capsys, "verify", "--ranks", ranks, "--system",
-                       str(GOLDEN / f"{stem}.eqs"), "--assignment", str(CYCLIC / f"{stem}.asg"))
-    assert (code, out.splitlines()[-1]) == (0, f"satisfied: all {s + 2} equations hold")
+            ACTING / f"{stem}.{suffix}").read_text(encoding="utf-8")
+    # The former witness, cyc_z_i values and all, still solves both later systems.
+    for folder, count in ((ACTING, s + 2), (GOLDEN, 2)):
+        code, out, _ = run(capsys, "verify", "--ranks", ranks, "--system",
+                           str(folder / f"{stem}.eqs"), "--assignment", str(CYCLIC / f"{stem}.asg"))
+        assert (code, out.splitlines()[-1]) == (0, f"satisfied: all {count} equations hold")
+
+
+@pytest.mark.parametrize("stem, poly, ranks, root", GOLDEN_CASES)
+def test_acting_subgroup_layout_keeps_its_verdicts(tmp_path, capsys, stem, poly, ranks, root):
+    # The golden system is the one under `legacy/acting/` with its s lines
+    # [x_i, @a1, ...] = 1 deleted: s + 2 equations became 2, over the same
+    # s + 1 variables, and the witness is byte for byte the same.  Each
+    # layout accepts that witness, rejects it with x1 moved by a1, and gives
+    # the same root.  With x1 moved by b1, the flat pair's base generator,
+    # the former system fails at [x1, @a1, ...] = 1 alone, and the golden
+    # one holds: the chains read only the active part of x1, and the root is
+    # read off it.
+    s = len(root.split(","))
+    for folder, count in ((ACTING, s + 2), (GOLDEN, 2)):
+        _own_verdicts(capsys, tmp_path, folder, stem, poly, ranks, root, count)
+    old_text = (ACTING / f"{stem}.eqs").read_text(encoding="utf-8")
+    pins = [line for line in old_text.splitlines(keepends=True) if line.startswith("[x")]
+    assert len(pins) == s
+    assert "".join(line for line in old_text.splitlines(keepends=True)
+                   if line not in pins) == (GOLDEN / f"{stem}.eqs").read_text(encoding="utf-8")
+    assert (ACTING / f"{stem}.asg").read_bytes() == (GOLDEN / f"{stem}.asg").read_bytes()
+    spec = spec_for_ranks(tuple(int(r) for r in ranks.split(",")))
+    values = parse_assignment((ACTING / f"{stem}.asg").read_text(encoding="utf-8"), spec)
+    values["x1"] = values["x1"] * spec.generator(2, 1)
+    moved = tmp_path / "moved.asg"
+    moved.write_text(serialize_assignment(values), encoding="utf-8")
+    for folder, code, last in ((ACTING, 1, f"unsatisfied: 1 of {s + 2} equations fail"),
+                               (GOLDEN, 0, "satisfied: all 2 equations hold")):
+        out = run(capsys, "verify", "--ranks", ranks, "--system", str(folder / f"{stem}.eqs"),
+                  "--assignment", str(moved))[1].splitlines()
+        assert (out[-1], out[0]) == (last, "equation 1: " + ("FAIL" if code else "ok"))
+    assert run(capsys, "extract", "--poly", poly, "--ranks", ranks,
+               "--assignment", str(moved)) == (0, root + "\n", "")
 
 
 # -- every ParseError carries the true line and column ------------------------------

@@ -391,7 +391,6 @@ def test_depth_three_system_text_is_pinned():
     a = "@a1"
     expected = "\n".join([
         "# vars: x1 y",
-        f"[x1, {a}, {b}] = 1",
         f"[y, {one}, {b}] = 1",
         f"[[{one}, x1] [@b1^-2, {a}] [{a}, y, {a}], {b}] = 1",
     ]) + "\n"

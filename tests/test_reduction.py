@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,7 +18,7 @@ from zwreath.interp import IteratedSpec
 from zwreath.reduction import (IntPolynomial, Reduction, compile, extract_solution,
                                oracle_ef, parse_intpoly, witness)
 from zwreath.selftest import (check_oracle, check_reduction_roundtrip,
-                              rand_intpoly)
+                              rand_intpoly, rand_nonzero_poly)
 from zwreath.wreath import GroupSpec, module_action
 
 S11 = GroupSpec(1, 1)
@@ -96,16 +97,14 @@ def test_compile_linear_example_shape():
     assert out.solution_vars == ("x1",)
     assert f.degree() == 1
     assert out.system.declared_vars == ("x1", "y")
-    # x1 in the centralizer of a1, y in the base, the 2 chains equal to y's
-    # ideal-power chain
-    assert len(out.system.equations) == 3
+    # y in the base, the 2 chains equal to y's ideal-power chain
+    assert len(out.system.equations) == 2
 
 
 def test_compile_golden_text():
     out = compile(parse_intpoly("z1 - 2"), S11)
     expected = "\n".join([
         "# vars: x1 y",
-        "[x1, @a1] = 1",
         "[y, @b1] = 1",
         "[@b1, x1] [@b1^-2, @a1] [@a1, y, @a1] = 1",
     ]) + "\n"
@@ -306,10 +305,9 @@ def test_witness_matches_module_action_reference():
 
 
 def test_chains_are_built_once_per_reduction(monkeypatch):
-    # `compile` builds one commutator [x_i, a1] per solution variable, the
-    # chain words for the system, one per support term, and two for the
-    # ideal-power constraint; the witness of the same reduction evaluates
-    # the chains and builds none.
+    # `compile` builds the chain words for the system, one per support term,
+    # and two for [y, b1] = 1 and the ideal-power constraint; the witness of
+    # the same reduction evaluates the chains and builds none.
     built = []
     real = reduction.Commutator
 
@@ -320,16 +318,21 @@ def test_chains_are_built_once_per_reduction(monkeypatch):
     monkeypatch.setattr(reduction, "Commutator", counting)
     f = parse_intpoly("z1^2*z2 - 4*z1")
     r = compile(f, S21)
-    assert len(built) == 2 + 2 + 2
+    assert len(built) == 2 + 2
     assert check_system(r.system, r.witness((2, 2)), S21).ok
-    assert len(built) == 2 + 2 + 2
+    assert len(built) == 2 + 2
 
 
 def test_every_variable_of_a_wide_flat_solution_is_pinned():
-    # Over Z^2 wr Z^3 the root has one solution: the x_i fix the product of
-    # the chains, and multiplication by (a1-1)^3 is injective on Z[A], so
-    # the product fixes y.  Moving any declared variable, y included, by any
-    # generator breaks an equation that names it.
+    """Over Z^2 wr Z^3 the root has one solution up to the base parts of the
+    x_i: the active parts of the x_i fix the product of the chains, and
+    multiplication by (a1-1)^3 is injective on Z[A], so the product fixes
+    y.  Moving y by any generator, or an x_i by any active generator,
+    breaks an equation that names it.  Moving an x_i by a base generator
+    breaks none: the chains start at base elements, so they read only the
+    active part of an x_i.  The system gives that freedom up on purpose,
+    for 2 equations in place of s + 2, and the moved assignment still
+    extracts the root."""
     f = parse_intpoly("z1*z2 - 6")
     spec = GroupSpec(3, 2)
     out = compile(f, spec)
@@ -337,21 +340,26 @@ def test_every_variable_of_a_wide_flat_solution_is_pinned():
     assert check_system(out.system, asg, spec).ok
     assert extract_solution(out, asg) == (2, 3)
     assert out.system.declared_vars[-1] == "y"
-    generators = ([spec.base_gen(j) for j in range(1, spec.n + 1)]
-                  + [spec.active_gen(i) for i in range(1, spec.m + 1)])
+    bases = [spec.base_gen(j) for j in range(1, spec.n + 1)]
+    actives = [spec.active_gen(i) for i in range(1, spec.m + 1)]
     for name in out.system.declared_vars:
-        for g in generators:
+        for g in actives + (bases if name == "y" else []):
             report = check_system(out.system, {**asg, name: asg[name] * g}, spec)
             assert not report.ok, (name, g)
             for idx in report.failures:
                 assert name in free_vars(out.system.equations[idx])
+    for name in out.solution_vars:
+        for g in bases:
+            moved = {**asg, name: asg[name] * g}
+            assert check_system(out.system, moved, spec).ok
+            assert extract_solution(out, moved) == (2, 3)
 
 
 def test_system_size_is_closed_form_for_every_active_rank():
-    # [x_i, a1] = 1 per solution variable and one ideal-power block holding
-    # the product of the chains, whatever the number of support terms and
-    # the ranks are: s + 2 equations and s + 1 variables, in a text that is
-    # the same over every Z^n wr Z^m.
+    # [y, b1] = 1 and one ideal-power block holding the product of the
+    # chains, whatever the number of support terms and the ranks are: 2
+    # equations and s + 1 variables, in a text that is the same over every
+    # Z^n wr Z^m.
     rng = random.Random(67)
     for m in range(1, 7):
         for _ in range(8):
@@ -359,17 +367,17 @@ def test_system_size_is_closed_form_for_every_active_rank():
             if f.is_zero():
                 continue
             system = compile(f, GroupSpec(m, rng.randint(1, 2))).system
-            assert len(system.equations) == f.num_vars + 2
+            assert len(system.equations) == 2
             assert len(system.declared_vars) == f.num_vars + 1
             assert serialize_system(system) == serialize_system(compile(f, S11).system)
-    assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(6, 1)).system.equations) == 3
-    assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(1, 6)).system.equations) == 3
+    assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(6, 1)).system.equations) == 2
+    assert len(compile(parse_intpoly("z1^12 - 4096"), GroupSpec(1, 6)).system.equations) == 2
 
 
 def all_blocks_system(r):
-    """The equations [x_i, a1] = 1 of `r.system`, `prod` defined as the
-    product of the chains, and all C(d+m, m-1) blocks of
-    `gadget_delta_power` for `prod` in place of the one ideal-power block."""
+    """`prod` defined as the product of the chains, and all C(d+m, m-1)
+    blocks of `gadget_delta_power` for `prod` in place of the one
+    ideal-power block and [y, b1] = 1 of `r.system`."""
     blocks = gadget_delta_power("prod", r.poly.degree() + 1, r.spec)
     return System((*r.system.equations[:-2], equation(concat(*r._chains), Literal("prod")),
                    *blocks.equations), r.solution_vars + blocks.declared_vars)
@@ -475,12 +483,12 @@ def test_merged_layout_agrees_with_the_product_layout(m, n, case):
     r = Reduction(f, spec)
     is_root = f.evaluate(z) == 0
     asg = candidate_witness(r, z)
-    # Per solution variable, the one equation [x_i, a1] = 1.
-    assert len(r.system.equations) == len(z) + 2
+    # No equation names an x_i alone.
+    assert len(r.system.equations) == 2
     assert len(r.system.declared_vars) == len(z) + 1
     assert check_system(r.system, asg, spec).ok == is_root
     old_system, old_asg = product_layout(r, asg)
-    assert len(old_system.equations) == len(z) + 3
+    assert len(old_system.equations) == 3
     assert check_system(old_system, old_asg, spec).ok == is_root
     if not is_root:
         with pytest.raises(PreconditionError, match="not a root"):
@@ -534,11 +542,12 @@ def test_extract_identity_is_zero():
 
 
 def test_any_satisfying_assignment_over_1_1_extracts_a_root():
-    # Over Z wr Z nothing but [x_i, a1] = 1 pins x_i.  Try every x_i = a1^c
-    # times a base part, with y the quotient of the product of the chains by
-    # (a1-1)^(d+1) wherever one exists: an assignment satisfies the system
-    # exactly when the x_i carry no base part and c is a root, and it then
-    # extracts that root, whatever stale or unrelated values ride along.
+    # Over Z wr Z no equation reads an x_i's base part.  Try every x_i =
+    # a1^c times a base part, with y the quotient of the product of the
+    # chains by (a1-1)^(d+1) wherever one exists: an assignment satisfies
+    # the system exactly when c is a root, whatever base part x_1 carries,
+    # and it then extracts that root, whatever stale or unrelated values
+    # ride along.
     f = parse_intpoly("z1^2*z2 - 4*z2")
     r = compile(f, S11)
     k = f.degree() + 1
@@ -560,10 +569,9 @@ def test_any_satisfying_assignment_over_1_1_extracts_a_root():
                 asg["t"] = S11.base_gen(1, 7)
                 if check_system(r.system, asg, S11).ok:
                     satisfied.append((c1, c2))
-                    assert part.is_identity()
                     assert extract_solution(r, asg) == (c1, c2)
                     assert f.evaluate((c1, c2)) == 0
-    assert satisfied == [(-2, -1), (-2, 2), (2, -1), (2, 2)]
+    assert satisfied == [c for c in [(-2, -1), (-2, 2), (2, -1), (2, 2)] for _ in noise]
 
 
 def a1_quotient(p, k):
@@ -606,52 +614,84 @@ def test_a1_quotient_divides_exactly():
     assert a1_quotient(LaurentPoly.variable(2, 2) - LaurentPoly.one(2), 1) is None
 
 
-@pytest.mark.parametrize("spec", [S21, GroupSpec(3, 2)], ids=["2-1", "3-2"])
-def test_any_satisfying_assignment_with_tails_extracts_a_root(spec):
-    # Over m >= 2, [x_i, a1] = 1 leaves each x_i = a^gamma_i free in
-    # a2..am.  Try every a1 exponent c_i in -3..3, each x_i with no tail or
-    # the assignment's random nonzero tail, times a base part one time in
-    # four, with y the quotient of the product of the chains by (a1-1)^(d+1)
-    # wherever one exists: every assignment that satisfies the system has
-    # no base part and extracts a root, and some have nonzero tails.
-    rng = random.Random(spec.m)
-    with_tails = 0
+LEGACY_ACTING = Path(__file__).parent / "golden" / "legacy" / "acting"
+
+
+def acting_layout(r):
+    """The layout `r.system` replaced: one equation [x_i, a1] = 1 per
+    solution variable, which put x_i in the acting subgroup, before
+    `r.system`'s two equations, over the same variables."""
+    a1 = Constant(r.spec.generator(1, 1))
+    return System((*[equation(Commutator(Literal(x), a1)) for x in r.solution_vars],
+                   *r.system.equations), r.system.declared_vars)
+
+
+@pytest.mark.parametrize("stem, poly, spec", [
+    ("product_1-1", "z1*z2 - 6", S11), ("product_2-3", "z1*z2 - 6", GroupSpec(3, 2)),
+    ("negative_2-1", "z1^2 + 3*z1 + 2", GroupSpec(1, 2))],
+    ids=["product_1-1", "product_2-3", "negative_2-1"])
+def test_acting_layout_is_the_legacy_golden_system(stem, poly, spec):
+    text = (LEGACY_ACTING / f"{stem}.eqs").read_text(encoding="utf-8")
+    assert serialize_system(acting_layout(compile(parse_intpoly(poly), spec))) == text
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(1, 1), GroupSpec(1, 2), GroupSpec(2, 1),
+                                  GroupSpec(2, 2), GroupSpec(3, 2)],
+                         ids=["1-1", "1-2", "2-1", "2-2", "3-2"])
+def test_any_satisfying_assignment_with_base_parts_extracts_a_root(spec):
+    # No equation pins the a2..am exponents of an x_i, nor its base part.
+    # Try every a1 exponent c_i in -3..3, each x_i with a random a2..am
+    # tail or none, times a random base part on a random side half the
+    # time, with y the quotient of the product of the chains by (a1-1)^(d+1)
+    # wherever one exists.  Every assignment that satisfies the system
+    # extracts a root, and some have nonzero tails (at m >= 2) or base
+    # parts.  The former layout, with [x_i, a1] = 1 (the systems under
+    # tests/golden/legacy/acting/), fails each one that gives some x_i a
+    # base part exactly at those x_i's equations, and holds on the rest.
+    rng = random.Random(spec.m * 10 + spec.n)
+    satisfied = with_parts = with_tails = 0
     for text in ("z1*z2", "z1*z2 - 6", "z1^2*z2 - 4*z2", "z1^2 - z2^2", "z1 - 2",
-                 "z1^2 + 3*z1 + 2", "z1*z2 + z2", "z1^3 - z2^3"):
+                 "z1^2 + 3*z1 + 2", "z1*z2 + z2", "z1^3 - z2^3", "z1^2 - 4"):
         f = parse_intpoly(text)
         r = compile(f, spec)
+        old = acting_layout(r)
         for c in itertools.product(range(-3, 4), repeat=f.num_vars):
-            tail = tuple(rng.choice([v for v in range(-5, 6) if v]) for _ in range(spec.m - 1))
-            tails = [rng.choice(((0,) * (spec.m - 1), tail)) for _ in c]
-            parts = [spec.identity()] * len(c)
-            if rng.random() < 0.25:
-                parts[rng.randrange(len(c))] = spec.element(
-                    base={spec.n: parse_poly("a1 - 3", spec.m)})
-            asg = with_quotient_y(r, {x: spec.element(active=(ci,) + ti) * part for x, ci, ti, part
-                                      in zip(r.solution_vars, c, tails, parts)})
+            values, based, tails = {}, [], []
+            for idx, (x, ci) in enumerate(zip(r.solution_vars, c)):
+                tail = tuple(rng.randint(-3, 3) for _ in range(spec.m - 1))
+                tails.append(rng.choice((tail, (0,) * (spec.m - 1))))
+                g = spec.element(active=(ci,) + tails[-1])
+                if rng.random() < 0.5:
+                    part = spec.element(base={rng.randint(1, spec.n): rand_nonzero_poly(rng, spec.m)})
+                    g = g * part if rng.random() < 0.5 else part * g
+                    based.append(idx)
+                values[x] = g
+            asg = with_quotient_y(r, values)
             if check_system(r.system, asg, spec).ok:
-                assert all(part.is_identity() for part in parts)
-                assert extract_solution(r, asg) == c and f.evaluate(c) == 0
-                with_tails += any(tails)
-    assert with_tails > 0
-    # z1*z2 at x1 = a1^-2 a2^5 and x2 = 1: the chain [b1, x1, x2] is 1, so y
-    # = 1 solves the system, and the tail of x1 is read past.
-    f = parse_intpoly("z1*z2")
-    r = compile(f, spec)
-    asg = {"x1": spec.element(active=(-2, 5) + (0,) * (spec.m - 2)), "x2": spec.identity(),
-           "y": spec.identity()}
-    assert check_system(r.system, asg, spec).ok
-    assert extract_solution(r, asg) == (-2, 0)
+                satisfied += 1
+                with_parts += bool(based)
+                with_tails += any(map(any, tails))
+                assert f.evaluate(c) == 0 and extract_solution(r, asg) == c
+                assert check_system(old, asg, spec).failures == tuple(based)
+    assert with_parts > 0 and satisfied > with_parts and (with_tails > 0) == (spec.m > 1)
+    if spec.m > 1:
+        # z1*z2 at x1 = a1^-2 a2^5 and x2 = 1: the chain [b1, x1, x2] is 1,
+        # so y = 1 solves the system, and the tail of x1 is read past.
+        r = compile(parse_intpoly("z1*z2"), spec)
+        asg = {"x1": spec.element(active=(-2, 5) + (0,) * (spec.m - 2)),
+               "x2": spec.identity(), "y": spec.identity()}
+        assert check_system(r.system, asg, spec).ok
+        assert extract_solution(r, asg) == (-2, 0)
 
 
-def test_extract_reads_a1_and_rejects_a_base_part():
-    # z_i is the a1 exponent of x_i, whatever its a2..am exponents; a value
-    # with a base part is no solution of [x_i, a1] = 1.
+def test_extract_reads_a1_whatever_the_base_part():
+    # z_i is the a1 exponent of x_i, whatever its a2..am exponents and its
+    # base part: no equation of the system reads either.
     out = compile(parse_intpoly("z1 - 2"), S21)
     assert extract_solution(out, {"x1": S21.active_gen(2)}) == (0,)
     assert extract_solution(out, {"x1": S21.element(active=(-4, 7))}) == (-4,)
-    with pytest.raises(PreconditionError, match="x1.*not in the acting subgroup"):
-        extract_solution(out, {"x1": S21.base_gen(1)})
+    assert extract_solution(out, {"x1": S21.base_gen(1)}) == (0,)
+    assert extract_solution(out, {"x1": S21.base_gen(1, 5) * S21.element(active=(3, -1))}) == (3,)
 
 
 def test_extract_zero_polynomial_defaults_to_zeros():

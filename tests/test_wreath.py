@@ -12,7 +12,7 @@ from zwreath.interp import IteratedSpec, NestedElement
 from zwreath.laurent import (LaurentPoly, delta_decompose, delta_membership, geom_series,
                              parse_poly)
 from zwreath.reduction import parse_intpoly
-from zwreath.wreath import (GroupSpec, LcsBasisElement, WreathElement,
+from zwreath.wreath import (MAX_RANK, GroupSpec, LcsBasisElement, WreathElement,
                             in_A, in_N, in_delta_power,
                             lcs_basis, lcs_rank, left_normed_commutator,
                             module_action, parse_element)
@@ -415,6 +415,12 @@ def test_public_constructor_rejects_malformed_input():
     (lambda: GroupSpec(True, True), "active rank must be a positive int, got True"),
     (lambda: IteratedSpec((True, 1, 1)), "ranks must be positive ints, got (True, 1, 1)"),
     (lambda: IteratedSpec((1, 1, 1.0)), "ranks must be positive ints, got (1, 1, 1.0)"),
+    # Every rank is at most MAX_RANK; the message names the cap and the
+    # largest entry.
+    (lambda: GroupSpec(MAX_RANK + 1, 1), f"each rank must be at most {MAX_RANK}, got {MAX_RANK + 1}"),
+    (lambda: GroupSpec(1, 10 ** 20), f"each rank must be at most {MAX_RANK}, got {10 ** 20}"),
+    (lambda: IteratedSpec((1, 10 ** 8, 1, 10 ** 20)),
+     f"each rank must be at most {MAX_RANK}, got {10 ** 20}"),
     (lambda: Literal("x", True), "literal sign must be +-1, got True"),
     (lambda: Literal("x", 1.0), "literal sign must be +-1, got 1.0"),
     (lambda: Literal("x", 2), "literal sign must be +-1, got 2"),
