@@ -399,9 +399,9 @@ def test_too_many_ranks_is_a_precondition_error(capsys):
 @pytest.mark.parametrize("command", ["compile", "witness", "verify", "oracle", "extract",
                                      "lcs-rank"])
 def test_rank_entry_above_the_cap_is_a_precondition_error(tmp_path, capsys, command, ranks):
-    # An entry of 10^20 ended in an OverflowError traceback as the identity
-    # was built, and one of 10^8 in a MemoryError under a 2 GB address-space
-    # limit; every subcommand that takes --ranks refuses both, naming the cap.
+    # Building the identity over an entry of 10^20 overflows, and over one
+    # of 10^8 takes gigabytes; every subcommand that takes --ranks refuses
+    # such an entry first, naming the cap.
     system, assignment = tmp_path / "sys.eqs", tmp_path / "x.asg"
     system.write_text("# vars: x1\nx1 = 1\n")
     assignment.write_text("x1 := { active: (0); }\n")
