@@ -9,16 +9,15 @@ solution extraction, and an independent membership oracle.
 
 from .equations import (CheckReport, Commutator, Concat, Constant, Literal,
                         Power, System, check_system, concat, equation,
-                        evaluate, flatten, inverse_word, parse_assignment,
-                        parse_system, power, serialize_assignment,
-                        serialize_system, system_of)
+                        evaluate, flatten, inverse_word, lift_system,
+                        parse_assignment, parse_system, power,
+                        serialize_assignment, serialize_system, system_of)
 from .errors import Error, ParseError, PreconditionError, SpecMismatchError
 from .gadgets import (delta_blocks, gadget_cyclic, gadget_delta_power,
                       gadget_in_A, gadget_in_N, witness_cyclic,
                       witness_delta_power)
 from .interp import (IteratedReduction, IteratedSpec, NestedElement,
-                     compile_iterated, lift_system, project_assignment,
-                     spec_for_ranks)
+                     compile_iterated, project_assignment, spec_for_ranks)
 from .laurent import (INFINITY, LaurentPoly, aug_valuation, delta_decompose,
                       delta_generator_product, delta_membership, geom_series,
                       parse_poly)

@@ -14,10 +14,10 @@ import sys
 
 from .equations import check_system, parse_assignment, parse_system, serialize_assignment, serialize_system
 from .errors import Error, ParseError, PreconditionError
-from .interp import IteratedReduction, compile_iterated, spec_for_ranks
+from .interp import spec_for_ranks
 from .laurent import INFINITY, aug_valuation
 from .lexer import TokenStream, is_int
-from .reduction import _membership_poly, parse_intpoly
+from .reduction import Reduction, _membership_poly, compile, parse_intpoly
 from .wreath import lcs_rank
 
 EXIT_OK = 0
@@ -117,14 +117,14 @@ def _poly_and_spec(args):
 
 
 def _cmd_compile(args):
-    system = compile_iterated(*_poly_and_spec(args)).system
+    system = compile(*_poly_and_spec(args)).system
     _write_output(lambda: serialize_system(system), args.output)
     return EXIT_OK
 
 
 def _cmd_witness(args):
     # Witnessing needs no compiled system, so none is built.
-    asg = IteratedReduction(*_poly_and_spec(args)).witness(_parse_solution(args.solution))
+    asg = Reduction(*_poly_and_spec(args)).witness(_parse_solution(args.solution))
     _write_output(lambda: serialize_assignment(asg), args.output)
     return EXIT_OK
 
@@ -162,7 +162,7 @@ def _cmd_oracle(args):
 def _cmd_extract(args):
     f, spec = _poly_and_spec(args)
     assignment = parse_assignment(_read(args.assignment), spec)
-    z = IteratedReduction(f, spec).extract_solution(assignment)  # builds no system
+    z = Reduction(f, spec).extract_solution(assignment)  # builds no system
     print(",".join(str(v) for v in z))
     return EXIT_OK
 

@@ -7,6 +7,8 @@ type providing `*`, `inverse()`, `commutator()` and `__pow__`, with the
 ambient spec supplying the identity element, the element-literal parser and
 the generator words: system text prints a constant that is a power of one
 generator as a word such as `@b1^-6`, and any other constant as a literal.
+`lift_system` carries a system over a group up a wreath extension, or a
+tower of them, in one pass over its words.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ class System(Frozen):
     The constructor is the one boundary check (`_check`): every declared
     name is valid and declared once, and every equation uses only declared
     variables, in O(size of the system).  Systems built from a system
-    already checked (`interp.lift_system`) or declaring exactly their free
+    already checked (`lift_system`) or declaring exactly their free
     variables (`system_of`) come from `_unchecked` and are not walked again.
     """
 
@@ -274,6 +276,85 @@ def system_of(equations):
     for word in equations:
         names.update(dict.fromkeys(free_vars(word)))
     return System._unchecked(equations, tuple(names))
+
+
+# -- lifting ------------------------------------------------------------------
+
+
+def _convert_word(word, convert):
+    if isinstance(word, Constant):
+        return convert(word)
+    if isinstance(word, Concat):
+        return Concat(tuple(_convert_word(p, convert) for p in word.parts))
+    if isinstance(word, Commutator):
+        return Commutator(*(_convert_word(p, convert) for p in (word.word,) + word.factors))
+    if isinstance(word, Power):
+        return Power(_convert_word(word.body, convert), word.exponent)
+    return word
+
+
+def lift_system(system, b, *outer):
+    """Lift a system over H to one over K wr H using base generator b of K wr H,
+    and on through one more wreath extension per generator in `outer`.
+
+    Every equation w = 1 over H becomes the single equation [w', b] = 1, where
+    w' is w with each constant embedded as a pure active part.  When w' is
+    itself a commutator [u, f1, ..., fk], b joins its factors as the same
+    left-normed [u, f1, ..., fk, b], so lifting twice gives what one lift
+    through both levels gives, and no bracket nests once per level.  No
+    variable is added, so `declared_vars` passes through unchanged and the
+    lifted system is not validated again; O(size of the system) time and
+    output.
+
+    Equivalence.  b is a base generator at the inner identity, and its
+    centralizer in K wr H is exactly the base subgroup: conjugating b by an
+    element with active part a moves its support point from the identity to
+    a, and H acts freely on the support, so g commutes with b iff a = 1.  So
+    [w', b] = 1 holds under an assignment s iff w'(s) projects to 1 in H.
+    Projection is a homomorphism and sends each embedded constant back to the
+    original, so the projection of w'(s) is w evaluated at the projected
+    assignment: s solves the lifted equation iff its projection solves w = 1.
+    The former lift, the pair {w' = t, [t, b] = 1} with a fresh t, has the
+    same solutions up to t, because t is determined by w'.
+
+    A tower.  With `outer` = (b_4, ..., b_L), each b_k a base generator of
+    the group of level k, whose inner group is the group of b_(k-1), and b
+    = b_3, the result is the level-by-level lift in one pass: every w = 1
+    becomes [w^(L), b_3^(L), b_4^(L), ..., b_L] = 1, one left-normed
+    commutator, where ^(L) embeds an element straight into the outermost
+    group.  Each distinct constant and each b_k is embedded once, in O(1)
+    (see `interp.IteratedSpec.embed`), so a system of size S with E equations over
+    a tower of depth L costs O(S + E·L) time, against the O(S·L²) of one
+    call per level, which re-walks and re-embeds every constant built so
+    far.
+    """
+    bases = (b,) + outer
+    for below, above in zip(bases, outer):
+        if above.spec.inner() != below.spec:
+            raise SpecMismatchError(
+                f"base generator of {above.spec} does not act on {below.spec}")
+    inner, top = b.spec.inner(), bases[-1].spec
+    wrappers = [Constant(top.embed(g)) for g in bases[:-1]] + [Constant(bases[-1])]
+    lifted = {}  # constant value -> its embedded Constant
+
+    def convert(constant):
+        value = constant.value
+        embedded = lifted.get(value)
+        if embedded is None:
+            if value.spec != inner:
+                raise SpecMismatchError(
+                    f"system constant belongs to {value.spec}, expected {inner}")
+            embedded = lifted[value] = Constant(top.embed(value))
+        return embedded
+
+    equations = []
+    for word in system.equations:
+        word = _convert_word(word, convert)
+        if isinstance(word, Commutator):
+            equations.append(Commutator(word.word, *word.factors, *wrappers))
+        else:
+            equations.append(Commutator(word, *wrappers))
+    return System._unchecked(tuple(equations), system.declared_vars)
 
 
 class CheckReport(Frozen):

@@ -244,14 +244,14 @@ def _shift(p, shift, sign=1):
 def _sum(p, q, sign=1, shift=None):
     """p + sign * a^shift * q; `sign` is 1 or -1, and a `shift` of None moves nothing.
 
-    A zero operand costs at most a `_shift`.  Otherwise p's terms are
-    accumulated into a moved copy of q's: one comprehension and one loop,
-    O(|p| + |q|) dict operations, each row read as its term dict first.
-    The result is held by the density rule.
+    A zero q costs O(1), with `shift` never read, and a zero p at most a
+    `_shift`.  Otherwise p's terms are accumulated into a moved copy of q's:
+    one comprehension and one loop, O(|p| + |q|) dict operations, each row
+    read as its term dict first.  The result is held by the density rule.
     """
-    shift = shift if shift is not None and any(shift) else None
     if q.is_zero():
         return p
+    shift = shift if shift is not None and any(shift) else None
     if p.is_zero():
         return q if sign > 0 and shift is None else _shift(q, shift, sign)
     out = _shifted(_terms_of(q), shift, sign)

@@ -16,21 +16,25 @@ system is the same 2 equations over every Z^n wr Z^m, and no equation pins
 an x_i: every chain starts at a base element, so it reads only the active
 part of an x_i, and the retraction a_j -> 1 (j >= 2) maps the product to
 e_f at the x_i's a1 exponents (see `Reduction.system`).  A `Reduction`
-holds f and the group.  The chains are written once, each one left-normed
-commutator: its `system` equates their product with the ideal-power chain,
-and its `witness` builds the assignment from an integer root by evaluating
-that same product and dividing it by (a1-1)^(d+1).  Its `extract_solution`
-reads a root back out of any satisfying assignment, and `oracle_ef`
-evaluates the membership polynomial directly as an independent check on the
-group-equation route.  `compile`, `witness` and `extract_solution` are the
-module-level entry points to the same pipeline.
+holds f and the group, flat or iterated: over a right-iterated group it
+works over the innermost flat pair and carries the result up the tower.
+The chains are written once, each one left-normed commutator: its `system`
+equates their product with the ideal-power chain, lifted through the tower
+by `equations.lift_system`, and its `witness` builds the assignment from an
+integer root by evaluating that same product and dividing it by
+(a1-1)^(d+1).  Its `extract_solution` reads a root back out of any
+satisfying assignment, and `oracle_ef` evaluates the membership polynomial
+directly as an independent check on the group-equation route.  `compile`,
+`witness` and `extract_solution` are the module-level entry points to the
+same pipeline.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .equations import Commutator, Constant, Literal, System, concat, equation, evaluate
+from .equations import (Commutator, Constant, Literal, System, concat, equation, evaluate,
+                        lift_system)
 from .errors import PreconditionError, SpecMismatchError, shown
 from .laurent import (Frozen, LaurentPoly, _normal_terms, _ordered_monomials, delta_decompose,
                       delta_membership, read_terms, terms_str)
@@ -119,14 +123,16 @@ def parse_intpoly(text, num_vars=None):
 
 
 class Reduction(Frozen):
-    """The reduction of the integer polynomial `poly` over the flat group `spec`.
+    """The reduction of the integer polynomial `poly` over the group `spec`.
 
+    `spec` is any group `interp.spec_for_ranks` returns: a flat `GroupSpec`,
+    or an `IteratedSpec` whose innermost two ranks are a flat pair.  The
+    reduction works over that flat pair, and over a tower it lifts the
+    system, embeds the witness values and projects solution values back.
     `system` is compiled on first access and kept; `witness` and
     `extract_solution` need only `poly` and `spec`, so a caller that never
-    reads the system never compiles it.  Any spec other than a `GroupSpec` is
-    a PreconditionError here: an iterated group is
-    `interp.IteratedReduction`, which overrides exactly these three members.
-    A reduction has a `__dict__`, where `cached_property` keeps what it builds.
+    reads the system never compiles it.  A reduction has a `__dict__`, where
+    `cached_property` keeps what it builds.
     """
 
     _fields = ("poly", "spec")
@@ -144,18 +150,24 @@ class Reduction(Frozen):
     def num_vars(self):
         return self.poly.num_vars
 
-    def _flat_spec(self):
-        """`spec`, which must be flat: an iterated one names `interp.compile_iterated`."""
-        if not isinstance(self.spec, GroupSpec):
-            raise PreconditionError(
-                f"the flat reduction needs a GroupSpec, got {self.spec!r}; "
-                "use interp.compile_iterated for an iterated group")
-        return self.spec
+    @cached_property
+    def _tower(self):
+        """The groups from the innermost flat pair out to `spec`, each the
+        `inner()` of the next: `(spec,)` for a `GroupSpec`, L - 1 groups at
+        depth L, walked once per reduction.  A spec of neither kind is a
+        PreconditionError."""
+        tower = [self.spec]
+        while not isinstance(tower[-1], GroupSpec):
+            if not hasattr(tower[-1], "inner"):
+                raise PreconditionError(
+                    f"a reduction needs a GroupSpec or an IteratedSpec, got {self.spec!r}")
+            tower.append(tower[-1].inner())
+        return tuple(reversed(tower))
 
     @cached_property
     def _chains(self):
-        """The commutator chain of each support term, in order; built once
-        per reduction.
+        """The commutator chain of each support term over the flat pair, in
+        order; built once per reduction, for `system` and `witness` both.
 
         Per support term alpha (degree-lex descending), the left-normed
         commutator [b1^{t_alpha}, a1, ..., a1, x_1, ..., x_s] of b1^{t_alpha}
@@ -163,7 +175,7 @@ class Reduction(Frozen):
         ascending); a term with no factors is b1^{t_alpha} itself.  Their
         product carries e_f.  O(t * d) word nodes for t terms.
         """
-        spec = self._flat_spec()
+        spec = self._tower[0]
         f = self.poly
         d = f.degree()
         a1 = Constant(spec.generator(1, 1))
@@ -220,15 +232,23 @@ class Reduction(Frozen):
         support terms: 2 equations and s + 1 variables, whose words hold t
         chains of at most d factors and one chain of d + 1, built in time
         linear in their size.  The text does not depend on (n, m).
+
+        Over an `IteratedSpec` of depth L the flat system is lifted through
+        every level above the flat pair in one `lift_system` pass, with the
+        first generator of each level's outermost base copy: each equation
+        w = 1 becomes [w, b1_3, ..., b1_L] = 1, with no variable added.
+        O(S + E·L) for a flat system of size S with E equations.
         """
-        spec = self._flat_spec()
+        flat, *outer = self._tower
         if self.poly.is_zero():
-            return System()
-        a1, y = Constant(spec.generator(1, 1)), Literal("y")
-        ideal_power = Commutator(a1, y, *[a1] * self.poly.degree())
-        return System((equation(Commutator(y, Constant(spec.generator(2, 1)))),
-                       equation(concat(*self._chains, ideal_power))),
-                      self.solution_vars + ("y",))
+            system = System()
+        else:
+            a1, y = Constant(flat.generator(1, 1)), Literal("y")
+            ideal_power = Commutator(a1, y, *[a1] * self.poly.degree())
+            system = System((equation(Commutator(y, Constant(flat.generator(2, 1)))),
+                             equation(concat(*self._chains, ideal_power))),
+                            self.solution_vars + ("y",))
+        return lift_system(system, *(g.base_gen(1) for g in outer)) if outer else system
 
     def witness(self, z):
         """Satisfying assignment for `system` from an integer root z; builds no system.
@@ -239,9 +259,11 @@ class Reduction(Frozen):
         takes the quotients of its coordinates by (a1-1)^(d+1) from
         `delta_decompose`: O(T log T + d * E) additions on a coordinate of T
         terms and a1-span E, free of a2..am; the quotient is a dense row along
-        a1 once it has 32 terms or more.
+        a1 once it has 32 terms or more.  Over an `IteratedSpec` each value
+        is then embedded straight into `spec`: one spec check and one
+        wrapper per value, O(1) per value in the depth.
         """
-        spec = self._flat_spec()
+        spec = self._tower[0]
         f = self.poly
         z = tuple(z)
         if len(z) != f.num_vars:
@@ -259,6 +281,8 @@ class Reduction(Frozen):
         asg["y"] = spec.element(base={
             j: delta_decompose(p, k)[beta] for j, p in enumerate(product.base, start=1)
             if not p.is_zero()})
+        if spec is not self.spec:
+            asg = {name: self.spec.embed(value) for name, value in asg.items()}
         return asg
 
     def extract_solution(self, assignment):
@@ -268,12 +292,16 @@ class Reduction(Frozen):
         (SpecMismatchError otherwise).  z_i is the a1 exponent of x_i,
         whatever its a2..am exponents and its base part, which no equation
         reads: by the retraction of `system`'s proof, z is a root whenever
-        the assignment satisfies the system.  Variables absent from the
-        system (zero polynomial) extract as 0.  One lookup and one spec
-        comparison per solution variable: O(s) for s variables, whatever the
-        size of the system or of the values.
+        the assignment satisfies the system.  Over an `IteratedSpec` each
+        value is first projected down to the flat pair: a solution of the
+        lifted system projects to one of the flat system (see
+        `lift_system`).  Variables absent from the
+        system (zero polynomial) extract as 0.  One lookup, one spec
+        comparison and one projection per level for each solution variable:
+        O(s·L) for s variables at depth L, whatever the size of the system or
+        of the values.
         """
-        spec = self._flat_spec()
+        spec, levels = self.spec, len(self._tower) - 1
         values = []
         for name in self.solution_vars:
             try:
@@ -283,12 +311,14 @@ class Reduction(Frozen):
             if g.spec != spec:
                 raise SpecMismatchError(
                     f"solution variable {name!r} belongs to {g.spec}, not {spec}")
+            for _ in range(levels):
+                g = g.project()
             values.append(g.active[0])
         return tuple(values) if self.solution_vars else (0,) * self.num_vars
 
 
 def compile(f, spec):
-    """The `Reduction` of f over the flat group `spec`, its system built."""
+    """The `Reduction` of f over the flat or iterated group `spec`, its system built."""
     reduction = Reduction(f, spec)
     reduction.system  # built here, so its cost falls to compiling
     return reduction

@@ -24,10 +24,11 @@ from .lexer import is_name, parse_whole
 # Largest rank entry accepted, in a `GroupSpec` or an `interp.IteratedSpec`.
 # An element holds an exponent vector of m entries and n coordinates of rank
 # m, so an entry of 10^20 ended in an OverflowError and one of 10^8 in a
-# MemoryError as the identity was built.  Group operations cost O(n * m) at
-# worst (a `z1*z2 - 6` witness over 20000,20000 verifies in about 4 s on a
-# 2-core host); the cap admits the largest entry in use, the `lcs-rank
-# --ranks 1,20000 --i 20000` probe, which the digit limit refuses.
+# MemoryError as the identity was built.  A product costs O(n) plus O(m)
+# per nonzero coordinate (a `z1*z2 - 6` witness over 20000,20000 verifies in
+# about 0.15 s on a 2-core host); the cap admits the largest entry in use,
+# the `lcs-rank --ranks 1,20000 --i 20000` probe, which the digit limit
+# refuses.
 MAX_RANK = 20000
 
 
@@ -196,9 +197,10 @@ class WreathElement(Frozen):
     def __mul__(self, other):
         """(alpha, p)(beta, q) = (alpha + beta, p*a^beta + q): one `laurent._sum` per coordinate.
 
-        Each pair of coordinates takes O(|p| + |q|) dict operations, a row
-        read as its term dict; the sum is held by the density rule
-        (`laurent._DENSE_MIN_TERMS`).
+        A zero coordinate of p costs O(1), so a product of sparse elements
+        is O(n) past its nonzero coordinates.  Each other pair takes
+        O(|p| + |q|) dict operations, a row read as its term dict; the sum
+        is held by the density rule (`laurent._DENSE_MIN_TERMS`).
         """
         self._check_spec(other)
         shift = other.active

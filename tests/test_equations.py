@@ -11,8 +11,7 @@ from zwreath.equations import (CheckReport, Commutator, Concat, Constant,
                                serialize_word, system_of)
 from zwreath.errors import Error, ParseError, PreconditionError, SpecMismatchError
 from zwreath.gadgets import DeltaBlock
-from zwreath.interp import (IteratedReduction, IteratedSpec, compile_iterated, lift_system,
-                            spec_for_ranks)
+from zwreath.interp import IteratedSpec, compile_iterated, lift_system, spec_for_ranks
 from zwreath.laurent import LaurentPoly, parse_poly
 from zwreath.reduction import Reduction, compile, parse_intpoly
 from zwreath.selftest import (_solve_definitions, rand_active_element, rand_base_element,
@@ -199,10 +198,12 @@ F = parse_intpoly("z1 - 2")
      DeltaBlock((0, 1), "dp_y_1", "dp_x_1"), ((1, 0), "dp_y_1", "dp_x_1"),
      "DeltaBlock(beta=(1, 0), y_name='dp_y_1', x_name='dp_x_1')"),
     (Reduction(F, S11), Reduction(poly=parse_intpoly("z1 - 2"), spec=GroupSpec(1, 1)),
-     Reduction(F, S22), IteratedReduction(F, S11),
+     Reduction(F, S22), CheckReport(F, S11),
      "Reduction(poly=IntPolynomial(1, 'z1 - 2'), spec=GroupSpec(m=1, n=1))"),
-    (IteratedReduction(F, S11), IteratedReduction(F, GroupSpec(1, 1)), IteratedReduction(F, S22),
-     Reduction(F, S11), "IteratedReduction(poly=IntPolynomial(1, 'z1 - 2'), spec=GroupSpec(m=1, n=1))"),
+    (Reduction(F, IteratedSpec((1, 1, 1))),
+     Reduction(poly=parse_intpoly("z1 - 2"), spec=IteratedSpec((1, 1, 1))),
+     Reduction(F, IteratedSpec((1, 1, 2))), CheckReport(F, IteratedSpec((1, 1, 1))),
+     "Reduction(poly=IntPolynomial(1, 'z1 - 2'), spec=IteratedSpec(ranks=(1, 1, 1)))"),
 ])
 def test_value_types_compare_hash_print_and_refuse_assignment(value, twin, other, foreign, text):
     """Each immutable value type: its repr, `==` and `hash` by class and

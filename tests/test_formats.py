@@ -16,10 +16,9 @@ from zwreath.equations import (Commutator, Constant, Literal, NameGen,
                                serialize_assignment, serialize_system,
                                system_of)
 from zwreath.errors import ParseError
-from zwreath.interp import (IteratedReduction, IteratedSpec, NestedElement,
-                            parse_nested, spec_for_ranks)
+from zwreath.interp import IteratedSpec, NestedElement, parse_nested, spec_for_ranks
 from zwreath.laurent import LaurentPoly, parse_poly
-from zwreath.reduction import MAX_VARIABLES, parse_intpoly
+from zwreath.reduction import MAX_VARIABLES, Reduction, parse_intpoly
 from zwreath.selftest import _iter_nodes, _solve_definitions
 from zwreath.wreath import GroupSpec, WreathElement, parse_element
 
@@ -114,7 +113,7 @@ def test_witness_and_extract_build_no_system(monkeypatch, capsys, stem, poly, ra
     def refuse(*args):
         raise CompileCalled(args)
 
-    monkeypatch.setattr(zwreath.reduction, "compile", refuse)
+    monkeypatch.setattr(zwreath.cli, "compile", refuse)
     witness = GOLDEN / f"{stem}.asg"
     assert run(capsys, "witness", "--poly", poly, "--ranks", ranks, "--solution=" + root) == (
         0, witness.read_text(encoding="utf-8"), "")
@@ -196,7 +195,7 @@ def test_chain_link_systems_keep_their_meaning(stem, poly, ranks, root):
     links = set(old_system.declared_vars) - set(system.declared_vars)
     assert links and all(name.startswith(("c_", "dp_c_")) for name in links)
     assert {name: old_witness[name] for name in system.declared_vars} == witness
-    reduction = IteratedReduction(parse_intpoly(poly), spec)
+    reduction = Reduction(parse_intpoly(poly), spec)
     expected = tuple(int(v) for v in root.split(","))
     assert reduction.extract_solution(old_witness) == expected
 

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zwreath import interp, reduction
+from zwreath import equations, reduction
 from zwreath.equations import (Commutator, Constant, Literal, check_system, equation,
                                parse_assignment, parse_system,
                                serialize_assignment, serialize_system,
@@ -448,14 +448,14 @@ def test_lift_through_a_tower_needs_nested_levels():
 def test_the_tower_lift_walks_each_flat_word_once(monkeypatch):
     # Lifting level by level re-walks the system built so far at every
     # level, O(depth^2) word nodes; one pass visits each flat node once.
-    walk = interp._convert_word
+    walk = equations._convert_word
     visits = []
 
     def counting(word, convert):
         visits.append(word)
         return walk(word, convert)
 
-    monkeypatch.setattr(interp, "_convert_word", counting)
+    monkeypatch.setattr(equations, "_convert_word", counting)
     f = parse_intpoly("z1 - 2")
     counts = []
     for depth in (3, 8, 64):

@@ -517,6 +517,21 @@ def test_kernels_match_the_per_term_reference(case):
     assert terms == terms_before
 
 
+class _UnreadShift:
+    """A shift that fails the test when anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("the shift was read")
+
+
+def test_a_sum_with_a_zero_moved_operand_never_reads_the_shift():
+    # A product over Z^n wr Z^m sums each of its n base coordinates, most of
+    # them zero; reading the m-entry shift for every one made it O(n·m).
+    p, zero = P("a1^2 - 3*a2", 2), LaurentPoly.zero(2)
+    assert laurent._sum(p, zero, 1, _UnreadShift()) is p
+    assert laurent._sum(zero, zero, -1, _UnreadShift()).is_zero()
+
+
 def _dense(lo, length, tail=()):
     """A row-sized polynomial: `length` cells from a1^lo, times a^tail, every
     seventh cell zero."""

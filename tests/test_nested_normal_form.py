@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from zwreath.interp import IteratedSpec, NestedElement, _tower
+from zwreath.interp import IteratedSpec, NestedElement
 from zwreath.selftest import rand_element, rand_nested
 from zwreath.wreath import GroupSpec, WreathElement
 
@@ -116,7 +116,7 @@ def sample(rng, spec):
     """A random element of `spec`: a random nested element, an embedded flat
     or nested value, a generator power, or a tower with supports at several
     levels and pure-active levels between them."""
-    tower = _tower(spec)
+    tower = (*spec._below, spec)
     depth = len(spec.ranks)
     roll = rng.random()
     if roll < 0.2:
@@ -174,7 +174,7 @@ def test_embedding_is_one_object_whatever_the_levels_crossed():
     flat = GroupSpec(1, 1).active_gen(1, 2)
     g = spec.embed(flat)
     assert g._part is flat and g._skip == 5
-    assert spec.generator(3, 1)._part == _tower(spec)[1].base_gen(1)
+    assert spec.generator(3, 1)._part == spec._below[1].base_gen(1)
     # Each `active` is built from the same core, one level lower.
     chain = [g]
     while isinstance(chain[-1], NestedElement):

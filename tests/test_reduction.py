@@ -304,10 +304,13 @@ def test_witness_matches_module_action_reference():
                     == list(reference_delta_power(g, k).items()))
 
 
-def test_chains_are_built_once_per_reduction(monkeypatch):
+@pytest.mark.parametrize("spec", [S21, IteratedSpec((1, 1, 2)), IteratedSpec((1,) * 7 + (2,))],
+                         ids=["flat", "depth-3", "depth-8"])
+def test_chains_are_built_once_per_reduction(monkeypatch, spec):
     # `compile` builds the chain words for the system, one per support term,
     # and two for [y, b1] = 1 and the ideal-power constraint; the witness of
-    # the same reduction evaluates the chains and builds none.
+    # the same reduction evaluates the chains and builds none, over a tower
+    # too, whose lift builds its brackets in `equations`.
     built = []
     real = reduction.Commutator
 
@@ -317,9 +320,9 @@ def test_chains_are_built_once_per_reduction(monkeypatch):
 
     monkeypatch.setattr(reduction, "Commutator", counting)
     f = parse_intpoly("z1^2*z2 - 4*z1")
-    r = compile(f, S21)
+    r = compile(f, spec)
     assert len(built) == 2 + 2
-    assert check_system(r.system, r.witness((2, 2)), S21).ok
+    assert check_system(r.system, r.witness((2, 2)), spec).ok
     assert len(built) == 2 + 2
 
 
@@ -709,15 +712,26 @@ def test_extract_rejects_a_value_from_another_group():
         extract_solution(out, {"x1": depth_three})
 
 
-def test_flat_reduction_over_a_tower_names_compile_iterated():
+def test_one_reduction_round_trips_over_a_tower():
     tower = IteratedSpec((1, 1, 1))
     f = parse_intpoly("z1 - 2")
-    calls = [lambda: compile(f, tower), lambda: witness(f, (2,), tower),
-             lambda: Reduction(f, tower).extract_solution({}),
-             lambda: Reduction(IntPolynomial(1), tower).system]
-    for call in calls:
-        with pytest.raises(PreconditionError, match="interp.compile_iterated"):
-            call()
+    out = compile(f, tower)
+    asg = witness(f, (2,), tower)
+    assert all(value.spec == tower for value in asg.values())
+    assert check_system(out.system, asg, tower).ok
+    assert extract_solution(out, asg) == (2,)
+    assert Reduction(IntPolynomial(1), tower).extract_solution({}) == (0,)
+
+
+def test_a_reduction_needs_a_flat_or_an_iterated_spec():
+    f = parse_intpoly("z1 - 2")
+    for spec in ("1,1", (1, 1, 1), None):
+        calls = [lambda: compile(f, spec), lambda: witness(f, (2,), spec),
+                 lambda: Reduction(f, spec).extract_solution({"x1": S11.active_gen(1, 2)}),
+                 lambda: Reduction(IntPolynomial(1), spec).system]
+        for call in calls:
+            with pytest.raises(PreconditionError, match="GroupSpec or an IteratedSpec"):
+                call()
 
 
 # -- oracle ------------------------------------------------------------------------
