@@ -20,23 +20,25 @@ holds f and the group, flat or iterated: over a right-iterated group it
 works over the innermost flat pair and carries the result up the tower.
 The chains are written once, each one left-normed commutator: its `system`
 equates their product with the ideal-power chain, lifted through the tower
-by `equations.lift_system`, and its `witness` builds the assignment from an
-integer root by evaluating that same product and dividing it by
-(a1-1)^(d+1).  Its `extract_solution` reads a root back out of any
-satisfying assignment, and `oracle_ef` evaluates the membership polynomial
-directly as an independent check on the group-equation route.  `compile`,
-`witness` and `extract_solution` are the module-level entry points to the
-same pipeline.
+by `equations.lift_system`.  Its `witness` builds the assignment from an
+integer root without the chains: y is e_f divided by (a1-1)^(d+1), with
+e_f built by `_membership_poly`, one shift-and-subtract pass per support
+term, and no group word is evaluated.  So a check of the witness against the
+system compares two independent computations of e_f, the chains' and the
+polynomial's.  Its `extract_solution` reads a root back out of any
+satisfying assignment, and `oracle_ef` decides membership from the same
+`_membership_poly`, with no group layer at all.  `compile`, `witness` and
+`extract_solution` are the module-level entry points to the same pipeline.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .equations import (Commutator, Constant, Literal, System, concat, equation, evaluate,
-                        lift_system)
+from .equations import Commutator, Constant, Literal, System, concat, equation, lift_system
 from .errors import PreconditionError, SpecMismatchError, shown
-from .laurent import (Frozen, LaurentPoly, _normal_terms, _ordered_monomials, delta_decompose,
+from .laurent import (Frozen, LaurentPoly, _add_terms, _check_rank, _normal_terms,
+                      _ordered_monomials, _terms_of, _times_differences, delta_decompose,
                       delta_membership, read_terms, terms_str)
 from .lexer import parse_whole
 from .wreath import GroupSpec
@@ -167,7 +169,7 @@ class Reduction(Frozen):
     @cached_property
     def _chains(self):
         """The commutator chain of each support term over the flat pair, in
-        order; built once per reduction, for `system` and `witness` both.
+        order; built once per reduction, by `system`.
 
         Per support term alpha (degree-lex descending), the left-normed
         commutator [b1^{t_alpha}, a1, ..., a1, x_1, ..., x_s] of b1^{t_alpha}
@@ -231,7 +233,9 @@ class Reduction(Frozen):
         Size, for s variables and degree d, whatever m and the number t of
         support terms: 2 equations and s + 1 variables, whose words hold t
         chains of at most d factors and one chain of d + 1, built in time
-        linear in their size.  The text does not depend on (n, m).
+        linear in their size.  The text does not depend on (n, m).  Its
+        variables x1..xs and y are valid, distinct and cover every free
+        variable, so it is built unchecked, with no walk of its words.
 
         Over an `IteratedSpec` of depth L the flat system is lifted through
         every level above the flat pair in one `lift_system` pass, with the
@@ -245,23 +249,23 @@ class Reduction(Frozen):
         else:
             a1, y = Constant(flat.generator(1, 1)), Literal("y")
             ideal_power = Commutator(a1, y, *[a1] * self.poly.degree())
-            system = System((equation(Commutator(y, Constant(flat.generator(2, 1)))),
-                             equation(concat(*self._chains, ideal_power))),
-                            self.solution_vars + ("y",))
+            system = System._unchecked((equation(Commutator(y, Constant(flat.generator(2, 1)))),
+                                        equation(concat(*self._chains, ideal_power))),
+                                       self.solution_vars + ("y",))
         return lift_system(system, *(g.base_gen(1) for g in outer)) if outer else system
 
     def witness(self, z):
         """Satisfying assignment for `system` from an integer root z; builds no system.
 
-        Each x_i is a1^{z_i}, one generator.  The product of the system's own
-        chains is evaluated once: one closed-form commutator per chain,
-        O(k * T) dict updates for k factors (`WreathElement.commutator`).  y
-        takes the quotients of its coordinates by (a1-1)^(d+1) from
-        `delta_decompose`: O(T log T + d * E) additions on a coordinate of T
-        terms and a1-span E, free of a2..am; the quotient is a dense row along
-        a1 once it has 32 terms or more.  Over an `IteratedSpec` each value
-        is then embedded straight into `spec`: one spec check and one
-        wrapper per value, O(1) per value in the depth.
+        Each x_i is a1^{z_i}, one generator.  y is b1^q for the quotient q
+        of e_f by (a1-1)^(d+1), unique since the active parts of the x_i pin
+        y (see `system`).  e_f comes from `_membership_poly`, O(t * 2^d)
+        dict updates for t support terms, with no group word built or
+        evaluated; q from `delta_decompose`: O(T log T + d * E) additions on
+        T terms of a1-span E, free of a2..am, a dense row along a1 once it
+        has 32 terms or more.  Over an `IteratedSpec` each value is then
+        embedded straight into `spec`: one spec check and one wrapper per
+        value, O(1) per value in the depth.
         """
         spec = self._tower[0]
         f = self.poly
@@ -275,12 +279,9 @@ class Reduction(Frozen):
         if f.is_zero():
             return {}
         asg = {x: spec.generator(1, 1, zi) for x, zi in zip(self.solution_vars, z)}
-        product = evaluate(concat(*self._chains), asg, spec)
         k = f.degree() + 1
-        beta = (k,) + (0,) * (spec.m - 1)
-        asg["y"] = spec.element(base={
-            j: delta_decompose(p, k)[beta] for j, p in enumerate(product.base, start=1)
-            if not p.is_zero()})
+        y = delta_decompose(_membership_poly(f, z, spec.m), k)
+        asg["y"] = spec.element(base={1: y[(k,) + (0,) * (spec.m - 1)]} if y else None)
         if spec is not self.spec:
             asg = {name: self.spec.embed(value) for name, value in asg.items()}
         return asg
@@ -339,8 +340,8 @@ def oracle_ef(f, z, rank=1):
 
     Returns (e_f, verdict) where verdict is True exactly when e_f lies in the
     (d+1)-st augmentation-ideal power, which happens iff f(z) = 0.  Costs one
-    `_membership_poly` and one `delta_membership`, that is one
-    `aug_valuation` of e_f.
+    `_membership_poly`, O(t * 2^d) dict updates for t support terms, and one
+    `delta_membership`, that is one `aug_valuation` of e_f.
     """
     e_f = _membership_poly(f, z, rank)
     return e_f, delta_membership(e_f, f.degree() + 1)
@@ -349,22 +350,28 @@ def oracle_ef(f, z, rank=1):
 def _membership_poly(f, z, rank):
     """The membership polynomial e_f at z, over rank `rank` (see the module docstring).
 
-    Per support term, d binomial factors (a1 - 1) or (a1^z_i - 1), raised
-    by square-and-multiply: O(t * d) polynomial products for t terms.  A
-    term has at most 2^d monomials, with exponents of size up to
-    d * max(1, |z_i|) and big-int binomial coefficients.
+    The one builder of e_f.  Each support term alpha is the constant t_alpha
+    times d - |alpha| factors a1 - 1 and alpha_i factors a1^{z_i} - 1: one
+    `_times_differences` shift-and-subtract on a term dict, which at most
+    doubles the terms per factor, so a term costs O(2^d) dict updates (O(d^2)
+    for s = 1) and no ring product.  The terms accumulate into one dict, in
+    O(T) updates for T terms in all, at most t * 2^d for t support terms.
     """
     z = tuple(z)
     if len(z) != f.num_vars:
         raise PreconditionError(f"expected {f.num_vars} solution values, got {len(z)}")
+    _check_rank(rank)
+    pad = (0,) * (rank - 1)
+    moves = [(zi,) + pad for zi in z]
+    for zi, move in zip(z, moves):
+        if f._terms and type(zi) is not int:
+            raise PreconditionError(f"exponent vector {move!r} invalid for rank {rank}")
     d = f.degree()
-    one = LaurentPoly.one(rank)
-    a1 = LaurentPoly.variable(rank, 1)
-    e_f = LaurentPoly.zero(rank)
+    a1 = (1,) + pad
+    terms = {}
     for alpha, coeff in f._terms.items():
-        term = LaurentPoly.constant(rank, coeff) * (a1 - one) ** (d - sum(alpha))
-        for zi, e in zip(z, alpha):
-            expo = tuple(zi if v == 0 else 0 for v in range(rank))
-            term = term * (LaurentPoly.monomial(rank, expo) - one) ** e
-        e_f = e_f + term
-    return e_f
+        shifts = [a1] * (d - sum(alpha)) + [
+            move for move, reps in zip(moves, alpha) for _ in range(reps)]
+        term = LaurentPoly.constant(rank, coeff)
+        _add_terms(terms, _terms_of(_times_differences(term, shifts) if shifts else term), 1)
+    return LaurentPoly._unchecked(rank, terms)

@@ -97,6 +97,23 @@ def test_oracle_output_root(capsys):
     assert out == "e_f = a1^2 - 2*a1 + 1\nvaluation 2 >= 2: solution\n"
 
 
+@pytest.mark.parametrize("poly, solution, ranks, expected", [
+    ("z1*z2 - 6", "2,3", "1,1",
+     "e_f = a1^5 - a1^3 - 7*a1^2 + 12*a1 - 5\nvaluation 3 >= 3: solution\n"),
+    ("z1*z2 - 6", "3,3", "2,3",
+     "e_f = a1^6 - 2*a1^3 - 6*a1^2 + 12*a1 - 5\nvaluation 2 < 3: NOT a solution\n"),
+    ("z1^2 - 4", "-2", "1,1",
+     "e_f = -4*a1^2 + 8*a1 - 3 - 2*a1^-2 + a1^-4\nvaluation 3 >= 3: solution\n"),
+    ("3*z1^2*z2 - z1*z3 + 7", "1,-1,4", "1,1,1",
+     "e_f = -a1^6 + 2*a1^5 - a1^4 + 7*a1^3 - 23*a1^2 + 28*a1 - 15 + 3*a1^-1\n"
+     "valuation 4 >= 4: solution\n"),
+], ids=["root", "non-root", "negative-root", "three-variables"])
+def test_oracle_golden_output(capsys, poly, solution, ranks, expected):
+    # The text printed when e_f was built by ring products and powers.
+    assert run(capsys, "oracle", "--poly", poly, "--ranks", ranks,
+               "--solution", solution) == (0, expected, "")
+
+
 def test_oracle_computes_the_valuation_once(monkeypatch, capsys):
     # The verdict is read off the one valuation that is printed; before,
     # `oracle_ef` computed it a second time through `delta_membership`.

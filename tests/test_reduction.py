@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from zwreath import reduction
+from zwreath import equations, reduction
 from zwreath.equations import (Commutator, Constant, Literal, System, check_system, concat,
                                equation, evaluate, free_vars, parse_assignment, parse_system,
                                serialize_assignment, serialize_system)
@@ -309,8 +309,8 @@ def test_witness_matches_module_action_reference():
 def test_chains_are_built_once_per_reduction(monkeypatch, spec):
     # `compile` builds the chain words for the system, one per support term,
     # and two for [y, b1] = 1 and the ideal-power constraint; the witness of
-    # the same reduction evaluates the chains and builds none, over a tower
-    # too, whose lift builds its brackets in `equations`.
+    # the same reduction builds none, over a tower too, whose lift builds its
+    # brackets in `equations`.
     built = []
     real = reduction.Commutator
 
@@ -324,6 +324,102 @@ def test_chains_are_built_once_per_reduction(monkeypatch, spec):
     assert len(built) == 2 + 2
     assert check_system(r.system, r.witness((2, 2)), spec).ok
     assert len(built) == 2 + 2
+
+
+@pytest.mark.parametrize("spec", [S21, IteratedSpec((1, 1, 2)), IteratedSpec((1,) * 7 + (2,))],
+                         ids=["flat", "depth-3", "depth-8"])
+def test_witness_evaluates_no_word(monkeypatch, spec):
+    # y is the quotient of `_membership_poly`'s e_f, so the witness needs
+    # no word evaluated, in `reduction` or in `equations`.
+    def refuse(*args):
+        raise AssertionError("the witness evaluated a word")
+
+    monkeypatch.setattr(reduction, "evaluate", refuse, raising=False)
+    monkeypatch.setattr(equations, "evaluate", refuse)
+    f = parse_intpoly("z1^2*z2 - 4*z1")
+    r = Reduction(f, spec)
+    asg = r.witness((2, 2))
+    monkeypatch.undo()
+    assert check_system(r.system, asg, spec).ok
+
+
+def root_instance(rng, max_vars=3, max_degree=3):
+    """A random nonzero f, shifted by a constant to vanish at a random z
+    holding zero and negative entries, and z; None when f shifts to zero."""
+    f = rand_intpoly(rng, max_vars=max_vars, max_degree=max_degree)
+    z = tuple(rng.randint(-6, 6) for _ in range(f.num_vars))
+    terms = f.terms
+    zero = (0,) * f.num_vars
+    terms[zero] = terms.get(zero, 0) - f.evaluate(z)
+    f = IntPolynomial(f.num_vars, terms)
+    return None if f.is_zero() else (f, z)
+
+
+def product_form_membership_poly(f, z, rank):
+    """e_f by ring products: each support term is t_alpha times (a1 - 1) and
+    (a1^{z_i} - 1) raised by `**`, multiplied with `*`."""
+    d = f.degree()
+    one = LaurentPoly.one(rank)
+    a1 = LaurentPoly.variable(rank, 1)
+    e_f = LaurentPoly.zero(rank)
+    for alpha, coeff in f.terms.items():
+        term = LaurentPoly.constant(rank, coeff) * (a1 - one) ** (d - sum(alpha))
+        for zi, e in zip(z, alpha):
+            expo = tuple(zi if v == 0 else 0 for v in range(rank))
+            term = term * (LaurentPoly.monomial(rank, expo) - one) ** e
+        e_f = e_f + term
+    return e_f
+
+
+def test_membership_poly_matches_the_product_form():
+    rng = random.Random(71)
+    for _ in range(300):
+        f = rand_intpoly(rng, max_vars=3, max_degree=5)
+        z = tuple(rng.randint(-5, 5) for _ in range(f.num_vars))
+        rank = rng.randint(1, 4)
+        assert (reduction._membership_poly(f, z, rank)
+                == product_form_membership_poly(f, z, rank)), (str(f), z, rank)
+    f = parse_intpoly(f"z1^300 - {2 ** 300}")
+    e_f = reduction._membership_poly(f, (2,), 1)
+    assert e_f == product_form_membership_poly(f, (2,), 1)
+    assert len(e_f.terms) == 451
+
+
+def test_witness_is_the_quotient_of_the_evaluated_chains():
+    # The system's chains, evaluated at x_i = a1^{z_i}, carry e_f in b1 and
+    # nothing elsewhere; the witness's y, built with no chain, is their
+    # quotient by (a1 - 1)^(d+1), embedded into the tower.
+    rng = random.Random(73)
+    specs = [GroupSpec(1, 1), GroupSpec(2, 1), GroupSpec(1, 3), GroupSpec(3, 2),
+             IteratedSpec((1, 1, 1)), IteratedSpec((1, 1, 2)), IteratedSpec((2, 1, 3)),
+             IteratedSpec((1,) * 5 + (2,))]
+    checked = 0
+    while checked < 1000:
+        instance = root_instance(rng)
+        if instance is None:
+            continue
+        f, z = instance
+        spec = specs[checked % len(specs)]
+        r = Reduction(f, spec)
+        flat = r._tower[0]
+        asg = {x: flat.generator(1, 1, zi) for x, zi in zip(r.solution_vars, z)}
+        product = evaluate(concat(*r._chains), asg, flat)
+        k = f.degree() + 1
+        assert all(p.is_zero() for p in product.base[1:])
+        quotient = delta_decompose(product.base[0], k)
+        y = flat.element(base={1: quotient[(k,) + (0,) * (flat.m - 1)]} if quotient else None)
+        assert r.witness(z)["y"] == (y if spec is flat else spec.embed(y)), (str(f), z, spec)
+        checked += 1
+
+
+@pytest.mark.parametrize("spec", [S11, GroupSpec(2, 3), IteratedSpec((1, 1, 2)),
+                                  IteratedSpec((2, 1, 1, 1))],
+                         ids=["1-1", "2-3", "depth-3", "depth-4"])
+def test_unchecked_system_passes_the_constructor(spec):
+    rng = random.Random(79)
+    for _ in range(40):
+        r = compile(rand_intpoly(rng), spec)
+        assert System(r.system.equations, r.system.declared_vars) == r.system
 
 
 def test_every_variable_of_a_wide_flat_solution_is_pinned():
@@ -756,6 +852,16 @@ def test_oracle_zero_polynomial():
     e_f, member = oracle_ef(IntPolynomial(1), (9,))
     assert e_f.is_zero() and member
     assert aug_valuation(e_f) == INFINITY
+
+
+@pytest.mark.parametrize("z, rank, message", [
+    ((2.0,), 1, r"exponent vector \(2\.0,\) invalid for rank 1"),
+    ((True,), 2, r"exponent vector \(True, 0\) invalid for rank 2"),
+    ((2,), 0, "polynomial rank must be a positive int, got 0"),
+])
+def test_oracle_refuses_a_non_int_point_or_rank(z, rank, message):
+    with pytest.raises(PreconditionError, match=message):
+        oracle_ef(parse_intpoly("z1 - 2"), z, rank)
 
 
 def test_oracle_equivalence_random():
