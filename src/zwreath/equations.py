@@ -314,8 +314,6 @@ def lift_system(system, b, *outer):
     Projection is a homomorphism and sends each embedded constant back to the
     original, so the projection of w'(s) is w evaluated at the projected
     assignment: s solves the lifted equation iff its projection solves w = 1.
-    The former lift, the pair {w' = t, [t, b] = 1} with a fresh t, has the
-    same solutions up to t, because t is determined by w'.
 
     A tower.  With `outer` = (b_4, ..., b_L), each b_k a base generator of
     the group of level k, whose inner group is the group of b_(k-1), and b

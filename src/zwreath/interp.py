@@ -1,17 +1,20 @@
 """Right-iterated wreath products of free abelian groups.
 
-The group for ranks (m_k, ..., m_1) is built recursively: the innermost two
-ranks form the flat group Z^(m_2) wr Z^(m_1) (`GroupSpec`, `WreathElement`),
-and every further rank m wraps the group built so far as Z^m wr (inner
-group).  Elements at depth >= 3 hold an inner-group active part and a
-finitely supported map from inner elements to integer vectors; multiplication
-shifts the support of the left factor by right-multiplication with the
-incoming active part, matching the coordinate convention of the flat
-two-level representation.  An element with an empty base, such as every
-embedded constant and witness value of a lifted system, holds the highest
-part below it that is not pure active once, with the number of levels it
-skips (see `NestedElement`): embedding, generators and the group
-operations on such elements cost O(1) in the depth, not one step per level.
+The group for ranks (m_k, ..., m_1) is built from the inside out: the
+innermost two ranks form the flat group Z^(m_2) wr Z^(m_1) (`GroupSpec`,
+`WreathElement`), and every further rank m wraps the group built so far as
+Z^m wr (inner group).  An `IteratedSpec` builds all its levels at once and
+holds them in `tower`, flat first and itself last, which every level
+shares as a prefix; a `GroupSpec`'s tower is itself alone.  Elements at
+depth >= 3 hold an inner-group active part and a finitely supported map
+from inner elements to integer vectors; multiplication shifts the support
+of the left factor by right-multiplication with the incoming active part,
+matching the coordinate convention of the flat two-level representation.
+An element with an empty base, such as every embedded constant and
+witness value of a lifted system, holds the highest part below it that is
+not pure active once, with the number of levels it skips (see
+`NestedElement`): embedding, generators and the group operations on such
+elements cost O(1) in the depth, not one step per level.
 
 Every level has one element type, and all of them offer `*`, `inverse()`,
 `commutator()`, `__pow__`, `is_identity()` and `sort_key()`, so equation
@@ -25,7 +28,8 @@ group up to the wreath extension: every equation `w = 1` becomes
 `[w, b] = 1` for a distinguished base generator b, with no variable added,
 and a lift through many levels is one pass.  `project_assignment` maps an
 assignment back down.  The polynomial reduction over these groups is
-`reduction.Reduction`, the one reduction for every rank list; the names
+`reduction.Reduction`, the one reduction for every rank list, which reads
+the flat pair and the levels above it from `tower`; the names
 `IteratedReduction` and `compile_iterated` here are the same objects as
 `Reduction` and `reduction.compile`.  In system text every constant that is
 a power of one generator is a generator word (`@a1`, `@b1^-6`, `@b1_3` for
@@ -73,11 +77,16 @@ class IteratedSpec(Frozen):
     """Rank list (m_k, ..., m_1) with 3 <= k <= MAX_RANKS, outermost base copy first.
 
     Each rank must be a positive int (a bool is not one) of at most
-    `wreath.MAX_RANK`.  As for `GroupSpec`, `Frozen`'s `==` tests identity
-    first.
+    `wreath.MAX_RANK`.  `tower` holds the groups of every level, the flat
+    `GroupSpec` of the innermost two ranks first and this spec last, so
+    `tower[k - 2]` is the group of level k and `tower[-2]` the inner group;
+    each level's own `tower` is a prefix of it, holding the same objects.
+    The constructor builds every level in one loop, O(depth) specs, and
+    checks the ranks once, for the whole list.  As for `GroupSpec`,
+    `Frozen`'s `==` tests identity first.
     """
 
-    __slots__ = ("ranks", "_inner", "_below", "_identity")
+    __slots__ = ("ranks", "tower", "_identity")
     _fields = ("ranks",)
 
     def __init__(self, ranks):
@@ -92,28 +101,20 @@ class IteratedSpec(Frozen):
             raise PreconditionError(
                 f"at most {MAX_RANKS} ranks are supported, got {len(ranks)}")
         check_ranks(ranks)
-        # The groups below are built once, from the flat pair outward, with
-        # no second check of their ranks: O(depth) specs.
-        inner = GroupSpec(m=ranks[-1], n=ranks[-2])
-        below = (inner,)
-        for start in range(len(ranks) - 3, 0, -1):
-            spec = object.__new__(IteratedSpec)
-            spec._build(ranks[start:], inner, below)
-            inner, below = spec, below + (spec,)
-        self._build(ranks, inner, below)
-
-    def _build(self, ranks, inner, below):
-        # Every element construction compares against the inner group, and
-        # embedding finds the group of an element's level in `_below`, the
-        # groups below this one, flat first: `_below[k - 2]` is level k.
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "_inner", inner)
-        object.__setattr__(self, "_below", below)
-        object.__setattr__(self, "_identity", NestedElement._unchecked(self, inner.identity(), {}))
+        # Every level, from the flat pair outward, holds the tower built so
+        # far; its ranks are a suffix of those just checked.
+        tower = (GroupSpec(m=ranks[-1], n=ranks[-2]),)
+        for start in range(len(ranks) - 3, -1, -1):
+            spec = self if start == 0 else object.__new__(IteratedSpec)
+            tower += (spec,)
+            object.__setattr__(spec, "ranks", ranks[start:])
+            object.__setattr__(spec, "tower", tower)
+            object.__setattr__(spec, "_identity",
+                               NestedElement._unchecked(spec, tower[-2].identity(), {}))
 
     def inner(self):
         """The group acted on: flat at depth 3, iterated beyond."""
-        return self._inner
+        return self.tower[-2]
 
     def identity(self):
         return self._identity
@@ -134,7 +135,7 @@ class IteratedSpec(Frozen):
         work in the depth.
         """
         level, depth = len(element.spec.ranks), len(self.ranks)
-        if not 2 <= level < depth or element.spec != self._below[level - 2]:
+        if not 2 <= level < depth or element.spec != self.tower[level - 2]:
             raise SpecMismatchError(f"element of {element.spec} cannot embed into {self}")
         return NestedElement._embed(self, element, depth - 1 - level)
 
@@ -161,11 +162,11 @@ class IteratedSpec(Frozen):
             if type(power) is not int:
                 raise PreconditionError(f"vector {vec!r} invalid for rank {width}")
             # One support point needs no sorting, so no checked constructor.
-            identity = self._inner.identity()
+            identity = self.tower[-2].identity()
             return NestedElement._unchecked(self, identity, {identity: vec})
         # Levels 1 and 2 are both generated by the flat group.
         below = max(level, 2)
-        return NestedElement._embed(self, self._below[below - 2].generator(level, j, power),
+        return NestedElement._embed(self, self.tower[below - 2].generator(level, j, power),
                                     depth - 1 - below)
 
     # Literal and generator-word bridge used by the system and assignment formats.
@@ -186,7 +187,7 @@ class IteratedSpec(Frozen):
         head, tail = "{ active: " * frames, "; }" * frames
         if not (text.startswith(head) and text.endswith(tail)):
             return None
-        flat = self._below[0].read_canonical(text[len(head):len(text) - len(tail)])
+        flat = self.tower[0].read_canonical(text[len(head):len(text) - len(tail)])
         return None if flat is None else NestedElement._embed(self, flat, frames - 1)
 
     def generator_word(self, g):
@@ -284,7 +285,7 @@ class NestedElement(Frozen):
         """The inner-group part; built in O(1) when the element skips levels."""
         if not self._skip:
             return self._part
-        return _new_nested(self.spec._inner, self._part, self._skip - 1, self._trivial)
+        return _new_nested(self.spec.tower[-2], self._part, self._skip - 1, self._trivial)
 
     def _check(self, other):
         if not isinstance(other, NestedElement) or (

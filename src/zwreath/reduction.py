@@ -41,7 +41,6 @@ from .laurent import (Frozen, LaurentPoly, _add_terms, _check_rank, _normal_term
                       _ordered_monomials, _terms_of, _times_differences, delta_decompose,
                       delta_membership, read_terms, terms_str)
 from .lexer import parse_whole
-from .wreath import GroupSpec
 
 
 # Largest variable count `parse_intpoly` infers from text.  Every term stores
@@ -128,18 +127,25 @@ class Reduction(Frozen):
     """The reduction of the integer polynomial `poly` over the group `spec`.
 
     `spec` is any group `interp.spec_for_ranks` returns: a flat `GroupSpec`,
-    or an `IteratedSpec` whose innermost two ranks are a flat pair.  The
-    reduction works over that flat pair, and over a tower it lifts the
-    system, embeds the witness values and projects solution values back.
-    `system` is compiled on first access and kept; `witness` and
-    `extract_solution` need only `poly` and `spec`, so a caller that never
-    reads the system never compiles it.  A reduction has a `__dict__`, where
+    or an `IteratedSpec` whose innermost two ranks are a flat pair.  Each
+    holds its levels in `spec.tower`, the flat pair first and `spec` last;
+    a spec without one is a PreconditionError here.  The reduction works
+    over `tower[0]`, and over a longer tower it lifts the system, embeds
+    the witness values and projects solution values back.  `system` is
+    compiled on first access and kept; `witness` and `extract_solution`
+    need only `poly` and `spec`, so a caller that never reads the system
+    never compiles it.  A reduction has a `__dict__`, where
     `cached_property` keeps what it builds.
     """
 
     _fields = ("poly", "spec")
 
     def __init__(self, poly, spec):
+        try:
+            spec.tower
+        except AttributeError:
+            raise PreconditionError(
+                f"a reduction needs a GroupSpec or an IteratedSpec, got {spec!r}") from None
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "spec", spec)
 
@@ -153,20 +159,6 @@ class Reduction(Frozen):
         return self.poly.num_vars
 
     @cached_property
-    def _tower(self):
-        """The groups from the innermost flat pair out to `spec`, each the
-        `inner()` of the next: `(spec,)` for a `GroupSpec`, L - 1 groups at
-        depth L, walked once per reduction.  A spec of neither kind is a
-        PreconditionError."""
-        tower = [self.spec]
-        while not isinstance(tower[-1], GroupSpec):
-            if not hasattr(tower[-1], "inner"):
-                raise PreconditionError(
-                    f"a reduction needs a GroupSpec or an IteratedSpec, got {self.spec!r}")
-            tower.append(tower[-1].inner())
-        return tuple(reversed(tower))
-
-    @cached_property
     def _chains(self):
         """The commutator chain of each support term over the flat pair, in
         order; built once per reduction, by `system`.
@@ -177,7 +169,7 @@ class Reduction(Frozen):
         ascending); a term with no factors is b1^{t_alpha} itself.  Their
         product carries e_f.  O(t * d) word nodes for t terms.
         """
-        spec = self._tower[0]
+        spec = self.spec.tower[0]
         f = self.poly
         d = f.degree()
         a1 = Constant(spec.generator(1, 1))
@@ -243,7 +235,7 @@ class Reduction(Frozen):
         w = 1 becomes [w, b1_3, ..., b1_L] = 1, with no variable added.
         O(S + E·L) for a flat system of size S with E equations.
         """
-        flat, *outer = self._tower
+        flat, *outer = self.spec.tower
         if self.poly.is_zero():
             system = System()
         else:
@@ -267,7 +259,7 @@ class Reduction(Frozen):
         embedded straight into `spec`: one spec check and one wrapper per
         value, O(1) per value in the depth.
         """
-        spec = self._tower[0]
+        spec = self.spec.tower[0]
         f = self.poly
         z = tuple(z)
         if len(z) != f.num_vars:
@@ -302,7 +294,7 @@ class Reduction(Frozen):
         O(s·L) for s variables at depth L, whatever the size of the system or
         of the values.
         """
-        spec, levels = self.spec, len(self._tower) - 1
+        spec, levels = self.spec, len(self.spec.tower) - 1
         values = []
         for name in self.solution_vars:
             try:

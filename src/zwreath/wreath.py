@@ -67,6 +67,11 @@ class GroupSpec(Frozen):
         """The rank list (n, m), outermost base first, as `interp.IteratedSpec` has it."""
         return (self.n, self.m)
 
+    @property
+    def tower(self):
+        """`(self,)`: the groups of every level, flat first, as `interp.IteratedSpec` has it."""
+        return (self,)
+
     def active_gen(self, i, power=1):
         """The generator a_i of the acting group (1-based), optionally raised.
 

@@ -243,12 +243,8 @@ def test_systems_built_without_a_second_check_pass_it(poly, ranks):
                system_of(reduction.system.equations),
                parse_system(text, spec),
                parse_system(text.partition("\n")[2], spec)]
-    levels = []
-    while isinstance(spec, IteratedSpec):
-        levels.insert(0, spec)
-        spec = spec.inner()
     lifted = system_of(flat.equations)
-    for outer in levels:
+    for outer in spec.tower[1:]:
         lifted = lift_system(lifted, outer.base_gen(1))
         systems.append(lifted)
     for system in systems:

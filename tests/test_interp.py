@@ -130,6 +130,29 @@ def test_spec_for_ranks_is_flat_for_two_ranks():
         spec_for_ranks((1,))
 
 
+@pytest.mark.parametrize("ranks", [(3, 2), (1, 2, 3), (2, 1, 3, 1), (1, 2, 1, 3, 1, 1, 2, 2),
+                                   (1,) * 61 + (2, 1, 3)],
+                         ids=lambda ranks: f"depth-{len(ranks)}")
+def test_every_spec_holds_its_tower_once(ranks):
+    # `tower` lists the group of every level, the flat pair first and the
+    # spec last: `tower[k - 2]` is level k.  Each level's own tower is the
+    # top's prefix, the same objects, so the levels are built once.
+    spec = spec_for_ranks(ranks)
+    tower = spec.tower
+    assert type(tower) is tuple and len(tower) == len(ranks) - 1
+    assert tower[0] == GroupSpec(m=ranks[-1], n=ranks[-2]) and tower[-1] is spec
+    for k in range(2, len(ranks) + 1):
+        level = tower[k - 2]
+        assert level.ranks == ranks[-k:]
+        assert len(level.tower) == k - 1
+        assert all(a is b for a, b in zip(level.tower, tower))
+    if len(ranks) > 2:
+        assert spec.inner() is tower[-2]
+        assert hash(spec) == hash((ranks,)) and repr(spec) == f"IteratedSpec(ranks={ranks!r})"
+    else:
+        assert spec == GroupSpec(2, 3) and tower == (spec,)
+
+
 def test_nested_powers():
     rng = random.Random(29)
     for _ in range(50):
@@ -494,26 +517,17 @@ def test_the_depth_check_tests_identity_linearly_often(monkeypatch):
 # -- the one-pass lift against the level-by-level reference ------------------------------
 
 
-def _levels(spec):
-    """The iterated groups of a tower, innermost first."""
-    levels = []
-    while isinstance(spec, IteratedSpec):
-        levels.insert(0, spec)
-        spec = spec.inner()
-    return levels
-
-
 def lift_level_by_level(system, spec):
     """The former tower lift: one `lift_system` per level, each re-embedding
     every constant built so far."""
-    for outer in _levels(spec):
+    for outer in spec.tower[1:]:
         system = lift_system(system, outer.base_gen(1))
     return system
 
 
 def embed_level_by_level(assignment, spec):
     """The former witness embedding: one checked `embed` per level and value."""
-    for outer in _levels(spec):
+    for outer in spec.tower[1:]:
         assignment = {name: NestedElement(outer, value, ()) for name, value in assignment.items()}
     return assignment
 

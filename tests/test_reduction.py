@@ -14,11 +14,11 @@ from zwreath.gadgets import delta_blocks, gadget_delta_power, witness_delta_powe
 from zwreath.laurent import (INFINITY, LaurentPoly, _ordered_monomials, aug_valuation,
                              delta_decompose, delta_generator_product, geom_series,
                              parse_poly)
-from zwreath.interp import IteratedSpec
+from zwreath.interp import IteratedSpec, NestedElement
 from zwreath.reduction import (IntPolynomial, Reduction, compile, extract_solution,
                                oracle_ef, parse_intpoly, witness)
 from zwreath.selftest import (check_oracle, check_reduction_roundtrip,
-                              rand_intpoly, rand_nonzero_poly)
+                              rand_intpoly, rand_nested, rand_nonzero_poly)
 from zwreath.wreath import GroupSpec, module_action
 
 S11 = GroupSpec(1, 1)
@@ -401,7 +401,7 @@ def test_witness_is_the_quotient_of_the_evaluated_chains():
         f, z = instance
         spec = specs[checked % len(specs)]
         r = Reduction(f, spec)
-        flat = r._tower[0]
+        flat = r.spec.tower[0]
         asg = {x: flat.generator(1, 1, zi) for x, zi in zip(r.solution_vars, z)}
         product = evaluate(concat(*r._chains), asg, flat)
         k = f.degree() + 1
@@ -783,6 +783,60 @@ def test_any_satisfying_assignment_with_base_parts_extracts_a_root(spec):
         assert extract_solution(r, asg) == (-2, 0)
 
 
+@pytest.mark.parametrize("ranks", [(1, 1, 1), (2, 1, 2), (1, 2, 1, 1)],
+                         ids=lambda ranks: ",".join(map(str, ranks)))
+def test_any_satisfying_assignment_over_a_tower_extracts_a_root(ranks):
+    # The test above over a tower, where `extract_solution` projects each
+    # x_i down to the flat pair before it reads the a1 exponent.  Each x_i
+    # is a1^{c_i} of the flat pair, with a random a2..am tail or none at
+    # m >= 2, embedded into the tower.  Half the time it is then multiplied
+    # by a random base part of the flat pair and by one of a random outer
+    # level, each on a random side.  y is the embedded quotient of the
+    # product of the flat chains, at the x_i projected to the flat pair,
+    # wherever one exists.  Every assignment that satisfies the lifted
+    # system extracts a root, and some carry base parts.
+    spec, flat = IteratedSpec(ranks), GroupSpec(m=ranks[-1], n=ranks[-2])
+    outer = [IteratedSpec(ranks[start:]) for start in range(len(ranks) - 2)]
+    rng = random.Random("tower " + ",".join(map(str, ranks)))
+
+    def outer_base_part():
+        level = rng.choice(outer)
+        while True:
+            part = NestedElement(level, level.inner().identity(), rand_nested(rng, level).base)
+            if not part.is_identity():
+                return part if level == spec else spec.embed(part)
+
+    def to_flat(g):
+        for _ in outer:
+            g = g.project()
+        return g
+
+    satisfied = with_parts = 0
+    for text in ("z1*z2 - 6", "z1^2 - z2^2", "z1 - 2", "z1^2 + 3*z1 + 2", "z1*z2 + z2"):
+        f = parse_intpoly(text)
+        r, r_flat = compile(f, spec), compile(f, flat)
+        for c in itertools.product(range(-3, 4), repeat=f.num_vars):
+            values, based = {}, False
+            for x, ci in zip(r.solution_vars, c):
+                tail = tuple(rng.randint(-3, 3) for _ in range(flat.m - 1))
+                tail = rng.choice((tail, (0,) * (flat.m - 1)))
+                g = spec.embed(flat.element(active=(ci,) + tail))
+                if rng.random() < 0.5:
+                    flat_part = flat.element(
+                        base={rng.randint(1, flat.n): rand_nonzero_poly(rng, flat.m)})
+                    for part in (spec.embed(flat_part), outer_base_part()):
+                        g = g * part if rng.random() < 0.5 else part * g
+                    based = True
+                values[x] = g
+            y = with_quotient_y(r_flat, {x: to_flat(g) for x, g in values.items()})["y"]
+            asg = {**values, "y": spec.embed(y)}
+            if check_system(r.system, asg, spec).ok:
+                satisfied += 1
+                with_parts += based
+                assert f.evaluate(c) == 0 and extract_solution(r, asg) == c
+    assert with_parts > 0 and satisfied > with_parts
+
+
 def test_extract_reads_a1_whatever_the_base_part():
     # z_i is the a1 exponent of x_i, whatever its a2..am exponents and its
     # base part: no equation of the system reads either.
@@ -822,7 +876,8 @@ def test_one_reduction_round_trips_over_a_tower():
 def test_a_reduction_needs_a_flat_or_an_iterated_spec():
     f = parse_intpoly("z1 - 2")
     for spec in ("1,1", (1, 1, 1), None):
-        calls = [lambda: compile(f, spec), lambda: witness(f, (2,), spec),
+        calls = [lambda: Reduction(f, spec), lambda: compile(f, spec),
+                 lambda: witness(f, (2,), spec),
                  lambda: Reduction(f, spec).extract_solution({"x1": S11.active_gen(1, 2)}),
                  lambda: Reduction(IntPolynomial(1), spec).system]
         for call in calls:
