@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import zwreath
+from zwreath import cli
 from zwreath.cli import main
 from zwreath.equations import MAX_NESTING
 from zwreath.interp import MAX_RANKS
@@ -547,3 +549,108 @@ def test_python_dash_m_matches_in_process_main(capsys):
     done = subprocess.run([sys.executable, "-m", "zwreath", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (expected_code, expected_out)
+
+
+P = ("--poly", "z1 - 2")
+R = ("--ranks", "1,1")
+COMMAND_LINES = [
+    (), ("-h",), ("--help",), ("--he",), ("bogus",), ("compil",), ("COMPILE",),
+    ("--", "compile", *P, *R), ("-h", "compile"), ("--bogus", "compile", *P, *R),
+    *((name, "-h") for name in ("compile", "witness", "verify", "oracle", "extract",
+                                "lcs-rank", "selftest")),
+    *((name,) for name in ("compile", "witness", "verify", "oracle", "extract", "lcs-rank",
+                           "selftest")),
+    ("compile", *P), ("witness", *P, *R), ("verify", *R, "--system", "s.eqs"),
+    ("lcs-rank", "--i", "2"),
+    ("compile", *P, *R), ("compile", *P, *R, "--bogus"), ("compile", *P, *R, "-x"),
+    ("compile", *P, *R, "stray"), ("compile", *P, *R, "--bogus", "stray", "-x"),
+    ("compile", "--pol=z1 - 2", "--ran=1,1"), ("compile", "--he"),
+    ("compile", "--", "--poly=z1 - 2", "--ranks=1,1"), ("compile", *R, "--", "--poly=z1 - 2"),
+    ("compile", *P, *R, "-o"), ("compile", *P, *R, "-o", "out.eqs"),
+    ("compile", *P, *R, "-oout.eqs"), ("compile", *P, *R, "-h"),
+    ("witness", *P, *R, "--solution", "-2"), ("witness", *P, *R, "--solution=-2"),
+    ("witness", *P, *R, "--solution"),
+    ("selftest", "--samples", "-1"), ("selftest", "--samples=x"), ("selftest", "--samples", "=x"),
+    ("selftest", "--samples", "3", "--seed", "4"),
+    ("lcs-rank", "--ranks", "2,1", "--i", "x"), ("lcs-rank", "--ranks", "2,1", "--i", "2"),
+    ("compile", *P, *R, *P), ("compile", "--poly", "z1", "--poly", "z1 - 2", *R),
+    ("verify", *R, "--system", "s.eqs", "--assignment", "w.asg", "--system", "t.eqs"),
+    ("extract", *P, *R, "--assignment", "w.asg"), ("oracle", *P, *R, "--solution", "2"),
+]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Namespaces the subcommands were called with; each subcommand only records.
+
+    Every `_cmd_*` is replaced before the parsers are built afresh, so
+    `cli.main` and `cli.build_parser()` set the same recorders as `func`.
+    """
+    seen = []
+
+    def recorder():
+        def record(args):
+            seen.append(args)
+            return 0
+        return record
+
+    for name in dir(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, recorder())
+    cli._parsers.cache_clear()
+    yield seen
+    cli._parsers.cache_clear()
+
+
+def _without_command(namespace):
+    """The attributes of `namespace` but `command`, the name `main` does not read."""
+    return {key: value for key, value in vars(namespace).items() if key != "command"}
+
+
+def _outcome(capsys, parse, argv):
+    try:
+        result = ("parsed", parse(list(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
+def test_main_parses_as_the_top_level_parser_does(capsys, recorded, argv):
+    # The reference is argparse's own dispatch on the running Python, not
+    # frozen text: help and error formats differ between Python versions.
+    def through_main(args):
+        assert main(args) == 0
+        return _without_command(recorded.pop())
+
+    def reference(args):
+        return _without_command(cli.build_parser().parse_args(args))
+
+    assert _outcome(capsys, through_main, argv) == _outcome(capsys, reference, argv)
+    assert recorded == []
+
+
+def test_a_call_that_names_its_subcommand_parses_once(monkeypatch, capsys):
+    progs = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, args=None, namespace=None):
+        progs.append(self.prog)
+        return real(self, args, namespace)
+
+    def parsers(*argv):
+        progs.clear()
+        try:
+            main(list(argv))
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        return progs
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    assert parsers("compile", *P, *R) == ["zwreath compile"]
+    # The top-level parser only reports the leftover.
+    assert parsers("compile", *P, *R, "--bogus") == ["zwreath compile"]
+    for argv in [(), ("-h",), ("bogus",), ("--", "compile", *P, *R)]:
+        assert parsers(*argv)[0] == "zwreath"
